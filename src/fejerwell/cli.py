@@ -49,7 +49,7 @@ COMMANDS = ("fig1", "trajectories", "uncertainty", "gibbs", "limit", "oracle-che
 
 _GIBBS_LADDER = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
 
-# oracle-check tolerances: (observable, relative tolerance, reference scale)
+# oracle-check tolerances: (observable, relative tolerance)
 _ORACLE_SPECS = (("position", 1e-8), ("position_sq", 1e-8), ("momentum", 1e-6),
                  ("momentum_sq", 1e-12))
 _ORACLE_CASES = ((10, 3), (50, 7), (200, 14))

@@ -3,20 +3,37 @@
 The mean of an observable over the packet expands into a double sum over
 level pairs (u, v) = (n+j, n+k): diagonal terms give a time-independent
 part, and each off-diagonal pair contributes its matrix element times a
-cosine (or sine) at the pair's Bohr frequency (E_u - E_v)/hbar. With the
-analytic well matrix elements every expectation value reduces to an exact
-finite trigonometric sum; this module builds those sums term by term.
-
-Parametrizing a pair by its difference d = u - v and sum offset
-s = (u - n) + (v - n), the position mean is
+cosine (or sine) at the pair's Bohr frequency (E_u - E_v)/hbar. Every
+such frequency is an integer multiple of w_b = pi^2 hbar / (2 mu a^2):
+a pair with difference d = u - v and sum offset s = (u - n) + (v - n)
+oscillates at d (2n+s) w_b. Write tau = w_b t. The position mean is
 
     <x> = a/2 + (4a/pi^2) (1/(2N+1)) * sum over pairs of
-          [1/(2n+s)^2 - 1/d^2] * cos(d (1 + s/(2n)) w_n t)
+          [1/(2n+s)^2 - 1/d^2] * cos(d (2n+s) tau)
 
 with d odd, and the squared-position mean carries every difference
 d = 1..2N with amplitude (-1)^d [1/d^2 - 1/(2n+s)^2] plus a diagonal
 part. <p> is the exact term-by-term time derivative of <x> times the
 mass; <p^2> is diagonal, hence constant in time.
+
+Grouping the pairs by d, or by s, turns each inner sum into a cosine over
+an arithmetic progression, which has the closed (Dirichlet-kernel) form
+
+    sum_{m=0}^{K-1} cos(c + (2m - K + 1) phi) = cos(c) R_K(phi),
+    R_K(phi) = sin(K phi) / sin(phi).
+
+With theta_d = d tau, phi_s = (2n+s) tau and L = 2N - |s|:
+
+    <x>   = a/2 + (4a/pi^2)/(2N+1) * [ sum_{s odd, |s|<2N} (2n+s)^-2 R_{L+1}(phi_s)/2
+                                      - sum_{d odd <= 2N} d^-2 R_{2N+1-d}(theta_d) cos(2n theta_d) ]
+    <x^2> = diagonal + (4a^2/pi^2)/(2N+1) * [ sum_{d=1..2N} (-1)^d d^-2 R_{2N+1-d}(theta_d) cos(2n theta_d)
+                                             - sum_{|s|<2N} (2n+s)^-2 S_s ]
+
+where S_s = -R_{L+1}(phi_s)/2 for odd s and (R_{L+1}(phi_s) - 1)/2 for
+even s, and <p> = mu w_b d<x>/dtau uses R_K'. Each moment therefore
+costs O(N) kernel evaluations per instant, not O(N^2) pair terms
+(Zygmund, Trigonometric Series, ch. III). `pair_terms` still enumerates
+the pairs for the width scan, which needs every half-width at once.
 
 Every closed form here is validated by `oracle_expectation`, which knows
 nothing of the term parametrization: its "grid" path evaluates the packet
@@ -24,12 +41,23 @@ wavefunction on a quadrature grid and applies the operators numerically,
 and its "spectral" path re-enumerates all level pairs directly from
 textbook matrix elements.
 
-Trigonometric arguments are reduced modulo 2*pi before evaluation, so
-long-time scans (hundreds of periods) lose no precision.
+Precision. The whole spectrum repeats with the revival period
+T_rev = 2 pi / w_b = 2n T, and every phase is an integer multiple of tau.
+frac(t / T_rev) is formed in double-double (an exact two-product of t
+with the high part of 1/T_rev, for t below about 4e15 T_rev), and each
+phase is reduced as frac(integer * that fraction) with an exact leading
+product. Long-time evaluation is therefore exact to rounding while the
+largest multiplier, 4nN, stays below 2^27 (n = 10^5 with N = sqrt(n) is
+inside); past that the bound on the rounded part of each phase grows by
+a factor of 4 per doubling of the multiplier. Each R_K is evaluated from
+the phase reduced to delta = phi - m pi, with the sign (-1)^(m(K-1)),
+and from its Taylor series where |K delta| is small, so the removable
+singularities at phi = m pi cost no accuracy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -57,7 +85,9 @@ __all__ = [
 OBSERVABLES = ("position", "position_sq", "momentum", "momentum_sq")
 
 _TWO_PI = 2.0 * math.pi
-_CHUNK = 1 << 22  # max elements per cos/sin evaluation block
+_PI_LO = 1.2246467991473532e-16  # pi - math.pi
+_CHUNK = 1 << 16  # max elements per (instants x kernel columns) block
+_TAYLOR = 1e-3  # |K delta| below which R_K and R_K' use their Taylor series
 
 
 class VarianceError(RuntimeError):
@@ -119,48 +149,200 @@ def pair_terms(cfg: WellConfig, n: int, N: int, kind: str):
     return amp, freq, span
 
 
-def _eval_trig(amp, freq, t, fn):
-    """sum_i amp[i] * fn(freq[i] * t), phases reduced mod 2*pi, chunked."""
+# --- exact phases ------------------------------------------------------------
+
+
+def _split(a, bits: int):
+    """Veltkamp split a = hi + lo, hi keeping 53 - bits significant bits."""
+    c = (2.0**bits + 1.0) * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_prod(a, b):
+    """(p, e) with p = fl(a*b) and p + e = a*b exactly (Dekker)."""
+    p = a * b
+    ah, al = _split(a, 27)
+    bh, bl = _split(b, 27)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+@functools.lru_cache(maxsize=8)
+def _revival_rate(cfg: WellConfig) -> tuple[float, float]:
+    """1/T_rev = pi hbar / (4 mu a^2) as hi + lo, from exact rationals."""
+    hi_n, hi_d = math.pi.as_integer_ratio()
+    lo_n, lo_d = _PI_LO.as_integer_ratio()
+    h_n, h_d = float(cfg.hbar).as_integer_ratio()
+    m_n, m_d = float(cfg.mu).as_integer_ratio()
+    a_n, a_d = float(cfg.a).as_integer_ratio()
+    num = (hi_n * lo_d + lo_n * hi_d) * h_n * m_d * a_d**2
+    den = hi_d * lo_d * h_d * 4 * m_n * a_n**2
+    hi = num / den  # int / int is correctly rounded
+    p, q = hi.as_integer_ratio()
+    return hi, (num * q - p * den) / (den * q)
+
+
+def _revival_fraction(cfg: WellConfig, t: np.ndarray):
+    """frac(t / T_rev) per instant, as an unevaluated pair hi + lo."""
+    c_hi, c_lo = _revival_rate(cfg)
+    p, e = _two_prod(t, c_hi)
+    return p - np.rint(p), e + t * c_lo
+
+
+def _frac_mul(m, hi, lo, bits: int):
+    """frac(m * (hi + lo)) over instants (rows) x multipliers (columns).
+
+    m holds integers with |m| < 2**bits. m times the leading 53 - bits
+    bits of hi is an exact product, so its fraction is exact; m times the
+    remainder (below 2**(bits - 54) for |hi| <= 1/2) is rounded once.
+    Returns the pair (exact fraction, correction).
+    """
+    h, l = _split(hi, max(bits, 1))
+    p = np.multiply.outer(h, m)
+    p -= np.rint(p)
+    return p, np.multiply.outer(l + lo, m)
+
+
+# --- Dirichlet-kernel sums ---------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Kernel:
+    """Read-only coefficient arrays of one (n, N, kind) kernel sum.
+
+    Column i holds R_{K[i]} at the phase m[i] * tau: m = d on the first
+    nd columns (the d-groups, also multiplied by cos or sin of
+    2n d tau) and m = 2n + s on the rest; m ends with the nd multipliers
+    2n d of those cos/sin phases. The bracket is
+    const + sum_i w[i] * column i; its tau-derivative is
+    sum_i w_rate[i] * (R' in place of R) + sum_{i<nd} w_sin[i] * R * sin(2n d tau).
+    """
+
+    m: np.ndarray
+    K: np.ndarray
+    flip: np.ndarray  # 2 where K is even (R_K(phi + pi) = -R_K(phi)), else 0
+    a2: np.ndarray  # R_K(x) = K + a2 x^2 + a4 x^4 + O(x^6)
+    a4: np.ndarray
+    w: np.ndarray
+    w_rate: np.ndarray | None
+    w_sin: np.ndarray
+    nd: int
+    bits: int  # every m is below 2**bits
+    const: float
+
+
+@functools.lru_cache(maxsize=16)
+def _kernel(n: int, N: int, kind: str) -> _Kernel:
+    """Kernel columns of <x> ("position"), <x^2> ("position_sq") or the
+    classical-amplitude series of `quasi_exp` ("quasi", d-groups only)."""
+    step = 1 if kind == "position_sq" else 2
+    d = np.arange(1.0, 2 * N + 1, step)
+    s = np.arange(1.0 - 2 * N, 2 * N, step) if kind != "quasi" else np.empty(0)
+    w_s = 0.5 / (2 * n + s) ** 2
+    w_d = (-1.0) ** d / d**2 if kind == "position_sq" else -1.0 / d**2
+    const = 0.0
+    if kind == "position_sq":
+        even = s % 2 == 0
+        levels = n + np.arange(-N, N + 1, dtype=float)
+        const = float(np.sum(w_s[even])) - 0.125 * float(np.sum(1.0 / levels**2))
+        w_s = np.where(even, -w_s, w_s)
+    K = np.concatenate([2 * N + 1 - d, 2 * N + 1 - np.abs(s)])
+    arrays = {
+        "m": np.concatenate([d, 2 * n + s, 2 * n * d]),
+        "K": K,
+        "flip": 2.0 * (K % 2 == 0),
+        "a2": K * (1 - K**2) / 6,
+        "a4": K * (K**2 - 1) * (3 * K**2 - 7) / 360,
+        "w": np.concatenate([w_d, w_s]),
+        "w_rate": None if kind == "quasi" else np.concatenate([w_d * d, w_s * (2 * n + s)]),
+        "w_sin": 1.0 / d if kind == "quasi" else -2.0 * n * d * w_d,
+    }
+    for arr in arrays.values():
+        if arr is not None:
+            arr.setflags(write=False)
+    bits = int(max(arrays["m"], default=0)).bit_length()
+    return _Kernel(**arrays, nd=len(d), bits=bits, const=const)
+
+
+def _dirichlet(ker: _Kernel, c: np.ndarray, rate: bool):
+    """R_K and (if rate) R_K' at phi = 2 pi c, for |c| <= 1/2 (plus rounding)."""
+    h = 2.0 * c
+    j = np.rint(h)
+    x = math.pi * (h - j)  # phi - j pi, exact reduction
+    kx = ker.K * x
+    sx = np.sin(x)
+    skx = np.sin(kx)
+    small = np.abs(kx) < _TAYLOR
+    near = small.any()
+    if near:
+        sx[small] = 1.0
+    R = skx / sx
+    dR = (ker.K * np.cos(kx) * sx - skx * np.cos(x)) / (sx * sx) if rate else None
+    if near:
+        x2 = x * x
+        R = np.where(small, ker.K + x2 * (ker.a2 + x2 * ker.a4), R)
+        if rate:
+            dR = np.where(small, x * (2.0 * ker.a2 + 4.0 * x2 * ker.a4), dR)
+    sign = 1.0 - ker.flip * np.abs(j)  # (-1)^(j (K - 1)) for |j| <= 1
+    return R * sign, (dR * sign if rate else None)
+
+
+def _blockwise(block, t, columns: int):
+    """block(flat instants) -> values, in chunks of at most _CHUNK elements."""
     t_arr = np.asarray(t, dtype=float)
-    flat = np.atleast_1d(t_arr).ravel()
-    out = np.zeros(flat.shape)
-    if len(amp):
-        step = max(1, _CHUNK // len(amp))
-        for lo in range(0, len(flat), step):
-            phase = np.multiply.outer(flat[lo : lo + step], freq)
-            np.mod(phase, _TWO_PI, out=phase)
-            out[lo : lo + step] = fn(phase) @ amp
-    if t_arr.ndim == 0:
-        return float(out[0])
+    flat = t_arr.reshape(-1)
+    out = np.empty(flat.shape)
+    step = max(1, _CHUNK // max(columns, 1))
+    for lo in range(0, flat.size, step):
+        out[lo : lo + step] = block(flat[lo : lo + step])
     return out.reshape(t_arr.shape)
+
+
+def _kernel_sum(cfg: WellConfig, spec: PacketSpec, t, kind: str, rate: bool = False):
+    """The bracket of `kind` at t, or its tau-derivative if rate."""
+    ker = _kernel(spec.n, spec.N, kind)
+    nd = ker.nd
+
+    def block(tb):
+        hi, lo = _frac_mul(ker.m, *_revival_fraction(cfg, tb), ker.bits)
+        c = hi + lo
+        R, dR = _dirichlet(ker, c[:, : len(ker.K)], rate)
+        psi = _TWO_PI * c[:, len(ker.K) :]  # 2n theta_d
+        if not rate:
+            R[:, :nd] *= np.cos(psi)
+            return R @ ker.w
+        val = (R[:, :nd] * np.sin(psi)) @ ker.w_sin
+        if ker.w_rate is not None:
+            dR[:, :nd] *= np.cos(psi)
+            val += dR @ ker.w_rate
+        return val
+
+    return ker.const + _blockwise(block, t, len(ker.m))
 
 
 def exp_x(cfg: WellConfig, spec: PacketSpec, t):
     """Packet position mean <x>(t); scalar or array t."""
-    amp, freq, _ = pair_terms(cfg, spec.n, spec.N, "position")
-    val = cfg.a / 2.0 + _eval_trig(amp, freq, t, np.cos) / spec.size
+    val = cfg.a / 2.0 + (4.0 * cfg.a / math.pi**2) / spec.size * _kernel_sum(
+        cfg, spec, t, "position"
+    )
     return float(val) if _scalar_in(t) else val
 
 
 def exp_x2(cfg: WellConfig, spec: PacketSpec, t):
     """Packet squared-position mean <x^2>(t); scalar or array t."""
-    levels = spec.levels().astype(float)
-    diag = cfg.a**2 / 3.0 - (cfg.a**2 / (2.0 * math.pi**2)) * float(
-        np.sum(1.0 / levels**2)
-    ) / spec.size
-    amp, freq, _ = pair_terms(cfg, spec.n, spec.N, "position_sq")
-    val = diag + _eval_trig(amp, freq, t, np.cos) / spec.size
+    val = cfg.a**2 / 3.0 + (4.0 * cfg.a**2 / math.pi**2) / spec.size * _kernel_sum(
+        cfg, spec, t, "position_sq"
+    )
     return float(val) if _scalar_in(t) else val
 
 
 def exp_p(cfg: WellConfig, spec: PacketSpec, t):
     """Packet momentum mean <p>(t) = mu * d<x>/dt, taken term by term.
 
-    Each cosine of frequency W in <x> contributes -W sin(W t); the value
-    at t = 0 is exactly zero.
+    mu w_b (4a/pi^2) = 2 hbar / a scales the tau-derivative of the <x>
+    bracket; the value at t = 0 is exactly zero.
     """
-    amp, freq, _ = pair_terms(cfg, spec.n, spec.N, "position")
-    val = cfg.mu * _eval_trig(-amp * freq, freq, t, np.sin) / spec.size
+    val = (2.0 * cfg.hbar / cfg.a) / spec.size * _kernel_sum(cfg, spec, t, "position", rate=True)
     return float(val) if _scalar_in(t) else val
 
 
@@ -316,10 +498,13 @@ def quasi_exp(
     frequencies="exact" keeps every pair's own Bohr frequency
     d (1 + s/(2n)) w_n, so only the amplitudes are altered and the
     deviation from the true mean stays uniformly of order 1/n^2 at all
-    times. frequencies="reference" collapses each harmonic to the single
-    Bohr frequency against the central level, (E_{n+d} - E_n)/hbar =
-    d (1 + d/(2n)) w_n; the resulting frequency mismatch makes the
-    deviation grow with t, isolating the effect of unequal level spacing.
+    times. Grouped by d, the pairs sum to R_{2N+1-d}(theta_d) times
+    cos(2n theta_d) (position) or sin(2n theta_d) (momentum), as in the
+    d-groups of `exp_x`. frequencies="reference" collapses each harmonic
+    to the single Bohr frequency against the central level,
+    (E_{n+d} - E_n)/hbar = d (1 + d/(2n)) w_n; the resulting frequency
+    mismatch makes the deviation grow with t, isolating the effect of
+    unequal level spacing.
 
     In both modes the retained time factors are unit-modulus phases
     exp(-i (E_u - E_v) t / hbar), entering the real series as cosines or
@@ -332,27 +517,27 @@ def quasi_exp(
             f"frequencies must be 'exact' or 'reference', got {frequencies!r}"
         )
     n, N = spec.n, spec.N
-    sd = spectral_data(cfg, n)
+    if kind == "position":
+        scale, trig = 4.0 * cfg.a / math.pi**2, np.cos
+    else:
+        scale, trig = 4.0 * spectral_data(cfg, n).p_n / math.pi, np.sin
     if frequencies == "exact":
-        js, ks = np.meshgrid(np.arange(-N, N + 1), np.arange(-N, N + 1), indexing="ij")
-        upper = (js > ks) & ((js - ks) % 2 == 1)
-        d = (js[upper] - ks[upper]).astype(float)
-        s = (js[upper] + ks[upper]).astype(float)
-        freq = d * (1.0 + s / (2.0 * n)) * sd.omega_n
+        series = _kernel_sum(cfg, spec, t, "quasi", rate=kind == "momentum")
     else:
         d = 2.0 * np.arange(N) + 1.0
-        counts = 2 * N + 1 - d  # pairs sharing difference d
-        freq = d * (1.0 + d / (2.0 * n)) * sd.omega_n
+        # pairs sharing difference d, times the classical amplitude
+        amp = (2 * N + 1 - d) * (-1.0 / d**2 if kind == "position" else 1.0 / d)
+        m = d * (2 * n + d)  # (E_{n+d} - E_n) / hbar in units of w_b
+        bits = int(max(m, default=0)).bit_length()
+
+        def block(tb):
+            hi, lo = _frac_mul(m, *_revival_fraction(cfg, tb), bits)
+            return trig(_TWO_PI * (hi + lo)) @ amp
+
+        series = _blockwise(block, t, N)
+    val = scale / spec.size * series
     if kind == "position":
-        amp = -(4.0 * cfg.a / math.pi**2) / d**2
-        if frequencies == "reference":
-            amp = amp * counts
-        val = cfg.a / 2.0 + _eval_trig(amp, freq, t, np.cos) / spec.size
-    else:
-        amp = (4.0 * sd.p_n / math.pi) / d
-        if frequencies == "reference":
-            amp = amp * counts
-        val = _eval_trig(amp, freq, t, np.sin) / spec.size
+        val = cfg.a / 2.0 + val
     return float(val) if _scalar_in(t) else val
 
 

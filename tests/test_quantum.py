@@ -2,8 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from fejerwell import (
@@ -13,6 +16,7 @@ from fejerwell import (
     exp_p2,
     exp_x,
     exp_x2,
+    energy,
     expectation_sample,
     oracle_expectation,
     quasi_exp,
@@ -20,6 +24,7 @@ from fejerwell import (
     uncertainty_product,
 )
 from fejerwell.core import classical_period
+from fejerwell.quantum import pair_terms
 
 NATURAL = WellConfig()
 
@@ -291,3 +296,108 @@ def test_variance_positivity_on_grid():
     var_p = exp_p2(NATURAL, spec) - exp_p(NATURAL, spec, ts) ** 2
     assert np.all(var_x > 0.0)
     assert np.all(var_p >= 0.0)
+
+
+# --- Dirichlet kernels: singular phases, long times, the pair-sum reference ---
+
+
+def _scales(n):
+    return {"position": 1.0, "position_sq": 1.0, "momentum": n * math.pi}
+
+
+CLOSED_FORMS = {"position": exp_x, "position_sq": exp_x2, "momentum": exp_p}
+
+
+def _singular_instants(n):
+    T = classical_period(NATURAL, n)
+    t_rev = 2 * n * T
+    exact = [k * T / 2 for k in range(9)] + [t_rev / 2, t_rev, 3 * t_rev]
+    return exact + [t + 1e-9 * T for t in exact]
+
+
+@pytest.mark.parametrize("n", [500, 10_000])
+def test_singular_phases_match_spectral_oracle(n):
+    # at k*T/2 and k*T_rev every kernel phase sits on or next to a
+    # removable singularity sin(phi) = 0 of R_K; the oracle's own phase
+    # error grows as eps * E_max * t, as in the benchmark's point gate
+    spec = PacketSpec(n=n, N=math.isqrt(n))
+    e_max = energy(NATURAL, n + spec.N)
+    scales = _scales(n)
+    for t in _singular_instants(n):
+        tol = 1e-10 + 4 * np.finfo(float).eps * e_max * t
+        for kind, fn in CLOSED_FORMS.items():
+            oracle = oracle_expectation(NATURAL, spec, t, kind, method="spectral")
+            assert abs(fn(NATURAL, spec, t) - oracle) <= tol * scales[kind], (kind, t)
+
+
+def _mp_moments(n, N, t):
+    """<x>, <x^2>, <p> summed over level pairs in 40-digit arithmetic at the float t."""
+    with mpmath.workdps(40):
+        t = mpmath.mpf(t)
+        w_b = mpmath.pi**2 / 2
+        c = 4 / mpmath.pi**2
+        size = 2 * N + 1
+        x, p = mpmath.mpf(size) / 2, mpmath.mpf(0)
+        x2 = sum(mpmath.mpf(1) / 3 - 1 / (2 * mpmath.pi**2 * u**2) for u in range(n - N, n + N + 1))
+        for u in range(n - N, n + N + 1):
+            for v in range(n - N, u):
+                d, sm = u - v, u + v
+                cos, sin = mpmath.cos_sin(w_b * d * sm * t)
+                x2 += c * (-1) ** d * (mpmath.mpf(1) / d**2 - mpmath.mpf(1) / sm**2) * cos
+                if d % 2:
+                    amp = c * (mpmath.mpf(1) / sm**2 - mpmath.mpf(1) / d**2)
+                    x += amp * cos
+                    p -= amp * w_b * d * sm * sin
+        return {"position": float(x / size), "position_sq": float(x2 / size), "momentum": float(p / size)}
+
+
+@pytest.mark.parametrize("n", [500, 10_000])
+@pytest.mark.parametrize("k", [1, 1000, 10**6])
+def test_long_times_exact_to_rounding(n, k):
+    # t = t0 + k T_rev is a float whose fraction of T_rev the kernels form
+    # in double-double; the reference sums the pairs at that same float t
+    spec = PacketSpec(n=n, N=math.isqrt(n))
+    T = classical_period(NATURAL, n)
+    t = 0.3 * T + k * (2 * n * T)
+    ref = _mp_moments(n, spec.N, t)
+    scales = _scales(n)
+    for kind, fn in CLOSED_FORMS.items():
+        assert abs(fn(NATURAL, spec, t) - ref[kind]) <= 1e-13 * scales[kind], kind
+
+
+def _pair_sums(spec, t):
+    """<x>, <x^2>, <p> from the O(N^2) term arrays of pair_terms."""
+    n, N = spec.n, spec.N
+    amp, freq, _ = pair_terms(NATURAL, n, N, "position")
+    amp2, freq2, _ = pair_terms(NATURAL, n, N, "position_sq")
+    levels = spec.levels().astype(float)
+    diag = 1 / 3 - float(np.sum(1 / levels**2)) / (2 * math.pi**2 * spec.size)
+    return {
+        "position": 0.5 + float(amp @ np.cos(freq * t)) / spec.size,
+        "position_sq": diag + float(amp2 @ np.cos(freq2 * t)) / spec.size,
+        "momentum": -float((amp * freq) @ np.sin(freq * t)) / spec.size,
+    }
+
+
+@st.composite
+def _packets_and_instants(draw):
+    n = draw(st.integers(2, 3000))
+    N = draw(st.integers(0, min(n - 1, 60)))
+    return n, N, draw(st.floats(0.0, 4.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_packets_and_instants())
+@example((2, 0, 0.7))
+@example((2, 1, 1.3))
+@example((61, 60, 3.9))
+@example((3000, 1, 2.5))
+@example((500, 0, 0.0))
+def test_kernels_equal_pair_sum(case):
+    n, N, periods = case
+    spec = PacketSpec(n=n, N=N)
+    t = periods * classical_period(NATURAL, n)
+    ref = _pair_sums(spec, t)
+    scales = _scales(n)
+    for kind, fn in CLOSED_FORMS.items():
+        assert abs(fn(NATURAL, spec, t) - ref[kind]) <= 1e-12 * scales[kind], kind
