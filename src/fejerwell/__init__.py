@@ -35,7 +35,6 @@ from .optimizer import (
     optimal_N,
     scan_n,
     tracking_error,
-    width_objective,
 )
 from .quantum import (
     ExpectationSample,
@@ -90,7 +89,6 @@ __all__ = [
     "optimal_N",
     "scan_n",
     "tracking_error",
-    "width_objective",
     "default_n_grid",
     "LimitRow",
     "DetuningReport",

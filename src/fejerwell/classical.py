@@ -7,11 +7,18 @@ partial sums that arise as the classical limit of equal-weight packets,
 the Gibbs-overshoot measurement for the truncated momentum series, and
 the classical reduced uncertainty built from the averaged series.
 
-All series are evaluated after reducing t modulo the period, so arguments
-far from the origin lose no precision. Double sums are collapsed to
-single sums with integer weights (the inner sums are cumulative), making
-every evaluation O(order) per time sample; scalar paths accumulate with
-exact summation (math.fsum).
+Double sums are collapsed to single sums with integer weights (the inner
+sums are cumulative), making every evaluation O(order) per time sample.
+Scalar and array t take the same path: a scalar comes back as np.float64,
+equal bit for bit to the matching element of an array call.
+
+Every series reduces t modulo the float period T before forming phases.
+The reduction itself is exact, but T carries a rounding error of up to
+eps/2 relative, so after t/T periods the reduced time is off by about
+(t/T) eps T, and a value is off by up to about (t/T) eps in units of a
+(or p_c): long times lose precision linearly. At (500, 23) and
+t = 0.3T + kT, fejer_position differs from a 50-digit evaluation by
+1.8e-14, 1.8e-11 and 1.8e-8 a for k = 10^3, 10^6 and 10^9.
 """
 
 from __future__ import annotations
@@ -65,10 +72,6 @@ def _reduced(orbit: ClassicalOrbit, t) -> np.ndarray:
     return np.mod(np.asarray(t, dtype=float), orbit.period)
 
 
-def _scalar_in(t) -> bool:
-    return np.asarray(t).ndim == 0
-
-
 def sawtooth_position(orbit: ClassicalOrbit, t):
     """Exact classical position: linear ramp 0 -> a on [0, T/2], back on [T/2, T]."""
     tp = _reduced(orbit, t)
@@ -78,7 +81,7 @@ def sawtooth_position(orbit: ClassicalOrbit, t):
         orbit.a * tp / half,
         2.0 * orbit.a - orbit.a * tp / half,
     )
-    return float(val) if _scalar_in(t) else val
+    return val[()]
 
 
 def square_momentum(orbit: ClassicalOrbit, t):
@@ -95,24 +98,12 @@ def square_momentum(orbit: ClassicalOrbit, t):
         0.0,
         np.where(tp < half, orbit.p_c, -orbit.p_c),
     )
-    return float(val) if _scalar_in(t) else val
+    return val[()]
 
 
-def _odd_cos_sum(theta: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_r weights[r] * cos((2r+1) * theta) with exact scalar accumulation."""
-    d = 2.0 * np.arange(len(weights)) + 1.0
-    terms = weights * np.cos(np.multiply.outer(theta, d))
-    if terms.ndim == 1:
-        return math.fsum(terms.tolist())
-    return terms.sum(axis=-1)
-
-
-def _odd_sin_sum(theta: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    d = 2.0 * np.arange(len(weights)) + 1.0
-    terms = weights * np.sin(np.multiply.outer(theta, d))
-    if terms.ndim == 1:
-        return math.fsum(terms.tolist())
-    return terms.sum(axis=-1)
+def _harmonic_sum(trig, theta: np.ndarray, harmonics, weights):
+    """sum_r weights[r] * trig(harmonics[r] * theta), over the last axis."""
+    return (weights * trig(np.multiply.outer(theta, harmonics))).sum(axis=-1)
 
 
 def fourier_partial_position(orbit: ClassicalOrbit, m: int, t):
@@ -123,9 +114,10 @@ def fourier_partial_position(orbit: ClassicalOrbit, m: int, t):
     if m < 0:
         raise ValueError(f"series order must be >= 0, got m={m}")
     theta = _reduced(orbit, t) * orbit.omega
-    w = 1.0 / (2.0 * np.arange(m + 1) + 1.0) ** 2
-    val = orbit.a / 2.0 - (4.0 * orbit.a / math.pi**2) * _odd_cos_sum(theta, w)
-    return float(val) if _scalar_in(t) else val
+    d = 2.0 * np.arange(m + 1) + 1.0
+    s = _harmonic_sum(np.cos, theta, d, 1.0 / d**2)
+    val = orbit.a / 2.0 - (4.0 * orbit.a / math.pi**2) * s
+    return val[()]
 
 
 def fourier_partial_momentum(orbit: ClassicalOrbit, m: int, t):
@@ -136,9 +128,9 @@ def fourier_partial_momentum(orbit: ClassicalOrbit, m: int, t):
     if m < 0:
         raise ValueError(f"series order must be >= 0, got m={m}")
     theta = _reduced(orbit, t) * orbit.omega
-    w = 1.0 / (2.0 * np.arange(m + 1) + 1.0)
-    val = (4.0 * orbit.p_c / math.pi) * _odd_sin_sum(theta, w)
-    return float(val) if _scalar_in(t) else val
+    d = 2.0 * np.arange(m + 1) + 1.0
+    val = (4.0 * orbit.p_c / math.pi) * _harmonic_sum(np.sin, theta, d, 1.0 / d)
+    return val[()]
 
 
 def gibbs_overshoot(orbit: ClassicalOrbit, m: int, refine_points: int = 1000) -> float:
@@ -164,21 +156,18 @@ def fejer_position(orbit: ClassicalOrbit, N: int, t):
         cos((2r+1) w t) / (2r+1)^2
 
     The inner sums are cumulative, so the double sum collapses to a single
-    sum with weight (N - r) on harmonic 2r+1. N = 0 degenerates to the
-    constant term a/2. Unlike the truncated series, this average stays
+    sum with weight (N - r) on harmonic 2r+1. N = 0 leaves the constant
+    term a/2. Unlike the truncated series, this average stays
     inside [0, a] for every N and t.
     """
     if N < 0:
         raise ValueError(f"average order must be >= 0, got N={N}")
-    if N == 0:
-        val = np.full(np.shape(t), orbit.a / 2.0)
-        return orbit.a / 2.0 if _scalar_in(t) else val
     theta = _reduced(orbit, t) * orbit.omega
     r = np.arange(N)
-    w = (N - r) / (2.0 * r + 1.0) ** 2
-    s = _odd_cos_sum(theta, w)
+    d = 2.0 * r + 1.0
+    s = _harmonic_sum(np.cos, theta, d, (N - r) / d**2)
     val = orbit.a / 2.0 - (8.0 * orbit.a / math.pi**2) / (2 * N + 1) * s
-    return float(val) if _scalar_in(t) else val
+    return val[()]
 
 
 def fejer_position_sq(orbit: ClassicalOrbit, N: int, t):
@@ -193,19 +182,12 @@ def fejer_position_sq(orbit: ClassicalOrbit, N: int, t):
     """
     if N < 0:
         raise ValueError(f"average order must be >= 0, got N={N}")
-    if N == 0:
-        val = np.full(np.shape(t), orbit.a**2 / 3.0)
-        return orbit.a**2 / 3.0 if _scalar_in(t) else val
     theta = _reduced(orbit, t) * orbit.omega
     r = np.arange(1, 2 * N + 1)
     w = (2 * N - r + 1) * (-1.0) ** r / r.astype(float) ** 2
-    terms = w * np.cos(np.multiply.outer(theta, r.astype(float)))
-    if terms.ndim == 1:
-        s = math.fsum(terms.tolist())
-    else:
-        s = terms.sum(axis=-1)
+    s = _harmonic_sum(np.cos, theta, r.astype(float), w)
     val = orbit.a**2 / 3.0 + (4.0 * orbit.a**2 / math.pi**2) / (2 * N + 1) * s
-    return float(val) if _scalar_in(t) else val
+    return val[()]
 
 
 def fejer_momentum(orbit: ClassicalOrbit, N: int, t):
@@ -219,15 +201,12 @@ def fejer_momentum(orbit: ClassicalOrbit, N: int, t):
     """
     if N < 0:
         raise ValueError(f"average order must be >= 0, got N={N}")
-    if N == 0:
-        val = np.zeros(np.shape(t))
-        return 0.0 if _scalar_in(t) else val
     theta = _reduced(orbit, t) * orbit.omega
     r = np.arange(N)
-    w = (N - r) / (2.0 * r + 1.0)
-    s = _odd_sin_sum(theta, w)
+    d = 2.0 * r + 1.0
+    s = _harmonic_sum(np.sin, theta, d, (N - r) / d)
     val = (8.0 * orbit.p_c / math.pi) / (2 * N + 1) * s
-    return float(val) if _scalar_in(t) else val
+    return val[()]
 
 
 def fejer_momentum_sq(orbit: ClassicalOrbit) -> float:
@@ -254,4 +233,4 @@ def classical_reduced_uncertainty(orbit: ClassicalOrbit, kind: str, N: int, t):
     if np.any(second_arr <= 0.0):
         raise ValueError("second moment must be positive")
     val = np.sqrt(np.clip(1.0 - np.asarray(mean) ** 2 / second_arr, 0.0, 1.0))
-    return float(val) if _scalar_in(t) else val
+    return val[()]

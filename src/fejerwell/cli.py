@@ -9,6 +9,12 @@ gibbs         truncated-series overshoot against the bounded average
 limit         constrained-classical-limit deviation rows
 oracle-check  closed forms against the first-principles oracle
 
+--config PATH reads a file of key=value lines (blank lines and # comments
+skipped) as the flags --key=value placed before the command line, so a
+flag given on the command line wins. The keys are the flag names: n, N,
+t-max, steps, format, out, normalize-momentum, n-list and m. An unknown
+key or a bad value is a usage error, as the same flag would be.
+
 Output is deterministic: identical configurations produce byte-identical
 artifacts. Exit codes: 0 success, 1 usage error, 2 tolerance/validation
 failure, 3 I/O error.
@@ -52,6 +58,7 @@ _GIBBS_LADDER = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
 # oracle-check tolerances: (observable, relative tolerance)
 _ORACLE_SPECS = (("position", 1e-8), ("position_sq", 1e-8), ("momentum", 1e-6),
                  ("momentum_sq", 1e-12))
+OBS_CODE = {"position": 0, "position_sq": 1, "momentum": 2, "momentum_sq": 3}
 _ORACLE_CASES = ((10, 3), (50, 7), (200, 14))
 
 
@@ -155,47 +162,41 @@ def _series_fig1(config: RunConfig, cfg: WellConfig) -> TimeSeries:
     return TimeSeries(columns=("n", "N_opt", "sqrt_n", "product_min"), rows=rows)
 
 
+def _packet_series(config: RunConfig, cfg: WellConfig):
+    """The packet, its matched orbit and the time grid of a time-series command."""
+    spec = PacketSpec(n=config.n, N=_resolve_N(cfg, config.n, config.N))
+    sd = spectral_data(cfg, config.n)
+    orbit = ClassicalOrbit(a=cfg.a, p_c=sd.p_n, mu=cfg.mu)
+    ts = np.linspace(0.0, _resolve_t_max(config.t_max, sd.period), config.steps)
+    return spec, orbit, ts
+
+
+def _columns(names: tuple[str, ...], *values) -> TimeSeries:
+    return TimeSeries(columns=names, rows=[tuple(map(float, row)) for row in zip(*values)])
+
+
 def _series_trajectories(config: RunConfig, cfg: WellConfig) -> TimeSeries:
-    n = config.n
-    N = _resolve_N(cfg, n, config.N)
-    spec = PacketSpec(n=n, N=N)
-    sd = spectral_data(cfg, n)
-    orbit = ClassicalOrbit(a=cfg.a, p_c=sd.p_c, mu=cfg.mu)
-    t_max = _resolve_t_max(config.t_max, sd.period)
-    ts = np.linspace(0.0, t_max, config.steps)
-    p_scale = sd.p_c if config.normalize_momentum else 1.0
-    xq = exp_x(cfg, spec, ts)
-    xf = fejer_position(orbit, N, ts)
-    pq = exp_p(cfg, spec, ts) / p_scale
-    pf = fejer_momentum(orbit, N, ts) / p_scale
-    rows = [
-        (float(t), float(a_), float(b_), float(c_), float(d_))
-        for t, a_, b_, c_, d_ in zip(ts, xq, xf, pq, pf)
-    ]
-    return TimeSeries(
-        columns=("t", "x_quantum", "x_fejer", "p_quantum", "p_fejer"), rows=rows
+    spec, orbit, ts = _packet_series(config, cfg)
+    p_scale = orbit.p_c if config.normalize_momentum else 1.0
+    return _columns(
+        ("t", "x_quantum", "x_fejer", "p_quantum", "p_fejer"),
+        ts,
+        exp_x(cfg, spec, ts),
+        fejer_position(orbit, spec.N, ts),
+        exp_p(cfg, spec, ts) / p_scale,
+        fejer_momentum(orbit, spec.N, ts) / p_scale,
     )
 
 
 def _series_uncertainty(config: RunConfig, cfg: WellConfig) -> TimeSeries:
-    n = config.n
-    N = _resolve_N(cfg, n, config.N)
-    spec = PacketSpec(n=n, N=N)
-    sd = spectral_data(cfg, n)
-    orbit = ClassicalOrbit(a=cfg.a, p_c=sd.p_c, mu=cfg.mu)
-    t_max = _resolve_t_max(config.t_max, sd.period)
-    ts = np.linspace(0.0, t_max, config.steps)
-    dx = reduced_uncertainty(cfg, spec, ts, "position")
-    dxc = classical_reduced_uncertainty(orbit, "position", N, ts)
-    dp = reduced_uncertainty(cfg, spec, ts, "momentum")
-    dpc = classical_reduced_uncertainty(orbit, "momentum", N, ts)
-    rows = [
-        (float(t), float(a_), float(b_), float(c_), float(d_))
-        for t, a_, b_, c_, d_ in zip(ts, dx, dxc, dp, dpc)
-    ]
-    return TimeSeries(
-        columns=("t", "delta_x", "delta_x_classical", "delta_p", "delta_p_classical"),
-        rows=rows,
+    spec, orbit, ts = _packet_series(config, cfg)
+    return _columns(
+        ("t", "delta_x", "delta_x_classical", "delta_p", "delta_p_classical"),
+        ts,
+        reduced_uncertainty(cfg, spec, ts, "position"),
+        classical_reduced_uncertainty(orbit, "position", spec.N, ts),
+        reduced_uncertainty(cfg, spec, ts, "momentum"),
+        classical_reduced_uncertainty(orbit, "momentum", spec.N, ts),
     )
 
 
@@ -268,9 +269,6 @@ def _series_oracle_check(config: RunConfig, cfg: WellConfig) -> tuple[TimeSeries
     return series, all_pass
 
 
-OBS_CODE = {"position": 0, "position_sq": 1, "momentum": 2, "momentum_sq": 3}
-
-
 def run(config: RunConfig) -> int:
     """Execute one command and emit its artifact; returns the exit status."""
     cfg = WellConfig()
@@ -317,8 +315,9 @@ def _error_record(kind: str, message: str) -> None:
     sys.stderr.write(json.dumps({"error": kind, "message": message}) + "\n")
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _config_tokens(path: str) -> list[str]:
+    """A key=value file as the flags --key=value, in file order."""
+    tokens = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
@@ -327,53 +326,8 @@ def _read_config_file(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"bad config line (expected key=value): {line!r}")
             key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
-    return values
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fejerwell",
-        description="Square-well packet dynamics against averaged classical series",
-    )
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--n", type=int, default=None, help="central quantum number")
-    parser.add_argument(
-        "--N", default=None, help="packet half-width (integer) or 'auto'"
-    )
-    parser.add_argument(
-        "--t-max",
-        dest="t_max",
-        default=None,
-        help="time span: a number, or a period multiple such as '2T'",
-    )
-    parser.add_argument("--steps", type=int, default=None, help="samples in the span")
-    parser.add_argument("--format", choices=("csv", "json"), default=None)
-    parser.add_argument("--out", default=None, help="output path (default: stdout)")
-    parser.add_argument("--config", default=None, help="key=value defaults file")
-    parser.add_argument(
-        "--normalize-momentum",
-        dest="normalize_momentum",
-        choices=("on", "off"),
-        default=None,
-        help="divide momentum columns by p_c (trajectories)",
-    )
-    parser.add_argument(
-        "--n-list",
-        dest="n_list",
-        default=None,
-        help="comma-separated levels (fig1, limit)",
-    )
-    parser.add_argument("--m", type=int, default=None, help="largest order (gibbs)")
-    return parser
-
-
-def _pick(cli_value, file_values: dict[str, str], key: str, cast, default):
-    if cli_value is not None:
-        return cli_value
-    if key in file_values:
-        return cast(file_values[key])
-    return default
+            tokens.append(f"--{key.strip()}={val.strip()}")
+    return tokens
 
 
 def _parse_n_list(text: str) -> list[int]:
@@ -384,55 +338,64 @@ def _parse_N(text: str) -> int | str:
     return "auto" if text == "auto" else int(text)
 
 
+def _build_parser() -> argparse.ArgumentParser:
+    """Flags with no defaults of their own: an absent flag keeps RunConfig's default."""
+    parser = argparse.ArgumentParser(
+        prog="fejerwell",
+        description="Square-well packet dynamics against averaged classical series",
+        argument_default=argparse.SUPPRESS,
+        allow_abbrev=False,  # a config key must name its flag exactly
+    )
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--n", type=int, help="central quantum number")
+    parser.add_argument(
+        "--N", type=_parse_N, help="packet half-width (integer) or 'auto'"
+    )
+    parser.add_argument(
+        "--t-max",
+        dest="t_max",
+        help="time span: a number, or a period multiple such as '2T'",
+    )
+    parser.add_argument("--steps", type=int, help="samples in the span")
+    parser.add_argument("--format", choices=("csv", "json"))
+    parser.add_argument("--out", help="output path (default: stdout)")
+    parser.add_argument(
+        "--config",
+        help="file of key=value lines, each read as the flag --key=value; flags win",
+    )
+    parser.add_argument(
+        "--normalize-momentum",
+        dest="normalize_momentum",
+        choices=("on", "off"),
+        help="divide momentum columns by p_c (trajectories)",
+    )
+    parser.add_argument(
+        "--n-list",
+        dest="n_list",
+        type=_parse_n_list,
+        help="comma-separated levels (fig1, limit)",
+    )
+    parser.add_argument("--m", type=int, help="largest order (gibbs)")
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = vars(parser.parse_args(argv))
+        if "config" in args:
+            # the file's flags go first, so a flag on the command line wins
+            args = vars(parser.parse_args(_config_tokens(args["config"]) + argv))
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
-
-    try:
-        file_values = _read_config_file(args.config) if args.config else {}
     except (OSError, ValueError) as exc:
         _error_record("usage", f"config file: {exc}")
         return 1
-
-    try:
-        config = RunConfig(
-            command=args.command,
-            n=_pick(args.n, file_values, "n", int, 500),
-            N=_pick(
-                _parse_N(args.N) if args.N is not None else None,
-                file_values,
-                "N",
-                _parse_N,
-                "auto",
-            ),
-            t_max=_pick(args.t_max, file_values, "t-max", str, "2T"),
-            steps=_pick(args.steps, file_values, "steps", int, 2000),
-            format=_pick(args.format, file_values, "format", str, "csv"),
-            out=_pick(args.out, file_values, "out", str, None),
-            normalize_momentum=_pick(
-                args.normalize_momentum == "on" if args.normalize_momentum else None,
-                file_values,
-                "normalize-momentum",
-                lambda s: s == "on",
-                True,
-            ),
-            n_list=_pick(
-                _parse_n_list(args.n_list) if args.n_list else None,
-                file_values,
-                "n-list",
-                _parse_n_list,
-                None,
-            ),
-            m=_pick(args.m, file_values, "m", int, 200),
-        )
-    except ValueError as exc:
-        _error_record("usage", str(exc))
-        return 1
-
-    return run(config)
+    args.pop("config", None)
+    if "normalize_momentum" in args:
+        args["normalize_momentum"] = args["normalize_momentum"] == "on"
+    return run(RunConfig(**args))
 
 
 if __name__ == "__main__":

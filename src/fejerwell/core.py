@@ -78,39 +78,17 @@ class PacketSpec:
 class SpectralData:
     """Classical-correspondence quantities derived from level n.
 
-    p_n: magnitude of the level-n momentum, n*pi*hbar/a.
-    p_c: classical momentum matched to the packet (equal to p_n).
+    p_n: magnitude of the level-n momentum, n*pi*hbar/a; the classical
+        momentum matched to the packet.
     e_n: level-n energy, p_n^2/(2 mu).
-    period: classical bounce period T = 2*a*mu/p_c.
-    omega: classical angular frequency 2*pi/T.
-    omega_n: packet angular frequency pi*p_n/(mu*a); coincides with omega
-        when p_c = p_n.
+    period: classical bounce period T = 2*a*mu/p_n.
+    omega_n: packet angular frequency pi*p_n/(mu*a), equal to 2*pi/T.
     """
 
     p_n: float
-    p_c: float
     e_n: float
     period: float
-    omega: float
     omega_n: float
-
-
-def energy(cfg: WellConfig, m: int) -> float:
-    """Energy of stationary level m: (m*pi*hbar/a)^2 / (2*mu)."""
-    if m < 1:
-        raise ValueError(f"level index must be >= 1, got m={m}")
-    p_m = m * math.pi * cfg.hbar / cfg.a
-    return p_m * p_m / (2.0 * cfg.mu)
-
-
-def classical_period(cfg: WellConfig, n: int) -> float:
-    """Bounce period of the classical particle matched to level n.
-
-    T = 2*a*mu/p_c with p_c = n*pi*hbar/a, i.e. 2*a^2*mu/(n*pi*hbar).
-    """
-    if n < 1:
-        raise ValueError(f"level index must be >= 1, got n={n}")
-    return 2.0 * cfg.a * cfg.a * cfg.mu / (n * math.pi * cfg.hbar)
 
 
 def spectral_data(cfg: WellConfig, n: int) -> SpectralData:
@@ -118,15 +96,22 @@ def spectral_data(cfg: WellConfig, n: int) -> SpectralData:
     if n < 1:
         raise ValueError(f"level index must be >= 1, got n={n}")
     p_n = n * math.pi * cfg.hbar / cfg.a
-    period = 2.0 * cfg.a * cfg.mu / p_n
     return SpectralData(
         p_n=p_n,
-        p_c=p_n,
         e_n=p_n * p_n / (2.0 * cfg.mu),
-        period=period,
-        omega=2.0 * math.pi / period,
+        period=2.0 * cfg.a * cfg.mu / p_n,
         omega_n=math.pi * p_n / (cfg.mu * cfg.a),
     )
+
+
+def energy(cfg: WellConfig, m: int) -> float:
+    """Energy of stationary level m: (m*pi*hbar/a)^2 / (2*mu)."""
+    return spectral_data(cfg, m).e_n
+
+
+def classical_period(cfg: WellConfig, n: int) -> float:
+    """Bounce period T = 2*a*mu/p_n of the classical particle matched to level n."""
+    return spectral_data(cfg, n).period
 
 
 def _check_position(cfg: WellConfig, x) -> np.ndarray:
@@ -139,13 +124,13 @@ def _check_position(cfg: WellConfig, x) -> np.ndarray:
 def stationary_wavefunction(cfg: WellConfig, m: int, x):
     """Normalized eigenfunction sqrt(2/a)*sin(m*pi*x/a), zero at both walls.
 
-    Accepts scalar or array x in [0, a].
+    Accepts scalar or array x in [0, a]; a scalar comes back as np.float64.
     """
     if m < 1:
         raise ValueError(f"level index must be >= 1, got m={m}")
     xa = _check_position(cfg, x)
     val = math.sqrt(2.0 / cfg.a) * np.sin(m * math.pi * xa / cfg.a)
-    return float(val) if xa.ndim == 0 else val
+    return val[()]
 
 
 def packet_wavefunction(cfg: WellConfig, spec: PacketSpec, x, t: float):
@@ -153,7 +138,8 @@ def packet_wavefunction(cfg: WellConfig, spec: PacketSpec, x, t: float):
 
     psi(x,t) = (2N+1)^(-1/2) * sum_{m=n-N}^{n+N} psi_m(x) exp(-i E_m t / hbar).
 
-    The value is exactly real at t = 0. Accepts scalar or array x.
+    The value is exactly real at t = 0. Accepts scalar or array x; a scalar
+    comes back as np.complex128.
     """
     xa = _check_position(cfg, x)
     levels = spec.levels().astype(float)
@@ -162,4 +148,4 @@ def packet_wavefunction(cfg: WellConfig, spec: PacketSpec, x, t: float):
     phases = np.exp(-1j * energies * t / cfg.hbar)
     modes = math.sqrt(2.0 / cfg.a) * np.sin(np.multiply.outer(k, xa))
     psi = np.tensordot(phases, modes, axes=(0, 0)) / math.sqrt(spec.size)
-    return complex(psi) if xa.ndim == 0 else psi
+    return psi[()]

@@ -4,16 +4,13 @@ For each central level n there is a narrow range of half-widths that makes
 the packet behave classically: too few superposed states and the packet
 mean is a poor (truncated-average) rendering of the bounce trajectory; too
 many and the unequal level spacing dephases the packet within a period.
-The default selection minimizes the RMS deviation of the position mean
+The selection minimizes the RMS deviation of the position mean
 from the classical sawtooth over one period, which lands on N close to
 sqrt(n) across two decades of n (N = 23 at n = 500).
 
-Two single-instant uncertainty-product objectives are kept as alternative
-modes for sensitivity analysis. Note that Delta-x Delta-p evaluated at the
-initial turning (t = 0) decreases monotonically with N, so that mode has
-no interior minimum and pins to the top of the search window; the
-far-wall-turning mode has an interior minimum but selects systematically
-wider packets than the trajectory-matching objective.
+The uncertainty product Delta-x Delta-p at the initial turning (t = 0) is
+reported for the selected packet but is no selection criterion: it falls
+monotonically with N, so it has no interior minimum.
 """
 
 from __future__ import annotations
@@ -25,21 +22,17 @@ import numpy as np
 
 from .classical import ClassicalOrbit, sawtooth_position
 from .core import PacketSpec, WellConfig, spectral_data
-from .quantum import exp_p, pair_terms, uncertainty_product
+from .quantum import pair_terms, uncertainty_product
 
 __all__ = [
-    "MODES",
     "ScanRow",
     "ScanFit",
     "ScanResult",
     "default_n_grid",
     "tracking_error",
-    "width_objective",
     "optimal_N",
     "scan_n",
 ]
-
-MODES = ("tracking", "product-start", "product-turn")
 
 _TRACK_POINTS = 1024
 
@@ -48,15 +41,13 @@ _TRACK_POINTS = 1024
 class ScanRow:
     """Optimal half-width for one central level.
 
-    product_min is the uncertainty product of the selected packet at
-    t_eval (a turning instant, where the momentum mean vanishes); it is
-    the minimized quantity only in the product-* modes.
+    product_min is the uncertainty product of the selected packet at the
+    initial turning t = 0, where the momentum mean vanishes.
     """
 
     n: int
     N_opt: int
     product_min: float
-    t_eval: float
     sqrt_n: float
 
 
@@ -95,7 +86,7 @@ def _tracking_curve(
     """
     sd = spectral_data(cfg, n)
     ts = np.arange(t_points) * (sd.period / t_points)
-    orbit = ClassicalOrbit(a=cfg.a, p_c=sd.p_c, mu=cfg.mu)
+    orbit = ClassicalOrbit(a=cfg.a, p_c=sd.p_n, mu=cfg.mu)
     saw = sawtooth_position(orbit, ts)
     amp, freq, span = pair_terms(cfg, n, N_max, "position")
     partial = np.zeros((N_max + 1, t_points))
@@ -122,53 +113,14 @@ def tracking_error(
     return float(_tracking_curve(cfg, n, N, t_points)[N])
 
 
-def _first_momentum_zero(cfg: WellConfig, spec: PacketSpec, t_start: float) -> float:
-    """First sign change of the momentum mean after t_start, bisected."""
-    period = spectral_data(cfg, spec.n).period
-    ts = np.linspace(t_start, t_start + 0.6 * period, 1201)
-    ps = exp_p(cfg, spec, ts)
-    flips = np.nonzero(np.diff(np.sign(ps)) != 0)[0]
-    if len(flips) == 0:
-        raise RuntimeError(f"no momentum zero found after t={t_start}")
-    lo, hi = ts[flips[0]], ts[flips[0] + 1]
-    p_lo = exp_p(cfg, spec, lo)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if math.copysign(1.0, exp_p(cfg, spec, mid)) == math.copysign(1.0, p_lo):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def width_objective(
-    cfg: WellConfig,
-    n: int,
-    N: int,
-    mode: str = "tracking",
-    t_points: int = _TRACK_POINTS,
-) -> float:
-    """The quantity optimal_N minimizes, for one candidate half-width."""
-    if mode == "tracking":
-        return tracking_error(cfg, n, N, t_points)
-    spec = PacketSpec(n=n, N=N)
-    if mode == "product-start":
-        return uncertainty_product(cfg, spec, 0.0)
-    if mode == "product-turn":
-        t_turn = _first_momentum_zero(cfg, spec, 0.4 * spectral_data(cfg, n).period)
-        return uncertainty_product(cfg, spec, t_turn)
-    raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-
-
 def optimal_N(
     cfg: WellConfig,
     n: int,
     N_min: int = 1,
     N_max: int | None = None,
-    mode: str = "tracking",
     t_points: int = _TRACK_POINTS,
 ) -> ScanRow:
-    """Exhaustive integer scan for the best packet half-width at level n.
+    """Exhaustive integer scan for the half-width with the least tracking error.
 
     The search window defaults to [1, min(n-1, ceil(4*sqrt(n)))]. Ties
     break toward the smaller N (the more monochromatic packet).
@@ -179,29 +131,12 @@ def optimal_N(
         N_max = min(n - 1, math.ceil(4.0 * math.sqrt(n)))
     if not (1 <= N_min <= N_max < n):
         raise ValueError(f"empty or invalid search range [{N_min}, {N_max}] for n={n}")
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-
-    if mode == "tracking":
-        curve = _tracking_curve(cfg, n, N_max, t_points)[N_min : N_max + 1]
-        best = N_min + int(np.argmin(curve))
-    else:
-        best, best_val = N_min, None
-        for N in range(N_min, N_max + 1):
-            val = width_objective(cfg, n, N, mode=mode, t_points=t_points)
-            if best_val is None or val < best_val:
-                best, best_val = N, val
-
-    spec = PacketSpec(n=n, N=best)
-    if mode == "product-turn":
-        t_eval = _first_momentum_zero(cfg, spec, 0.4 * spectral_data(cfg, n).period)
-    else:
-        t_eval = 0.0
+    curve = _tracking_curve(cfg, n, N_max, t_points)[N_min : N_max + 1]
+    best = N_min + int(np.argmin(curve))
     return ScanRow(
         n=n,
         N_opt=best,
-        product_min=uncertainty_product(cfg, spec, t_eval),
-        t_eval=t_eval,
+        product_min=uncertainty_product(cfg, PacketSpec(n=n, N=best), 0.0),
         sqrt_n=math.sqrt(n),
     )
 
@@ -209,7 +144,6 @@ def optimal_N(
 def scan_n(
     cfg: WellConfig,
     n_values: list[int] | None = None,
-    mode: str = "tracking",
     t_points: int = _TRACK_POINTS,
 ) -> ScanResult:
     """optimal_N over a list of levels plus a log-log fit of N_opt vs n.
@@ -222,7 +156,7 @@ def scan_n(
         n_values = default_n_grid()
     if any(b < a for a, b in zip(n_values, n_values[1:])):
         raise ValueError("n_values must be ascending")
-    rows = [optimal_N(cfg, n, mode=mode, t_points=t_points) for n in n_values]
+    rows = [optimal_N(cfg, n, t_points=t_points) for n in n_values]
 
     fit = None
     if len(set(n_values)) >= 3:

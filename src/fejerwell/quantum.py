@@ -53,6 +53,11 @@ a factor of 4 per doubling of the multiplier. Each R_K is evaluated from
 the phase reduced to delta = phi - m pi, with the sign (-1)^(m(K-1)),
 and from its Taylor series where |K delta| is small, so the removable
 singularities at phi = m pi cost no accuracy.
+
+Scalar and array t take the same code: a scalar is a 0-d array and comes
+back as np.float64. The kernel sums are matrix-vector products, which
+BLAS may round differently for one instant than for many, so a scalar
+agrees with the matching element of an array call to rounding.
 """
 
 from __future__ import annotations
@@ -106,10 +111,6 @@ class ExpectationSample:
     dx: float
     dp: float
     product: float
-
-
-def _scalar_in(t) -> bool:
-    return np.asarray(t).ndim == 0
 
 
 def pair_terms(cfg: WellConfig, n: int, N: int, kind: str):
@@ -325,7 +326,7 @@ def exp_x(cfg: WellConfig, spec: PacketSpec, t):
     val = cfg.a / 2.0 + (4.0 * cfg.a / math.pi**2) / spec.size * _kernel_sum(
         cfg, spec, t, "position"
     )
-    return float(val) if _scalar_in(t) else val
+    return val[()]
 
 
 def exp_x2(cfg: WellConfig, spec: PacketSpec, t):
@@ -333,7 +334,7 @@ def exp_x2(cfg: WellConfig, spec: PacketSpec, t):
     val = cfg.a**2 / 3.0 + (4.0 * cfg.a**2 / math.pi**2) / spec.size * _kernel_sum(
         cfg, spec, t, "position_sq"
     )
-    return float(val) if _scalar_in(t) else val
+    return val[()]
 
 
 def exp_p(cfg: WellConfig, spec: PacketSpec, t):
@@ -343,7 +344,7 @@ def exp_p(cfg: WellConfig, spec: PacketSpec, t):
     bracket; the value at t = 0 is exactly zero.
     """
     val = (2.0 * cfg.hbar / cfg.a) / spec.size * _kernel_sum(cfg, spec, t, "position", rate=True)
-    return float(val) if _scalar_in(t) else val
+    return val[()]
 
 
 def exp_p2(cfg: WellConfig, spec: PacketSpec) -> float:
@@ -538,7 +539,7 @@ def quasi_exp(
     val = scale / spec.size * series
     if kind == "position":
         val = cfg.a / 2.0 + val
-    return float(val) if _scalar_in(t) else val
+    return val[()]
 
 
 # --- uncertainty measures ----------------------------------------------------
@@ -555,7 +556,7 @@ def reduced_uncertainty(cfg: WellConfig, spec: PacketSpec, t, kind: str):
     else:
         raise ValueError(f"kind must be 'position' or 'momentum', got {kind!r}")
     val = np.sqrt(np.clip(1.0 - np.asarray(mean) ** 2 / second, 0.0, 1.0))
-    return float(val) if _scalar_in(t) else val
+    return val[()]
 
 
 def _variance(mean, second, scale):
@@ -571,7 +572,7 @@ def uncertainty_product(cfg: WellConfig, spec: PacketSpec, t):
     p2 = exp_p2(cfg, spec)
     var_p = _variance(exp_p(cfg, spec, t), p2, p2)
     val = np.sqrt(var_x) * np.sqrt(var_p)
-    return float(val) if _scalar_in(t) else val
+    return val[()]
 
 
 def expectation_sample(cfg: WellConfig, spec: PacketSpec, t: float) -> ExpectationSample:

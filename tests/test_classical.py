@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -122,9 +123,14 @@ def test_fejer_position_quarter_period(N):
 
 
 def test_fejer_degenerate_order_zero():
+    # N = 0 runs the general formula on an empty set of harmonics
     assert fejer_position(ORBIT, 0, 0.37) == 0.5
     assert fejer_momentum(ORBIT, 0, 0.37) == 0.0
     assert fejer_position_sq(ORBIT, 0, 0.37) == pytest.approx(1 / 3, rel=1e-15)
+    ts = np.linspace(0.0, 1e6 * T, 7).reshape(7, 1)
+    assert np.array_equal(fejer_position(ORBIT, 0, ts), np.full((7, 1), 0.5))
+    assert np.array_equal(fejer_momentum(ORBIT, 0, ts), np.zeros((7, 1)))
+    assert np.array_equal(fejer_position_sq(ORBIT, 0, ts), np.full((7, 1), 1 / 3))
 
 
 def test_cesaro_identity():
@@ -212,6 +218,24 @@ def test_fejer_convergence_at_t_over_8():
 def test_periodicity(fn):
     for t in (0.05 * T, 0.4 * T, 0.93 * T):
         assert math.isclose(fn(t + T), fn(t), rel_tol=0, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("k", [1e3, 1e6, 1e9])
+def test_long_time_error_grows_linearly_in_periods(k):
+    # reduction modulo the float period is exact, but the float period is
+    # off by up to eps/2 relative, so k periods in the reduced time is off by
+    # about k eps T: the error is ~(t/T) eps a, not zero
+    orbit = ClassicalOrbit(a=1.0, p_c=500 * math.pi, mu=1.0)
+    N, t = 23, 0.3 * orbit.period + k * orbit.period
+    with mpmath.workdps(50):
+        theta = 2 * mpmath.pi * mpmath.mpf(t) * orbit.p_c / (2 * orbit.a * orbit.mu)
+        s = mpmath.fsum(
+            (N - r) * mpmath.cos((2 * r + 1) * theta) / (2 * r + 1) ** 2 for r in range(N)
+        )
+        exact = float(orbit.a / 2 - 8 * orbit.a / mpmath.pi**2 / (2 * N + 1) * s)
+    err = abs(fejer_position(orbit, N, t) - exact)
+    scale = (t / orbit.period) * np.finfo(float).eps * orbit.a
+    assert 0.01 * scale < err < scale
 
 
 def test_reduced_uncertainty_momentum_at_turn():

@@ -175,6 +175,17 @@ def test_config_file_defaults_and_override(tmp_path):
     assert len(lines(out2)) == 6  # flag wins over the file
 
 
+@pytest.mark.parametrize("line", ["t_max=3T", "normalize-momentum=yes", "ste=5"])
+def test_config_file_rejects_bad_lines(tmp_path, line):
+    # an unknown key (a flag's prefix included) and a value outside the
+    # flag's choices are usage errors, exactly as the same flag would be
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"steps=8\nn=50\nN=3\n{line}\n")
+    out = tmp_path / "c.csv"
+    assert main(["trajectories", "--config", str(cfg), "--out", str(out)]) == 1
+    assert not out.exists()
+
+
 def test_usage_errors_exit_one(tmp_path):
     assert main(["no-such-command"]) == 1
     assert main(["trajectories", "--steps", "1"]) == 1

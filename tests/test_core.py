@@ -66,12 +66,12 @@ def test_classical_period_formula():
 def test_spectral_data_consistency():
     sd = spectral_data(NATURAL, 500)
     assert math.isclose(sd.p_n, 500 * math.pi, rel_tol=1e-15)
-    assert sd.p_c == sd.p_n
     assert math.isclose(sd.e_n, sd.p_n**2 / 2, rel_tol=1e-15)
-    assert math.isclose(sd.period * sd.omega, 2 * math.pi, rel_tol=1e-15)
-    # matched packet: omega_n coincides with the orbit frequency
-    assert math.isclose(sd.omega_n, sd.omega, rel_tol=1e-15)
+    # matched packet: omega_n coincides with the orbit frequency 2 pi / T
+    assert math.isclose(sd.period * sd.omega_n, 2 * math.pi, rel_tol=1e-15)
     assert math.isclose(sd.omega_n, 500 * math.pi**2, rel_tol=1e-15)
+    assert energy(NATURAL, 500) == sd.e_n
+    assert classical_period(NATURAL, 500) == sd.period
 
 
 def test_stationary_wavefunction_values():

@@ -13,9 +13,7 @@ from fejerwell import (
     scan_n,
     tracking_error,
     uncertainty_product,
-    width_objective,
 )
-from fejerwell.quantum import exp_p
 
 NATURAL = WellConfig()
 
@@ -35,7 +33,7 @@ def test_square_root_law_samples(n, target):
 def test_small_n_matches_exhaustive_bruteforce():
     # independent check: evaluate the objective for every candidate directly
     row = optimal_N(NATURAL, 4, N_min=1, N_max=3)
-    objs = {N: width_objective(NATURAL, 4, N) for N in (1, 2, 3)}
+    objs = {N: tracking_error(NATURAL, 4, N) for N in (1, 2, 3)}
     assert row.N_opt == min(objs, key=objs.get)
 
 
@@ -98,23 +96,16 @@ def test_default_grid_shape():
 
 
 def test_product_start_mode_has_no_interior_minimum():
-    # the t=0 uncertainty product falls monotonically with width, so this
-    # mode pins to the top of the search window; kept as a sensitivity probe
+    # the t=0 uncertainty product falls monotonically with width over the
+    # whole search window, so it cannot select a width
     n = 50
     cap = min(n - 1, math.ceil(4 * math.sqrt(n)))
-    row = optimal_N(NATURAL, n, mode="product-start")
-    assert row.N_opt == cap
     products = [
         uncertainty_product(NATURAL, PacketSpec(n=n, N=N), 0.0) for N in range(1, cap + 1)
     ]
     assert all(b < a for a, b in zip(products, products[1:]))
-
-
-def test_product_turn_mode_evaluates_at_momentum_zero():
-    row = optimal_N(NATURAL, 50, mode="product-turn")
-    spec = PacketSpec(n=50, N=row.N_opt)
-    assert abs(exp_p(NATURAL, spec, row.t_eval)) < 1e-6 * 50 * math.pi
-    assert 1 <= row.N_opt < 50
+    row = optimal_N(NATURAL, n)
+    assert row.product_min == products[row.N_opt - 1]
 
 
 def test_rejects_bad_input():
@@ -122,7 +113,5 @@ def test_rejects_bad_input():
         optimal_N(NATURAL, 3)
     with pytest.raises(ValueError):
         optimal_N(NATURAL, 100, N_min=5, N_max=4)
-    with pytest.raises(ValueError):
-        optimal_N(NATURAL, 100, mode="annealing")
     with pytest.raises(ValueError):
         scan_n(NATURAL, [100, 50])
