@@ -5,8 +5,10 @@ the packet behave classically: too few superposed states and the packet
 mean is a poor (truncated-average) rendering of the bounce trajectory; too
 many and the unequal level spacing dephases the packet within a period.
 The selection minimizes the RMS deviation of the position mean
-from the classical sawtooth over one period, which lands on N close to
-sqrt(n) across two decades of n (N = 23 at n = 500).
+from the classical sawtooth over one period. On the 10..500 grid that
+lands within floor(sqrt(n)) +- 1 (N = 23 at n = 500), but it grows faster
+than sqrt(n) beyond: N = 54 at n = 2000 and N = 144 at n = 10^4, against
+floor(sqrt(n)) = 44 and 100.
 
 The uncertainty product Delta-x Delta-p at the initial turning (t = 0) is
 reported for the selected packet but is no selection criterion: it falls
@@ -22,7 +24,7 @@ import numpy as np
 
 from .classical import ClassicalOrbit, sawtooth_position
 from .core import PacketSpec, WellConfig, spectral_data
-from .quantum import pair_terms, uncertainty_product
+from .quantum import uncertainty_product
 
 __all__ = [
     "ScanRow",
@@ -77,27 +79,45 @@ def default_n_grid(n_min: int = 10, n_max: int = 500, points: int = 12) -> list[
 def _tracking_curve(
     cfg: WellConfig, n: int, N_max: int, t_points: int
 ) -> np.ndarray:
-    """RMS tracking error for every half-width 1..N_max in one pass.
+    """RMS tracking error for every half-width 0..N_max in one pass.
 
-    The pair terms of the position mean are shared across half-widths
-    (only the term set and the 1/(2N+1) weight change), so the sums for
-    all N are assembled cumulatively from a single evaluation of the
-    N_max term set.
+    Half-width N holds the level pairs of span max(|j|, |k|) <= N, so the
+    position means for all N are running sums over spans v = 1..N_max
+    (only the 1/(2N+1) weight changes). A span-v pair has odd difference
+    d and sum offset s = +-(2v - d), and on the grid t_i = i T/P its phase
+    is exactly 2 pi m i / (2nP) with the integer m = d (2n + s). Writing
+    i = h B + l with B = ceil(sqrt(P)), the phase splits into integer
+    residues of m h B and m l modulo 2nP, so a span's partial curve is
+    (amp cos A)^T cos L - (amp sin A)^T sin L: two small matrix products
+    over about 2 (P/B + B) trig values per pair instead of P cosines.
     """
+    if t_points < 1:
+        raise ValueError(f"need t_points >= 1, got {t_points}")
     sd = spectral_data(cfg, n)
     ts = np.arange(t_points) * (sd.period / t_points)
     orbit = ClassicalOrbit(a=cfg.a, p_c=sd.p_n, mu=cfg.mu)
     saw = sawtooth_position(orbit, ts)
-    amp, freq, span = pair_terms(cfg, n, N_max, "position")
-    partial = np.zeros((N_max + 1, t_points))
+    B = math.isqrt(t_points - 1) + 1
+    H = -(-t_points // B)
+    M = 2 * n * t_points
+    steps = np.concatenate([np.arange(H) * B, np.arange(B)])
+    odd = np.arange(1, 2 * N_max, 2)
+    scale = 4.0 * cfg.a / math.pi**2
+    cum = np.zeros(t_points)
+    out = np.empty(N_max + 1)
+    out[0] = math.sqrt(np.mean((cfg.a / 2.0 - saw) ** 2))
     for v in range(1, N_max + 1):
-        sel = span == v
-        if np.any(sel):
-            partial[v] = np.cos(np.multiply.outer(ts, freq[sel])) @ amp[sel]
-    cum = np.cumsum(partial, axis=0)
-    weights = 1.0 / (2.0 * np.arange(N_max + 1) + 1.0)
-    means = cfg.a / 2.0 + cum * weights[:, None]
-    return np.sqrt(np.mean((means - saw[None, :]) ** 2, axis=1))
+        d = np.tile(odd[:v], 2)
+        s = 2 * v - d
+        s[v:] *= -1
+        amp = scale * (1.0 / (2 * n + s) ** 2 - 1.0 / d**2)
+        phase = (np.multiply.outer(d * (2 * n + s) % M, steps) % M) * (2.0 * math.pi / M)
+        cos, sin = np.cos(phase), np.sin(phase)
+        part = (cos[:, :H] * amp[:, None]).T @ cos[:, H:]
+        part -= (sin[:, :H] * amp[:, None]).T @ sin[:, H:]
+        cum += part.reshape(-1)[:t_points]
+        out[v] = math.sqrt(np.mean((cfg.a / 2.0 + cum / (2 * v + 1) - saw) ** 2))
+    return out
 
 
 def tracking_error(

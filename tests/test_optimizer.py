@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fejerwell import (
     PacketSpec,
@@ -14,6 +16,8 @@ from fejerwell import (
     tracking_error,
     uncertainty_product,
 )
+from fejerwell.optimizer import _tracking_curve
+from pair_oracle import tracking_curve
 
 NATURAL = WellConfig()
 
@@ -31,10 +35,37 @@ def test_square_root_law_samples(n, target):
 
 
 def test_small_n_matches_exhaustive_bruteforce():
-    # independent check: evaluate the objective for every candidate directly
-    row = optimal_N(NATURAL, 4, N_min=1, N_max=3)
-    objs = {N: tracking_error(NATURAL, 4, N) for N in (1, 2, 3)}
-    assert row.N_opt == min(objs, key=objs.get)
+    # independent check: every candidate's error from the O(N^2) pair sum
+    for n in (4, 5, 9, 30):
+        row = optimal_N(NATURAL, n, N_min=1, N_max=n - 1)
+        objs = tracking_curve(NATURAL, n, n - 1, 1024)
+        assert row.N_opt == 1 + int(np.argmin(objs[1:])), n
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(4, 2000), st.sampled_from([1, 2, 257, 1000, 1024]))
+@example(4, 1)
+@example(2000, 1024)
+@example(500, 257)
+def test_factored_curve_matches_pair_sum(n, t_points):
+    N_max = min(n - 1, math.ceil(4 * math.sqrt(n)))
+    fast = _tracking_curve(NATURAL, n, N_max, t_points)
+    ref = tracking_curve(NATURAL, n, N_max, t_points)
+    assert np.all(np.abs(fast - ref) <= 1e-12 * np.abs(ref))
+    for N in range(1, N_max + 1):
+        assert np.argmin(fast[1 : N + 1]) == np.argmin(ref[1 : N + 1]), N
+
+
+@pytest.mark.parametrize(
+    "n,N_opt,product",
+    [(2000, 54, 308.47890679217085), (10_000, 144, 963.7811515087348)],
+)
+def test_width_law_at_scale(n, N_opt, product):
+    # well above floor(sqrt(n)) = 44 and 100: the +-1 band holds only on
+    # the 10..500 grid
+    row = optimal_N(NATURAL, n)
+    assert row.N_opt == N_opt
+    assert math.isclose(row.product_min, product, rel_tol=1e-12)
 
 
 def test_determinism():
@@ -115,3 +146,5 @@ def test_rejects_bad_input():
         optimal_N(NATURAL, 100, N_min=5, N_max=4)
     with pytest.raises(ValueError):
         scan_n(NATURAL, [100, 50])
+    with pytest.raises(ValueError):
+        tracking_error(NATURAL, 100, 5, t_points=0)

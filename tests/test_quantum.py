@@ -24,7 +24,7 @@ from fejerwell import (
     uncertainty_product,
 )
 from fejerwell.core import classical_period
-from fejerwell.quantum import pair_terms
+from pair_oracle import pair_terms
 
 NATURAL = WellConfig()
 
@@ -363,6 +363,18 @@ def test_long_times_exact_to_rounding(n, k):
     scales = _scales(n)
     for kind, fn in CLOSED_FORMS.items():
         assert abs(fn(NATURAL, spec, t) - ref[kind]) <= 1e-13 * scales[kind], kind
+
+
+def test_spectral_oracle_exact_at_long_times():
+    # the oracle's phases are the integer u^2 - v^2 times w_b t; formed as
+    # differences of float energies they were off by 1.5e-10 a here
+    n, N = 10_000, 100
+    T = classical_period(NATURAL, n)
+    t = 0.3 * T + 3 * (2 * n * T)
+    ref = _mp_moments(n, N, t)
+    for kind, scale in _scales(n).items():
+        oracle = oracle_expectation(NATURAL, PacketSpec(n=n, N=N), t, kind, method="spectral")
+        assert abs(oracle - ref[kind]) <= 5e-11 * scale, kind
 
 
 def _pair_sums(spec, t):
