@@ -45,6 +45,7 @@ from .quantum import (
     exp_x2,
     expectation_sample,
     oracle_expectation,
+    packet_moments,
     quasi_exp,
     reduced_uncertainty,
     uncertainty_product,
@@ -79,6 +80,7 @@ __all__ = [
     "exp_p",
     "exp_p2",
     "oracle_expectation",
+    "packet_moments",
     "quasi_exp",
     "reduced_uncertainty",
     "uncertainty_product",

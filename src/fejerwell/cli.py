@@ -40,14 +40,7 @@ from .classical import (
 from .core import PacketSpec, WellConfig, spectral_data
 from .limits import limit_sequence
 from .optimizer import default_n_grid, optimal_N
-from .quantum import (
-    exp_p,
-    exp_p2,
-    exp_x,
-    exp_x2,
-    oracle_expectation,
-    reduced_uncertainty,
-)
+from .quantum import exp_p2, oracle_expectation, packet_moments, reduced_uncertainty
 
 __all__ = ["RunConfig", "TimeSeries", "emit", "run", "main"]
 
@@ -178,12 +171,13 @@ def _columns(names: tuple[str, ...], *values) -> TimeSeries:
 def _series_trajectories(config: RunConfig, cfg: WellConfig) -> TimeSeries:
     spec, orbit, ts = _packet_series(config, cfg)
     p_scale = orbit.p_c if config.normalize_momentum else 1.0
+    x, p = packet_moments(cfg, spec, ts, ("position", "momentum"))
     return _columns(
         ("t", "x_quantum", "x_fejer", "p_quantum", "p_fejer"),
         ts,
-        exp_x(cfg, spec, ts),
+        x,
         fejer_position(orbit, spec.N, ts),
-        exp_p(cfg, spec, ts) / p_scale,
+        p / p_scale,
         fejer_momentum(orbit, spec.N, ts) / p_scale,
     )
 
@@ -244,12 +238,8 @@ def _series_oracle_check(config: RunConfig, cfg: WellConfig) -> tuple[TimeSeries
             "momentum": sd.p_n,
             "momentum_sq": sd.p_n**2,
         }
-        closed = {
-            "position": exp_x(cfg, spec, ts),
-            "position_sq": exp_x2(cfg, spec, ts),
-            "momentum": exp_p(cfg, spec, ts),
-            "momentum_sq": np.full(len(ts), exp_p2(cfg, spec)),
-        }
+        closed = dict(zip(("position", "position_sq", "momentum"), packet_moments(cfg, spec, ts)))
+        closed["momentum_sq"] = np.full(len(ts), exp_p2(cfg, spec))
         for kind, tol in _ORACLE_SPECS:
             method = "spectral" if kind == "momentum_sq" else "grid"
             devs = [

@@ -24,7 +24,7 @@ from .classical import (
     fejer_position_sq,
 )
 from .core import PacketSpec, WellConfig, spectral_data
-from .quantum import exp_p, exp_x, exp_x2
+from .quantum import packet_moments
 
 __all__ = ["LimitRow", "DetuningReport", "limit_sequence", "detuning_report"]
 
@@ -99,9 +99,10 @@ def limit_sequence(
         orbit = ClassicalOrbit(a=a, p_c=p_c, mu=mu)
         points = t_points * 2 if i == len(n_values) - 1 else t_points
         ts = np.linspace(0.0, orbit.period, points)
-        err_x = np.abs(exp_x(cfg, spec, ts) - fejer_position(orbit, N, ts))
-        err_p = np.abs(exp_p(cfg, spec, ts) - fejer_momentum(orbit, N, ts))
-        err_x2 = np.abs(exp_x2(cfg, spec, ts) - fejer_position_sq(orbit, N, ts))
+        x, x2, p = packet_moments(cfg, spec, ts)
+        err_x = np.abs(x - fejer_position(orbit, N, ts))
+        err_p = np.abs(p - fejer_momentum(orbit, N, ts))
+        err_x2 = np.abs(x2 - fejer_position_sq(orbit, N, ts))
         rows.append(
             LimitRow(
                 n=n,

@@ -60,6 +60,22 @@ back as np.float64. The kernel sums are matrix-vector products, which
 BLAS may round differently for one instant than for many, so a scalar
 agrees with the matching element of an array call to rounding.
 
+One pass for every moment at an instant. Delta-x and Delta-p need <x>,
+<x^2> and <p> at the same t, and the three share their phases: the <x>
+columns are the odd ones among the <x^2> columns, and <p> reads the same
+columns as <x>. `packet_moments` therefore asks one kernel for the union
+of the columns of the moments it is given, and forms the revival
+fraction, the phase reduction and the Dirichlet values once. Each moment
+is then a weighted sum over three feature blocks (R cos psi on the
+d-columns with R on the s-columns, R sin psi on the d-columns, and R'
+in place of R in the first), and only the blocks that some requested
+moment weights are formed. Each moment sums its own columns in the
+order its standalone kernel does, so for a scalar t the values equal
+those of exp_x, exp_x2 and exp_p bit for bit, and <p>(0) is exactly 0.
+expectation_sample, uncertainty_product, reduced_uncertainty and the
+limit and CLI series all take this path; at (500, 23) one pass costs
+about as much as one exp_x2 call, not the three calls it replaces.
+
 Block size. Arrays are evaluated in blocks of at most _CHUNK = 8192
 instants x kernel columns, so each float64 temporary is 64 KiB, below
 glibc's default mmap threshold of 128 KiB: the temporaries come from the
@@ -68,7 +84,11 @@ unmapped, or trimmed from the heap, on every call unless some earlier
 large free in the process has raised glibc's dynamic thresholds. With
 the earlier limit of 65536 elements and nothing else raising them, the
 moment calls on 8 to 16 instants at n = 10^4 and 10^5 took about 300
-fresh page faults per call set and ran about a quarter slower.
+fresh page faults per call set and ran about a quarter slower. A fused
+pass counts the union of its columns, so its blocks hold fewer instants
+than a standalone exp_x block (44 against 89 at (500, 23)), and no
+temporary ever spans instants x columns x moments; an array therefore
+agrees with the standalone calls to rounding rather than bit for bit.
 """
 
 from __future__ import annotations
@@ -91,6 +111,7 @@ __all__ = [
     "exp_p",
     "exp_p2",
     "oracle_expectation",
+    "packet_moments",
     "quasi_exp",
     "reduced_uncertainty",
     "uncertainty_product",
@@ -133,17 +154,10 @@ def _split(a, bits: int):
     return hi, a - hi
 
 
-def _two_prod(a, b):
-    """(p, e) with p = fl(a*b) and p + e = a*b exactly (Dekker)."""
-    p = a * b
-    ah, al = _split(a, 27)
-    bh, bl = _split(b, 27)
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
 @functools.lru_cache(maxsize=8)
-def _revival_rate(cfg: WellConfig) -> tuple[float, float]:
-    """1/T_rev = pi hbar / (4 mu a^2) as hi + lo, from exact rationals."""
+def _revival_rate(cfg: WellConfig) -> tuple[float, float, float, float]:
+    """1/T_rev = pi hbar / (4 mu a^2) as hi + lo, from exact rationals, and
+    the 27-bit Veltkamp split of hi that its Dekker products use."""
     hi_n, hi_d = math.pi.as_integer_ratio()
     lo_n, lo_d = _PI_LO.as_integer_ratio()
     h_n, h_d = float(cfg.hbar).as_integer_ratio()
@@ -153,13 +167,19 @@ def _revival_rate(cfg: WellConfig) -> tuple[float, float]:
     den = hi_d * lo_d * h_d * 4 * m_n * a_n**2
     hi = num / den  # int / int is correctly rounded
     p, q = hi.as_integer_ratio()
-    return hi, (num * q - p * den) / (den * q)
+    return (hi, (num * q - p * den) / (den * q), *_split(hi, 27))
 
 
 def _revival_fraction(cfg: WellConfig, t: np.ndarray):
-    """frac(t / T_rev) per instant, as an unevaluated pair hi + lo."""
-    c_hi, c_lo = _revival_rate(cfg)
-    p, e = _two_prod(t, c_hi)
+    """frac(t / T_rev) per instant, as an unevaluated pair hi + lo.
+
+    t times the high part of 1/T_rev is an exact Dekker two-product
+    p + e; the low part adds one rounded product.
+    """
+    c_hi, c_lo, ch, cl = _revival_rate(cfg)
+    p = t * c_hi
+    th, tl = _split(t, 27)
+    e = ((th * ch - p) + th * cl + tl * ch) + tl * cl
     return p - np.rint(p), e + t * c_lo
 
 
@@ -179,17 +199,24 @@ def _frac_mul(m, hi, lo, bits: int):
 
 # --- Dirichlet-kernel sums ---------------------------------------------------
 
+_PACKET = ("position", "position_sq", "momentum")
+
 
 @dataclass(frozen=True)
 class _Kernel:
-    """Read-only coefficient arrays of one (n, N, kind) kernel sum.
+    """Read-only columns and weights of one (n, N, outputs) kernel pass.
 
     Column i holds R_{K[i]} at the phase m[i] * tau: m = d on the first
-    nd columns (the d-groups, also multiplied by cos or sin of
-    2n d tau) and m = 2n + s on the rest; m ends with the nd multipliers
-    2n d of those cos/sin phases. The bracket is
-    const + sum_i w[i] * column i; its tau-derivative is
-    sum_i w_rate[i] * (R' in place of R) + sum_{i<nd} w_sin[i] * R * sin(2n d tau).
+    nd columns (the d-groups) and m = 2n + s on the rest; m ends with the
+    nd multipliers 2n d of psi = 2n theta_d. Three feature blocks are
+    formed from them: "cos" is R with the d-columns times cos psi, "sin"
+    the d-columns of R times sin psi, and "rate" R' with the d-columns
+    times cos psi. Output j is
+    const[j] + sum over (block, cols, w) in terms[j] of block[:, cols] @ w,
+    where cols is None for a whole block, or the indices of the output's
+    columns where they are a part of the union (the odd ones among all of
+    <x^2>'s). Either way each output sums the same values in the same
+    order as the kernel of that output alone.
     """
 
     m: np.ndarray
@@ -197,29 +224,58 @@ class _Kernel:
     flip: np.ndarray  # 2 where K is even (R_K(phi + pi) = -R_K(phi)), else 0
     a2: np.ndarray  # R_K(x) = K + a2 x^2 + a4 x^4 + O(x^6)
     a4: np.ndarray
-    w: np.ndarray
-    w_rate: np.ndarray | None
-    w_sin: np.ndarray
     nd: int
+    terms: tuple[tuple[tuple[str, np.ndarray | None, np.ndarray], ...], ...]
+    blocks: frozenset[str]
+    const: np.ndarray
     bits: int  # every m is below 2**bits
-    const: float
+
+
+def _cols(idx: np.ndarray, width: int):
+    """Ascending indices into a block of width columns: None for all of
+    them (the block is read as it is), else the indices to gather."""
+    if len(idx) == width:
+        return None
+    idx.setflags(write=False)
+    return idx
 
 
 @functools.lru_cache(maxsize=16)
-def _kernel(n: int, N: int, kind: str) -> _Kernel:
-    """Kernel columns of <x> ("position"), <x^2> ("position_sq") or the
-    classical-amplitude series of `quasi_exp` ("quasi", d-groups only)."""
-    step = 1 if kind == "position_sq" else 2
+def _kernel(n: int, N: int, outputs: tuple[str, ...]) -> _Kernel:
+    """The union of the columns that `outputs` need, and one weight set per output.
+
+    The outputs are the brackets of <x> ("position"), <x^2>
+    ("position_sq") and the tau-derivative of <x> ("momentum"), and the
+    classical-amplitude series of `quasi_exp` ("quasi_position",
+    "quasi_momentum"). <x> and <p> take the odd d- and s-columns, <x^2>
+    every d = 1..2N and |s| < 2N, and the quasi series the odd d-columns
+    alone.
+    """
+    full = "position_sq" in outputs
+    step = 1 if full else 2
     d = np.arange(1.0, 2 * N + 1, step)
-    s = np.arange(1.0 - 2 * N, 2 * N, step) if kind != "quasi" else np.empty(0)
-    w_s = 0.5 / (2 * n + s) ** 2
-    w_d = (-1.0) ** d / d**2 if kind == "position_sq" else -1.0 / d**2
+    s = np.arange(1.0 - 2 * N, 2 * N, step) if set(outputs) & set(_PACKET) else np.empty(0)
+    odd_d, odd_s = np.flatnonzero(d % 2 == 1), np.flatnonzero(s % 2 != 0)
+    x_d, x_s = -1.0 / d[odd_d] ** 2, 0.5 / (2 * n + s[odd_s]) ** 2  # <x> weights
+    odd = _cols(np.concatenate([odd_d, len(d) + odd_s]), len(d) + len(s))
+    d_cols = _cols(odd_d, len(d))
+    weights = {
+        "position": (("cos", odd, np.concatenate([x_d, x_s])),),
+        "momentum": (
+            ("sin", d_cols, -2.0 * n * d[odd_d] * x_d),
+            ("rate", odd, np.concatenate([x_d * d[odd_d], x_s * (2 * n + s[odd_s])])),
+        ),
+        "quasi_position": (("cos", d_cols, x_d),),
+        "quasi_momentum": (("sin", d_cols, 1.0 / d[odd_d]),),
+    }
     const = 0.0
-    if kind == "position_sq":
+    if full:
         even = s % 2 == 0
+        w_s = 0.5 / (2 * n + s) ** 2
         levels = n + np.arange(-N, N + 1, dtype=float)
         const = float(np.sum(w_s[even])) - 0.125 * float(np.sum(1.0 / levels**2))
-        w_s = np.where(even, -w_s, w_s)
+        w = np.concatenate([(-1.0) ** d / d**2, np.where(even, -w_s, w_s)])
+        weights["position_sq"] = (("cos", None, w),)
     K = np.concatenate([2 * N + 1 - d, 2 * N + 1 - np.abs(s)])
     arrays = {
         "m": np.concatenate([d, 2 * n + s, 2 * n * d]),
@@ -227,15 +283,18 @@ def _kernel(n: int, N: int, kind: str) -> _Kernel:
         "flip": 2.0 * (K % 2 == 0),
         "a2": K * (1 - K**2) / 6,
         "a4": K * (K**2 - 1) * (3 * K**2 - 7) / 360,
-        "w": np.concatenate([w_d, w_s]),
-        "w_rate": None if kind == "quasi" else np.concatenate([w_d * d, w_s * (2 * n + s)]),
-        "w_sin": 1.0 / d if kind == "quasi" else -2.0 * n * d * w_d,
+        "const": np.array([const if out == "position_sq" else 0.0 for out in outputs]),
     }
-    for arr in arrays.values():
-        if arr is not None:
-            arr.setflags(write=False)
-    bits = int(max(arrays["m"], default=0)).bit_length()
-    return _Kernel(**arrays, nd=len(d), bits=bits, const=const)
+    terms = tuple(weights[out] for out in outputs)
+    for arr in (*arrays.values(), *(w for ts in terms for _, _, w in ts)):
+        arr.setflags(write=False)
+    return _Kernel(
+        **arrays,
+        nd=len(d),
+        terms=terms,
+        blocks=frozenset(name for ts in terms for name, _, _ in ts),
+        bits=(4 * n * N).bit_length(),  # one bound for every kernel of (n, N)
+    )
 
 
 def _dirichlet(ker: _Kernel, c: np.ndarray, rate: bool):
@@ -247,9 +306,9 @@ def _dirichlet(ker: _Kernel, c: np.ndarray, rate: bool):
     sx = np.sin(x)
     skx = np.sin(kx)
     small = np.abs(kx) < _TAYLOR
-    near = small.any()
+    near = np.count_nonzero(small)
     if near:
-        sx[small] = 1.0
+        np.copyto(sx, 1.0, where=small)
     R = skx / sx
     dR = (ker.K * np.cos(kx) * sx - skx * np.cos(x)) / (sx * sx) if rate else None
     if near:
@@ -261,63 +320,99 @@ def _dirichlet(ker: _Kernel, c: np.ndarray, rate: bool):
     return R * sign, (dR * sign if rate else None)
 
 
-def _blockwise(block, t, columns: int):
-    """block(flat instants) -> values, in chunks of at most _CHUNK elements."""
+def _blockwise(block, t, columns: int, width: int = 1):
+    """Values over t, width per instant, shaped (width,) + t.shape.
+
+    block(instants, out) writes the values of a chunk of at most _CHUNK
+    instants x columns into out, a (width x instants) view.
+    """
     t_arr = np.asarray(t, dtype=float)
     flat = t_arr.reshape(-1)
-    out = np.empty(flat.shape)
+    out = np.empty((width, flat.size))
     step = max(1, _CHUNK // max(columns, 1))
     for lo in range(0, flat.size, step):
-        out[lo : lo + step] = block(flat[lo : lo + step])
-    return out.reshape(t_arr.shape)
+        block(flat[lo : lo + step], out[:, lo : lo + step])
+    return out.reshape((width,) + t_arr.shape)
 
 
-def _kernel_sum(cfg: WellConfig, spec: PacketSpec, t, kind: str, rate: bool = False):
-    """The bracket of `kind` at t, or its tau-derivative if rate."""
-    ker = _kernel(spec.n, spec.N, kind)
-    nd = ker.nd
+def _moments(cfg: WellConfig, spec: PacketSpec, t, outputs: tuple[str, ...]) -> list:
+    """Each output at t from one kernel pass; np.float64 for a scalar t."""
+    ker = _kernel(spec.n, spec.N, outputs)
+    nk = len(ker.K)
 
-    def block(tb):
+    def block(tb, out):
         hi, lo = _frac_mul(ker.m, *_revival_fraction(cfg, tb), ker.bits)
         c = hi + lo
-        R, dR = _dirichlet(ker, c[:, : len(ker.K)], rate)
-        psi = _TWO_PI * c[:, len(ker.K) :]  # 2n theta_d
-        if not rate:
-            R[:, :nd] *= np.cos(psi)
-            return R @ ker.w
-        val = (R[:, :nd] * np.sin(psi)) @ ker.w_sin
-        if ker.w_rate is not None:
-            dR[:, :nd] *= np.cos(psi)
-            val += dR @ ker.w_rate
-        return val
+        R, dR = _dirichlet(ker, c[:, :nk], "rate" in ker.blocks)
+        psi = _TWO_PI * c[:, nk:]
+        feats = {"cos": R, "rate": dR}
+        if "sin" in ker.blocks:
+            feats["sin"] = R[:, : ker.nd] * np.sin(psi)
+        if "cos" in ker.blocks or dR is not None:
+            cos = np.cos(psi)
+            if "cos" in ker.blocks:
+                R[:, : ker.nd] *= cos
+            if dR is not None:
+                dR[:, : ker.nd] *= cos
+        for acc, terms in zip(out, ker.terms):
+            for i, (name, cols, w) in enumerate(terms):
+                # a gather is C-ordered, so BLAS sums each row as it sums
+                # the same columns in the kernel of this output alone
+                f = feats[name] if cols is None else feats[name].take(cols, axis=1)
+                if i:
+                    np.add(acc, f @ w, out=acc)
+                else:
+                    np.matmul(f, w, out=acc)
 
-    return ker.const + _blockwise(block, t, len(ker.m))
+    brackets = _blockwise(block, t, len(ker.m), len(outputs))
+    vals = []
+    for j, output in enumerate(outputs):
+        if output == "position_sq":
+            offset, factor = cfg.a**2 / 3.0, 4.0 * cfg.a**2 / math.pi**2
+        elif output == "momentum":
+            # mu w_b (4a/pi^2) = 2 hbar / a scales the tau-derivative of the <x> bracket
+            offset, factor = 0.0, 2.0 * cfg.hbar / cfg.a
+        elif output == "quasi_momentum":
+            offset, factor = 0.0, 4.0 * spectral_data(cfg, spec.n).p_n / math.pi
+        else:
+            offset, factor = cfg.a / 2.0, 4.0 * cfg.a / math.pi**2
+        vals.append((offset + factor / spec.size * (ker.const[j] + brackets[j]))[()])
+    return vals
+
+
+def packet_moments(cfg: WellConfig, spec: PacketSpec, t, kinds=_PACKET) -> tuple:
+    """<x>, <x^2> and <p> at t from one kernel pass, in the order of `kinds`.
+
+    kinds names any of "position", "position_sq" and "momentum". The pass
+    evaluates the union of their kernel columns once, so it costs about
+    as much as the widest of the matching exp_x, exp_x2 and exp_p calls.
+    Each value equals that call's, bit for bit for a scalar t and to
+    rounding for an array (its blocks hold fewer instants); scalar or
+    array t, each value shaped like t.
+    """
+    kinds = tuple(kinds)
+    if not kinds or not set(kinds) <= set(_PACKET):
+        raise ValueError(f"kinds must name some of {_PACKET}, got {kinds!r}")
+    return tuple(_moments(cfg, spec, t, kinds))
 
 
 def exp_x(cfg: WellConfig, spec: PacketSpec, t):
     """Packet position mean <x>(t); scalar or array t."""
-    val = cfg.a / 2.0 + (4.0 * cfg.a / math.pi**2) / spec.size * _kernel_sum(
-        cfg, spec, t, "position"
-    )
-    return val[()]
+    return _moments(cfg, spec, t, ("position",))[0]
 
 
 def exp_x2(cfg: WellConfig, spec: PacketSpec, t):
     """Packet squared-position mean <x^2>(t); scalar or array t."""
-    val = cfg.a**2 / 3.0 + (4.0 * cfg.a**2 / math.pi**2) / spec.size * _kernel_sum(
-        cfg, spec, t, "position_sq"
-    )
-    return val[()]
+    return _moments(cfg, spec, t, ("position_sq",))[0]
 
 
 def exp_p(cfg: WellConfig, spec: PacketSpec, t):
     """Packet momentum mean <p>(t) = mu * d<x>/dt, taken term by term.
 
-    mu w_b (4a/pi^2) = 2 hbar / a scales the tau-derivative of the <x>
-    bracket; the value at t = 0 is exactly zero.
+    At t = 0 every R_K' and every sin(2n theta_d) is exactly zero, so the
+    value there is exactly zero, here and in `packet_moments`.
     """
-    val = (2.0 * cfg.hbar / cfg.a) / spec.size * _kernel_sum(cfg, spec, t, "position", rate=True)
-    return val[()]
+    return _moments(cfg, spec, t, ("momentum",))[0]
 
 
 def exp_p2(cfg: WellConfig, spec: PacketSpec) -> float:
@@ -488,26 +583,24 @@ def quasi_exp(
         raise ValueError(
             f"frequencies must be 'exact' or 'reference', got {frequencies!r}"
         )
+    if frequencies == "exact":
+        return _moments(cfg, spec, t, ("quasi_" + kind,))[0]
     n, N = spec.n, spec.N
     if kind == "position":
         scale, trig = 4.0 * cfg.a / math.pi**2, np.cos
     else:
         scale, trig = 4.0 * spectral_data(cfg, n).p_n / math.pi, np.sin
-    if frequencies == "exact":
-        series = _kernel_sum(cfg, spec, t, "quasi", rate=kind == "momentum")
-    else:
-        d = 2.0 * np.arange(N) + 1.0
-        # pairs sharing difference d, times the classical amplitude
-        amp = (2 * N + 1 - d) * (-1.0 / d**2 if kind == "position" else 1.0 / d)
-        m = d * (2 * n + d)  # (E_{n+d} - E_n) / hbar in units of w_b
-        bits = int(max(m, default=0)).bit_length()
+    d = 2.0 * np.arange(N) + 1.0
+    # pairs sharing difference d, times the classical amplitude
+    amp = (2 * N + 1 - d) * (-1.0 / d**2 if kind == "position" else 1.0 / d)
+    m = d * (2 * n + d)  # (E_{n+d} - E_n) / hbar in units of w_b
+    bits = int(max(m, default=0)).bit_length()
 
-        def block(tb):
-            hi, lo = _frac_mul(m, *_revival_fraction(cfg, tb), bits)
-            return trig(_TWO_PI * (hi + lo)) @ amp
+    def block(tb, out):
+        hi, lo = _frac_mul(m, *_revival_fraction(cfg, tb), bits)
+        np.matmul(trig(_TWO_PI * (hi + lo)), amp, out=out[0])
 
-        series = _blockwise(block, t, N)
-    val = scale / spec.size * series
+    val = scale / spec.size * _blockwise(block, t, N)[0]
     if kind == "position":
         val = cfg.a / 2.0 + val
     return val[()]
@@ -519,10 +612,9 @@ def quasi_exp(
 def reduced_uncertainty(cfg: WellConfig, spec: PacketSpec, t, kind: str):
     """Dimensionless spread sqrt(1 - <f>^2 / <f^2>), clamped to [0, 1]."""
     if kind == "position":
-        mean = exp_x(cfg, spec, t)
-        second = exp_x2(cfg, spec, t)
+        mean, second = _moments(cfg, spec, t, ("position", "position_sq"))
     elif kind == "momentum":
-        mean = exp_p(cfg, spec, t)
+        (mean,) = _moments(cfg, spec, t, ("momentum",))
         second = exp_p2(cfg, spec)
     else:
         raise ValueError(f"kind must be 'position' or 'momentum', got {kind!r}")
@@ -531,29 +623,26 @@ def reduced_uncertainty(cfg: WellConfig, spec: PacketSpec, t, kind: str):
 
 
 def _variance(mean, second, scale):
-    var = np.asarray(second) - np.asarray(mean) ** 2
-    if np.any(var < -1e-12 * scale):
+    var = second - np.asarray(mean) ** 2
+    if (var < -1e-12 * scale).any():
         raise VarianceError(f"variance {np.min(var)} below round-off guard")
-    return np.clip(var, 0.0, None)
+    return np.maximum(var, 0.0)
 
 
 def uncertainty_product(cfg: WellConfig, spec: PacketSpec, t):
     """Delta-x times Delta-p for the packet; never below hbar/2."""
-    var_x = _variance(exp_x(cfg, spec, t), exp_x2(cfg, spec, t), cfg.a**2)
+    x, x2, p = _moments(cfg, spec, t, _PACKET)
     p2 = exp_p2(cfg, spec)
-    var_p = _variance(exp_p(cfg, spec, t), p2, p2)
-    val = np.sqrt(var_x) * np.sqrt(var_p)
+    val = np.sqrt(_variance(x, x2, cfg.a**2)) * np.sqrt(_variance(p, p2, p2))
     return val[()]
 
 
 def expectation_sample(cfg: WellConfig, spec: PacketSpec, t: float) -> ExpectationSample:
-    """All moments of the packet at time t in one record."""
-    x_mean = exp_x(cfg, spec, t)
-    x2_mean = exp_x2(cfg, spec, t)
-    p_mean = exp_p(cfg, spec, t)
+    """All moments of the packet at time t in one record, from one kernel pass."""
+    x_mean, x2_mean, p_mean = _moments(cfg, spec, t, _PACKET)
     p2_mean = exp_p2(cfg, spec)
-    dx = math.sqrt(float(_variance(x_mean, x2_mean, cfg.a**2)))
-    dp = math.sqrt(float(_variance(p_mean, p2_mean, p2_mean)))
+    dx = math.sqrt(_variance(x_mean, x2_mean, cfg.a**2))
+    dp = math.sqrt(_variance(p_mean, p2_mean, p2_mean))
     return ExpectationSample(
         t=t,
         x_mean=x_mean,

@@ -24,6 +24,7 @@ from fejerwell import (
     fejer_position_sq,
     fourier_partial_momentum,
     fourier_partial_position,
+    packet_moments,
     quasi_exp,
     reduced_uncertainty,
     sawtooth_position,
@@ -56,7 +57,14 @@ OF_T = {
     "quasi_exp": lambda t: quasi_exp(NATURAL, SPEC, t, "momentum"),
     "quasi_exp_reference": lambda t: quasi_exp(NATURAL, SPEC, t, "position", frequencies="reference"),
     "reduced_uncertainty": lambda t: reduced_uncertainty(NATURAL, SPEC, t, "momentum"),
+    "reduced_uncertainty_position": lambda t: reduced_uncertainty(NATURAL, SPEC, t, "position"),
     "uncertainty_product": lambda t: uncertainty_product(NATURAL, SPEC, t),
+    # one fused pass: each of its values, and a subset asked for in another order
+    **{
+        f"packet_moments_{kind}": (lambda t, i=i: packet_moments(NATURAL, SPEC, t)[i])
+        for i, kind in enumerate(("position", "position_sq", "momentum"))
+    },
+    "packet_moments_momentum_first": lambda t: packet_moments(NATURAL, SPEC, t, ("momentum", "position"))[0],
 }
 
 

@@ -19,6 +19,7 @@ from fejerwell import (
     energy,
     expectation_sample,
     oracle_expectation,
+    packet_moments,
     quasi_exp,
     reduced_uncertainty,
     uncertainty_product,
@@ -318,13 +319,14 @@ def _singular_instants(n):
 @pytest.mark.parametrize("n", [500, 10_000])
 def test_singular_phases_match_spectral_oracle(n):
     # at k*T/2 and k*T_rev every kernel phase sits on or next to a
-    # removable singularity sin(phi) = 0 of R_K; the oracle's own phase
-    # error grows as eps * E_max * t, as in the benchmark's point gate
+    # removable singularity sin(phi) = 0 of R_K; the oracle forms each
+    # phase as an exact integer u^2 - v^2 <= 4nN times w_b t, so its own
+    # phase error is below eps * 4nN * w_b t
     spec = PacketSpec(n=n, N=math.isqrt(n))
-    e_max = energy(NATURAL, n + spec.N)
+    w_b = 2 * math.pi / (2 * n * classical_period(NATURAL, n))
     scales = _scales(n)
     for t in _singular_instants(n):
-        tol = 1e-10 + 4 * np.finfo(float).eps * e_max * t
+        tol = 1e-10 + 4 * np.finfo(float).eps * (4 * n * spec.N) * w_b * t
         for kind, fn in CLOSED_FORMS.items():
             oracle = oracle_expectation(NATURAL, spec, t, kind, method="spectral")
             assert abs(fn(NATURAL, spec, t) - oracle) <= tol * scales[kind], (kind, t)
@@ -413,3 +415,92 @@ def test_kernels_equal_pair_sum(case):
     scales = _scales(n)
     for kind, fn in CLOSED_FORMS.items():
         assert abs(fn(NATURAL, spec, t) - ref[kind]) <= 1e-12 * scales[kind], kind
+
+
+# --- one kernel pass for every moment at an instant ---
+
+
+def _composed(spec, t):
+    """Every fused quantity, composed from standalone exp_x, exp_x2 and exp_p."""
+    x, x2, p = exp_x(NATURAL, spec, t), exp_x2(NATURAL, spec, t), exp_p(NATURAL, spec, t)
+    p2 = exp_p2(NATURAL, spec)
+    dx, dp = math.sqrt(max(x2 - x * x, 0.0)), math.sqrt(max(p2 - p * p, 0.0))
+    return {
+        "position": x, "position_sq": x2, "momentum": p, "dx": dx, "dp": dp, "product": dx * dp,
+        "reduced_position": math.sqrt(min(max(1.0 - x * x / x2, 0.0), 1.0)),
+        "reduced_momentum": math.sqrt(min(max(1.0 - p * p / p2, 0.0), 1.0)),
+    }
+
+
+def _fused(spec, t, kinds):
+    sample = expectation_sample(NATURAL, spec, t)
+    got = dict(zip(kinds, packet_moments(NATURAL, spec, t, kinds)))
+    return got, {
+        "position": sample.x_mean, "position_sq": sample.x2_mean, "momentum": sample.p_mean,
+        "dx": sample.dx, "dp": sample.dp, "product": sample.product,
+        "uncertainty_product": uncertainty_product(NATURAL, spec, t),
+        "reduced_position": reduced_uncertainty(NATURAL, spec, t, "position"),
+        "reduced_momentum": reduced_uncertainty(NATURAL, spec, t, "momentum"),
+    }
+
+
+@st.composite
+def _fused_cases(draw):
+    n = draw(st.integers(2, 3000))
+    N = draw(st.integers(0, min(n - 1, 60)))
+    where = draw(st.sampled_from(["half_periods", "revivals", "long"]))
+    if where == "half_periods":  # k T/2: every phase on a singularity of R_K
+        instant = (draw(st.integers(0, 64)) / 2, 0)
+    elif where == "revivals":  # k T_rev, where every phase is a multiple of 2 pi
+        instant = (0.0, draw(st.integers(0, 16)))
+    else:  # up to 10^6 revivals plus a point inside two periods
+        instant = (draw(st.floats(0.0, 2.0)), draw(st.integers(0, 10**6)))
+    kinds = draw(st.permutations(["position", "position_sq", "momentum"]))
+    return n, N, instant, tuple(kinds[: draw(st.integers(1, 3))])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fused_cases())
+@example((2, 0, (0.0, 0), ("momentum",)))
+@example((2, 1, (1.5, 0), ("position", "momentum")))
+@example((61, 60, (0.0, 7), ("position_sq", "position", "momentum")))
+@example((3000, 1, (0.3, 10**6), ("momentum", "position_sq")))
+@example((3000, 60, (16.0, 0), ("position", "position_sq", "momentum")))
+@example((500, 0, (0.0, 0), ("position_sq",)))
+def test_fused_pass_equals_standalone_moments(case):
+    # packet_moments, expectation_sample, uncertainty_product and
+    # reduced_uncertainty read one kernel over the union of the columns;
+    # each must agree with the standalone closed forms to 4 eps of its scale
+    n, N, (periods, revivals), kinds = case
+    spec = PacketSpec(n=n, N=N)
+    T = classical_period(NATURAL, n)
+    t = periods * T + revivals * (2 * n * T)
+    ref = _composed(spec, t)
+    got, derived = _fused(spec, t, kinds)
+    p_n = n * math.pi
+    scale = {"position": 1.0, "position_sq": 1.0, "momentum": p_n, "dx": 1.0, "dp": p_n,
+             "product": p_n, "reduced_position": 1.0, "reduced_momentum": 1.0}
+    eps = np.finfo(float).eps
+    for kind, value in got.items():
+        assert abs(value - ref[kind]) <= 4 * eps * scale[kind], (kind, value, ref[kind])
+    derived_ref = {**ref, "uncertainty_product": ref["product"]}
+    scale["uncertainty_product"] = p_n
+    for name, value in derived.items():
+        assert abs(value - derived_ref[name]) <= 4 * eps * scale[name], (name, value, derived_ref[name])
+    if t == 0.0:
+        assert got.get("momentum", 0.0) == 0.0 and derived["momentum"] == 0.0
+
+
+@pytest.mark.parametrize("n,N", [(2, 0), (2, 1), (50, 7), (500, 23), (3000, 60), (61, 60)])
+def test_fused_momentum_exactly_zero_at_start(n, N):
+    spec = PacketSpec(n=n, N=N)
+    assert packet_moments(NATURAL, spec, 0.0)[2] == 0.0
+    assert packet_moments(NATURAL, spec, np.zeros(3), ("momentum",))[0].tolist() == [0.0] * 3
+    assert expectation_sample(NATURAL, spec, 0.0).p_mean == 0.0
+
+
+def test_packet_moments_rejects_bad_kinds():
+    spec = PacketSpec(n=50, N=7)
+    for kinds in ((), ("momentum_sq",), ("position", "energy")):
+        with pytest.raises(ValueError):
+            packet_moments(NATURAL, spec, 0.0, kinds)
