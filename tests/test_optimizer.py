@@ -16,10 +16,15 @@ from fejerwell import (
     tracking_error,
     uncertainty_product,
 )
+from fejerwell import optimizer
 from fejerwell.optimizer import _tracking_curve
 from pair_oracle import tracking_curve
 
 NATURAL = WellConfig()
+
+
+def default_window(n):
+    return min(n - 1, math.ceil(4 * math.sqrt(n)))
 
 
 def test_headline_width_at_n_500():
@@ -48,12 +53,51 @@ def test_small_n_matches_exhaustive_bruteforce():
 @example(2000, 1024)
 @example(500, 257)
 def test_factored_curve_matches_pair_sum(n, t_points):
-    N_max = min(n - 1, math.ceil(4 * math.sqrt(n)))
+    N_max = default_window(n)
     fast = _tracking_curve(NATURAL, n, N_max, t_points)
     ref = tracking_curve(NATURAL, n, N_max, t_points)
     assert np.all(np.abs(fast - ref) <= 1e-12 * np.abs(ref))
     for N in range(1, N_max + 1):
         assert np.argmin(fast[1 : N + 1]) == np.argmin(ref[1 : N + 1]), N
+
+
+def test_first_rise_stop_equals_exhaustive_scan():
+    # optimal_N stops at the first rise; the whole window's argmin must agree
+    for n in range(4, 301):
+        N_max = default_window(n)
+        curve = _tracking_curve(NATURAL, n, N_max, 1024)
+        opt = 1 + int(np.argmin(curve[1:]))
+        for N_min in {1, opt - 1, opt, opt + 1} & set(range(1, N_max + 1)):
+            want = N_min + int(np.argmin(curve[N_min:]))
+            assert optimal_N(NATURAL, n, N_min=N_min).N_opt == want, (n, N_min)
+    for n in range(4, 61):
+        curve = _tracking_curve(NATURAL, n, n - 1, 1024)
+        assert optimal_N(NATURAL, n, N_max=n - 1).N_opt == 1 + int(np.argmin(curve[1:])), n
+
+
+@pytest.mark.parametrize("t_points", [2, 257, 2048])
+def test_first_rise_stop_equals_exhaustive_scan_on_other_grids(t_points):
+    for n in (4, 7, 12, 20, 33, 55, 90, 150, 250, 300):
+        curve = _tracking_curve(NATURAL, n, default_window(n), t_points)
+        row = optimal_N(NATURAL, n, t_points=t_points)
+        assert row.N_opt == 1 + int(np.argmin(curve[1:])), n
+
+
+def test_scan_stops_after_first_rise(monkeypatch):
+    drawn = []
+    errors = optimizer._tracking_errors
+
+    def counted(*args):
+        for err in errors(*args):
+            drawn.append(err)
+            yield err
+
+    monkeypatch.setattr(optimizer, "_tracking_errors", counted)
+    row = optimal_N(NATURAL, 500)
+    assert row.N_opt == 23
+    # N = 0..24 up to the first rise, not the window's 0..90
+    assert len(drawn) <= row.N_opt + 2
+    assert drawn[-1] > drawn[-2]
 
 
 @pytest.mark.parametrize(
@@ -66,6 +110,11 @@ def test_width_law_at_scale(n, N_opt, product):
     row = optimal_N(NATURAL, n)
     assert row.N_opt == N_opt
     assert math.isclose(row.product_min, product, rel_tol=1e-12)
+
+
+def test_width_at_1e4_on_a_finer_grid():
+    # the pinned 144 is the value of the default 1024-point rectangle rule
+    assert optimal_N(NATURAL, 10_000, t_points=4096).N_opt == 142
 
 
 def test_determinism():
@@ -130,7 +179,7 @@ def test_product_start_mode_has_no_interior_minimum():
     # the t=0 uncertainty product falls monotonically with width over the
     # whole search window, so it cannot select a width
     n = 50
-    cap = min(n - 1, math.ceil(4 * math.sqrt(n)))
+    cap = default_window(n)
     products = [
         uncertainty_product(NATURAL, PacketSpec(n=n, N=N), 0.0) for N in range(1, cap + 1)
     ]
@@ -148,3 +197,5 @@ def test_rejects_bad_input():
         scan_n(NATURAL, [100, 50])
     with pytest.raises(ValueError):
         tracking_error(NATURAL, 100, 5, t_points=0)
+    with pytest.raises(ValueError):
+        optimal_N(NATURAL, 100, t_points=0)
