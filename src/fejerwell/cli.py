@@ -40,7 +40,7 @@ from .classical import (
 from .core import PacketSpec, WellConfig, spectral_data
 from .limits import limit_sequence
 from .optimizer import default_n_grid, optimal_N
-from .quantum import exp_p2, oracle_expectation, packet_moments, reduced_uncertainty
+from .quantum import _reduced_spread, exp_p2, oracle_expectation, packet_moments
 
 __all__ = ["RunConfig", "TimeSeries", "emit", "run", "main"]
 
@@ -184,12 +184,13 @@ def _series_trajectories(config: RunConfig, cfg: WellConfig) -> TimeSeries:
 
 def _series_uncertainty(config: RunConfig, cfg: WellConfig) -> TimeSeries:
     spec, orbit, ts = _packet_series(config, cfg)
+    x, x2, p = packet_moments(cfg, spec, ts)
     return _columns(
         ("t", "delta_x", "delta_x_classical", "delta_p", "delta_p_classical"),
         ts,
-        reduced_uncertainty(cfg, spec, ts, "position"),
+        _reduced_spread(x, x2),
         classical_reduced_uncertainty(orbit, "position", spec.N, ts),
-        reduced_uncertainty(cfg, spec, ts, "momentum"),
+        _reduced_spread(p, exp_p2(cfg, spec)),
         classical_reduced_uncertainty(orbit, "momentum", spec.N, ts),
     )
 

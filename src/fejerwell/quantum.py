@@ -50,10 +50,26 @@ phase is reduced as frac(integer * that fraction) with an exact leading
 product. Long-time evaluation is therefore exact to rounding while the
 largest multiplier, 4nN, stays below 2^27 (n = 10^5 with N = sqrt(n) is
 inside); past that the bound on the rounded part of each phase grows by
-a factor of 4 per doubling of the multiplier. Each R_K is evaluated from
-the phase reduced to delta = phi - m pi, with the sign (-1)^(m(K-1)),
-and from its Taylor series where |K delta| is small, so the removable
-singularities at phi = m pi cost no accuracy.
+a factor of 4 per doubling of the multiplier. Each R_K is evaluated at
+x = phi - j pi, with j = rint(phi / pi) in {-1, 0, 1} so that |x| <= pi/2,
+times the sign (-1)^(j(K-1)), and from its Taylor series where |K x| is
+small, so the removable singularities at phi = j pi cost no accuracy.
+
+Tangents. Outside the Taylor branch R_K(x) = sin(Kx)/sin(x) and R_K'(x)
+are rational in t_x = tan(x/2) and t_k = tan(Kx/2), by the half-angle
+identities sin y = 2u/(1 + u^2) and cos y = (1 - u^2)/(1 + u^2) with
+u = tan(y/2), so a kernel column costs two tangents and no sine or
+cosine. The reason is speed: numpy dispatches float64 tan to an SVML
+(AVX512_SKX) loop at 2 to 3 ns per element, while its float64 sin and
+cos run through scalar libm at 8 to 25 ns, and at n = 10^5 the two sines
+of each column took most of a kernel block (DECISIONS.md has the
+measurements and the hosts they hold on). The j reduction keeps
+|x/2| <= pi/4, so |t_x| <= 1 and only t_k meets the poles of tan; there
+sin(Kx) = 0, |t_k| is at most about 1e16, and the formulas stay finite
+and accurate to a few eps of K (R) and K^2 (R'). The psi = 2n theta_d
+columns keep np.cos and np.sin: they are at most a third of the columns,
+and tangents there would need their own reduction and more element
+passes on every scalar call.
 
 Scalar and array t take the same code: a scalar is a 0-d array and comes
 back as np.float64. The kernel sums are matrix-vector products, which
@@ -76,8 +92,14 @@ expectation_sample, uncertainty_product, reduced_uncertainty and the
 limit and CLI series all take this path; at (500, 23) one pass costs
 about as much as one exp_x2 call, not the three calls it replaces.
 
-Block size. Arrays are evaluated in blocks of at most _CHUNK = 8192
-instants x kernel columns, so each float64 temporary is 64 KiB, below
+Block size. The revival fraction and the split of its high part are
+formed once per call on t as passed, so a scalar t runs them on numpy
+scalars; each block then forms only the outer products frac(m * that
+fraction), and the element passes of the kernel run in place. Arrays are
+evaluated in blocks of at most _CHUNK = 8192 instants x kernel columns,
+and a block holds a few temporaries of that size at once (the phases, the
+sign, the two tangents, 1 + t^2 of each, and one more for R'). Each
+float64 temporary is then at most 64 KiB, below
 glibc's default mmap threshold of 128 KiB: the temporaries come from the
 heap and are reused from block to block. Larger blocks are mapped and
 unmapped, or trimmed from the heap, on every call unless some earlier
@@ -170,7 +192,7 @@ def _revival_rate(cfg: WellConfig) -> tuple[float, float, float, float]:
     return (hi, (num * q - p * den) / (den * q), *_split(hi, 27))
 
 
-def _revival_fraction(cfg: WellConfig, t: np.ndarray):
+def _revival_fraction(cfg: WellConfig, t):
     """frac(t / T_rev) per instant, as an unevaluated pair hi + lo.
 
     t times the high part of 1/T_rev is an exact Dekker two-product
@@ -183,18 +205,19 @@ def _revival_fraction(cfg: WellConfig, t: np.ndarray):
     return p - np.rint(p), e + t * c_lo
 
 
-def _frac_mul(m, hi, lo, bits: int):
-    """frac(m * (hi + lo)) over instants (rows) x multipliers (columns).
+def _phases(h, l, m):
+    """frac(m * (h + l)) over instants (rows) x multipliers (columns).
 
-    m holds integers with |m| < 2**bits. m times the leading 53 - bits
-    bits of hi is an exact product, so its fraction is exact; m times the
-    remainder (below 2**(bits - 54) for |hi| <= 1/2) is rounded once.
-    Returns the pair (exact fraction, correction).
+    m holds integers with |m| < 2**bits and h keeps 53 - bits bits, so
+    m * h is an exact product and its fraction is exact; m * l (below
+    2**(bits - 54) for |hi| <= 1/2) is rounded once and added after.
     """
-    h, l = _split(hi, max(bits, 1))
-    p = np.multiply.outer(h, m)
-    p -= np.rint(p)
-    return p, np.multiply.outer(l + lo, m)
+    c = np.multiply.outer(h, m)
+    r = np.rint(c)
+    c -= r
+    np.multiply.outer(l, m, out=r)
+    c += r
+    return c
 
 
 # --- Dirichlet-kernel sums ---------------------------------------------------
@@ -221,7 +244,7 @@ class _Kernel:
 
     m: np.ndarray
     K: np.ndarray
-    flip: np.ndarray  # 2 where K is even (R_K(phi + pi) = -R_K(phi)), else 0
+    flip: np.ndarray  # -2 where K is even (R_K(phi + pi) = -R_K(phi)), else 0
     a2: np.ndarray  # R_K(x) = K + a2 x^2 + a4 x^4 + O(x^6)
     a4: np.ndarray
     nd: int
@@ -280,7 +303,7 @@ def _kernel(n: int, N: int, outputs: tuple[str, ...]) -> _Kernel:
     arrays = {
         "m": np.concatenate([d, 2 * n + s, 2 * n * d]),
         "K": K,
-        "flip": 2.0 * (K % 2 == 0),
+        "flip": -2.0 * (K % 2 == 0),
         "a2": K * (1 - K**2) / 6,
         "a4": K * (K**2 - 1) * (3 * K**2 - 7) / 360,
         "const": np.array([const if out == "position_sq" else 0.0 for out in outputs]),
@@ -298,40 +321,84 @@ def _kernel(n: int, N: int, outputs: tuple[str, ...]) -> _Kernel:
 
 
 def _dirichlet(ker: _Kernel, c: np.ndarray, rate: bool):
-    """R_K and (if rate) R_K' at phi = 2 pi c, for |c| <= 1/2 (plus rounding)."""
-    h = 2.0 * c
-    j = np.rint(h)
-    x = math.pi * (h - j)  # phi - j pi, exact reduction
-    kx = ker.K * x
-    sx = np.sin(x)
-    skx = np.sin(kx)
-    small = np.abs(kx) < _TAYLOR
-    near = np.count_nonzero(small)
+    """R_K and (if rate) R_K' at phi = 2 pi c, for |c| <= 1/2 (plus rounding).
+
+    With j = rint(2c), x = phi - j pi = pi (2c - j) takes one rounding,
+    |x| <= pi/2 and R_K(phi) = (-1)^(j (K - 1)) R_K(x). R_K(x) and R_K'(x)
+    are rational in t_x = tan(x/2) and t_k = tan(K x/2):
+
+        R   = t_k (1 + t_x^2) / (t_x (1 + t_k^2))
+        R'  = (1 + t_x^2) (K (1 - t_k^2) t_x - (1 - t_x^2) t_k) / (2 t_x^2 (1 + t_k^2))
+
+    and where |K x| < _TAYLOR they come from their Taylor series instead.
+    """
+    u = 2.0 * c  # a new contiguous array, also where c is a view
+    j = np.rint(u)
+    u -= j
+    u *= 0.5 * math.pi  # x/2
+    sign = j  # (-1)^(j (K - 1)) = 1 + flip j^2 for |j| <= 1, in place
+    sign *= j
+    sign *= ker.flip
+    sign += 1.0
+    tk = u * ker.K  # K x/2
+    a = np.abs(tk)  # later 1 + t_x^2
+    near = a.min(initial=np.inf) < 0.5 * _TAYLOR
     if near:
-        np.copyto(sx, 1.0, where=small)
-    R = skx / sx
-    dR = (ker.K * np.cos(kx) * sx - skx * np.cos(x)) / (sx * sx) if rate else None
-    if near:
+        small = a < 0.5 * _TAYLOR
+        x = 2.0 * u
         x2 = x * x
-        R = np.where(small, ker.K + x2 * (ker.a2 + x2 * ker.a4), R)
+        taylor = sign * (ker.K + x2 * (ker.a2 + x2 * ker.a4))
+        taylor_rate = sign * (x * (2.0 * ker.a2 + 4.0 * x2 * ker.a4)) if rate else None
+    tx = np.tan(u, out=u)
+    np.tan(tk, out=tk)
+    if near:
+        np.copyto(tx, 1.0, where=small)  # t_x = 0 only where K x = 0
+    np.multiply(tx, tx, out=a)
+    a += 1.0
+    b = tk * tk
+    b += 1.0
+    if rate:
+        num = np.subtract(2.0, b)  # 1 - t_k^2
+        num *= ker.K
+        num *= tx
+        v = np.subtract(2.0, a)  # 1 - t_x^2
+        v *= tk
+        num -= v
+    b *= tx
+    a /= b
+    a *= sign  # sign (1 + t_x^2) / (t_x (1 + t_k^2)), common to R and R'
+    R = tk
+    R *= a
+    dR = None
+    if rate:
+        dR = num
+        dR *= a
+        dR /= tx
+        dR *= 0.5
+    if near:
+        np.copyto(R, taylor, where=small)
         if rate:
-            dR = np.where(small, x * (2.0 * ker.a2 + 4.0 * x2 * ker.a4), dR)
-    sign = 1.0 - ker.flip * np.abs(j)  # (-1)^(j (K - 1)) for |j| <= 1
-    return R * sign, (dR * sign if rate else None)
+            np.copyto(dR, taylor_rate, where=small)
+    return R, dR
 
 
-def _blockwise(block, t, columns: int, width: int = 1):
+def _blockwise(cfg: WellConfig, t, m: np.ndarray, bits: int, block, width: int = 1):
     """Values over t, width per instant, shaped (width,) + t.shape.
 
-    block(instants, out) writes the values of a chunk of at most _CHUNK
-    instants x columns into out, a (width x instants) view.
+    block(c, out) gets c = frac(m tau) for a chunk of at most _CHUNK
+    instants x multipliers, and writes its values into out, a
+    (width x instants) view. c is the block's to overwrite. frac(t / T_rev)
+    and the split of its high part, to 53 - bits bits for `_phases`, are
+    formed once here on t as passed, so a 0-d t runs them on numpy scalars.
     """
     t_arr = np.asarray(t, dtype=float)
-    flat = t_arr.reshape(-1)
-    out = np.empty((width, flat.size))
-    step = max(1, _CHUNK // max(columns, 1))
-    for lo in range(0, flat.size, step):
-        block(flat[lo : lo + step], out[:, lo : lo + step])
+    hi, lo = _revival_fraction(cfg, t_arr)
+    h, l = _split(hi, max(bits, 1))
+    h, l = h.reshape(-1), (l + lo).reshape(-1)
+    out = np.empty((width, h.size))
+    step = max(1, _CHUNK // max(len(m), 1))
+    for i in range(0, h.size, step):
+        block(_phases(h[i : i + step], l[i : i + step], m), out[:, i : i + step])
     return out.reshape((width,) + t_arr.shape)
 
 
@@ -340,16 +407,17 @@ def _moments(cfg: WellConfig, spec: PacketSpec, t, outputs: tuple[str, ...]) -> 
     ker = _kernel(spec.n, spec.N, outputs)
     nk = len(ker.K)
 
-    def block(tb, out):
-        hi, lo = _frac_mul(ker.m, *_revival_fraction(cfg, tb), ker.bits)
-        c = hi + lo
+    def block(c, out):
         R, dR = _dirichlet(ker, c[:, :nk], "rate" in ker.blocks)
-        psi = _TWO_PI * c[:, nk:]
+        psi = c[:, nk:]
+        psi *= _TWO_PI
         feats = {"cos": R, "rate": dR}
         if "sin" in ker.blocks:
-            feats["sin"] = R[:, : ker.nd] * np.sin(psi)
+            sin = np.sin(psi)
+            sin *= R[:, : ker.nd]
+            feats["sin"] = sin
         if "cos" in ker.blocks or dR is not None:
-            cos = np.cos(psi)
+            cos = np.cos(psi, out=psi)
             if "cos" in ker.blocks:
                 R[:, : ker.nd] *= cos
             if dR is not None:
@@ -364,7 +432,7 @@ def _moments(cfg: WellConfig, spec: PacketSpec, t, outputs: tuple[str, ...]) -> 
                 else:
                     np.matmul(f, w, out=acc)
 
-    brackets = _blockwise(block, t, len(ker.m), len(outputs))
+    brackets = _blockwise(cfg, t, ker.m, ker.bits, block, len(outputs))
     vals = []
     for j, output in enumerate(outputs):
         if output == "position_sq":
@@ -596,17 +664,22 @@ def quasi_exp(
     m = d * (2 * n + d)  # (E_{n+d} - E_n) / hbar in units of w_b
     bits = int(max(m, default=0)).bit_length()
 
-    def block(tb, out):
-        hi, lo = _frac_mul(m, *_revival_fraction(cfg, tb), bits)
-        np.matmul(trig(_TWO_PI * (hi + lo)), amp, out=out[0])
+    def block(c, out):
+        c *= _TWO_PI
+        np.matmul(trig(c, out=c), amp, out=out[0])
 
-    val = scale / spec.size * _blockwise(block, t, N)[0]
+    val = scale / spec.size * _blockwise(cfg, t, m, bits, block)[0]
     if kind == "position":
         val = cfg.a / 2.0 + val
     return val[()]
 
 
 # --- uncertainty measures ----------------------------------------------------
+
+
+def _reduced_spread(mean, second):
+    """sqrt(1 - mean^2 / second), clamped to [0, 1]; np.float64 for a scalar mean."""
+    return np.sqrt(np.clip(1.0 - np.asarray(mean) ** 2 / second, 0.0, 1.0))[()]
 
 
 def reduced_uncertainty(cfg: WellConfig, spec: PacketSpec, t, kind: str):
@@ -618,8 +691,7 @@ def reduced_uncertainty(cfg: WellConfig, spec: PacketSpec, t, kind: str):
         second = exp_p2(cfg, spec)
     else:
         raise ValueError(f"kind must be 'position' or 'momentum', got {kind!r}")
-    val = np.sqrt(np.clip(1.0 - np.asarray(mean) ** 2 / second, 0.0, 1.0))
-    return val[()]
+    return _reduced_spread(mean, second)
 
 
 def _variance(mean, second, scale):

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from fejerwell import ClassicalOrbit, fejer_position
+from fejerwell import ClassicalOrbit, PacketSpec, WellConfig, fejer_position, quantum, reduced_uncertainty
 from fejerwell.cli import RunConfig, TimeSeries, emit, main, run
 
 
@@ -112,17 +112,25 @@ def test_fig1_headline_row(tmp_path):
     assert final[0] == 500.0 and final[1] == 23.0
 
 
-def test_uncertainty_command(tmp_path):
+def test_uncertainty_command(tmp_path, monkeypatch):
+    # delta_x and delta_p come from one kernel pass over every instant
+    passes = []
+    moments = quantum._moments
+    monkeypatch.setattr(quantum, "_moments", lambda *args: passes.append(args[3]) or moments(*args))
     out = tmp_path / "unc.csv"
     assert main(["uncertainty", "--n", "50", "--N", "5", "--t-max", "1T",
                  "--steps", "32", "--out", str(out)]) == 0
+    assert passes == [("position", "position_sq", "momentum")]
     content = lines(out)
     assert content[0] == "t,delta_x,delta_x_classical,delta_p,delta_p_classical"
     first = [float(v) for v in content[1].split(",")]
     assert first[3] == 1.0 and first[4] == 1.0  # momentum spreads start at 1
+    spec = PacketSpec(n=50, N=5)
     for row in content[1:]:
         vals = [float(v) for v in row.split(",")]
         assert all(0.0 <= v <= 1.0 for v in vals[1:])
+        for col, kind in ((1, "position"), (3, "momentum")):
+            assert vals[col] == pytest.approx(reduced_uncertainty(WellConfig(), spec, vals[0], kind), abs=1e-14)
 
 
 def test_gibbs_command(tmp_path):

@@ -5,7 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -25,6 +25,7 @@ from fejerwell import (
     uncertainty_product,
 )
 from fejerwell.core import classical_period
+from fejerwell.quantum import _dirichlet, _kernel
 from pair_oracle import pair_terms
 
 NATURAL = WellConfig()
@@ -341,16 +342,20 @@ def _mp_moments(n, N, t):
         size = 2 * N + 1
         x, p = mpmath.mpf(size) / 2, mpmath.mpf(0)
         x2 = sum(mpmath.mpf(1) / 3 - 1 / (2 * mpmath.pi**2 * u**2) for u in range(n - N, n + N + 1))
+        # c / k^2 for every difference d and every sum u + v of two levels
+        inv = {k: c / k**2 for k in [*range(1, 2 * N + 1), *range(2 * (n - N) + 1, 2 * (n + N))]}
         for u in range(n - N, n + N + 1):
             for v in range(n - N, u):
                 d, sm = u - v, u + v
-                cos, sin = mpmath.cos_sin(w_b * d * sm * t)
-                x2 += c * (-1) ** d * (mpmath.mpf(1) / d**2 - mpmath.mpf(1) / sm**2) * cos
+                cos, sin = mpmath.cos_sin(w_b * (d * sm) * t)
                 if d % 2:
-                    amp = c * (mpmath.mpf(1) / sm**2 - mpmath.mpf(1) / d**2)
+                    amp = inv[sm] - inv[d]
                     x += amp * cos
-                    p -= amp * w_b * d * sm * sin
-        return {"position": float(x / size), "position_sq": float(x2 / size), "momentum": float(p / size)}
+                    x2 += amp * cos  # (-1)^d (c/d^2 - c/sm^2) with d odd
+                    p -= amp * (d * sm) * sin
+                else:
+                    x2 += (inv[d] - inv[sm]) * cos
+        return {"position": float(x / size), "position_sq": float(x2 / size), "momentum": float(p * w_b / size)}
 
 
 @pytest.mark.parametrize("n", [500, 10_000])
@@ -377,6 +382,64 @@ def test_spectral_oracle_exact_at_long_times():
     for kind, scale in _scales(n).items():
         oracle = oracle_expectation(NATURAL, PacketSpec(n=n, N=N), t, kind, method="spectral")
         assert abs(oracle - ref[kind]) <= 5e-11 * scale, kind
+
+
+def _near_singular_instants(n):
+    """A seeded instant, T/2, T, T_rev/2, T_rev and 3 T_rev, each also 1e-9 T, 1e-6 T and -3e-5 T later."""
+    T = classical_period(NATURAL, n)
+    t_rev = 2 * n * T
+    exact = [np.random.default_rng(n).uniform(0.0, 2.0 * T), T / 2, T, t_rev / 2, t_rev, 3 * t_rev]
+    return [t + offset * T for t in exact for offset in (0.0, 1e-9, 1e-6, -3e-5)]
+
+
+@pytest.mark.parametrize("n,N", [(500, 23), (2000, 44)])
+def test_kernels_exact_to_rounding_near_singular_phases(n, N):
+    # at and next to k T/2 and k T_rev the kernel phases sit on or next to
+    # multiples of pi, where R_K = sin(K x)/sin(x) is a removable 0/0 and
+    # tan(x/2) has a pole unless x is first reduced by j pi
+    spec = PacketSpec(n=n, N=N)
+    eps = np.finfo(float).eps
+    bounds = {"position": 4 * eps, "position_sq": 4 * eps, "momentum": 16 * eps * n * math.pi}
+    for t in _near_singular_instants(n):
+        ref = _mp_moments(n, N, t)
+        for kind, fn in CLOSED_FORMS.items():
+            assert abs(fn(NATURAL, spec, t) - ref[kind]) <= bounds[kind], (kind, t)
+
+
+_KERNEL_COLUMNS = _kernel(317, 316, ("position_sq",))  # one column for each K = 1..633
+
+
+@st.composite
+def _near_poles(draw):
+    """K and a phase fraction c whose K x/2 lies within 1e-12 of a pole pi/2 + m pi of tan."""
+    K = draw(st.integers(2, 2 * 316 + 1))
+    m = draw(st.integers(0, (K - 2) // 4))  # |x| = |2 pi c - j pi| <= pi/2
+    half_kx = draw(st.sampled_from([-1, 1])) * (math.pi / 2 + m * math.pi + draw(st.floats(-1e-12, 1e-12)))
+    j = draw(st.integers(-1, 1))
+    c = (2 * half_kx / (K * math.pi) + j) / 2
+    assume(abs(c) <= 0.5)
+    return K, c
+
+
+@settings(max_examples=300, deadline=None)
+@given(_near_poles())
+@example((2, 0.25))
+@example((633, (1 / 633 + 1) / 2))
+def test_tangent_kernels_near_poles_match_mpmath(case):
+    # R_K and R_K' from tan(x/2) and tan(K x/2) where the second is 1e12
+    # or more; against sin(K phi)/sin(phi) and its derivative at phi = 2 pi c
+    K, c = case
+    col = int(np.flatnonzero(_KERNEL_COLUMNS.K == K)[0])
+    R, dR = _dirichlet(_KERNEL_COLUMNS, np.full((1, len(_KERNEL_COLUMNS.K)), c), True)
+    with mpmath.workdps(40):
+        phi = 2 * mpmath.pi * mpmath.mpf(c)
+        sin, cos = mpmath.sin(phi), mpmath.cos(phi)
+        sin_k, cos_k = mpmath.sin(K * phi), mpmath.cos(K * phi)
+        ref = float(sin_k / sin)
+        ref_rate = float((K * cos_k * sin - sin_k * cos) / sin**2)
+    eps = np.finfo(float).eps
+    assert abs(R[0, col] - ref) <= 4 * eps * K, (R[0, col], ref)
+    assert abs(dR[0, col] - ref_rate) <= 4 * eps * K**2, (dR[0, col], ref_rate)
 
 
 def _pair_sums(spec, t):
