@@ -37,10 +37,10 @@ from .classical import (
     fejer_position,
     gibbs_overshoot,
 )
-from .core import PacketSpec, WellConfig, spectral_data
+from .core import PacketSpec, WellConfig, _reduced_spread, spectral_data
 from .limits import limit_sequence
 from .optimizer import default_n_grid, optimal_N
-from .quantum import _reduced_spread, exp_p2, oracle_expectation, packet_moments
+from .quantum import exp_p2, oracle_expectation, packet_moments
 
 __all__ = ["RunConfig", "TimeSeries", "emit", "run", "main"]
 

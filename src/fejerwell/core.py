@@ -149,3 +149,39 @@ def packet_wavefunction(cfg: WellConfig, spec: PacketSpec, x, t: float):
     modes = math.sqrt(2.0 / cfg.a) * np.sin(np.multiply.outer(k, xa))
     psi = np.tensordot(phases, modes, axes=(0, 0)) / math.sqrt(spec.size)
     return psi[()]
+
+
+# --- exact time reduction and the reduced spread, shared by both layers -------
+
+
+def _split(a, bits: int):
+    """Veltkamp split a = hi + lo, hi keeping 53 - bits significant bits."""
+    c = (2.0**bits + 1.0) * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _rate(num: int, den: int) -> tuple[float, float, float, float]:
+    """The exact rate num/den = 1/period as hi + lo, and the 27-bit split of hi for `_fraction`."""
+    hi = num / den  # int / int is correctly rounded
+    p, q = hi.as_integer_ratio()
+    return (hi, (num * q - p * den) / (den * q), *_split(hi, 27))
+
+
+def _fraction(rate, t):
+    """frac(t * rate) per instant, as an unevaluated pair hi + lo, |hi| <= 1/2.
+
+    t times the high part of the rate is an exact Dekker two-product p + e,
+    so hi = p - rint(p) is exact; the low part adds one rounded product.
+    The pair is exact to rounding while t * rate stays below about 4e15.
+    """
+    c_hi, c_lo, ch, cl = rate
+    p = t * c_hi
+    th, tl = _split(t, 27)
+    e = ((th * ch - p) + th * cl + tl * ch) + tl * cl
+    return p - np.rint(p), e + t * c_lo
+
+
+def _reduced_spread(mean, second):
+    """sqrt(1 - mean^2 / second), clamped to [0, 1]; np.float64 for a scalar mean."""
+    return np.sqrt(np.clip(1.0 - np.asarray(mean) ** 2 / second, 0.0, 1.0))[()]

@@ -44,16 +44,17 @@ times the largest energy times t.
 
 Precision. The whole spectrum repeats with the revival period
 T_rev = 2 pi / w_b = 2n T, and every phase is an integer multiple of tau.
-frac(t / T_rev) is formed in double-double (an exact two-product of t
-with the high part of 1/T_rev, for t below about 4e15 T_rev), and each
-phase is reduced as frac(integer * that fraction) with an exact leading
-product. Long-time evaluation is therefore exact to rounding while the
-largest multiplier, 4nN, stays below 2^27 (n = 10^5 with N = sqrt(n) is
-inside); past that the bound on the rounded part of each phase grows by
-a factor of 4 per doubling of the multiplier. Each R_K is evaluated at
-x = phi - j pi, with j = rint(phi / pi) in {-1, 0, 1} so that |x| <= pi/2,
-times the sign (-1)^(j(K-1)), and from its Taylor series where |K x| is
-small, so the removable singularities at phi = j pi cost no accuracy.
+frac(t / T_rev) is formed in double-double by `core._fraction`, which the
+classical series share (an exact two-product of t with the high part of
+1/T_rev, for t below about 4e15 T_rev), and each phase is reduced as
+frac(integer * that fraction) with an exact leading product. Long-time
+evaluation is therefore exact to rounding while the largest multiplier,
+4nN, stays below 2^27 (n = 10^5 with N = sqrt(n) is inside); past that
+the bound on the rounded part of each phase grows by a factor of 4 per
+doubling of the multiplier. Each R_K is evaluated at x = phi - j pi, with
+j = rint(phi / pi) in {-1, 0, 1} so that |x| <= pi/2, times the sign
+(-1)^(j(K-1)), and from its Taylor series where |K x| is small, so the
+removable singularities at phi = j pi cost no accuracy.
 
 Tangents. Outside the Taylor branch R_K(x) = sin(Kx)/sin(x) and R_K'(x)
 are rational in t_x = tan(x/2) and t_k = tan(Kx/2), by the half-angle
@@ -103,10 +104,7 @@ float64 temporary is then at most 64 KiB, below
 glibc's default mmap threshold of 128 KiB: the temporaries come from the
 heap and are reused from block to block. Larger blocks are mapped and
 unmapped, or trimmed from the heap, on every call unless some earlier
-large free in the process has raised glibc's dynamic thresholds. With
-the earlier limit of 65536 elements and nothing else raising them, the
-moment calls on 8 to 16 instants at n = 10^4 and 10^5 took about 300
-fresh page faults per call set and ran about a quarter slower. A fused
+large free in the process has raised glibc's dynamic thresholds. A fused
 pass counts the union of its columns, so its blocks hold fewer instants
 than a standalone exp_x block (44 against 89 at (500, 23)), and no
 temporary ever spans instants x columns x moments; an array therefore
@@ -123,6 +121,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PacketSpec, WellConfig, packet_wavefunction, spectral_data
+from .core import _fraction, _rate, _reduced_spread, _split
 
 __all__ = [
     "OBSERVABLES",
@@ -169,40 +168,13 @@ class ExpectationSample:
 # --- exact phases ------------------------------------------------------------
 
 
-def _split(a, bits: int):
-    """Veltkamp split a = hi + lo, hi keeping 53 - bits significant bits."""
-    c = (2.0**bits + 1.0) * a
-    hi = c - (c - a)
-    return hi, a - hi
-
-
 @functools.lru_cache(maxsize=8)
 def _revival_rate(cfg: WellConfig) -> tuple[float, float, float, float]:
-    """1/T_rev = pi hbar / (4 mu a^2) as hi + lo, from exact rationals, and
-    the 27-bit Veltkamp split of hi that its Dekker products use."""
-    hi_n, hi_d = math.pi.as_integer_ratio()
-    lo_n, lo_d = _PI_LO.as_integer_ratio()
-    h_n, h_d = float(cfg.hbar).as_integer_ratio()
-    m_n, m_d = float(cfg.mu).as_integer_ratio()
-    a_n, a_d = float(cfg.a).as_integer_ratio()
-    num = (hi_n * lo_d + lo_n * hi_d) * h_n * m_d * a_d**2
-    den = hi_d * lo_d * h_d * 4 * m_n * a_n**2
-    hi = num / den  # int / int is correctly rounded
-    p, q = hi.as_integer_ratio()
-    return (hi, (num * q - p * den) / (den * q), *_split(hi, 27))
-
-
-def _revival_fraction(cfg: WellConfig, t):
-    """frac(t / T_rev) per instant, as an unevaluated pair hi + lo.
-
-    t times the high part of 1/T_rev is an exact Dekker two-product
-    p + e; the low part adds one rounded product.
-    """
-    c_hi, c_lo, ch, cl = _revival_rate(cfg)
-    p = t * c_hi
-    th, tl = _split(t, 27)
-    e = ((th * ch - p) + th * cl + tl * ch) + tl * cl
-    return p - np.rint(p), e + t * c_lo
+    """1/T_rev = pi hbar / (4 mu a^2) from exact rationals, as `core._rate`."""
+    (hi_n, hi_d), (lo_n, lo_d) = math.pi.as_integer_ratio(), _PI_LO.as_integer_ratio()
+    h, m, a = (float(v).as_integer_ratio() for v in (cfg.hbar, cfg.mu, cfg.a))
+    num = (hi_n * lo_d + lo_n * hi_d) * h[0] * m[1] * a[1] ** 2
+    return _rate(num, hi_d * lo_d * h[1] * 4 * m[0] * a[0] ** 2)
 
 
 def _phases(h, l, m):
@@ -392,7 +364,7 @@ def _blockwise(cfg: WellConfig, t, m: np.ndarray, bits: int, block, width: int =
     formed once here on t as passed, so a 0-d t runs them on numpy scalars.
     """
     t_arr = np.asarray(t, dtype=float)
-    hi, lo = _revival_fraction(cfg, t_arr)
+    hi, lo = _fraction(_revival_rate(cfg), t_arr)
     h, l = _split(hi, max(bits, 1))
     h, l = h.reshape(-1), (l + lo).reshape(-1)
     out = np.empty((width, h.size))
@@ -675,11 +647,6 @@ def quasi_exp(
 
 
 # --- uncertainty measures ----------------------------------------------------
-
-
-def _reduced_spread(mean, second):
-    """sqrt(1 - mean^2 / second), clamped to [0, 1]; np.float64 for a scalar mean."""
-    return np.sqrt(np.clip(1.0 - np.asarray(mean) ** 2 / second, 0.0, 1.0))[()]
 
 
 def reduced_uncertainty(cfg: WellConfig, spec: PacketSpec, t, kind: str):

@@ -31,11 +31,17 @@ def wilbraham_gibbs_constant():
     return 2.0 / math.pi * val
 
 
+# t = k T/2 is exact on ORBIT (T = 2), so these are the turning instants themselves
+TURNS = [1, 2, 3, 1023, 2**20 + 1, 2**40 - 1, 2**40]
+
+
 def test_sawtooth_values():
     assert sawtooth_position(ORBIT, 0.0) == 0.0
     assert math.isclose(sawtooth_position(ORBIT, T / 4), 0.5, rel_tol=1e-15)
     assert math.isclose(sawtooth_position(ORBIT, T / 2), 1.0, rel_tol=1e-15)
     assert math.isclose(sawtooth_position(ORBIT, 1.75 * T), 0.5, rel_tol=1e-12)
+    for k in TURNS + [-k for k in TURNS]:
+        assert sawtooth_position(ORBIT, k * T / 2) == (ORBIT.a if k % 2 else 0.0)
 
 
 def test_sawtooth_range_and_continuity():
@@ -52,6 +58,10 @@ def test_square_momentum_values():
     assert square_momentum(ORBIT, 0.0) == 0.0
     assert square_momentum(ORBIT, T / 2) == 0.0
     assert square_momentum(ORBIT, T) == 0.0
+    for k in TURNS + [-k for k in TURNS]:
+        assert square_momentum(ORBIT, k * T / 2) == 0.0
+    turns = np.array(TURNS, dtype=float) * (T / 2)
+    assert np.array_equal(square_momentum(ORBIT, turns), np.zeros(len(TURNS)))
 
 
 def test_partial_position_dc_term():
@@ -220,22 +230,33 @@ def test_periodicity(fn):
         assert math.isclose(fn(t + T), fn(t), rel_tol=0, abs_tol=1e-12)
 
 
-@pytest.mark.parametrize("k", [1e3, 1e6, 1e9])
-def test_long_time_error_grows_linearly_in_periods(k):
-    # reduction modulo the float period is exact, but the float period is
-    # off by up to eps/2 relative, so k periods in the reduced time is off by
-    # about k eps T: the error is ~(t/T) eps a, not zero
+@pytest.mark.parametrize("k", [0, 1, 10**3, 10**6, 10**9, 10**12])
+def test_long_times_exact_to_rounding(k):
+    # t is reduced by an exact frac(t/T), not modulo the float period, so
+    # the error stays at rounding level however many periods have passed;
+    # the reference takes the float t and the float orbit parameters as exact
     orbit = ClassicalOrbit(a=1.0, p_c=500 * math.pi, mu=1.0)
     N, t = 23, 0.3 * orbit.period + k * orbit.period
-    with mpmath.workdps(50):
-        theta = 2 * mpmath.pi * mpmath.mpf(t) * orbit.p_c / (2 * orbit.a * orbit.mu)
-        s = mpmath.fsum(
+    eps = np.finfo(float).eps
+    with mpmath.workdps(60):
+        cycles = mpmath.mpf(t) * mpmath.mpf(orbit.p_c) / 2  # t / T with a = mu = 1
+        f = cycles - mpmath.nint(cycles)
+        theta = 2 * mpmath.pi * f
+        scale = 1 / mpmath.mpf(2 * N + 1)
+        x = orbit.a / 2 - 8 * orbit.a / mpmath.pi**2 * scale * mpmath.fsum(
             (N - r) * mpmath.cos((2 * r + 1) * theta) / (2 * r + 1) ** 2 for r in range(N)
         )
-        exact = float(orbit.a / 2 - 8 * orbit.a / mpmath.pi**2 / (2 * N + 1) * s)
-    err = abs(fejer_position(orbit, N, t) - exact)
-    scale = (t / orbit.period) * np.finfo(float).eps * orbit.a
-    assert 0.01 * scale < err < scale
+        x2 = orbit.a**2 / 3 + 4 * orbit.a**2 / mpmath.pi**2 * scale * mpmath.fsum(
+            (2 * N - r + 1) * (-1) ** r * mpmath.cos(r * theta) / r**2 for r in range(1, 2 * N + 1)
+        )
+        p = 8 * mpmath.mpf(orbit.p_c) / mpmath.pi * scale * mpmath.fsum(
+            (N - r) * mpmath.sin((2 * r + 1) * theta) / (2 * r + 1) for r in range(N)
+        )
+        saw = 2 * orbit.a * abs(f)
+    assert abs(fejer_position(orbit, N, t) - float(x)) <= 2 * eps * orbit.a
+    assert abs(fejer_position_sq(orbit, N, t) - float(x2)) <= 2 * eps * orbit.a**2
+    assert abs(fejer_momentum(orbit, N, t) - float(p)) <= 16 * eps * orbit.p_c
+    assert abs(sawtooth_position(orbit, t) - float(saw)) <= eps * orbit.a
 
 
 def test_reduced_uncertainty_momentum_at_turn():
