@@ -14,10 +14,11 @@ equal bit for bit to the matching element of an array call.
 
 Every function reduces t to f = frac(t / T) in [-1/2, 1/2] by the exact
 reduction of the packet moments (`core._fraction`), with 1/T = p_c/(2a mu)
-formed from exact rationals, so f is exact to rounding for t below about
-4e15 T. The sawtooth is 2a|f|, the square wave sign(f) p_c, and the phase
-w t of every series is 2 pi f, with its harmonics and weights taken from
-a cached read-only table. On the p_c = 500 pi orbit at t = f0 T + kT, for
+formed from exact rationals, so f is exact to rounding for |t| below
+2^52 T (about 4.5e15 T); a larger or non-finite t raises ValueError. The
+sawtooth is 2a|f|, the square wave sign(f) p_c, and the phase w t of
+every series is 2 pi f, with its harmonics and weights taken from a
+cached read-only table. On the p_c = 500 pi orbit at t = f0 T + kT, for
 five f0 and k up to 10^12, fejer_position and fejer_position_sq stay
 within 1 eps of a 60-digit evaluation (of a and a^2), fejer_momentum
 within 9.1 eps of p_c, and sawtooth_position is exact; reducing modulo
@@ -77,7 +78,7 @@ class ClassicalOrbit:
 
 
 @functools.lru_cache(maxsize=16)
-def _cycle_rate(orbit: ClassicalOrbit) -> tuple[float, float, float, float]:
+def _cycle_rate(orbit: ClassicalOrbit) -> tuple[float, ...]:
     """1/T = p_c / (2 a mu) from exact rationals, as `core._rate`."""
     p, a, m = (float(v).as_integer_ratio() for v in (orbit.p_c, orbit.a, orbit.mu))
     return _rate(p[0] * a[1] * m[1], p[1] * 2 * a[0] * m[0])

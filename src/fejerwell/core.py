@@ -161,11 +161,14 @@ def _split(a, bits: int):
     return hi, a - hi
 
 
-def _rate(num: int, den: int) -> tuple[float, float, float, float]:
-    """The exact rate num/den = 1/period as hi + lo, and the 27-bit split of hi for `_fraction`."""
+def _rate(num: int, den: int) -> tuple[float, ...]:
+    """The exact rate num/den = 1/period for `_fraction`.
+
+    Returns hi + lo, the 27-bit split of hi, and the bound 2^52 / hi on |t|.
+    """
     hi = num / den  # int / int is correctly rounded
     p, q = hi.as_integer_ratio()
-    return (hi, (num * q - p * den) / (den * q), *_split(hi, 27))
+    return (hi, (num * q - p * den) / (den * q), *_split(hi, 27), 2.0**52 / hi)
 
 
 def _fraction(rate, t):
@@ -173,9 +176,22 @@ def _fraction(rate, t):
 
     t times the high part of the rate is an exact Dekker two-product p + e,
     so hi = p - rint(p) is exact; the low part adds one rounded product.
-    The pair is exact to rounding while t * rate stays below about 4e15.
+    The pair is exact to rounding while |t| * rate < 2^52 (about 4.5e15
+    periods); a non-finite t or one past that raises ValueError. |t| is
+    compared with the bound before any product, so the check cannot
+    overflow.
     """
-    c_hi, c_lo, ch, cl = rate
+    c_hi, c_lo, ch, cl, limit = rate
+    # nan and inf are outside; a 0-d t is compared as a Python float, which
+    # is about ten times cheaper than any numpy reduction
+    if t.ndim == 0:
+        inside = abs(float(t)) < limit
+    else:
+        inside = np.count_nonzero(abs(t) < limit) == t.size
+    if not inside:
+        raise ValueError(
+            f"need finite t with |t| < {limit:.6g} (2^52 periods) for an exact phase"
+        )
     p = t * c_hi
     th, tl = _split(t, 27)
     e = ((th * ch - p) + th * cl + tl * ch) + tl * cl

@@ -17,10 +17,11 @@ window, so optimal_N walks N upward and stops at the first N whose error
 rises above the running minimum. That assumption held on every window
 checked (DECISIONS.md, "optimal_N stops at the first rise"). Half-width N
 adds the 2N pairs of span N to the running sum, each with about
-4 sqrt(P) trig values and 2P multiply-adds over the P-point grid, so the
-search costs O(N_opt^2 P) against O(N_max^2 P) for scoring the whole
-window. The default window ends at about 4 N_opt, and the stop takes
-8-9x less time than the whole window at n = 500 to 10^4.
+2 sqrt(P) tangents and 2P multiply-adds in the span's one matrix product
+over the P-point grid, so the search costs O(N_opt^2 P) against
+O(N_max^2 P) for scoring the whole window. The default window ends at
+about 4 N_opt, and the stop takes 8-9x less time than the whole window at
+n = 500 to 10^4.
 
 The uncertainty product Delta-x Delta-p at the initial turning (t = 0) is
 reported for the selected packet but is no selection criterion: it falls
@@ -90,6 +91,25 @@ def default_n_grid(n_min: int = 10, n_max: int = 500, points: int = 12) -> list[
     return sorted({int(round(n_min * ratio**i)) for i in range(points)})
 
 
+def _half_angle_pair(r: np.ndarray, M: int) -> np.ndarray:
+    """cos and sin of 2 pi r / M for integer residues 0 <= r < M, stacked by rows.
+
+    Both come from one tangent of the half angle, t = tan(pi r / M), as
+    cos = 2 / (1 + t^2) - 1 and sin = 2 t / (1 + t^2): numpy's float64 tan
+    has a SIMD loop where its sin and cos may not. At r = M/2 the rounded
+    pi/2 gives a finite t of about 1.6e16, so cos is -1 and sin rounds to
+    about 1e-16, as np.sin(np.pi) does.
+    """
+    t = np.tan(r * (math.pi / M))
+    w = t * t
+    w += 1.0
+    np.divide(2.0, w, out=w)
+    pair = np.empty((2 * len(r),) + r.shape[1:])
+    np.subtract(w, 1.0, out=pair[: len(r)])
+    np.multiply(w, t, out=pair[len(r) :])
+    return pair
+
+
 def _tracking_errors(cfg: WellConfig, n: int, t_points: int) -> Iterator[float]:
     """RMS tracking error for the half-widths N = 0, 1, ..., n - 1 in turn.
 
@@ -100,8 +120,10 @@ def _tracking_errors(cfg: WellConfig, n: int, t_points: int) -> Iterator[float]:
     is exactly 2 pi m i / (2nP) with the integer m = d (2n + s). Writing
     i = h B + l with B = ceil(sqrt(P)), the phase splits into integer
     residues of m h B and m l modulo 2nP, so a span's partial curve is
-    (amp cos A)^T cos L - (amp sin A)^T sin L: two small matrix products
-    over about 2 (P/B + B) trig values per pair instead of P cosines.
+    (amp cos A)^T cos L - (amp sin A)^T sin L. Stacked as
+    [amp cos A; -amp sin A]^T [cos L; sin L] it is one small matrix
+    product, over about P/B + B tangents per pair (`_half_angle_pair`)
+    instead of P cosines, and the RMS of the error e is sqrt(e.e / P).
     Each value costs only its own span, so a caller may stop early.
     """
     if t_points < 1:
@@ -115,19 +137,22 @@ def _tracking_errors(cfg: WellConfig, n: int, t_points: int) -> Iterator[float]:
     M = 2 * n * t_points
     steps = np.concatenate([np.arange(H) * B, np.arange(B)])
     scale = 4.0 * cfg.a / math.pi**2
+    base = cfg.a / 2.0 - saw
     cum = np.zeros(t_points)
-    yield math.sqrt(np.mean((cfg.a / 2.0 - saw) ** 2))
+    yield math.sqrt(base @ base / t_points)
     for v in range(1, n):
         d = np.tile(np.arange(1, 2 * v, 2), 2)
         s = 2 * v - d
         s[v:] *= -1
-        amp = scale * (1.0 / (2 * n + s) ** 2 - 1.0 / d**2)
-        phase = (np.multiply.outer(d * (2 * n + s) % M, steps) % M) * (2.0 * math.pi / M)
-        cos, sin = np.cos(phase), np.sin(phase)
-        part = (cos[:, :H] * amp[:, None]).T @ cos[:, H:]
-        part -= (sin[:, :H] * amp[:, None]).T @ sin[:, H:]
-        cum += part.reshape(-1)[:t_points]
-        yield math.sqrt(np.mean((cfg.a / 2.0 + cum / (2 * v + 1) - saw) ** 2))
+        q = 2 * n + s
+        r = np.multiply.outer(d * q % M, steps) % M
+        pair = _half_angle_pair(r, M)
+        amp = scale * (1.0 / q**2 - 1.0 / d**2)
+        pair[:, :H] *= np.concatenate([amp, -amp])[:, None]
+        cum += (pair[:, :H].T @ pair[:, H:]).reshape(-1)[:t_points]
+        err = cum / (2 * v + 1)
+        err += base
+        yield math.sqrt(err @ err / t_points)
 
 
 def _tracking_curve(

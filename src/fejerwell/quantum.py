@@ -46,7 +46,8 @@ Precision. The whole spectrum repeats with the revival period
 T_rev = 2 pi / w_b = 2n T, and every phase is an integer multiple of tau.
 frac(t / T_rev) is formed in double-double by `core._fraction`, which the
 classical series share (an exact two-product of t with the high part of
-1/T_rev, for t below about 4e15 T_rev), and each phase is reduced as
+1/T_rev, for |t| below 2^52 T_rev, about 4.5e15 T_rev; a larger or
+non-finite t raises ValueError), and each phase is reduced as
 frac(integer * that fraction) with an exact leading product. Long-time
 evaluation is therefore exact to rounding while the largest multiplier,
 4nN, stays below 2^27 (n = 10^5 with N = sqrt(n) is inside); past that
@@ -169,7 +170,7 @@ class ExpectationSample:
 
 
 @functools.lru_cache(maxsize=8)
-def _revival_rate(cfg: WellConfig) -> tuple[float, float, float, float]:
+def _revival_rate(cfg: WellConfig) -> tuple[float, ...]:
     """1/T_rev = pi hbar / (4 mu a^2) from exact rationals, as `core._rate`."""
     (hi_n, hi_d), (lo_n, lo_d) = math.pi.as_integer_ratio(), _PI_LO.as_integer_ratio()
     h, m, a = (float(v).as_integer_ratio() for v in (cfg.hbar, cfg.mu, cfg.a))

@@ -259,6 +259,25 @@ def test_long_times_exact_to_rounding(k):
     assert abs(sawtooth_position(orbit, t) - float(saw)) <= eps * orbit.a
 
 
+def test_reject_times_past_the_exact_range():
+    # frac(t / T) is exact only while |t| / T < 2^52; at 1e305 every
+    # function came back nan with overflow warnings
+    calls = [
+        sawtooth_position, square_momentum,
+        lambda o, t: fourier_partial_position(o, 5, t),
+        lambda o, t: fourier_partial_momentum(o, 5, t),
+        lambda o, t: fejer_position(o, 5, t),
+        lambda o, t: fejer_position_sq(o, 5, t),
+        lambda o, t: fejer_momentum(o, 5, t),
+        lambda o, t: classical_reduced_uncertainty(o, "position", 5, t),
+    ]
+    for t in (1e17 * T, -1e17 * T, 1e305, math.inf, -math.inf, math.nan, np.array([0.0, math.inf])):
+        for fn in calls:
+            with pytest.raises(ValueError, match="2\\^52"):
+                fn(ORBIT, t)
+    assert sawtooth_position(ORBIT, 2.0**51 * T) == 0.0
+
+
 def test_reduced_uncertainty_momentum_at_turn():
     assert classical_reduced_uncertainty(ORBIT, "momentum", 23, 0.0) == 1.0
     assert classical_reduced_uncertainty(ORBIT, "momentum", 23, T / 2) == 1.0

@@ -1,6 +1,7 @@
 """Tests for the packet half-width selection and its scaling with n."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -59,6 +60,24 @@ def test_factored_curve_matches_pair_sum(n, t_points):
     assert np.all(np.abs(fast - ref) <= 1e-12 * np.abs(ref))
     for N in range(1, N_max + 1):
         assert np.argmin(fast[1 : N + 1]) == np.argmin(ref[1 : N + 1]), N
+
+
+@pytest.mark.parametrize("M", [4, 8, 64, 4096, 2 * 10_000 * 1024])
+def test_half_angle_pair_matches_cos_and_sin(M):
+    # every residue of a small M, and r = 0, M/4, M/2 (the pole of
+    # tan(pi r / M)) and 3M/4 with their neighbours for the n = 10^4 grid
+    r = np.arange(M)
+    if M > 4096:
+        r = np.array([0, 1, M // 4 - 1, M // 4, M // 2 - 1, M // 2, M // 2 + 1, 3 * M // 4, M - 1, 12345])
+    rows = r.reshape(-1, 1) if r.size % 4 else r.reshape(-1, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pair = optimizer._half_angle_pair(rows, M)
+    cos, sin = pair[: len(rows)].ravel(), pair[len(rows) :].ravel()
+    phase = 2 * np.pi * r / M
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(cos - np.cos(phase)) <= 2 * eps)
+    assert np.all(np.abs(sin - np.sin(phase)) <= 2 * eps)
 
 
 def test_first_rise_stop_equals_exhaustive_scan():

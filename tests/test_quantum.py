@@ -372,6 +372,22 @@ def test_long_times_exact_to_rounding(n, k):
         assert abs(fn(NATURAL, spec, t) - ref[kind]) <= 1e-13 * scales[kind], kind
 
 
+def test_moments_reject_times_past_the_exact_range():
+    # frac(t / T_rev) is exact only while |t| / T_rev < 2^52; past it exp_x
+    # read -2.7 at t = 1e17, and at 1e305 the moments came back nan
+    spec = PacketSpec(n=500, N=23)
+    t_rev = 2 * spec.n * classical_period(NATURAL, spec.n)
+    calls = [
+        exp_x, exp_x2, exp_p, packet_moments, uncertainty_product,
+        lambda cfg, spec, t: quasi_exp(cfg, spec, t, "position"),
+    ]
+    for t in (1e17 * t_rev, -1e17 * t_rev, 1e305, math.inf, -math.inf, math.nan, np.array([0.0, 1e305])):
+        for fn in calls:
+            with pytest.raises(ValueError, match="2\\^52"):
+                fn(NATURAL, spec, t)
+    assert 0.0 <= exp_x(NATURAL, spec, 2.0**51 * t_rev) <= NATURAL.a
+
+
 def test_spectral_oracle_exact_at_long_times():
     # the oracle's phases are the integer u^2 - v^2 times w_b t; formed as
     # differences of float energies they were off by 1.5e-10 a here
