@@ -34,7 +34,6 @@ from .optimizer import (
     default_n_grid,
     optimal_N,
     scan_n,
-    tracking_error,
 )
 from .quantum import (
     ExpectationSample,
@@ -90,7 +89,6 @@ __all__ = [
     "ScanResult",
     "optimal_N",
     "scan_n",
-    "tracking_error",
     "default_n_grid",
     "LimitRow",
     "DetuningReport",

@@ -340,7 +340,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--n", type=int, help="central quantum number")
     parser.add_argument(
-        "--N", type=_parse_N, help="packet half-width (integer) or 'auto'"
+        "--N",
+        type=_parse_N,
+        help="packet half-width (integer) or 'auto': optimal_N, "
+        "or floor(sqrt(n)) per row for limit",
     )
     parser.add_argument(
         "--t-max",

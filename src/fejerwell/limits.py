@@ -1,8 +1,10 @@
 """Constrained classical limit: packet means against the averaged classical series.
 
 Large n alone does not make the packet classical; the limit that does is
-joint: n -> infinity and N -> infinity with N/n -> 0 while the action
-n*hbar is held at the classical p_c*a/pi. This module probes that limit
+joint: n -> infinity and N -> infinity with N^2/n -> 0 while the action
+n*hbar is held at the classical p_c*a/pi. The largest detuning phase over
+one period is about pi N^2/n, so the "sqrt" rule N = floor(sqrt(n)),
+with N^2/n near 1, stays outside that limit. This module probes it
 numerically by shrinking hbar as 1/n so the packet frequency and momentum
 match the classical orbit exactly for every row, then measuring the sup
 deviation between the packet means and the matching averaged series over

@@ -5,12 +5,16 @@ the packet behave classically: too few superposed states and the packet
 mean is a poor (truncated-average) rendering of the bounce trajectory; too
 many and the unequal level spacing dephases the packet within a period.
 The selection minimizes the RMS deviation of the position mean
-from the classical sawtooth over one period. On the 10..500 grid that
-lands within floor(sqrt(n)) +- 1 (N = 23 at n = 500), but it grows faster
-than sqrt(n) beyond: N = 54 at n = 2000 and N = 144 at n = 10^4, against
-floor(sqrt(n)) = 44 and 100. The 144 is the value of the default
-1024-point rectangle rule over the period; with 4096 points or more the
-same objective gives N = 142 at n = 10^4.
+from the classical sawtooth over one period, sampled at t_i = i T/P.
+Both halves of that objective are exact on the index grid: every level
+pair's phase is an integer residue modulo 2nP, and the sawtooth is
+2a min(i, P - i)/P. The objective is therefore a function of n and P
+alone times the well width a, and N_opt cannot depend on mu or hbar.
+On the 10..500 grid N_opt lands within floor(sqrt(n)) +- 1 (N = 23 at
+n = 500), but it grows faster than sqrt(n) beyond: N = 54 at n = 2000
+and N = 144 at n = 10^4, against floor(sqrt(n)) = 44 and 100. The 144 is
+the value of the default 1024-point rectangle rule over the period; with
+4096 points or more the same objective gives N = 142 at n = 10^4.
 
 The error is assumed to have a single local minimum in N over the search
 window, so optimal_N walks N upward and stops at the first N whose error
@@ -37,8 +41,7 @@ from itertools import islice
 
 import numpy as np
 
-from .classical import ClassicalOrbit, sawtooth_position
-from .core import PacketSpec, WellConfig, spectral_data
+from .core import PacketSpec, WellConfig
 from .quantum import uncertainty_product
 
 __all__ = [
@@ -46,7 +49,6 @@ __all__ = [
     "ScanFit",
     "ScanResult",
     "default_n_grid",
-    "tracking_error",
     "optimal_N",
     "scan_n",
 ]
@@ -125,13 +127,16 @@ def _tracking_errors(cfg: WellConfig, n: int, t_points: int) -> Iterator[float]:
     product, over about P/B + B tangents per pair (`_half_angle_pair`)
     instead of P cosines, and the RMS of the error e is sqrt(e.e / P).
     Each value costs only its own span, so a caller may stop early.
+
+    Both halves of e are exact on the index grid: the phases are integer
+    residues and the sawtooth at t_i is 2a min(i, P - i)/P, so no time is
+    formed, the values depend on n and P alone, scaled by a, and N_opt
+    cannot depend on mu or hbar.
     """
     if t_points < 1:
         raise ValueError(f"need t_points >= 1, got {t_points}")
-    sd = spectral_data(cfg, n)
-    ts = np.arange(t_points) * (sd.period / t_points)
-    orbit = ClassicalOrbit(a=cfg.a, p_c=sd.p_n, mu=cfg.mu)
-    saw = sawtooth_position(orbit, ts)
+    i = np.arange(t_points)
+    saw = (2.0 * cfg.a / t_points) * np.minimum(i, t_points - i)
     B = math.isqrt(t_points - 1) + 1
     H = -(-t_points // B)
     M = 2 * n * t_points
@@ -161,19 +166,6 @@ def _tracking_curve(
     """RMS tracking error for every half-width 0..N_max (N_max < n)."""
     errors = islice(_tracking_errors(cfg, n, t_points), N_max + 1)
     return np.fromiter(errors, dtype=float, count=N_max + 1)
-
-
-def tracking_error(
-    cfg: WellConfig, n: int, N: int, t_points: int = _TRACK_POINTS
-) -> float:
-    """RMS of (position mean - classical sawtooth) over one period.
-
-    The period grid has t_points uniform samples on [0, T), endpoint
-    excluded (a periodic mean).
-    """
-    if N < 0 or N >= n:
-        raise ValueError(f"need 0 <= N < n, got n={n}, N={N}")
-    return float(_tracking_curve(cfg, n, N, t_points)[N])
 
 
 def optimal_N(

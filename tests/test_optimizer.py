@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from fejerwell import (
     default_n_grid,
     optimal_N,
     scan_n,
-    tracking_error,
     uncertainty_product,
 )
 from fejerwell import optimizer
@@ -146,10 +146,34 @@ def test_determinism():
 def test_minimality_certificate():
     for n in (60, 250, 500):
         row = optimal_N(NATURAL, n)
-        best = tracking_error(NATURAL, n, row.N_opt)
+        curve = _tracking_curve(NATURAL, n, row.N_opt + 1, 1024)
+        best = curve[row.N_opt]
         for neighbor in (row.N_opt - 1, row.N_opt + 1):
-            if 1 <= neighbor < n:
-                assert best <= tracking_error(NATURAL, n, neighbor) * (1 + 1e-12)
+            assert best <= curve[neighbor] * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("n,t_points", [(50, 1024), (500, 257), (2000, 1024)])
+def test_curve_depends_on_n_and_grid_only(n, t_points):
+    # every phase and the sawtooth are exact on the index grid, so mass and
+    # hbar drop out and the well width only scales the curve
+    curves = [
+        _tracking_curve(cfg, n, 40, t_points) / cfg.a
+        for cfg in (NATURAL, WellConfig(mu=3.7, hbar=0.2), WellConfig(a=2, mu=0.3, hbar=7))
+    ]
+    assert np.array_equal(curves[0], curves[1])
+    assert np.array_equal(curves[0], curves[2])
+
+
+@pytest.mark.parametrize("t_points", [1, 2, 257, 1024, 2048])
+@pytest.mark.parametrize("a", [1.0, 0.3])
+def test_width_zero_error_is_exact_rms_of_sawtooth(t_points, a):
+    # N = 0 leaves the packet at a/2: the value is the RMS of
+    # a/2 - 2a min(i, P - i)/P, which must come out within 1 ulp
+    got = _tracking_curve(WellConfig(a=a), 4, 0, t_points)[0]
+    A, P = Fraction(a), t_points
+    mean_sq = sum((A / 2 - 2 * A * min(i, P - i) / P) ** 2 for i in range(P)) / P
+    ulp = Fraction(math.ulp(got))
+    assert (Fraction(got) - ulp) ** 2 <= mean_sq <= (Fraction(got) + ulp) ** 2
 
 
 def test_scan_monotone_trend_and_band():
@@ -215,6 +239,6 @@ def test_rejects_bad_input():
     with pytest.raises(ValueError):
         scan_n(NATURAL, [100, 50])
     with pytest.raises(ValueError):
-        tracking_error(NATURAL, 100, 5, t_points=0)
+        _tracking_curve(NATURAL, 100, 5, t_points=0)
     with pytest.raises(ValueError):
         optimal_N(NATURAL, 100, t_points=0)
