@@ -12,6 +12,15 @@ sums are cumulative), making every evaluation O(order) per time sample.
 Scalar and array t take the same path: a scalar comes back as np.float64,
 equal bit for bit to the matching element of an array call.
 
+Block rule. A series over an array of instants is summed in blocks of
+core._block_rows(harmonics) instants, at most core._CHUNK = 8192
+instants x harmonics, the rule the packet moments use. A block forms its
+outer product once and overwrites it with the trig and then the weight,
+so no temporary exceeds 64 KiB, whatever the number of instants or the
+order. Each row is summed as a whole row in every block, so the values do
+not depend on where the blocks fall; a t that fits in one block, a
+scalar included, runs that block's four numpy calls and nothing more.
+
 Every function reduces t to f = frac(t / T) in [-1/2, 1/2] by the exact
 reduction of the packet moments (`core._fraction`), with 1/T = p_c/(2a mu)
 formed from exact rationals, so f is exact to rounding for |t| below
@@ -34,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _fraction, _rate, _reduced_spread
+from .core import _block_rows, _fraction, _rate, _reduced_spread
 
 __all__ = [
     "ClassicalOrbit",
@@ -86,7 +95,7 @@ def _cycle_rate(orbit: ClassicalOrbit) -> tuple[float, ...]:
 
 def _cycle(orbit: ClassicalOrbit, t):
     """f = frac(t / T) in [-1/2, 1/2], exact to rounding."""
-    hi, lo = _fraction(_cycle_rate(orbit), np.asarray(t, dtype=float))
+    hi, lo = _fraction(_cycle_rate(orbit), np.asarray(t, dtype=float)[()])
     f = hi + lo
     return f - np.rint(f)  # hi + lo may round just past 1/2
 
@@ -126,11 +135,28 @@ def _table(series: str, order: int):
     return h, w, np.sin if series.endswith("momentum") else np.cos
 
 
+def _weighted_sums(theta, h, w, trig):
+    """sum_r w[r] trig(h[r] theta) per instant, from one outer product overwritten in place."""
+    x = np.multiply.outer(theta, h)
+    trig(x, out=x)
+    x *= w
+    return x.sum(axis=-1)
+
+
 def _series(orbit: ClassicalOrbit, series: str, order: int, t):
-    """sum_r w[r] trig(h[r] theta) at theta = 2 pi frac(t / T), over the table of `series`."""
+    """sum_r w[r] trig(h[r] theta) at theta = 2 pi frac(t / T), over the table of `series`.
+
+    Instants go in blocks of `core._block_rows(harmonics)`; a t that fits in
+    one block, a scalar included, takes no call beyond that block's own.
+    """
     h, w, trig = _table(series, order)
     theta = _TWO_PI * _cycle(orbit, t)
-    return (w * trig(np.multiply.outer(theta, h))).sum(axis=-1)
+    step = _block_rows(h.size)
+    if theta.size <= step:
+        return _weighted_sums(theta, h, w, trig)
+    flat = theta.reshape(-1)
+    sums = [_weighted_sums(flat[i : i + step], h, w, trig) for i in range(0, flat.size, step)]
+    return np.concatenate(sums).reshape(theta.shape)
 
 
 def fourier_partial_position(orbit: ClassicalOrbit, m: int, t):

@@ -151,7 +151,14 @@ def packet_wavefunction(cfg: WellConfig, spec: PacketSpec, x, t: float):
     return psi[()]
 
 
-# --- exact time reduction and the reduced spread, shared by both layers -------
+# --- blocks, exact time reduction and the reduced spread, shared by both layers
+
+_CHUNK = 1 << 13  # max elements per (instants x columns) block: 64 KiB of float64
+
+
+def _block_rows(width: int) -> int:
+    """Instants per block of at most _CHUNK instants x width elements, at least one."""
+    return max(1, _CHUNK // max(width, 1))
 
 
 def _split(a, bits: int):

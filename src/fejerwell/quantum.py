@@ -98,7 +98,8 @@ Block size. The revival fraction and the split of its high part are
 formed once per call on t as passed, so a scalar t runs them on numpy
 scalars; each block then forms only the outer products frac(m * that
 fraction), and the element passes of the kernel run in place. Arrays are
-evaluated in blocks of at most _CHUNK = 8192 instants x kernel columns,
+evaluated in blocks of at most core._CHUNK = 8192 instants x kernel
+columns, by the rule core._block_rows that the classical series share,
 and a block holds a few temporaries of that size at once (the phases, the
 sign, the two tangents, 1 + t^2 of each, and one more for R'). Each
 float64 temporary is then at most 64 KiB, below
@@ -122,7 +123,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PacketSpec, WellConfig, packet_wavefunction, spectral_data
-from .core import _fraction, _rate, _reduced_spread, _split
+from .core import _block_rows, _fraction, _rate, _reduced_spread, _split
+from .core import _CHUNK  # noqa: F401 (benchmarks/tracing.py reads quantum._CHUNK)
 
 __all__ = [
     "OBSERVABLES",
@@ -144,7 +146,6 @@ OBSERVABLES = ("position", "position_sq", "momentum", "momentum_sq")
 
 _TWO_PI = 2.0 * math.pi
 _PI_LO = 1.2246467991473532e-16  # pi - math.pi
-_CHUNK = 1 << 13  # max elements per (instants x kernel columns) block; see docstring
 _TAYLOR = 1e-3  # |K delta| below which R_K and R_K' use their Taylor series
 
 
@@ -362,14 +363,15 @@ def _blockwise(cfg: WellConfig, t, m: np.ndarray, bits: int, block, width: int =
     instants x multipliers, and writes its values into out, a
     (width x instants) view. c is the block's to overwrite. frac(t / T_rev)
     and the split of its high part, to 53 - bits bits for `_phases`, are
-    formed once here on t as passed, so a 0-d t runs them on numpy scalars.
+    formed once here on t as passed; a scalar t is unwrapped to np.float64
+    first, so they run on numpy scalars, not on a 0-d array.
     """
     t_arr = np.asarray(t, dtype=float)
-    hi, lo = _fraction(_revival_rate(cfg), t_arr)
+    hi, lo = _fraction(_revival_rate(cfg), t_arr[()])
     h, l = _split(hi, max(bits, 1))
     h, l = h.reshape(-1), (l + lo).reshape(-1)
     out = np.empty((width, h.size))
-    step = max(1, _CHUNK // max(len(m), 1))
+    step = _block_rows(len(m))
     for i in range(0, h.size, step):
         block(_phases(h[i : i + step], l[i : i + step], m), out[:, i : i + step])
     return out.reshape((width,) + t_arr.shape)

@@ -1,6 +1,7 @@
 """Tests for the classical trajectory, its partial sums, and the weighted averages."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -9,7 +10,10 @@ from scipy.integrate import quad
 
 from fejerwell import (
     ClassicalOrbit,
+    PacketSpec,
+    WellConfig,
     classical_reduced_uncertainty,
+    exp_x2,
     fejer_momentum,
     fejer_momentum_sq,
     fejer_position,
@@ -276,6 +280,35 @@ def test_reject_times_past_the_exact_range():
             with pytest.raises(ValueError, match="2\\^52"):
                 fn(ORBIT, t)
     assert sawtooth_position(ORBIT, 2.0**51 * T) == 0.0
+
+
+def _traced_peak(fn, *args):
+    """Peak bytes that tracemalloc, which sees numpy's buffers, records during fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [fejer_position, fejer_position_sq, fejer_momentum, fourier_partial_position, fourier_partial_momentum],
+)
+def test_series_memory_stays_bounded(fn):
+    # 10^4 instants x 1000 harmonics would be 80 MB per float64 temporary;
+    # blocks of at most 8192 elements keep every one at 64 KiB
+    ts = np.random.default_rng(3).uniform(0.0, 50.0 * T, 10_000)
+    fn(ORBIT, 1000, ts[:1])  # builds the cached harmonic table outside the trace
+    assert _traced_peak(fn, ORBIT, 1000, ts) < 2e6
+
+
+def test_moment_memory_stays_bounded():
+    spec = PacketSpec(n=10_000, N=100)
+    ts = np.random.default_rng(4).uniform(0.0, 50.0, 10_000)
+    exp_x2(WellConfig(), spec, ts[:1])  # builds the cached kernel outside the trace
+    assert _traced_peak(exp_x2, WellConfig(), spec, ts) < 2e6
 
 
 def test_reduced_uncertainty_momentum_at_turn():

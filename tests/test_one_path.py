@@ -1,8 +1,9 @@
 """Scalar and array time arguments share one evaluation path.
 
-A scalar t runs the array code on a 0-d array and comes back as np.float64
-(a float subclass); an array t keeps its shape. For the classical series
-the scalar value is bit-identical to the matching element of an array call.
+A scalar t runs the array code on numpy scalars (np.float64) and comes
+back as np.float64 (a float subclass); an array t keeps its shape. For the
+classical series the scalar value is bit-identical to the matching element
+of an array call, however many blocks the array is evaluated in.
 """
 
 import importlib
@@ -85,6 +86,20 @@ def test_series_scalar_equals_array_element_bitwise(name, N):
     for i, t in enumerate(ts.tolist()):
         assert fn(N, t) == arr[i], (t, fn(N, t), arr[i])
     assert np.array_equal(grid.reshape(-1), arr[:200])
+
+
+@pytest.mark.parametrize("name", sorted(SERIES))
+def test_series_blocks_are_bitwise_invisible(name):
+    # 10^4 + 7 instants at N = 200: 251 to 501 blocks, the last one ragged,
+    # and the two halves cut the blocks at other instants
+    ts = _instants(count=4999, seed=7)
+    fn = SERIES[name]
+    arr = fn(200, ts)
+    half = ts.size // 2
+    assert np.array_equal(arr, np.concatenate([fn(200, ts[:half]), fn(200, ts[half:])]))
+    assert np.array_equal(fn(200, ts[:10_000].reshape(100, 100)).reshape(-1), arr[:10_000])
+    for i in np.random.default_rng(8).choice(ts.size, 60, replace=False).tolist():
+        assert fn(200, float(ts[i])) == arr[i], (ts[i], arr[i])
 
 
 @pytest.mark.parametrize("name", sorted(OF_T))
