@@ -15,23 +15,43 @@ equal bit for bit to the matching element of an array call.
 Block rule. A series over an array of instants is summed in blocks of
 core._block_rows(harmonics) instants, at most core._CHUNK = 8192
 instants x harmonics, the rule the packet moments use. A block forms its
-outer product once and overwrites it with the trig and then the weight,
-so no temporary exceeds 64 KiB, whatever the number of instants or the
-order. Each row is summed as a whole row in every block, so the values do
-not depend on where the blocks fall; a t that fits in one block, a
-scalar included, runs that block's four numpy calls and nothing more.
+product of instants and harmonics once and overwrites it with the
+weighted terms, so no temporary exceeds 64 KiB, whatever the number of
+instants or the order. Each row is summed as a whole row in every block,
+so the values do not depend on where the blocks fall; a t that fits in
+one block, a scalar included, runs that block alone, with no loop,
+reshape or concatenation.
 
 Every function reduces t to f = frac(t / T) in [-1/2, 1/2] by the exact
 reduction of the packet moments (`core._fraction`), with 1/T = p_c/(2a mu)
-formed from exact rationals, so f is exact to rounding for |t| below
-2^52 T (about 4.5e15 T); a larger or non-finite t raises ValueError. The
-sawtooth is 2a|f|, the square wave sign(f) p_c, and the phase w t of
-every series is 2 pi f, with its harmonics and weights taken from a
-cached read-only table. On the p_c = 500 pi orbit at t = f0 T + kT, for
-five f0 and k up to 10^12, fejer_position and fejer_position_sq stay
-within 1 eps of a 60-digit evaluation (of a and a^2), fejer_momentum
-within 9.1 eps of p_c, and sawtooth_position is exact; reducing modulo
-the float period left errors of up to 8.1e7, 1.2e8 and 1.8e9 eps at
+formed from exact rationals and cached on the orbit, so f is exact to
+rounding for |t| below 2^52 T (about 4.5e15 T); a larger or non-finite t
+raises ValueError. The sawtooth is 2a|f| and the square wave sign(f) p_c.
+Harmonic h of a series has the phase 2 pi h f, and its weighted cosine
+or sine comes from the one tangent t = tan(pi h f) of the half phase
+(`core._half_angle`, shared with the packet moments and the width scan),
+as 2w/(1 + t^2) - w or 2wt/(1 + t^2), term by term, with the harmonics
+and weights taken from a cached read-only table. numpy runs float64 tan
+on SVML and sin and cos on scalar libm, so this halves the cost of an
+array series at N = 22 (DECISIONS.md, "Every phase trig from one
+half-angle tangent").
+
+Accuracy against a 60-digit evaluation, on the p_c = 500 pi orbit at
+t = f0 T + kT with k from 0 to 10^12, N = 23 and 316: fejer_position
+and fejer_position_sq stay within 1.0 eps (of a and a^2) at every f0
+below, and sawtooth_position is exact. fejer_momentum, in eps of p_c:
+
+    f0                            N = 23    N = 316
+    0, 1e-9                       0.01      0.00
+    0.01, 0.123456, 0.3, 0.49     6.5       5.9
+    0.77                          3.3       5.2
+    1/2 - 1e-4                    23        271
+    1/2                           17        237
+
+Next to the turn at f = 1/2 each phase 2 pi h f carries the rounding of
+pi times h < 2N, which leaves about N eps; the libm sines left 34, 28,
+448 and 353 eps there. Reducing modulo the float period, before the
+exact reduction, left errors of up to 8.1e7, 1.2e8 and 1.8e9 eps at
 k = 10^9.
 """
 
@@ -43,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _block_rows, _fraction, _rate, _reduced_spread
+from .core import _block_rows, _fraction, _half_angle, _rate, _reduced_spread, _rint
 
 __all__ = [
     "ClassicalOrbit",
@@ -58,8 +78,6 @@ __all__ = [
     "fejer_momentum_sq",
     "classical_reduced_uncertainty",
 ]
-
-_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -85,24 +103,23 @@ class ClassicalOrbit:
     def omega(self) -> float:
         return 2.0 * math.pi / self.period
 
-
-@functools.lru_cache(maxsize=16)
-def _cycle_rate(orbit: ClassicalOrbit) -> tuple[float, ...]:
-    """1/T = p_c / (2 a mu) from exact rationals, as `core._rate`."""
-    p, a, m = (float(v).as_integer_ratio() for v in (orbit.p_c, orbit.a, orbit.mu))
-    return _rate(p[0] * a[1] * m[1], p[1] * 2 * a[0] * m[0])
+    @functools.cached_property
+    def _cycle_rate(self) -> tuple[float, ...]:
+        """1/T = p_c / (2 a mu) from exact rationals, as `core._rate`, cached on the instance."""
+        p, a, m = (float(v).as_integer_ratio() for v in (self.p_c, self.a, self.mu))
+        return _rate(p[0] * a[1] * m[1], p[1] * 2 * a[0] * m[0])
 
 
 def _cycle(orbit: ClassicalOrbit, t):
-    """f = frac(t / T) in [-1/2, 1/2], exact to rounding."""
-    hi, lo = _fraction(_cycle_rate(orbit), np.asarray(t, dtype=float)[()])
+    """f = frac(t / T) in [-1/2, 1/2], exact to rounding; a Python float for a scalar t."""
+    hi, lo = _fraction(orbit._cycle_rate, t)
     f = hi + lo
-    return f - np.rint(f)  # hi + lo may round just past 1/2
+    return f - (np.rint(f) if isinstance(f, np.ndarray) else _rint(f))  # hi + lo may round past 1/2
 
 
 def sawtooth_position(orbit: ClassicalOrbit, t):
     """Exact classical position: linear ramp 0 -> a on [0, T/2], back on [T/2, T]."""
-    return (2.0 * orbit.a * np.abs(_cycle(orbit, t)))[()]
+    return 2.0 * orbit.a * np.abs(_cycle(orbit, t))
 
 
 def square_momentum(orbit: ClassicalOrbit, t):
@@ -118,9 +135,13 @@ def square_momentum(orbit: ClassicalOrbit, t):
 
 @functools.lru_cache(maxsize=64)
 def _table(series: str, order: int):
-    """Harmonics, weights and trig function of one series, built once per order, read-only."""
+    """pi times the harmonics, the weights (2w, w) and the sine flag of one series.
+
+    Built once per series and order, read-only.
+    """
     if order < 0:
         raise ValueError(f"{series} order must be >= 0, got {order}")
+    sine = series.endswith("momentum")
     if series == "fejer_position_sq":
         r = np.arange(1, 2 * order + 1)
         h = r.astype(float)
@@ -129,18 +150,28 @@ def _table(series: str, order: int):
         fourier = series.startswith("fourier")
         r = np.arange(order + 1 if fourier else order)
         h = 2.0 * r + 1.0
-        w = (1.0 if fourier else order - r) / (h if series.endswith("momentum") else h**2)
-    h.setflags(write=False)
-    w.setflags(write=False)
-    return h, w, np.sin if series.endswith("momentum") else np.cos
+        w = (1.0 if fourier else order - r) / (h if sine else h**2)
+    h *= math.pi
+    weights = (2.0 * w, w)
+    for arr in (h, *weights):
+        arr.setflags(write=False)
+    return h, weights, sine
 
 
-def _weighted_sums(theta, h, w, trig):
-    """sum_r w[r] trig(h[r] theta) per instant, from one outer product overwritten in place."""
-    x = np.multiply.outer(theta, h)
-    trig(x, out=x)
-    x *= w
-    return x.sum(axis=-1)
+def _weighted_sums(f, pi_h, weights, sine):
+    """sum_r w[r] trig(2 pi h[r] f) per instant, from one product overwritten in place.
+
+    The product is the half phase pi h f, and `core._half_angle` turns it
+    into w times the cosine or sine of each term, in place. A scalar f
+    takes a plain product, which is the same IEEE operation as the outer
+    one, at a third of its cost.
+    """
+    x = (np.multiply.outer if isinstance(f, np.ndarray) else np.multiply)(f, pi_h)
+    if sine:
+        _half_angle(x, None, x, weights)
+    else:
+        _half_angle(x, x, None, weights)
+    return np.add.reduce(x, axis=-1)
 
 
 def _series(orbit: ClassicalOrbit, series: str, order: int, t):
@@ -149,14 +180,14 @@ def _series(orbit: ClassicalOrbit, series: str, order: int, t):
     Instants go in blocks of `core._block_rows(harmonics)`; a t that fits in
     one block, a scalar included, takes no call beyond that block's own.
     """
-    h, w, trig = _table(series, order)
-    theta = _TWO_PI * _cycle(orbit, t)
-    step = _block_rows(h.size)
-    if theta.size <= step:
-        return _weighted_sums(theta, h, w, trig)
-    flat = theta.reshape(-1)
-    sums = [_weighted_sums(flat[i : i + step], h, w, trig) for i in range(0, flat.size, step)]
-    return np.concatenate(sums).reshape(theta.shape)
+    pi_h, weights, sine = _table(series, order)
+    f = _cycle(orbit, t)
+    step = _block_rows(pi_h.size)
+    if not isinstance(f, np.ndarray) or f.size <= step:
+        return _weighted_sums(f, pi_h, weights, sine)
+    flat = f.reshape(-1)
+    sums = [_weighted_sums(flat[i : i + step], pi_h, weights, sine) for i in range(0, flat.size, step)]
+    return np.concatenate(sums).reshape(f.shape)
 
 
 def fourier_partial_position(orbit: ClassicalOrbit, m: int, t):
@@ -165,7 +196,7 @@ def fourier_partial_position(orbit: ClassicalOrbit, m: int, t):
     a/2 - (4a/pi^2) * sum_{r=0}^{m} cos((2r+1) w t) / (2r+1)^2
     """
     s = _series(orbit, "fourier_position", m, t)
-    return (orbit.a / 2.0 - (4.0 * orbit.a / math.pi**2) * s)[()]
+    return orbit.a / 2.0 - (4.0 * orbit.a / math.pi**2) * s
 
 
 def fourier_partial_momentum(orbit: ClassicalOrbit, m: int, t):
@@ -174,7 +205,7 @@ def fourier_partial_momentum(orbit: ClassicalOrbit, m: int, t):
     (4 p_c / pi) * sum_{r=0}^{m} sin((2r+1) w t) / (2r+1)
     """
     s = _series(orbit, "fourier_momentum", m, t)
-    return ((4.0 * orbit.p_c / math.pi) * s)[()]
+    return (4.0 * orbit.p_c / math.pi) * s
 
 
 def gibbs_overshoot(orbit: ClassicalOrbit, m: int, refine_points: int = 1000) -> float:
@@ -205,7 +236,7 @@ def fejer_position(orbit: ClassicalOrbit, N: int, t):
     inside [0, a] for every N and t.
     """
     s = _series(orbit, "fejer_position", N, t)
-    return (orbit.a / 2.0 - (8.0 * orbit.a / math.pi**2) / (2 * N + 1) * s)[()]
+    return orbit.a / 2.0 - (8.0 * orbit.a / math.pi**2) / (2 * N + 1) * s
 
 
 def fejer_position_sq(orbit: ClassicalOrbit, N: int, t):
@@ -219,7 +250,7 @@ def fejer_position_sq(orbit: ClassicalOrbit, N: int, t):
     (2N - r + 1) on harmonic r. N = 0 returns the constant a^2/3.
     """
     s = _series(orbit, "fejer_position_sq", N, t)
-    return (orbit.a**2 / 3.0 + (4.0 * orbit.a**2 / math.pi**2) / (2 * N + 1) * s)[()]
+    return orbit.a**2 / 3.0 + (4.0 * orbit.a**2 / math.pi**2) / (2 * N + 1) * s
 
 
 def fejer_momentum(orbit: ClassicalOrbit, N: int, t):
@@ -232,7 +263,7 @@ def fejer_momentum(orbit: ClassicalOrbit, N: int, t):
     (no overshoot), in contrast to the truncated momentum series.
     """
     s = _series(orbit, "fejer_momentum", N, t)
-    return ((8.0 * orbit.p_c / math.pi) / (2 * N + 1) * s)[()]
+    return (8.0 * orbit.p_c / math.pi) / (2 * N + 1) * s
 
 
 def fejer_momentum_sq(orbit: ClassicalOrbit) -> float:

@@ -41,7 +41,7 @@ from itertools import islice
 
 import numpy as np
 
-from .core import PacketSpec, WellConfig
+from .core import _CHUNK, PacketSpec, WellConfig, _half_angle
 from .quantum import uncertainty_product
 
 __all__ = [
@@ -93,25 +93,6 @@ def default_n_grid(n_min: int = 10, n_max: int = 500, points: int = 12) -> list[
     return sorted({int(round(n_min * ratio**i)) for i in range(points)})
 
 
-def _half_angle_pair(r: np.ndarray, M: int) -> np.ndarray:
-    """cos and sin of 2 pi r / M for integer residues 0 <= r < M, stacked by rows.
-
-    Both come from one tangent of the half angle, t = tan(pi r / M), as
-    cos = 2 / (1 + t^2) - 1 and sin = 2 t / (1 + t^2): numpy's float64 tan
-    has a SIMD loop where its sin and cos may not. At r = M/2 the rounded
-    pi/2 gives a finite t of about 1.6e16, so cos is -1 and sin rounds to
-    about 1e-16, as np.sin(np.pi) does.
-    """
-    t = np.tan(r * (math.pi / M))
-    w = t * t
-    w += 1.0
-    np.divide(2.0, w, out=w)
-    pair = np.empty((2 * len(r),) + r.shape[1:])
-    np.subtract(w, 1.0, out=pair[: len(r)])
-    np.multiply(w, t, out=pair[len(r) :])
-    return pair
-
-
 def _tracking_errors(cfg: WellConfig, n: int, t_points: int) -> Iterator[float]:
     """RMS tracking error for the half-widths N = 0, 1, ..., n - 1 in turn.
 
@@ -124,9 +105,14 @@ def _tracking_errors(cfg: WellConfig, n: int, t_points: int) -> Iterator[float]:
     residues of m h B and m l modulo 2nP, so a span's partial curve is
     (amp cos A)^T cos L - (amp sin A)^T sin L. Stacked as
     [amp cos A; -amp sin A]^T [cos L; sin L] it is one small matrix
-    product, over about P/B + B tangents per pair (`_half_angle_pair`)
-    instead of P cosines, and the RMS of the error e is sqrt(e.e / P).
-    Each value costs only its own span, so a caller may stop early.
+    product, over about P/B + B tangents per pair (`core._half_angle`:
+    cos and sin of 2 pi r / M from t = tan(pi r / M)) instead of P
+    cosines, and the RMS of the error e is sqrt(e.e / P). Each value costs
+    only its own span, so a caller may stop early. A span's pairs go in
+    blocks of fewer than core._CHUNK residues (127 pairs at P = 1024, so
+    every span to v = 63 is one block), which keeps every array of a span
+    below glibc's 128 KiB mmap threshold, and the products of the blocks
+    add into the running sum.
 
     Both halves of e are exact on the index grid: the phases are integer
     residues and the sawtooth at t_i is 2a min(i, P - i)/P, so no time is
@@ -145,16 +131,23 @@ def _tracking_errors(cfg: WellConfig, n: int, t_points: int) -> Iterator[float]:
     base = cfg.a / 2.0 - saw
     cum = np.zeros(t_points)
     yield math.sqrt(base @ base / t_points)
+    # pairs per block: fewer than _CHUNK residues, so that the stacked cos
+    # and sin rows stay below 2 _CHUNK elements, glibc's 128 KiB threshold
+    rows = max(1, (_CHUNK - 1) // len(steps))
     for v in range(1, n):
         d = np.tile(np.arange(1, 2 * v, 2), 2)
         s = 2 * v - d
         s[v:] *= -1
         q = 2 * n + s
-        r = np.multiply.outer(d * q % M, steps) % M
-        pair = _half_angle_pair(r, M)
+        res = d * q % M
         amp = scale * (1.0 / q**2 - 1.0 / d**2)
-        pair[:, :H] *= np.concatenate([amp, -amp])[:, None]
-        cum += (pair[:, :H].T @ pair[:, H:]).reshape(-1)[:t_points]
+        for lo in range(0, 2 * v, rows):
+            r = np.multiply.outer(res[lo : lo + rows], steps) % M
+            pair = np.empty((2 * len(r), len(steps)))
+            _half_angle(r * (math.pi / M), pair[: len(r)], pair[len(r) :])
+            a = amp[lo : lo + rows]
+            pair[:, :H] *= np.concatenate([a, -a])[:, None]
+            cum += (pair[:, :H].T @ pair[:, H:]).reshape(-1)[:t_points]
         err = cum / (2 * v + 1)
         err += base
         yield math.sqrt(err @ err / t_points)

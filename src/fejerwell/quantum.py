@@ -61,22 +61,29 @@ Tangents. Outside the Taylor branch R_K(x) = sin(Kx)/sin(x) and R_K'(x)
 are rational in t_x = tan(x/2) and t_k = tan(Kx/2), by the half-angle
 identities sin y = 2u/(1 + u^2) and cos y = (1 - u^2)/(1 + u^2) with
 u = tan(y/2), so a kernel column costs two tangents and no sine or
-cosine. The reason is speed: numpy dispatches float64 tan to an SVML
+cosine. The psi = 2n theta_d columns take the same route: their fraction
+c = frac(2n d tau) from `_phases` lies in [-1/2, 1/2], so pi c is already
+the half angle, and cos psi and sin psi come from the one tangent
+tan(pi c) by `core._half_angle`, the helper that the classical series
+and the width scan share. No array path of the moments calls sin or cos.
+The reason is speed: numpy dispatches float64 tan to an SVML
 (AVX512_SKX) loop at 2 to 3 ns per element, while its float64 sin and
 cos run through scalar libm at 8 to 25 ns, and at n = 10^5 the two sines
 of each column took most of a kernel block (DECISIONS.md has the
 measurements and the hosts they hold on). The j reduction keeps
 |x/2| <= pi/4, so |t_x| <= 1 and only t_k meets the poles of tan; there
 sin(Kx) = 0, |t_k| is at most about 1e16, and the formulas stay finite
-and accurate to a few eps of K (R) and K^2 (R'). The psi = 2n theta_d
-columns keep np.cos and np.sin: they are at most a third of the columns,
-and tangents there would need their own reduction and more element
-passes on every scalar call.
+and accurate to a few eps of K (R) and K^2 (R'). At c = +-1/2, the pole
+of tan(pi c), the rounded pi/2 keeps the tangent finite, and cos psi and
+sin psi come out -1 and about 1e-16, as np.cos and np.sin of pi give.
 
-Scalar and array t take the same code: a scalar is a 0-d array and comes
-back as np.float64. The kernel sums are matrix-vector products, which
-BLAS may round differently for one instant than for many, so a scalar
-agrees with the matching element of an array call to rounding.
+Scalar and array t take the same code. A scalar t is reduced in Python
+floats (`core._fraction`) and its one row of phases comes from plain
+products, the same IEEE operations as the outer products of an array
+call; it comes back as np.float64. The kernel sums are matrix-vector
+products, which BLAS may round differently for one instant than for
+many, so a scalar agrees with the matching element of an array call to
+rounding.
 
 One pass for every moment at an instant. Delta-x and Delta-p need <x>,
 <x^2> and <p> at the same t, and the three share their phases: the <x>
@@ -95,13 +102,15 @@ limit and CLI series all take this path; at (500, 23) one pass costs
 about as much as one exp_x2 call, not the three calls it replaces.
 
 Block size. The revival fraction and the split of its high part are
-formed once per call on t as passed, so a scalar t runs them on numpy
-scalars; each block then forms only the outer products frac(m * that
+formed once per call on t as passed, so a scalar t runs them on Python
+floats; each block then forms only the outer products frac(m * that
 fraction), and the element passes of the kernel run in place. Arrays are
 evaluated in blocks of at most core._CHUNK = 8192 instants x kernel
 columns, by the rule core._block_rows that the classical series share,
-and a block holds a few temporaries of that size at once (the phases, the
-sign, the two tangents, 1 + t^2 of each, and one more for R'). Each
+and a t that fits in one block, a scalar included, runs that block with
+no loop. A block holds a few temporaries of that size at once (the
+phases, the sign, the two tangents, 1 + t^2 of each, one more for R',
+and 1 + t^2 or cos of the psi columns). Each
 float64 temporary is then at most 64 KiB, below
 glibc's default mmap threshold of 128 KiB: the temporaries come from the
 heap and are reused from block to block. Larger blocks are mapped and
@@ -123,7 +132,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PacketSpec, WellConfig, packet_wavefunction, spectral_data
-from .core import _block_rows, _fraction, _rate, _reduced_spread, _split
+from .core import _block_rows, _fraction, _half_angle, _reduced_spread, _split
 from .core import _CHUNK  # noqa: F401 (benchmarks/tracing.py reads quantum._CHUNK)
 
 __all__ = [
@@ -144,8 +153,6 @@ __all__ = [
 
 OBSERVABLES = ("position", "position_sq", "momentum", "momentum_sq")
 
-_TWO_PI = 2.0 * math.pi
-_PI_LO = 1.2246467991473532e-16  # pi - math.pi
 _TAYLOR = 1e-3  # |K delta| below which R_K and R_K' use their Taylor series
 
 
@@ -170,26 +177,20 @@ class ExpectationSample:
 # --- exact phases ------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=8)
-def _revival_rate(cfg: WellConfig) -> tuple[float, ...]:
-    """1/T_rev = pi hbar / (4 mu a^2) from exact rationals, as `core._rate`."""
-    (hi_n, hi_d), (lo_n, lo_d) = math.pi.as_integer_ratio(), _PI_LO.as_integer_ratio()
-    h, m, a = (float(v).as_integer_ratio() for v in (cfg.hbar, cfg.mu, cfg.a))
-    num = (hi_n * lo_d + lo_n * hi_d) * h[0] * m[1] * a[1] ** 2
-    return _rate(num, hi_d * lo_d * h[1] * 4 * m[0] * a[0] ** 2)
-
-
 def _phases(h, l, m):
     """frac(m * (h + l)) over instants (rows) x multipliers (columns).
 
     m holds integers with |m| < 2**bits and h keeps 53 - bits bits, so
     m * h is an exact product and its fraction is exact; m * l (below
     2**(bits - 54) for |hi| <= 1/2) is rounded once and added after.
+    Python floats h and l give one row, by plain products, which are the
+    same IEEE operations as the outer ones at a third of their cost.
     """
-    c = np.multiply.outer(h, m)
+    mul = np.multiply.outer if isinstance(h, np.ndarray) else np.multiply
+    c = mul(h, m)
     r = np.rint(c)
     c -= r
-    np.multiply.outer(l, m, out=r)
+    mul(l, m, out=r)
     c += r
     return c
 
@@ -316,7 +317,7 @@ def _dirichlet(ker: _Kernel, c: np.ndarray, rate: bool):
     sign += 1.0
     tk = u * ker.K  # K x/2
     a = np.abs(tk)  # later 1 + t_x^2
-    near = a.min(initial=np.inf) < 0.5 * _TAYLOR
+    near = np.minimum.reduce(a, axis=None, initial=np.inf) < 0.5 * _TAYLOR
     if near:
         small = a < 0.5 * _TAYLOR
         x = 2.0 * u
@@ -363,17 +364,22 @@ def _blockwise(cfg: WellConfig, t, m: np.ndarray, bits: int, block, width: int =
     instants x multipliers, and writes its values into out, a
     (width x instants) view. c is the block's to overwrite. frac(t / T_rev)
     and the split of its high part, to 53 - bits bits for `_phases`, are
-    formed once here on t as passed; a scalar t is unwrapped to np.float64
-    first, so they run on numpy scalars, not on a 0-d array.
+    formed once here on t as passed, in Python floats for a scalar t
+    (`core._fraction`). A t that fits in one block, a scalar included,
+    runs that block alone, with no loop or slicing.
     """
     t_arr = np.asarray(t, dtype=float)
-    hi, lo = _fraction(_revival_rate(cfg), t_arr[()])
+    hi, lo = _fraction(cfg._revival_rate, t_arr)
     h, l = _split(hi, max(bits, 1))
-    h, l = h.reshape(-1), (l + lo).reshape(-1)
-    out = np.empty((width, h.size))
+    l = l + lo
+    out = np.empty((width, t_arr.size))
     step = _block_rows(len(m))
-    for i in range(0, h.size, step):
-        block(_phases(h[i : i + step], l[i : i + step], m), out[:, i : i + step])
+    if t_arr.size <= step:
+        block(_phases(h, l, m).reshape(t_arr.size, len(m)), out)
+    else:
+        h, l = h.reshape(-1), l.reshape(-1)
+        for i in range(0, h.size, step):
+            block(_phases(h[i : i + step], l[i : i + step], m), out[:, i : i + step])
     return out.reshape((width,) + t_arr.shape)
 
 
@@ -385,14 +391,16 @@ def _moments(cfg: WellConfig, spec: PacketSpec, t, outputs: tuple[str, ...]) -> 
     def block(c, out):
         R, dR = _dirichlet(ker, c[:, :nk], "rate" in ker.blocks)
         psi = c[:, nk:]
-        psi *= _TWO_PI
+        psi *= math.pi  # psi / 2, for the one tangent of `core._half_angle`
         feats = {"cos": R, "rate": dR}
         if "sin" in ker.blocks:
-            sin = np.sin(psi)
-            sin *= R[:, : ker.nd]
-            feats["sin"] = sin
-        if "cos" in ker.blocks or dR is not None:
-            cos = np.cos(psi, out=psi)
+            cos = np.empty(psi.shape) if "cos" in ker.blocks or dR is not None else None
+            _half_angle(psi, cos, psi)  # sin psi over psi
+            feats["sin"] = np.multiply(psi, R[:, : ker.nd])
+        else:  # "cos" or "rate": cos psi alone
+            cos = psi
+            _half_angle(psi, cos)
+        if cos is not None:
             if "cos" in ker.blocks:
                 R[:, : ker.nd] *= cos
             if dR is not None:
@@ -419,7 +427,7 @@ def _moments(cfg: WellConfig, spec: PacketSpec, t, outputs: tuple[str, ...]) -> 
             offset, factor = 0.0, 4.0 * spectral_data(cfg, spec.n).p_n / math.pi
         else:
             offset, factor = cfg.a / 2.0, 4.0 * cfg.a / math.pi**2
-        vals.append((offset + factor / spec.size * (ker.const[j] + brackets[j]))[()])
+        vals.append(offset + factor / spec.size * (ker.const[j] + brackets[j]))
     return vals
 
 
@@ -630,9 +638,9 @@ def quasi_exp(
         return _moments(cfg, spec, t, ("quasi_" + kind,))[0]
     n, N = spec.n, spec.N
     if kind == "position":
-        scale, trig = 4.0 * cfg.a / math.pi**2, np.cos
+        scale = 4.0 * cfg.a / math.pi**2
     else:
-        scale, trig = 4.0 * spectral_data(cfg, n).p_n / math.pi, np.sin
+        scale = 4.0 * spectral_data(cfg, n).p_n / math.pi
     d = 2.0 * np.arange(N) + 1.0
     # pairs sharing difference d, times the classical amplitude
     amp = (2 * N + 1 - d) * (-1.0 / d**2 if kind == "position" else 1.0 / d)
@@ -640,8 +648,12 @@ def quasi_exp(
     bits = int(max(m, default=0)).bit_length()
 
     def block(c, out):
-        c *= _TWO_PI
-        np.matmul(trig(c, out=c), amp, out=out[0])
+        c *= math.pi
+        if kind == "position":
+            _half_angle(c, c)
+        else:
+            _half_angle(c, None, c)
+        np.matmul(c, amp, out=out[0])
 
     val = scale / spec.size * _blockwise(cfg, t, m, bits, block)[0]
     if kind == "position":

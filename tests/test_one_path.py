@@ -1,9 +1,10 @@
 """Scalar and array time arguments share one evaluation path.
 
-A scalar t runs the array code on numpy scalars (np.float64) and comes
-back as np.float64 (a float subclass); an array t keeps its shape. For the
-classical series the scalar value is bit-identical to the matching element
-of an array call, however many blocks the array is evaluated in.
+A scalar t is reduced in Python floats, takes the array code on its one
+row and comes back as np.float64 (a float subclass); an array t keeps its
+shape. For the classical series the scalar value is bit-identical to the
+matching element of an array call, however many blocks the array is
+evaluated in.
 """
 
 import importlib

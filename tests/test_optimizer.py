@@ -18,6 +18,7 @@ from fejerwell import (
     uncertainty_product,
 )
 from fejerwell import optimizer
+from fejerwell.core import _half_angle
 from fejerwell.optimizer import _tracking_curve
 from pair_oracle import tracking_curve
 
@@ -62,19 +63,49 @@ def test_factored_curve_matches_pair_sum(n, t_points):
         assert np.argmin(fast[1 : N + 1]) == np.argmin(ref[1 : N + 1]), N
 
 
-@pytest.mark.parametrize("M", [4, 8, 64, 4096, 2 * 10_000 * 1024])
+def _half_angle_layouts(half):
+    """core._half_angle in each layout its callers use; all must agree bit for bit."""
+    stacked = np.empty((2,) + half.shape)  # optimizer: cos rows over sin rows, no temporary
+    _half_angle(half.copy(), stacked[0], stacked[1])
+    cos, sin = np.empty_like(half), half.copy()  # quantum, sin and cos of psi
+    _half_angle(sin, cos, sin)
+    cos_only, sin_only = half.copy(), half.copy()  # classical series, in place
+    _half_angle(cos_only, cos_only)
+    _half_angle(sin_only, None, sin_only)
+    for other in (cos, cos_only):
+        assert np.array_equal(stacked[0], other)
+    for other in (sin, sin_only):
+        assert np.array_equal(stacked[1], other)
+    return stacked
+
+
+@pytest.mark.parametrize("M", [4, 8, 64, 4096, 2 * 10_000 * 1024, "psi", "harmonics"])
 def test_half_angle_pair_matches_cos_and_sin(M):
-    # every residue of a small M, and r = 0, M/4, M/2 (the pole of
-    # tan(pi r / M)) and 3M/4 with their neighbours for the n = 10^4 grid
-    r = np.arange(M)
-    if M > 4096:
-        r = np.array([0, 1, M // 4 - 1, M // 4, M // 2 - 1, M // 2, M // 2 + 1, 3 * M // 4, M - 1, 12345])
-    rows = r.reshape(-1, 1) if r.size % 4 else r.reshape(-1, 4)
+    # core._half_angle over the argument range of each caller: the width
+    # scan's residues (every residue of a small M, and r = 0, M/4, M/2 (the
+    # pole of tan(pi r / M)) and 3M/4 with their neighbours for the n = 10^4
+    # grid), the packet's psi columns at pi c for c in [-1/2, 1/2] with the
+    # poles at +-1/2, and the classical harmonics pi h f for h up to 632
+    rng = np.random.default_rng(5)
+    if M == "psi":
+        c = np.concatenate([np.linspace(-0.5, 0.5, 20001), rng.uniform(-0.5, 0.5, 20000)])
+        c = np.concatenate([c, [np.nextafter(0.5, 0), np.nextafter(-0.5, 0), -0.0, 1e-300]])
+        half = math.pi * c
+        phase = 2 * half
+    elif M == "harmonics":
+        f = np.concatenate([np.linspace(-0.5, 0.5, 201), [0.5 - 1e-4, 1e-9, -1e-9], rng.uniform(-0.5, 0.5, 100)])
+        half = np.multiply.outer(f, math.pi * np.arange(1.0, 633.0))
+        phase = 2 * half
+    else:
+        r = np.arange(M)
+        if M > 4096:
+            r = np.array([0, 1, M // 4 - 1, M // 4, M // 2 - 1, M // 2, M // 2 + 1, 3 * M // 4, M - 1, 12345])
+        rows = r.reshape(-1, 1) if r.size % 4 else r.reshape(-1, 4)
+        half = rows * (math.pi / M)
+        phase = 2 * np.pi * rows / M
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        pair = optimizer._half_angle_pair(rows, M)
-    cos, sin = pair[: len(rows)].ravel(), pair[len(rows) :].ravel()
-    phase = 2 * np.pi * r / M
+        cos, sin = _half_angle_layouts(half)
     eps = np.finfo(float).eps
     assert np.all(np.abs(cos - np.cos(phase)) <= 2 * eps)
     assert np.all(np.abs(sin - np.sin(phase)) <= 2 * eps)
