@@ -242,10 +242,12 @@ def _half_angle(half, cos=None, sin=None, weights=(2.0, 1.0)) -> None:
 
     numpy runs float64 tan on a SIMD (SVML) loop and sin and cos on scalar
     libm, 4-10x slower per element (DECISIONS.md), so every phase trig of
-    the package goes through here. At a pole of tan the rounded half is
-    never exactly pi/2 + k pi, so t stays finite (about 1.6e16 at pi/2):
-    cos comes out -w and sin about 1e-16 w, as np.sin(np.pi) gives, with
-    no warning.
+    the package goes through here: the width scan's half phases pi r / M
+    of exact residues |r| <= M/2 and the moments' pi c with |c| <= 1/2,
+    both in [-pi/2, pi/2], and the classical pi h f. At a pole of tan the
+    rounded half is never exactly pi/2 + k pi, so t stays finite (about
+    +-1.6e16 at +-pi/2): cos comes out -w and sin about +-1e-16 w, as
+    np.sin(+-np.pi) gives, with no warning.
     """
     twice, w = weights
     t = np.tan(half, out=half)

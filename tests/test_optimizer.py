@@ -1,8 +1,10 @@
 """Tests for the packet half-width selection and its scaling with n."""
 
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from fejerwell import (
 from fejerwell import optimizer
 from fejerwell.core import _half_angle
 from fejerwell.optimizer import _tracking_curve
-from pair_oracle import tracking_curve
+from pair_oracle import pair_terms, tracking_curve
 
 NATURAL = WellConfig()
 
@@ -79,13 +81,20 @@ def _half_angle_layouts(half):
     return stacked
 
 
-@pytest.mark.parametrize("M", [4, 8, 64, 4096, 2 * 10_000 * 1024, "psi", "harmonics"])
+# the largest M = 2nP of a scan at P = 65536 (2 n P^2 < 2^53)
+LARGEST_M = 2 * (2**20 - 1) * 65536
+
+
+@pytest.mark.parametrize(
+    "M", [4, 8, 64, 4096, 2 * 10_000 * 1024, LARGEST_M, "psi", "harmonics"]
+)
 def test_half_angle_pair_matches_cos_and_sin(M):
     # core._half_angle over the argument range of each caller: the width
-    # scan's residues (every residue of a small M, and r = 0, M/4, M/2 (the
-    # pole of tan(pi r / M)) and 3M/4 with their neighbours for the n = 10^4
-    # grid), the packet's psi columns at pi c for c in [-1/2, 1/2] with the
-    # poles at +-1/2, and the classical harmonics pi h f for h up to 632
+    # scan's signed residues r in [-M/2, M/2] (every one of a small M, and
+    # r = 0, +-M/4 and the poles of tan(pi r / M) at +-M/2, with their
+    # neighbours, for the n = 10^4 grid and the largest admitted M), the
+    # packet's psi columns at pi c for c in [-1/2, 1/2] with the poles at
+    # +-1/2, and the classical harmonics pi h f for h up to 632
     rng = np.random.default_rng(5)
     if M == "psi":
         c = np.concatenate([np.linspace(-0.5, 0.5, 20001), rng.uniform(-0.5, 0.5, 20000)])
@@ -97,9 +106,11 @@ def test_half_angle_pair_matches_cos_and_sin(M):
         half = np.multiply.outer(f, math.pi * np.arange(1.0, 633.0))
         phase = 2 * half
     else:
-        r = np.arange(M)
-        if M > 4096:
-            r = np.array([0, 1, M // 4 - 1, M // 4, M // 2 - 1, M // 2, M // 2 + 1, 3 * M // 4, M - 1, 12345])
+        h, q = M // 2, M // 4
+        if M <= 4096:
+            r = np.arange(-h, h + 1)
+        else:
+            r = np.array([-h, -h + 1, -h + 2, -q, -1, 0, 1, q - 1, q, h - 2, h - 1, h, 12345, -12345])
         rows = r.reshape(-1, 1) if r.size % 4 else r.reshape(-1, 4)
         half = rows * (math.pi / M)
         phase = 2 * np.pi * rows / M
@@ -109,6 +120,69 @@ def test_half_angle_pair_matches_cos_and_sin(M):
     eps = np.finfo(float).eps
     assert np.all(np.abs(cos - np.cos(phase)) <= 2 * eps)
     assert np.all(np.abs(sin - np.sin(phase)) <= 2 * eps)
+
+
+def test_float_residues_are_exact_at_the_largest_admitted_grid():
+    # 2 n P^2 just below 2^53: the float residue of res * step is congruent
+    # to the int64 (res * step) % M and lies in [-M/2, M/2]
+    n, P = 2**20 - 1, 65536
+    assert 2 * n * P**2 < 2**53 <= 2 * (n + 1) * P**2
+    M = 2 * n * P
+    B = math.isqrt(P - 1) + 1
+    steps = np.concatenate([np.arange(-(-P // B)) * B, np.arange(B)])
+    rng = np.random.default_rng(11)
+    res = np.concatenate(
+        [[0, 1, 2, M // 2 - 1, M // 2, M // 2 + 1, M - 2, M - 1], rng.integers(0, M, 500)]
+    )
+    r, work = np.empty((2, len(res), len(steps)))
+    optimizer._residues(res.astype(float), steps.astype(float), M, r, work)
+    assert np.array_equal(r, np.rint(r))
+    assert np.max(np.abs(r)) <= M // 2
+    exact = np.multiply.outer(res, steps) % M
+    assert np.all((r.astype(np.int64) - exact) % M == 0)
+
+
+def test_scan_range_guard():
+    # the largest scan of the width law (n = 10^6, P = 65536) is admitted,
+    # and its first values match the pair sum; the first n with
+    # 2 n P^2 >= 2^53 is refused before any work
+    got = _tracking_curve(NATURAL, 10**6, 1, 65536)
+    ref = tracking_curve(NATURAL, 10**6, 1, 65536)
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+    with pytest.raises(ValueError, match="2\\^53"):
+        _tracking_curve(NATURAL, 2**20, 1, 65536)
+    _tracking_curve(NATURAL, 2**20 - 1, 1, 65536)
+
+
+@pytest.mark.parametrize("n", [100, 10_000])
+def test_pair_tables_hold_each_span(n):
+    # spans 1..80 cross six table boundaries (at v = 32, 45, 55, 63, 70 and
+    # 77); each span's residues, which are the multipliers d (2n + s) below
+    # M, and amplitudes are those of the pair enumeration, as multisets
+    P = 1024
+    M = 2 * n * P
+    amp, freq, span = pair_terms(NATURAL, n, 80, "position")
+    m = np.rint(freq / (math.pi**2 / 2))
+    tables = optimizer._span_pairs(n, M, 4.0 / math.pi**2)
+    for v, (res, a) in enumerate(islice(tables, 80), 1):
+        assert res.shape == (2 * v,) and a.shape == (2, 2 * v, 1)
+        assert np.array_equal(a[1], -a[0])
+        got = np.stack([res, a[0, :, 0]])
+        want = np.stack([m[span == v], amp[span == v]])
+        assert np.array_equal(got[:, np.lexsort(got)], want[:, np.lexsort(want)]), v
+
+
+def test_scan_memory_stays_bounded():
+    # the pair tables are capped at about 1024 pairs and a span's blocks at
+    # 64 KiB of residues, so the traced peak stays flat in n
+    for n in (10_000, 40_000):
+        tracemalloc.start()
+        try:
+            optimal_N(NATURAL, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (n, peak)
 
 
 def test_first_rise_stop_equals_exhaustive_scan():
@@ -152,11 +226,16 @@ def test_scan_stops_after_first_rise(monkeypatch):
 
 @pytest.mark.parametrize(
     "n,N_opt,product",
-    [(2000, 54, 308.47890679217085), (10_000, 144, 963.7811515087348)],
+    [
+        (2000, 54, 308.47890679217085),
+        (10_000, 144, 963.7811515087348),
+        (40_000, 337, 2542.1209652741554),
+    ],
 )
 def test_width_law_at_scale(n, N_opt, product):
-    # well above floor(sqrt(n)) = 44 and 100: the +-1 band holds only on
-    # the 10..500 grid
+    # well above floor(sqrt(n)) = 44, 100 and 200: the +-1 band holds only
+    # on the 10..500 grid. 144 and 337 are the values of the default
+    # 1024-point rectangle rule; the converged objective gives 142 and 327
     row = optimal_N(NATURAL, n)
     assert row.N_opt == N_opt
     assert math.isclose(row.product_min, product, rel_tol=1e-12)
