@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,12 +134,13 @@ def square_momentum(orbit: ClassicalOrbit, t):
     return np.where((f == 0.0) | (np.abs(f) == 0.5), 0.0, np.sign(f) * orbit.p_c)[()]
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=64, typed=True)
 def _table(series: str, order: int):
     """pi times the harmonics, the weights (2w, w) and the sine flag of one series.
 
-    Built once per series and order, read-only.
+    Built once per series and order, read-only; a typed cache, so 2.0 raises here.
     """
+    order = operator.index(order)
     if order < 0:
         raise ValueError(f"{series} order must be >= 0, got {order}")
     sine = series.endswith("momentum")
@@ -218,6 +220,8 @@ def gibbs_overshoot(orbit: ClassicalOrbit, m: int, refine_points: int = 1000) ->
     """
     if m < 1:
         raise ValueError(f"series order must be >= 1, got m={m}")
+    if refine_points < 1:
+        raise ValueError(f"need refine_points >= 1, got {refine_points}")
     lobe = math.pi / ((2 * m + 1) * orbit.omega)
     ts = np.linspace(lobe / refine_points, lobe, refine_points)
     vals = fourier_partial_momentum(orbit, m, ts)

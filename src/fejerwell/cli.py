@@ -39,7 +39,7 @@ from .classical import (
 )
 from .core import PacketSpec, WellConfig, _reduced_spread, spectral_data
 from .limits import limit_sequence
-from .optimizer import default_n_grid, optimal_N
+from .optimizer import optimal_N, scan_n
 from .quantum import exp_p2, oracle_expectation, packet_moments
 
 __all__ = ["RunConfig", "TimeSeries", "emit", "run", "main"]
@@ -147,11 +147,8 @@ def _resolve_N(cfg: WellConfig, n: int, N: int | str) -> int:
 
 
 def _series_fig1(config: RunConfig, cfg: WellConfig) -> TimeSeries:
-    n_values = config.n_list if config.n_list else default_n_grid()
-    rows = []
-    for n in n_values:
-        row = optimal_N(cfg, n)
-        rows.append((float(row.n), float(row.N_opt), row.sqrt_n, row.product_min))
+    scan = scan_n(cfg, config.n_list or None)
+    rows = [(float(r.n), float(r.N_opt), r.sqrt_n, r.product_min) for r in scan.rows]
     return TimeSeries(columns=("n", "N_opt", "sqrt_n", "product_min"), rows=rows)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,13 +62,16 @@ class PacketSpec:
     """Equal-weight superposition of the 2N+1 eigenstates n-N .. n+N.
 
     Every member carries amplitude 1/sqrt(2N+1). N < n keeps all level
-    indices valid (lowest member is n - N >= 1).
+    indices valid (lowest member is n - N >= 1). n and N are stored as
+    Python ints (numpy integers are converted; a float raises TypeError).
     """
 
     n: int
     N: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", operator.index(self.n))
+        object.__setattr__(self, "N", operator.index(self.N))
         if self.n < 1:
             raise ValueError(f"central quantum number must be >= 1, got n={self.n}")
         if self.N < 0:
@@ -243,8 +247,9 @@ def _half_angle(half, cos=None, sin=None, weights=(2.0, 1.0)) -> None:
     numpy runs float64 tan on a SIMD (SVML) loop and sin and cos on scalar
     libm, 4-10x slower per element (DECISIONS.md), so every phase trig of
     the package goes through here: the width scan's half phases pi r / M
-    of exact residues |r| <= M/2 and the moments' pi c with |c| <= 1/2,
-    both in [-pi/2, pi/2], and the classical pi h f. At a pole of tan the
+    of exact residues |r| <= M/2 and the moments' pi c with |c| <= 1/2
+    (quasi_exp's series among them, in the same kernel pass), both in
+    [-pi/2, pi/2], and the classical pi h f. At a pole of tan the
     rounded half is never exactly pi/2 + k pi, so t stays finite (about
     +-1.6e16 at +-pi/2): cos comes out -w and sin about +-1e-16 w, as
     np.sin(+-np.pi) gives, with no warning.

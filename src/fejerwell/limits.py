@@ -15,6 +15,7 @@ frequency detuning of the level pairs, which detuning_report exposes.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,15 +85,16 @@ def limit_sequence(
         raise ValueError("n_values must be strictly ascending")
     if t_points < 256:
         raise ValueError(f"need t_points >= 256, got {t_points}")
+    if isinstance(N_rule, str):
+        if N_rule != "sqrt":
+            raise ValueError(f"N_rule must be an integer or 'sqrt', got {N_rule!r}")
+    else:
+        N_rule = operator.index(N_rule)  # 2.5 raises TypeError, not truncated to 2
 
     rows = []
     for i, n in enumerate(n_values):
-        if isinstance(N_rule, str):
-            if N_rule != "sqrt":
-                raise ValueError(f"N_rule must be an integer or 'sqrt', got {N_rule!r}")
-            N = math.isqrt(n)
-        else:
-            N = int(N_rule)
+        n = operator.index(n)
+        N = math.isqrt(n) if N_rule == "sqrt" else N_rule
         if N >= n:
             raise ValueError(f"half-width N={N} not below n={n}")
         hbar_eff = p_c * a / (n * math.pi)

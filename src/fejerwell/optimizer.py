@@ -40,6 +40,7 @@ monotonically with N, so it has no interior minimum.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import islice
@@ -241,6 +242,7 @@ def optimal_N(
     has a single local minimum there (see the module docstring). Ties
     break toward the smaller N (the more monochromatic packet).
     """
+    n = operator.index(n)
     if n < 4:
         raise ValueError(f"need n >= 4, got n={n}")
     if N_max is None:
@@ -269,14 +271,12 @@ def scan_n(
 ) -> ScanResult:
     """optimal_N over a list of levels plus a log-log fit of N_opt vs n.
 
-    n_values must be ascending (repeats allowed); defaults to the
-    12-point geometric grid on [10, 500]. With fewer than 3 distinct
+    n_values, in any order (the rows keep it; `fig1` emits them), defaults
+    to the 12-point geometric grid on [10, 500]. With fewer than 3 distinct
     levels the fit is skipped (fit=None).
     """
     if n_values is None:
         n_values = default_n_grid()
-    if any(b < a for a, b in zip(n_values, n_values[1:])):
-        raise ValueError("n_values must be ascending")
     rows = [optimal_N(cfg, n, t_points=t_points) for n in n_values]
 
     fit = None

@@ -101,17 +101,17 @@ expectation_sample, uncertainty_product, reduced_uncertainty and the
 limit and CLI series all take this path; at (500, 23) one pass costs
 about as much as one exp_x2 call, not the three calls it replaces.
 
-Block size. The revival fraction and the split of its high part are
-formed once per call on t as passed, so a scalar t runs them on Python
-floats; each block then forms only the outer products frac(m * that
-fraction), and the element passes of the kernel run in place. Arrays are
-evaluated in blocks of at most core._CHUNK = 8192 instants x kernel
-columns, by the rule core._block_rows that the classical series share,
-and a t that fits in one block, a scalar included, runs that block with
-no loop. A block holds a few temporaries of that size at once (the
-phases, the sign, the two tangents, 1 + t^2 of each, one more for R',
-and 1 + t^2 or cos of the psi columns). Each
-float64 temporary is then at most 64 KiB, below
+Block size. Every moment runs one loop over blocks, in `_moments`. The
+revival fraction and the split of its high part are formed once per
+call on t as passed, so a scalar t runs them on Python floats; each
+block then forms only the outer products frac(m * that fraction), and
+the element passes of the kernel run in place. Arrays are evaluated in
+blocks of at most core._CHUNK = 8192 instants x kernel columns, by the
+rule core._block_rows that the classical series share, and a t that
+fits in one block, a scalar included, is that block, unsliced. A block
+holds a few temporaries of that size at once (the phases, the sign, the
+two tangents, 1 + t^2 of each, one more for R', and 1 + t^2 or cos of
+the psi columns). Each float64 temporary is then at most 64 KiB, below
 glibc's default mmap threshold of 128 KiB: the temporaries come from the
 heap and are reused from block to block. Larger blocks are mapped and
 unmapped, or trimmed from the heap, on every call unless some earlier
@@ -133,7 +133,6 @@ import numpy as np
 
 from .core import PacketSpec, WellConfig, packet_wavefunction, spectral_data
 from .core import _block_rows, _fraction, _half_angle, _reduced_spread, _split
-from .core import _CHUNK  # noqa: F401 (benchmarks/tracing.py reads quantum._CHUNK)
 
 __all__ = [
     "OBSERVABLES",
@@ -357,38 +356,28 @@ def _dirichlet(ker: _Kernel, c: np.ndarray, rate: bool):
     return R, dR
 
 
-def _blockwise(cfg: WellConfig, t, m: np.ndarray, bits: int, block, width: int = 1):
-    """Values over t, width per instant, shaped (width,) + t.shape.
-
-    block(c, out) gets c = frac(m tau) for a chunk of at most _CHUNK
-    instants x multipliers, and writes its values into out, a
-    (width x instants) view. c is the block's to overwrite. frac(t / T_rev)
-    and the split of its high part, to 53 - bits bits for `_phases`, are
-    formed once here on t as passed, in Python floats for a scalar t
-    (`core._fraction`). A t that fits in one block, a scalar included,
-    runs that block alone, with no loop or slicing.
-    """
-    t_arr = np.asarray(t, dtype=float)
-    hi, lo = _fraction(cfg._revival_rate, t_arr)
-    h, l = _split(hi, max(bits, 1))
-    l = l + lo
-    out = np.empty((width, t_arr.size))
-    step = _block_rows(len(m))
-    if t_arr.size <= step:
-        block(_phases(h, l, m).reshape(t_arr.size, len(m)), out)
-    else:
-        h, l = h.reshape(-1), l.reshape(-1)
-        for i in range(0, h.size, step):
-            block(_phases(h[i : i + step], l[i : i + step], m), out[:, i : i + step])
-    return out.reshape((width,) + t_arr.shape)
-
-
 def _moments(cfg: WellConfig, spec: PacketSpec, t, outputs: tuple[str, ...]) -> list:
-    """Each output at t from one kernel pass; np.float64 for a scalar t."""
+    """Each output at t from one loop over the blocks; np.float64 for a scalar t.
+
+    The high part of frac(t / T_rev) keeps 53 - bits bits for `_phases`.
+    """
     ker = _kernel(spec.n, spec.N, outputs)
     nk = len(ker.K)
-
-    def block(c, out):
+    t_arr = np.asarray(t, dtype=float)
+    hi, lo = _fraction(cfg._revival_rate, t_arr)
+    h, l = _split(hi, max(ker.bits, 1))
+    l = l + lo
+    brackets = np.empty((len(outputs), t_arr.size))
+    step = _block_rows(len(ker.m))
+    blocks = [(h, l, brackets)]  # a t that fits in one block, a scalar included
+    if t_arr.size > step:
+        h, l = h.reshape(-1), l.reshape(-1)
+        blocks = (
+            (h[i : i + step], l[i : i + step], brackets[:, i : i + step])
+            for i in range(0, h.size, step)
+        )
+    for h_i, l_i, out in blocks:
+        c = _phases(h_i, l_i, ker.m).reshape(out.shape[1], len(ker.m))
         R, dR = _dirichlet(ker, c[:, :nk], "rate" in ker.blocks)
         psi = c[:, nk:]
         psi *= math.pi  # psi / 2, for the one tangent of `core._half_angle`
@@ -415,7 +404,7 @@ def _moments(cfg: WellConfig, spec: PacketSpec, t, outputs: tuple[str, ...]) -> 
                 else:
                     np.matmul(f, w, out=acc)
 
-    brackets = _blockwise(cfg, t, ker.m, ker.bits, block, len(outputs))
+    brackets = brackets.reshape((len(outputs),) + t_arr.shape)
     vals = []
     for j, output in enumerate(outputs):
         if output == "position_sq":
@@ -598,67 +587,22 @@ def oracle_expectation(
 # --- quasi-quantum series ----------------------------------------------------
 
 
-def quasi_exp(
-    cfg: WellConfig,
-    spec: PacketSpec,
-    t,
-    kind: str,
-    frequencies: str = "exact",
-):
+def quasi_exp(cfg: WellConfig, spec: PacketSpec, t, kind: str):
     """Packet series with classical Fourier amplitudes in place of matrix elements.
 
-    Each level-pair matrix element of the observable is replaced by the
-    classical Fourier amplitude of the corresponding harmonic (for the
-    position: -4a/(pi^2 d^2) per cosine pair at odd difference d, a/2 at
-    d = 0; for the momentum the differentiated amplitudes 4 p_n/(pi d)),
-    while the oscillation stays quantum:
-
-    frequencies="exact" keeps every pair's own Bohr frequency
-    d (1 + s/(2n)) w_n, so only the amplitudes are altered and the
-    deviation from the true mean stays uniformly of order 1/n^2 at all
-    times. Grouped by d, the pairs sum to R_{2N+1-d}(theta_d) times
-    cos(2n theta_d) (position) or sin(2n theta_d) (momentum), as in the
-    d-groups of `exp_x`. frequencies="reference" collapses each harmonic
-    to the single Bohr frequency against the central level,
-    (E_{n+d} - E_n)/hbar = d (1 + d/(2n)) w_n; the resulting frequency
-    mismatch makes the deviation grow with t, isolating the effect of
-    unequal level spacing.
-
-    In both modes the retained time factors are unit-modulus phases
-    exp(-i (E_u - E_v) t / hbar), entering the real series as cosines or
-    sines exactly as in the true expectation values.
+    Each level pair keeps its own Bohr frequency d (1 + s/(2n)) w_n, and its
+    matrix element becomes the classical amplitude of harmonic d: for the
+    position -4a/(pi^2 d^2) per cosine pair at odd d (a/2 at d = 0), for the
+    momentum 4 p_n/(pi d) per sine pair. The deviation from the true mean,
+    the amplitude effect, therefore stays of order 1/n^2 at all times, and
+    the deviation from the Fejer average is the effect of unequal level
+    spacing alone. Grouped by d, the pairs sum to R_{2N+1-d}(theta_d) times
+    cos(2n theta_d) or sin(2n theta_d), the d-groups of `exp_x`, in one
+    kernel pass of `_moments`.
     """
     if kind not in ("position", "momentum"):
         raise ValueError(f"kind must be 'position' or 'momentum', got {kind!r}")
-    if frequencies not in ("exact", "reference"):
-        raise ValueError(
-            f"frequencies must be 'exact' or 'reference', got {frequencies!r}"
-        )
-    if frequencies == "exact":
-        return _moments(cfg, spec, t, ("quasi_" + kind,))[0]
-    n, N = spec.n, spec.N
-    if kind == "position":
-        scale = 4.0 * cfg.a / math.pi**2
-    else:
-        scale = 4.0 * spectral_data(cfg, n).p_n / math.pi
-    d = 2.0 * np.arange(N) + 1.0
-    # pairs sharing difference d, times the classical amplitude
-    amp = (2 * N + 1 - d) * (-1.0 / d**2 if kind == "position" else 1.0 / d)
-    m = d * (2 * n + d)  # (E_{n+d} - E_n) / hbar in units of w_b
-    bits = int(max(m, default=0)).bit_length()
-
-    def block(c, out):
-        c *= math.pi
-        if kind == "position":
-            _half_angle(c, c)
-        else:
-            _half_angle(c, None, c)
-        np.matmul(c, amp, out=out[0])
-
-    val = scale / spec.size * _blockwise(cfg, t, m, bits, block)[0]
-    if kind == "position":
-        val = cfg.a / 2.0 + val
-    return val[()]
+    return _moments(cfg, spec, t, ("quasi_" + kind,))[0]
 
 
 # --- uncertainty measures ----------------------------------------------------

@@ -136,6 +136,24 @@ def test_fejer_position_quarter_period(N):
     assert abs(fejer_position(ORBIT, N, T / 4) - 0.5) <= 2e-16
 
 
+def test_series_reject_non_integer_orders():
+    # an order is an index: 2.5 has no series, and 2.0 raises too, also
+    # after order 2 is cached
+    fejer_position(ORBIT, 2, 0.1)
+    for order in (2.5, 2.0):
+        with pytest.raises(TypeError):
+            fejer_position(ORBIT, order, 0.1)
+    assert fejer_position(ORBIT, np.int64(2), 0.1) == fejer_position(ORBIT, 2, 0.1)
+
+
+def test_gibbs_overshoot_rejects_bad_arguments():
+    with pytest.raises(ValueError):
+        gibbs_overshoot(ORBIT, 0)
+    with pytest.raises(ValueError):
+        gibbs_overshoot(ORBIT, 20, refine_points=0)
+    assert gibbs_overshoot(ORBIT, 20, refine_points=1) > 0.0
+
+
 def test_fejer_degenerate_order_zero():
     # N = 0 runs the general formula on an empty set of harmonics
     assert fejer_position(ORBIT, 0, 0.37) == 0.5

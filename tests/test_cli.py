@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from fejerwell import ClassicalOrbit, PacketSpec, WellConfig, fejer_position, quantum, reduced_uncertainty
+from fejerwell import ClassicalOrbit, PacketSpec, WellConfig, cli, fejer_position, quantum, reduced_uncertainty
 from fejerwell.cli import RunConfig, TimeSeries, emit, main, run
 
 
@@ -212,3 +212,67 @@ def test_run_config_api():
     # programmatic entry mirrors the CLI
     code = run(RunConfig(command="gibbs", m=20, out=None, format="csv"))
     assert code == 0
+
+
+def error_records(capsys):
+    return [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"command": "trajectories", "N": "best"},
+        {"command": "nope"},
+        {"command": "gibbs", "m": 5, "format": "xml"},
+    ],
+)
+def test_run_usage_errors_exit_one(tmp_path, capsys, fields):
+    out = tmp_path / "x.csv"
+    assert run(RunConfig(out=str(out), **fields)) == 1
+    assert [r["error"] for r in error_records(capsys)] == ["usage"]
+    assert not out.exists()
+
+
+def test_run_accepts_a_numeric_t_max(tmp_path):
+    out = tmp_path / "traj.csv"
+    t_max = 0.01
+    assert run(RunConfig(command="trajectories", n=50, N=3, t_max=t_max, steps=8, out=str(out))) == 0
+    assert float(lines(out)[-1].split(",")[0]) == t_max
+
+
+def test_gibbs_zero_order_exits_one():
+    assert main(["gibbs", "--m", "0"]) == 1
+
+
+def test_config_line_without_equals_exits_one(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("steps=8\nn 50\n")
+    out = tmp_path / "c.csv"
+    assert main(["trajectories", "--config", str(cfg), "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_oracle_check_tolerance_failure_exits_two(tmp_path, capsys, monkeypatch):
+    # every tolerance at 0: each row with a nonzero deviation fails, and
+    # the artifact is still written
+    monkeypatch.setattr(cli, "_ORACLE_CASES", ((10, 3),))
+    monkeypatch.setattr(cli, "_ORACLE_SPECS", tuple((kind, 0.0) for kind, _ in cli._ORACLE_SPECS))
+    out = tmp_path / "oracle.csv"
+    assert main(["oracle-check", "--out", str(out)]) == 2
+    assert [r["error"] for r in error_records(capsys)] == ["tolerance"]
+    rows = [[float(v) for v in row.split(",")] for row in lines(out)[1:]]
+    assert len(rows) == 4
+    assert all(row[-1] == float(row[3] == 0.0) for row in rows)
+    assert sum(row[-1] == 0.0 for row in rows) >= 3
+
+
+def test_variance_error_in_a_series_exits_two(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise quantum.VarianceError("variance -1 below round-off guard")
+
+    monkeypatch.setattr(cli, "packet_moments", broken)
+    out = tmp_path / "unc.csv"
+    assert main(["uncertainty", "--n", "50", "--N", "3", "--steps", "8", "--out", str(out)]) == 2
+    (record,) = error_records(capsys)
+    assert record["error"] == "validation" and "round-off" in record["message"]
+    assert not out.exists()

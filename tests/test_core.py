@@ -10,6 +10,7 @@ from fejerwell import (
     WellConfig,
     classical_period,
     energy,
+    exp_x2,
     packet_wavefunction,
     spectral_data,
     stationary_wavefunction,
@@ -107,6 +108,23 @@ def test_packet_spec_validation():
     with pytest.raises(ValueError):
         PacketSpec(n=5, N=-1)
     assert PacketSpec(n=5, N=2).size == 5
+
+
+def test_packet_spec_stores_python_ints():
+    # numpy integers are converted, so every moment of such a packet runs;
+    # a float level raises at construction instead of deep in a kernel
+    spec = PacketSpec(np.int64(500), np.int64(23))
+    assert type(spec.n) is int and type(spec.N) is int
+    assert spec == PacketSpec(500, 23)
+    assert exp_x2(NATURAL, spec, 0.3) == exp_x2(NATURAL, PacketSpec(500, 23), 0.3)
+    for n, N in [(500.5, 23), (500, 23.0)]:
+        with pytest.raises(TypeError):
+            PacketSpec(n, N)
+
+
+def test_stationary_wavefunction_rejects_bad_level():
+    with pytest.raises(ValueError):
+        stationary_wavefunction(NATURAL, 0, 0.5)
 
 
 def test_packet_vanishes_at_walls():

@@ -72,6 +72,17 @@ def test_rejects_bad_input():
         limit_sequence(1.0, 1.0, P_C, [4, 8], N_rule=9)
     with pytest.raises(ValueError):
         limit_sequence(1.0, 1.0, P_C, [100, 200], N_rule="cube")
+    # the rule is checked once, before any row: also with no rows at all
+    with pytest.raises(ValueError):
+        limit_sequence(1.0, 1.0, P_C, [], N_rule="cube")
+    with pytest.raises(TypeError):  # not truncated to N = 2
+        limit_sequence(1.0, 1.0, P_C, [100], N_rule=2.5)
+
+
+def test_numpy_integer_levels():
+    (row,) = limit_sequence(1.0, 1.0, P_C, [np.int64(100)], N_rule=np.int64(5), t_points=256)
+    assert type(row.n) is int and type(row.N) is int
+    assert row == limit_sequence(1.0, 1.0, P_C, [100], N_rule=5, t_points=256)[0]
 
 
 def test_detuning_leading_branches():

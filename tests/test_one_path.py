@@ -57,7 +57,7 @@ OF_T = {
     "exp_x2": lambda t: exp_x2(NATURAL, SPEC, t),
     "exp_p": lambda t: exp_p(NATURAL, SPEC, t),
     "quasi_exp": lambda t: quasi_exp(NATURAL, SPEC, t, "momentum"),
-    "quasi_exp_reference": lambda t: quasi_exp(NATURAL, SPEC, t, "position", frequencies="reference"),
+    "quasi_exp_position": lambda t: quasi_exp(NATURAL, SPEC, t, "position"),
     "reduced_uncertainty": lambda t: reduced_uncertainty(NATURAL, SPEC, t, "momentum"),
     "reduced_uncertainty_position": lambda t: reduced_uncertainty(NATURAL, SPEC, t, "position"),
     "uncertainty_product": lambda t: uncertainty_product(NATURAL, SPEC, t),

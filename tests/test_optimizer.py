@@ -241,6 +241,14 @@ def test_width_law_at_scale(n, N_opt, product):
     assert math.isclose(row.product_min, product, rel_tol=1e-12)
 
 
+def test_numpy_integer_levels():
+    row = optimal_N(NATURAL, np.int64(500))
+    assert type(row.n) is int
+    assert row == optimal_N(NATURAL, 500)
+    res = scan_n(NATURAL, list(np.array([50, 100, 200])))
+    assert res.rows == scan_n(NATURAL, [50, 100, 200]).rows
+
+
 def test_width_at_1e4_on_a_finer_grid():
     # the pinned 144 is the value of the default 1024-point rectangle rule
     assert optimal_N(NATURAL, 10_000, t_points=4096).N_opt == 142
@@ -346,8 +354,10 @@ def test_rejects_bad_input():
         optimal_N(NATURAL, 3)
     with pytest.raises(ValueError):
         optimal_N(NATURAL, 100, N_min=5, N_max=4)
+    # any order is accepted, and the rows keep it (fig1 --n-list emits them)
+    assert [r.n for r in scan_n(NATURAL, [100, 50]).rows] == [100, 50]
     with pytest.raises(ValueError):
-        scan_n(NATURAL, [100, 50])
+        default_n_grid(points=1)
     with pytest.raises(ValueError):
         _tracking_curve(NATURAL, 100, 5, t_points=0)
     with pytest.raises(ValueError):

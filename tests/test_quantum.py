@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from fejerwell import (
+    ClassicalOrbit,
     PacketSpec,
     WellConfig,
     exp_p,
@@ -18,6 +19,7 @@ from fejerwell import (
     exp_x2,
     energy,
     expectation_sample,
+    fejer_position,
     oracle_expectation,
     packet_moments,
     quasi_exp,
@@ -25,7 +27,7 @@ from fejerwell import (
     uncertainty_product,
 )
 from fejerwell.core import classical_period
-from fejerwell.quantum import _dirichlet, _kernel
+from fejerwell.quantum import VarianceError, _dirichlet, _kernel, _variance
 from pair_oracle import pair_terms
 
 NATURAL = WellConfig()
@@ -208,34 +210,48 @@ def test_quasi_position_close_at_large_n():
 
 
 def test_quasi_momentum_zero_at_start():
-    for mode in ("exact", "reference"):
-        assert quasi_exp(NATURAL, PacketSpec(n=50, N=7), 0.0, "momentum", frequencies=mode) == 0.0
+    assert quasi_exp(NATURAL, PacketSpec(n=50, N=7), 0.0, "momentum") == 0.0
 
 
-def test_quasi_reference_frequencies_dephase():
-    # collapsing each harmonic to the central-level Bohr frequency makes
-    # the deviation grow with time
-    spec = PacketSpec(n=50, N=7)
-    T = classical_period(NATURAL, 50)
-    early = np.linspace(0.0, T / 4, 300)
-    late = np.linspace(2.75 * T, 3.25 * T, 300)
-    d_early = np.max(np.abs(
-        quasi_exp(NATURAL, spec, early, "position", frequencies="reference")
-        - exp_x(NATURAL, spec, early)
-    ))
-    d_late = np.max(np.abs(
-        quasi_exp(NATURAL, spec, late, "position", frequencies="reference")
-        - exp_x(NATURAL, spec, late)
-    ))
-    assert d_late > 10 * d_early
+@pytest.mark.parametrize("n,N", [(50, 7), (500, 23)])
+def test_quasi_splits_spacing_from_amplitudes(n, N):
+    # <x> - fejer = (<x> - quasi) + (quasi - fejer): quasi_exp keeps every
+    # pair's exact Bohr frequency with classical amplitudes, so the first
+    # term is the amplitude effect and the second the level-spacing effect.
+    # Over three periods the spacing term dephases and grows more than
+    # tenfold, while the amplitude term does not grow.
+    spec = PacketSpec(n=n, N=N)
+    T = classical_period(NATURAL, n)
+    orbit = ClassicalOrbit(a=1.0, p_c=n * math.pi, mu=1.0)
+
+    def terms(ts):
+        x, quasi = exp_x(NATURAL, spec, ts), quasi_exp(NATURAL, spec, ts, "position")
+        return np.max(np.abs(quasi - fejer_position(orbit, N, ts))), np.max(np.abs(x - quasi))
+
+    spacing_early, amplitude_early = terms(np.linspace(0.0, T / 4, 300))
+    spacing_late, amplitude_late = terms(np.linspace(2.75 * T, 3.25 * T, 300))
+    assert spacing_late > 10 * spacing_early
+    assert amplitude_late <= amplitude_early
 
 
 def test_quasi_rejects_bad_arguments():
     spec = PacketSpec(n=50, N=7)
     with pytest.raises(ValueError):
         quasi_exp(NATURAL, spec, 0.0, "position_sq")
+
+
+def test_variance_guard():
+    # a variance below -1e-12 scale is an error; above it, round-off clamped to 0
+    assert _variance(1.0, 1.0 - 0.5e-12, 1.0) == 0.0
+    with pytest.raises(VarianceError):
+        _variance(1.0, 1.0 - 2e-12, 1.0)
+    with pytest.raises(VarianceError):
+        _variance(np.array([1.0, 0.0]), np.array([1.0 - 2e-12, 0.0]), 1.0)
+
+
+def test_reduced_uncertainty_rejects_unknown_kind():
     with pytest.raises(ValueError):
-        quasi_exp(NATURAL, spec, 0.0, "position", frequencies="detuned")
+        reduced_uncertainty(NATURAL, PacketSpec(n=50, N=7), 0.0, "energy")
 
 
 def test_reduced_uncertainty_momentum_starts_at_one():
