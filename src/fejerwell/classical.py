@@ -64,6 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import WellConfig, spectral_data
 from .core import _block_rows, _fraction, _half_angle, _rate, _reduced_spread, _rint
 
 __all__ = [
@@ -109,6 +110,19 @@ class ClassicalOrbit:
         """1/T = p_c / (2 a mu) from exact rationals, as `core._rate`, cached on the instance."""
         p, a, m = (float(v).as_integer_ratio() for v in (self.p_c, self.a, self.mu))
         return _rate(p[0] * a[1] * m[1], p[1] * 2 * a[0] * m[0])
+
+
+def _matched_orbit(cfg: WellConfig, n: int) -> ClassicalOrbit:
+    """The orbit matched to level n of the well: p_c = p_n, and the cycle
+    rate 2n / T_rev from the exact rational of `WellConfig._revival_ratio`.
+
+    From the rounded p_n alone, frac(t / T) drifted from the packet's
+    2n frac(t / T_rev) by about 1e-4 cycles at 10^9 revivals (n = 500).
+    """
+    orbit = ClassicalOrbit(a=cfg.a, p_c=spectral_data(cfg, n).p_n, mu=cfg.mu)
+    num, den = cfg._revival_ratio
+    orbit.__dict__["_cycle_rate"] = _rate(2 * n * num, den)  # fills the cached property
+    return orbit
 
 
 def _cycle(orbit: ClassicalOrbit, t):

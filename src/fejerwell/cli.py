@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -32,6 +33,7 @@ import numpy as np
 
 from .classical import (
     ClassicalOrbit,
+    _matched_orbit,
     classical_reduced_uncertainty,
     fejer_momentum,
     fejer_position,
@@ -155,9 +157,8 @@ def _series_fig1(config: RunConfig, cfg: WellConfig) -> TimeSeries:
 def _packet_series(config: RunConfig, cfg: WellConfig):
     """The packet, its matched orbit and the time grid of a time-series command."""
     spec = PacketSpec(n=config.n, N=_resolve_N(cfg, config.n, config.N))
-    sd = spectral_data(cfg, config.n)
-    orbit = ClassicalOrbit(a=cfg.a, p_c=sd.p_n, mu=cfg.mu)
-    ts = np.linspace(0.0, _resolve_t_max(config.t_max, sd.period), config.steps)
+    orbit = _matched_orbit(cfg, config.n)
+    ts = np.linspace(0.0, _resolve_t_max(config.t_max, orbit.period), config.steps)
     return spec, orbit, ts
 
 
@@ -257,13 +258,29 @@ def _series_oracle_check(config: RunConfig, cfg: WellConfig) -> tuple[TimeSeries
     return series, all_pass
 
 
+def _check_config(config: RunConfig) -> None:
+    """Reject a bad format or a non-integer field before any series is computed."""
+    if config.format not in ("csv", "json"):
+        raise ValueError(f"format must be 'csv' or 'json', got {config.format!r}")
+    integers = {"n": config.n, "steps": config.steps, "m": config.m}
+    if not isinstance(config.N, str):
+        integers["N"] = config.N
+    integers.update((f"n_list[{i}]", v) for i, v in enumerate(config.n_list or ()))
+    for name, value in integers.items():
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if config.steps < 2:
+        raise ValueError(f"need steps >= 2, got {config.steps}")
+
+
 def run(config: RunConfig) -> int:
     """Execute one command and emit its artifact; returns the exit status."""
     cfg = WellConfig()
     status = 0
     try:
-        if config.steps < 2:
-            raise ValueError(f"need steps >= 2, got {config.steps}")
+        _check_config(config)
         if config.command == "fig1":
             series = _series_fig1(config, cfg)
         elif config.command == "trajectories":

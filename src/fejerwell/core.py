@@ -45,16 +45,21 @@ class WellConfig:
             )
 
     @functools.cached_property
+    def _revival_ratio(self) -> tuple[int, int]:
+        """1/T_rev = pi hbar / (4 mu a^2) as integers (num, den), with pi to 106 bits."""
+        (hi_n, hi_d), (lo_n, lo_d) = math.pi.as_integer_ratio(), _PI_LO.as_integer_ratio()
+        h, m, a = (float(v).as_integer_ratio() for v in (self.hbar, self.mu, self.a))
+        num = (hi_n * lo_d + lo_n * hi_d) * h[0] * m[1] * a[1] ** 2
+        return num, hi_d * lo_d * h[1] * 4 * m[0] * a[0] ** 2
+
+    @functools.cached_property
     def _revival_rate(self) -> tuple[float, ...]:
-        """1/T_rev = pi hbar / (4 mu a^2) from exact rationals, as `_rate`.
+        """1/T_rev from `_revival_ratio`, as `_rate`.
 
         Cached on the instance: a lookup in its __dict__, where a cache
         keyed by the dataclass hash spends about 0.5 us per call hashing.
         """
-        (hi_n, hi_d), (lo_n, lo_d) = math.pi.as_integer_ratio(), _PI_LO.as_integer_ratio()
-        h, m, a = (float(v).as_integer_ratio() for v in (self.hbar, self.mu, self.a))
-        num = (hi_n * lo_d + lo_n * hi_d) * h[0] * m[1] * a[1] ** 2
-        return _rate(num, hi_d * lo_d * h[1] * 4 * m[0] * a[0] ** 2)
+        return _rate(*self._revival_ratio)
 
 
 @dataclass(frozen=True)
@@ -247,9 +252,10 @@ def _half_angle(half, cos=None, sin=None, weights=(2.0, 1.0)) -> None:
     numpy runs float64 tan on a SIMD (SVML) loop and sin and cos on scalar
     libm, 4-10x slower per element (DECISIONS.md), so every phase trig of
     the package goes through here: the width scan's half phases pi r / M
-    of exact residues |r| <= M/2 and the moments' pi c with |c| <= 1/2
-    (quasi_exp's series among them, in the same kernel pass), both in
-    [-pi/2, pi/2], and the classical pi h f. At a pole of tan the
+    of exact residues |r| <= M/2; the moments' pi c with |c| <= 1/2, both
+    the kernel's psi = 2n theta_d columns and the dense forms' level
+    phases m_j tau (quasi_exp's series among them, in the same pass), all
+    in [-pi/2, pi/2]; and the classical pi h f. At a pole of tan the
     rounded half is never exactly pi/2 + k pi, so t stays finite (about
     +-1.6e16 at +-pi/2): cos comes out -w and sin about +-1e-16 w, as
     np.sin(+-np.pi) gives, with no warning.

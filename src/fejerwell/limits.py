@@ -20,12 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import (
-    ClassicalOrbit,
-    fejer_momentum,
-    fejer_position,
-    fejer_position_sq,
-)
+from .classical import _matched_orbit, fejer_momentum, fejer_position, fejer_position_sq
 from .core import PacketSpec, WellConfig, spectral_data
 from .quantum import packet_moments
 
@@ -100,7 +95,7 @@ def limit_sequence(
         hbar_eff = p_c * a / (n * math.pi)
         cfg = WellConfig(a=a, mu=mu, hbar=hbar_eff)
         spec = PacketSpec(n=n, N=N)
-        orbit = ClassicalOrbit(a=a, p_c=p_c, mu=mu)
+        orbit = _matched_orbit(cfg, n)
         points = t_points * 2 if i == len(n_values) - 1 else t_points
         ts = np.linspace(0.0, orbit.period, points)
         x, x2, p = packet_moments(cfg, spec, ts)

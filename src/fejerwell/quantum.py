@@ -34,6 +34,41 @@ even s, and <p> = mu w_b d<x>/dtau uses R_K'. Each moment therefore
 costs O(N) kernel evaluations per instant, not O(N^2) pair terms
 (Zygmund, Trigonometric Series, ch. III).
 
+Dense quadratic forms. The same means are quadratic forms in the 2N + 1
+level phases. With u_j = n + j and m_j = 2nj + j^2 = u_j^2 - n^2 for
+j = -N..N, every pair phase is (m_j - m_k) tau, so with a_j = cos(m_j tau)
+and b_j = sin(m_j tau), d = j - k and s = j + k:
+
+    <x>   = a/2 + (2a/pi^2)/(2N+1) * sum_jk X_jk (a_j a_k + b_j b_k),
+            X_jk = 1/(2n+s)^2 - 1/d^2 for odd d, else 0
+    <x^2> = diagonal + (2a^2/pi^2)/(2N+1) * sum_jk X2_jk (a_j a_k + b_j b_k),
+            X2_jk = (-1)^d (1/d^2 - 1/(2n+s)^2) for d != 0
+    <p>   = -(2 hbar/a)/(2N+1) * sum_jk G_jk b_j a_k,
+            G_jk = 2u_j (1/(u_j+u_k) - 1/(u_j-u_k)) = -4 u_j u_k / (d (2n+s)) for odd d
+
+and quasi_exp keeps the -1/d^2 part of X (position) or takes 1/d on
+b_j a_k (momentum). `_moments` takes these forms for every packet whose
+(2N+1)^2 matrix fits in core._CHUNK elements, N <= 44, which includes
+the paper's (500, 23) and every packet of n < 2025 at N = isqrt(n):
+per block of instants it forms a and b from the tangents of their half
+phases and does one BLAS product per moment, ([a; b] @ X) * [a; b] summed
+over each row, or (b @ G) * a. The forms have no Taylor branch, so the
+cancellation of the direct R_K' just above the kernel's Taylor threshold
+is gone there. Larger packets keep the Dirichlet kernel, O(N) per
+instant, where the dense forms are O(N^2): forced at (10^5, 316) they
+were 1.8-3x slower, while at (10^4, 100) a fused pass was still 1.4x
+faster (exp_x alone 0.9-1.1x), so the cut-off keeps each matrix within
+the 64 KiB block limit rather than at the speed crossing (DECISIONS.md,
+"Small packets as dense quadratic forms"). Measured against the 40-digit
+pair sum, in eps of a, a^2 and p_n (each path forced in turn):
+
+    instants                                       kernel <x>/<x^2>/<p>   dense
+    near-singular set and three long times,        1.0 / 2.0 / 3.6        0.5 / 1.0 / 1.3
+      (500, 23) and (2000, 44)
+    60 instants just above the Taylor threshold,   0.9 / 1.3 / 40.7       0.8 / 0.8 / 1.3
+      (500, 23)
+    the same near-singular set, (61, 60)           0.9 / 1.5 / 108.4      0.5 / 0.6 / 0.3
+
 Every closed form here is validated by `oracle_expectation`, which knows
 nothing of the term parametrization: its "grid" path evaluates the packet
 wavefunction on a quadrature grid and applies the operators numerically,
@@ -50,9 +85,10 @@ classical series share (an exact two-product of t with the high part of
 non-finite t raises ValueError), and each phase is reduced as
 frac(integer * that fraction) with an exact leading product. Long-time
 evaluation is therefore exact to rounding while the largest multiplier,
-4nN, stays below 2^27 (n = 10^5 with N = sqrt(n) is inside); past that
-the bound on the rounded part of each phase grows by a factor of 4 per
-doubling of the multiplier. Each R_K is evaluated at x = phi - j pi, with
+4nN for the kernel and 2nN + N^2 for the dense forms, stays below 2^27
+(n = 10^5 with N = sqrt(n) is inside); past that the bound on the
+rounded part of each phase grows by a factor of 4 per doubling of the
+multiplier. Each R_K is evaluated at x = phi - j pi, with
 j = rint(phi / pi) in {-1, 0, 1} so that |x| <= pi/2, times the sign
 (-1)^(j(K-1)), and from its Taylor series where |K x| is small, so the
 removable singularities at phi = j pi cost no accuracy.
@@ -80,10 +116,9 @@ sin psi come out -1 and about 1e-16, as np.cos and np.sin of pi give.
 Scalar and array t take the same code. A scalar t is reduced in Python
 floats (`core._fraction`) and its one row of phases comes from plain
 products, the same IEEE operations as the outer products of an array
-call; it comes back as np.float64. The kernel sums are matrix-vector
-products, which BLAS may round differently for one instant than for
-many, so a scalar agrees with the matching element of an array call to
-rounding.
+call; it comes back as np.float64. The sums are matrix products, which
+BLAS may round differently for one instant than for many, so a scalar
+agrees with the matching element of an array call to rounding.
 
 One pass for every moment at an instant. Delta-x and Delta-p need <x>,
 <x^2> and <p> at the same t, and the three share their phases: the <x>
@@ -98,8 +133,9 @@ moment weights are formed. Each moment sums its own columns in the
 order its standalone kernel does, so for a scalar t the values equal
 those of exp_x, exp_x2 and exp_p bit for bit, and <p>(0) is exactly 0.
 expectation_sample, uncertainty_product, reduced_uncertainty and the
-limit and CLI series all take this path; at (500, 23) one pass costs
-about as much as one exp_x2 call, not the three calls it replaces.
+limit and CLI series all take this path; on the kernel one pass costs
+about as much as one exp_x2 call, not the three calls it replaces. A
+dense pass forms a and b once and does one product per moment.
 
 Block size. Every moment runs one loop over blocks, in `_moments`. The
 revival fraction and the split of its high part are formed once per
@@ -120,6 +156,11 @@ pass counts the union of its columns, so its blocks hold fewer instants
 than a standalone exp_x block (44 against 89 at (500, 23)), and no
 temporary ever spans instants x columns x moments; an array therefore
 agrees with the standalone calls to rounding rather than bit for bit.
+Dense blocks hold core._block_rows(2(2N+1)) instants, so the stacked
+[a; b] and its product with a matrix are at most 64 KiB each, as is each
+cached matrix ((2N+1)^2 <= _CHUNK); every moment of a dense pass reads
+the same blocks, so there its arrays equal the standalone calls bit for
+bit too.
 """
 
 from __future__ import annotations
@@ -132,7 +173,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PacketSpec, WellConfig, packet_wavefunction, spectral_data
-from .core import _block_rows, _fraction, _half_angle, _reduced_spread, _split
+from .core import _CHUNK, _block_rows, _fraction, _half_angle, _reduced_spread, _split
 
 __all__ = [
     "OBSERVABLES",
@@ -356,19 +397,136 @@ def _dirichlet(ker: _Kernel, c: np.ndarray, rate: bool):
     return R, dR
 
 
+def _kernel_block(ker: _Kernel, c: np.ndarray, out: np.ndarray) -> None:
+    """The brackets of one block of instants from its phase fractions c."""
+    nk = len(ker.K)
+    R, dR = _dirichlet(ker, c[:, :nk], "rate" in ker.blocks)
+    psi = c[:, nk:]
+    psi *= math.pi  # psi / 2, for the one tangent of `core._half_angle`
+    feats = {"cos": R, "rate": dR}
+    if "sin" in ker.blocks:
+        cos = np.empty(psi.shape) if "cos" in ker.blocks or dR is not None else None
+        _half_angle(psi, cos, psi)  # sin psi over psi
+        feats["sin"] = np.multiply(psi, R[:, : ker.nd])
+    else:  # "cos" or "rate": cos psi alone
+        cos = psi
+        _half_angle(psi, cos)
+    if cos is not None:
+        if "cos" in ker.blocks:
+            R[:, : ker.nd] *= cos
+        if dR is not None:
+            dR[:, : ker.nd] *= cos
+    for acc, terms in zip(out, ker.terms):
+        for i, (name, cols, w) in enumerate(terms):
+            # a gather is C-ordered, so BLAS sums each row as it sums
+            # the same columns in the kernel of this output alone
+            f = feats[name] if cols is None else feats[name].take(cols, axis=1)
+            if i:
+                np.add(acc, f @ w, out=acc)
+            else:
+                np.matmul(f, w, out=acc)
+
+
+# --- dense quadratic forms ---------------------------------------------------
+
+
+@functools.lru_cache(maxsize=32)
+def _form(n: int, N: int, kind: str) -> np.ndarray:
+    """The read-only (2N+1)^2 matrix X of one output's quadratic form.
+
+    Row j and column k stand for the levels n + j and n + k, j, k = -N..N;
+    with d = j - k and w = 2n + j + k, the bracket of `_moments` is
+    sum_jk X_jk (a_j a_k + b_j b_k) for the position kinds and
+    sum_jk X_jk b_j a_k for the momentum kinds. X is the docstring's X/2,
+    X2/2 or -G (and the quasi parts of X/2), so each bracket equals the
+    kernel's and both paths share one output scaling. -G_jk is
+    4 (n+j)(n+k) / (d w), one division of exact integers.
+    """
+    j = np.arange(-N, N + 1.0)
+    d = np.subtract.outer(j, j)
+    w = np.add.outer(j, j)
+    w += 2.0 * n
+    pair = d != 0 if kind == "position_sq" else d % 2 != 0
+    d, w = d[pair], w[pair]
+    X = np.zeros((len(j), len(j)))
+    if kind == "position":
+        X[pair] = 0.5 / w**2 - 0.5 / d**2
+    elif kind == "position_sq":
+        X[pair] = np.where(d % 2 == 0, 0.5, -0.5) * (1.0 / d**2 - 1.0 / w**2)
+    elif kind == "momentum":
+        u = j + n
+        X[pair] = 4.0 * np.multiply.outer(u, u)[pair] / (d * w)
+    elif kind == "quasi_position":
+        X[pair] = -0.5 / d**2
+    else:  # quasi_momentum
+        X[pair] = 1.0 / d
+    X.setflags(write=False)
+    return X
+
+
+@dataclass(frozen=True)
+class _Dense:
+    """Read-only level multipliers and matrices of one (n, N, outputs) dense pass."""
+
+    m: np.ndarray  # 2n j + j^2: u_j^2 - n^2, so a_j = cos(m_j tau)
+    forms: tuple[tuple[bool, np.ndarray], ...]  # (reads b_j a_k, X) per output
+    const: np.ndarray
+    bits: int  # every m is below 2**bits
+
+
+@functools.lru_cache(maxsize=16)
+def _dense(n: int, N: int, outputs: tuple[str, ...]) -> _Dense:
+    """The multipliers and one matrix per output; <x^2> adds its diagonal as a constant."""
+    j = np.arange(-N, N + 1.0)
+    m = (j + 2 * n) * j
+    diagonal = -0.125 * float(np.sum(1.0 / (j + n) ** 2))
+    const = np.array([diagonal if out == "position_sq" else 0.0 for out in outputs])
+    m.setflags(write=False)
+    const.setflags(write=False)
+    return _Dense(
+        m=m,
+        forms=tuple((out.endswith("momentum"), _form(n, N, out)) for out in outputs),
+        const=const,
+        bits=(2 * n * N + N * N).bit_length(),
+    )
+
+
+def _dense_block(plan: _Dense, c: np.ndarray, out: np.ndarray) -> None:
+    """The brackets of one block: a = cos(m tau) and b = sin(m tau) from the
+    half phases pi c, stacked as the rows of a over the rows of b, then one
+    matrix product per output."""
+    c *= math.pi
+    ab = np.empty((2,) + c.shape)
+    _half_angle(c, ab[0], ab[1])
+    rows = ab.reshape(-1, c.shape[1])
+    for acc, (sine, X) in zip(out, plan.forms):
+        if sine:
+            y = ab[1] @ X
+            y *= ab[0]
+            np.add.reduce(y, axis=-1, out=acc)
+        else:
+            y = rows @ X
+            y *= rows
+            y = np.add.reduce(y, axis=-1)
+            np.add(y[: len(acc)], y[len(acc) :], out=acc)
+
+
 def _moments(cfg: WellConfig, spec: PacketSpec, t, outputs: tuple[str, ...]) -> list:
     """Each output at t from one loop over the blocks; np.float64 for a scalar t.
 
-    The high part of frac(t / T_rev) keeps 53 - bits bits for `_phases`.
+    A packet whose (2N+1)^2 matrix fits in _CHUNK elements (N <= 44) takes
+    the dense quadratic forms, a larger one the Dirichlet kernel. The high
+    part of frac(t / T_rev) keeps 53 - bits bits for `_phases`.
     """
-    ker = _kernel(spec.n, spec.N, outputs)
-    nk = len(ker.K)
+    dense = spec.size**2 <= _CHUNK
+    plan = (_dense if dense else _kernel)(spec.n, spec.N, outputs)
+    width = len(plan.m)
     t_arr = np.asarray(t, dtype=float)
     hi, lo = _fraction(cfg._revival_rate, t_arr)
-    h, l = _split(hi, max(ker.bits, 1))
+    h, l = _split(hi, max(plan.bits, 1))
     l = l + lo
     brackets = np.empty((len(outputs), t_arr.size))
-    step = _block_rows(len(ker.m))
+    step = _block_rows(2 * width if dense else width)
     blocks = [(h, l, brackets)]  # a t that fits in one block, a scalar included
     if t_arr.size > step:
         h, l = h.reshape(-1), l.reshape(-1)
@@ -376,33 +534,9 @@ def _moments(cfg: WellConfig, spec: PacketSpec, t, outputs: tuple[str, ...]) -> 
             (h[i : i + step], l[i : i + step], brackets[:, i : i + step])
             for i in range(0, h.size, step)
         )
+    block = _dense_block if dense else _kernel_block
     for h_i, l_i, out in blocks:
-        c = _phases(h_i, l_i, ker.m).reshape(out.shape[1], len(ker.m))
-        R, dR = _dirichlet(ker, c[:, :nk], "rate" in ker.blocks)
-        psi = c[:, nk:]
-        psi *= math.pi  # psi / 2, for the one tangent of `core._half_angle`
-        feats = {"cos": R, "rate": dR}
-        if "sin" in ker.blocks:
-            cos = np.empty(psi.shape) if "cos" in ker.blocks or dR is not None else None
-            _half_angle(psi, cos, psi)  # sin psi over psi
-            feats["sin"] = np.multiply(psi, R[:, : ker.nd])
-        else:  # "cos" or "rate": cos psi alone
-            cos = psi
-            _half_angle(psi, cos)
-        if cos is not None:
-            if "cos" in ker.blocks:
-                R[:, : ker.nd] *= cos
-            if dR is not None:
-                dR[:, : ker.nd] *= cos
-        for acc, terms in zip(out, ker.terms):
-            for i, (name, cols, w) in enumerate(terms):
-                # a gather is C-ordered, so BLAS sums each row as it sums
-                # the same columns in the kernel of this output alone
-                f = feats[name] if cols is None else feats[name].take(cols, axis=1)
-                if i:
-                    np.add(acc, f @ w, out=acc)
-                else:
-                    np.matmul(f, w, out=acc)
+        block(plan, _phases(h_i, l_i, plan.m).reshape(out.shape[1], width), out)
 
     brackets = brackets.reshape((len(outputs),) + t_arr.shape)
     vals = []
@@ -416,7 +550,7 @@ def _moments(cfg: WellConfig, spec: PacketSpec, t, outputs: tuple[str, ...]) -> 
             offset, factor = 0.0, 4.0 * spectral_data(cfg, spec.n).p_n / math.pi
         else:
             offset, factor = cfg.a / 2.0, 4.0 * cfg.a / math.pi**2
-        vals.append(offset + factor / spec.size * (ker.const[j] + brackets[j]))
+        vals.append(offset + factor / spec.size * (plan.const[j] + brackets[j]))
     return vals
 
 
@@ -427,8 +561,8 @@ def packet_moments(cfg: WellConfig, spec: PacketSpec, t, kinds=_PACKET) -> tuple
     evaluates the union of their kernel columns once, so it costs about
     as much as the widest of the matching exp_x, exp_x2 and exp_p calls.
     Each value equals that call's, bit for bit for a scalar t and to
-    rounding for an array (its blocks hold fewer instants); scalar or
-    array t, each value shaped like t.
+    rounding for an array on the kernel (its blocks hold fewer instants);
+    scalar or array t, each value shaped like t.
     """
     kinds = tuple(kinds)
     if not kinds or not set(kinds) <= set(_PACKET):
@@ -449,8 +583,9 @@ def exp_x2(cfg: WellConfig, spec: PacketSpec, t):
 def exp_p(cfg: WellConfig, spec: PacketSpec, t):
     """Packet momentum mean <p>(t) = mu * d<x>/dt, taken term by term.
 
-    At t = 0 every R_K' and every sin(2n theta_d) is exactly zero, so the
-    value there is exactly zero, here and in `packet_moments`.
+    At t = 0 every R_K' and every sin(2n theta_d) is exactly zero, as is
+    every b_j of the dense forms, so the value there is exactly zero, here
+    and in `packet_moments`.
     """
     return _moments(cfg, spec, t, ("momentum",))[0]
 
@@ -598,7 +733,8 @@ def quasi_exp(cfg: WellConfig, spec: PacketSpec, t, kind: str):
     the deviation from the Fejer average is the effect of unequal level
     spacing alone. Grouped by d, the pairs sum to R_{2N+1-d}(theta_d) times
     cos(2n theta_d) or sin(2n theta_d), the d-groups of `exp_x`, in one
-    kernel pass of `_moments`.
+    kernel pass of `_moments`; a packet with N <= 44 takes the dense form
+    with matrix -1/d^2 or 1/d at odd d instead.
     """
     if kind not in ("position", "momentum"):
         raise ValueError(f"kind must be 'position' or 'momentum', got {kind!r}")

@@ -24,6 +24,7 @@ from fejerwell import (
     sawtooth_position,
     square_momentum,
 )
+from fejerwell.classical import _cycle, _matched_orbit
 
 ORBIT = ClassicalOrbit()  # a = p_c = mu = 1, T = 2
 T = ORBIT.period
@@ -370,3 +371,19 @@ def test_orbit_validation():
         fourier_partial_position(ORBIT, -1, 0.0)
     with pytest.raises(ValueError):
         gibbs_overshoot(ORBIT, 0)
+
+
+@pytest.mark.parametrize("hbar", [1.0, 0.7])
+def test_matched_orbit_keeps_the_packet_phase_at_long_times(hbar):
+    # t = (10^9 + 1/4) T_rev at n = 500: the matched orbit's frac(t / T)
+    # equals 2n frac(t / T_rev) with 1/T_rev = pi hbar / 4 (a = mu = 1),
+    # here in 60 digits; an orbit built from the rounded p_n was 1e-4
+    # cycles off
+    cfg, n = WellConfig(hbar=hbar), 500
+    t = (10**9 + 0.25) * (4.0 / (math.pi * hbar))
+    with mpmath.workdps(60):
+        cycles = 2 * n * mpmath.mpf(t) * mpmath.pi * mpmath.mpf(hbar) / 4
+        ref = float(cycles - mpmath.nint(cycles))
+    orbit = _matched_orbit(cfg, n)
+    assert orbit.p_c == n * math.pi * hbar
+    assert abs(_cycle(orbit, t) - ref) <= np.finfo(float).eps

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from fejerwell import ClassicalOrbit, PacketSpec, WellConfig, cli, fejer_position, quantum, reduced_uncertainty
+from fejerwell.classical import _matched_orbit
 from fejerwell.cli import RunConfig, TimeSeries, emit, main, run
 
 
@@ -224,6 +225,10 @@ def error_records(capsys):
         {"command": "trajectories", "N": "best"},
         {"command": "nope"},
         {"command": "gibbs", "m": 5, "format": "xml"},
+        {"command": "trajectories", "n": 50.5, "N": 3},
+        {"command": "trajectories", "n": 50, "N": 2.5},
+        {"command": "limit", "n_list": [100, 200.0]},
+        {"command": "gibbs", "m": 5.0},
     ],
 )
 def test_run_usage_errors_exit_one(tmp_path, capsys, fields):
@@ -231,6 +236,26 @@ def test_run_usage_errors_exit_one(tmp_path, capsys, fields):
     assert run(RunConfig(out=str(out), **fields)) == 1
     assert [r["error"] for r in error_records(capsys)] == ["usage"]
     assert not out.exists()
+
+
+def test_run_checks_format_before_any_series(tmp_path, capsys, monkeypatch):
+    # a usage error costs no width scan
+    def series(*args):
+        raise AssertionError("fig1 series computed before the format check")
+
+    monkeypatch.setattr(cli, "_series_fig1", series)
+    out = tmp_path / "fig1.xml"
+    assert run(RunConfig(command="fig1", format="xml", out=str(out))) == 1
+    assert [r["error"] for r in error_records(capsys)] == ["usage"]
+    assert not out.exists()
+
+
+def test_packet_series_use_the_matched_orbit():
+    # the classical columns keep the packet's exact cycle rate 2n / T_rev
+    cfg = WellConfig()
+    _, orbit, _ = cli._packet_series(RunConfig(command="trajectories", n=500, N=23), cfg)
+    assert orbit == _matched_orbit(cfg, 500)
+    assert orbit._cycle_rate == _matched_orbit(cfg, 500)._cycle_rate
 
 
 def test_run_accepts_a_numeric_t_max(tmp_path):

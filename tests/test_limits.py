@@ -14,6 +14,8 @@ from fejerwell import (
     limit_sequence,
     spectral_data,
 )
+from fejerwell import limits
+from fejerwell.classical import _matched_orbit
 from fejerwell.quantum import exp_p, exp_x
 
 P_C = 500.0 * math.pi
@@ -119,3 +121,12 @@ def test_detuning_edge_harmonic():
         detuning_report(cfg, PacketSpec(n=50, N=7), 15)
     with pytest.raises(ValueError):
         detuning_report(cfg, PacketSpec(n=50, N=7), 0)
+
+
+def test_rows_use_the_matched_orbit(monkeypatch):
+    # each row's classical series run on the orbit matched to its packet,
+    # with the cycle rate 2n / T_rev of that row's hbar
+    made = []
+    monkeypatch.setattr(limits, "_matched_orbit", lambda cfg, n: made.append((cfg.hbar, n)) or _matched_orbit(cfg, n))
+    rows = limit_sequence(1.0, 1.0, P_C, [100, 200], N_rule=3, t_points=256)
+    assert made == [(r.hbar_eff, r.n) for r in rows]

@@ -1,5 +1,6 @@
 """Tests for the closed-form packet expectation values against first principles."""
 
+import functools
 import math
 
 import mpmath
@@ -27,6 +28,8 @@ from fejerwell import (
     uncertainty_product,
 )
 from fejerwell.core import classical_period
+from fejerwell import quantum
+from fejerwell.core import _CHUNK
 from fejerwell.quantum import VarianceError, _dirichlet, _kernel, _variance
 from pair_oracle import pair_terms
 
@@ -349,6 +352,7 @@ def test_singular_phases_match_spectral_oracle(n):
             assert abs(fn(NATURAL, spec, t) - oracle) <= tol * scales[kind], (kind, t)
 
 
+@functools.cache
 def _mp_moments(n, N, t):
     """<x>, <x^2>, <p> summed over level pairs in 40-digit arithmetic at the float t."""
     with mpmath.workdps(40):
@@ -424,16 +428,155 @@ def _near_singular_instants(n):
     return [t + offset * T for t in exact for offset in (0.0, 1e-9, 1e-6, -3e-5)]
 
 
+def _taylor_edge_instants(n):
+    """20 geometric t/T in [1e-5, 3e-2] after 0, 1 and 3 T_rev, where |K x| of
+    the kernel columns crosses its Taylor threshold and the direct R_K' cancels."""
+    T = classical_period(NATURAL, n)
+    return [(k * 2 * n + f) * T for k in (0, 1, 3) for f in np.geomspace(1e-5, 3e-2, 20)]
+
+
 @pytest.mark.parametrize("n,N", [(500, 23), (2000, 44)])
 def test_kernels_exact_to_rounding_near_singular_phases(n, N):
     # at and next to k T/2 and k T_rev the kernel phases sit on or next to
     # multiples of pi, where R_K = sin(K x)/sin(x) is a removable 0/0 and
-    # tan(x/2) has a pole unless x is first reduced by j pi
+    # tan(x/2) has a pole unless x is first reduced by j pi; both packets
+    # take the dense forms, and at (500, 23) the Dirichlet kernel's <p> was
+    # 44 eps off just above its Taylor threshold
     spec = PacketSpec(n=n, N=N)
     eps = np.finfo(float).eps
     bounds = {"position": 4 * eps, "position_sq": 4 * eps, "momentum": 16 * eps * n * math.pi}
-    for t in _near_singular_instants(n):
+    for t in _near_singular_instants(n) + (_taylor_edge_instants(n) if n == 500 else []):
         ref = _mp_moments(n, N, t)
+        for kind, fn in CLOSED_FORMS.items():
+            assert abs(fn(NATURAL, spec, t) - ref[kind]) <= bounds[kind], (kind, t)
+
+
+def _force_path(monkeypatch, dense):
+    """Send every packet down one path: `_moments` compares (2N+1)^2 with quantum._CHUNK."""
+    monkeypatch.setattr(quantum, "_CHUNK", 1 << 62 if dense else 0)
+
+
+def _checked_instants(n):
+    """The near-singular instants and three long times 0.3 T + k T_rev."""
+    T = classical_period(NATURAL, n)
+    return _near_singular_instants(n) + [0.3 * T + k * (2 * n * T) for k in (1, 1000, 10**6)]
+
+
+def test_dense_forms_serve_packets_up_to_the_block_limit(monkeypatch):
+    # the dense path runs wherever the (2N+1)^2 matrix fits one block of
+    # core._CHUNK elements: N = 44 (7921 elements) and not N = 45 (8281)
+    blocks = []
+    dense_block = quantum._dense_block
+    monkeypatch.setattr(quantum, "_dense_block", lambda *args: blocks.append(args) or dense_block(*args))
+    for N, dense in ((44, True), (45, False)):
+        blocks.clear()
+        packet_moments(NATURAL, PacketSpec(n=2000, N=N), np.linspace(0.0, 1e-3, 300))
+        assert bool(blocks) == dense, N
+        assert all(2 * c.size <= _CHUNK for _, c, _ in blocks)  # the stacked [a; b] of a block
+    for kind in ("position", "position_sq", "momentum", "quasi_position", "quasi_momentum"):
+        assert quantum._form(2000, 44, kind).size <= _CHUNK
+
+
+@pytest.mark.parametrize("n,N", [(2000, 44), (61, 60)])
+def test_dense_and_kernel_paths_agree(monkeypatch, n, N):
+    # each path forced on a packet of the other side of the rule: <x> and
+    # <x^2> agree to 4 eps, and the dense forms equal the 40-digit pair sum
+    # to 4 eps of a, a^2 and p_n (they measured 0.65 eps or less)
+    spec = PacketSpec(n=n, N=N)
+    eps = np.finfo(float).eps
+    scales = _scales(n)
+    kinds = tuple(CLOSED_FORMS)
+    for t in _checked_instants(n):
+        _force_path(monkeypatch, dense=True)
+        dense = dict(zip(kinds, packet_moments(NATURAL, spec, t, kinds)))
+        _force_path(monkeypatch, dense=False)
+        kernel = dict(zip(kinds, packet_moments(NATURAL, spec, t, kinds)))
+        ref = _mp_moments(n, N, t)
+        for kind in kinds:
+            assert abs(dense[kind] - ref[kind]) <= 4 * eps * scales[kind], (kind, t)
+        for kind in ("position", "position_sq"):
+            assert abs(dense[kind] - kernel[kind]) <= 4 * eps * scales[kind], (kind, t)
+
+
+@pytest.mark.parametrize(
+    "n,N",
+    [
+        (2000, 44),
+        pytest.param(61, 60, marks=pytest.mark.xfail(
+            strict=True, reason="the kernel's <p> is 13-108 eps of p_n off at and next to k T_rev / 2"
+        )),
+    ],
+)
+def test_kernel_momentum_near_singular_phases(monkeypatch, n, N):
+    # the Dirichlet kernel's <p> on the instants of the dense test above,
+    # with the 16 eps bound it met at (2000, 44) before that packet went dense
+    spec = PacketSpec(n=n, N=N)
+    _force_path(monkeypatch, dense=False)
+    bound = 16 * np.finfo(float).eps * n * math.pi
+    for t in _checked_instants(n):
+        assert abs(exp_p(NATURAL, spec, t) - _mp_moments(n, N, t)["momentum"]) <= bound, t
+
+
+def _mp_closed_form(n, N, t):
+    """<x>, <x^2>, <p> from the d- and s-grouped Dirichlet closed forms of the
+    `quantum` docstring, in 30-digit arithmetic at the float t: O(N) terms,
+    so it reaches packets that the O(N^2) pair sum cannot."""
+    with mpmath.workdps(30):
+        tau = mpmath.pi**2 / 2 * mpmath.mpf(t)
+
+        def kernel(K, m):  # R_K(m tau) and its tau-derivative
+            sin, cos = mpmath.sin(m * tau), mpmath.cos(m * tau)
+            sin_k, cos_k = mpmath.sin(K * m * tau), mpmath.cos(K * m * tau)
+            return sin_k / sin, m * (K * cos_k * sin - sin_k * cos) / sin**2
+
+        x = x2 = p = mpmath.mpf(0)
+        for d in range(1, 2 * N + 1):  # the d-groups, at psi = 2n d tau
+            r, dr = kernel(2 * N + 1 - d, d)
+            cos, sin = mpmath.cos(2 * n * d * tau), mpmath.sin(2 * n * d * tau)
+            x2 += (-1) ** d * r * cos / d**2
+            if d % 2:
+                x -= r * cos / d**2
+                p -= (dr * cos - 2 * n * d * r * sin) / d**2
+        for s in range(1 - 2 * N, 2 * N):  # the s-groups
+            r, dr = kernel(2 * N + 1 - abs(s), 2 * n + s)
+            w = mpmath.mpf(1) / (2 * n + s) ** 2
+            if s % 2:
+                x += w * r / 2
+                x2 += w * r / 2
+                p += w * dr / 2
+            else:
+                x2 -= w * (r - 1) / 2
+        size, c = 2 * N + 1, 4 / mpmath.pi**2
+        diag = sum(mpmath.mpf(1) / u**2 for u in range(n - N, n + N + 1)) / (2 * mpmath.pi**2)
+        return {
+            "position": float(mpmath.mpf(1) / 2 + c * x / size),
+            "position_sq": float(mpmath.mpf(1) / 3 + (c * x2 - diag) / size),
+            "momentum": float(2 * p / size),  # mu w_b (4a/pi^2) = 2 hbar / a
+        }
+
+
+@pytest.mark.parametrize("n,N", [(50, 7), (500, 23), (61, 60)])
+def test_closed_form_reference_equals_pair_sum(n, N):
+    T = classical_period(NATURAL, n)
+    eps = np.finfo(float).eps
+    scales = _scales(n)
+    for t in (0.3 * T, 1.7 * T, 0.3 * T + 1000 * (2 * n * T)):
+        closed, pairs = _mp_closed_form(n, N, t), _mp_moments(n, N, t)
+        for kind, scale in scales.items():
+            assert abs(closed[kind] - pairs[kind]) <= eps * scale, (kind, t)
+
+
+def test_kernel_exact_to_rounding_at_large_n():
+    # (10^5, 316) is far past the pair sum's reach; the kernel measured 5.5,
+    # 6.0 and 2.5 eps of a, a^2 and p_n here against the closed form
+    n, N = 100_000, 316
+    spec = PacketSpec(n=n, N=N)
+    T = classical_period(NATURAL, n)
+    t_rev = 2 * n * T
+    eps = np.finfo(float).eps
+    bounds = {"position": 16 * eps, "position_sq": 16 * eps, "momentum": 64 * eps * n * math.pi}
+    for t in (0.3 * T, 0.25 * t_rev, 0.49 * t_rev, 0.4999 * t_rev):
+        ref = _mp_closed_form(n, N, t)
         for kind, fn in CLOSED_FORMS.items():
             assert abs(fn(NATURAL, spec, t) - ref[kind]) <= bounds[kind], (kind, t)
 
@@ -502,6 +645,8 @@ def _packets_and_instants(draw):
 @example((61, 60, 3.9))
 @example((3000, 1, 2.5))
 @example((500, 0, 0.0))
+@example((2000, 44, 1.7))  # the largest dense packet
+@example((2000, 45, 2.3))  # the smallest Dirichlet-kernel packet
 def test_kernels_equal_pair_sum(case):
     n, N, periods = case
     spec = PacketSpec(n=n, N=N)
@@ -562,6 +707,8 @@ def _fused_cases(draw):
 @example((3000, 1, (0.3, 10**6), ("momentum", "position_sq")))
 @example((3000, 60, (16.0, 0), ("position", "position_sq", "momentum")))
 @example((500, 0, (0.0, 0), ("position_sq",)))
+@example((2000, 44, (0.3, 1000), ("momentum", "position", "position_sq")))
+@example((2000, 45, (0.3, 1000), ("momentum", "position", "position_sq")))
 def test_fused_pass_equals_standalone_moments(case):
     # packet_moments, expectation_sample, uncertainty_product and
     # reduced_uncertainty read one kernel over the union of the columns;
