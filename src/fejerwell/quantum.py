@@ -86,22 +86,27 @@ non-finite t raises ValueError), and each phase is reduced as
 frac(integer * that fraction) with an exact leading product. Long-time
 evaluation is therefore exact to rounding while the largest multiplier,
 4nN for the kernel and 2nN + N^2 for the dense forms, stays below 2^27
-(n = 10^5 with N = sqrt(n) is inside); past that the bound on the
-rounded part of each phase grows by a factor of 4 per doubling of the
-multiplier. Each R_K is evaluated at x = phi - j pi, with
-j = rint(phi / pi) in {-1, 0, 1} so that |x| <= pi/2, times the sign
-(-1)^(j(K-1)), and from its Taylor series where |K x| is small, so the
-removable singularities at phi = j pi cost no accuracy.
+(n = 10^5 with N = sqrt(n) is inside). Past that each phase is still
+reduced to [-1/2, 1/2], and only its rounded part grows, by a factor of
+4 per doubling of the multiplier: at (10^6, 2277), 4nN = 2^33.1, the
+kernel is within 2.5 eps of a and a^2 and 400 eps of p_n of a 60-digit
+closed form at 0.05, 0.2, 0.4 and 0.5 T_rev. Next to a singular phase
+the rounding of c itself is amplified by R_K: at 0.4999 T_rev <x> is
+100 eps of a off at (3 x 10^5, 1101). Each R_K is evaluated at
+x = phi - j pi, with j = rint(phi / pi) in {-1, 0, 1} so that
+|x| <= pi/2, times the sign (-1)^(j(K-1)), and from its Taylor series
+where |K x| is small, so the removable singularities at phi = j pi cost
+the evaluation itself no accuracy.
 
 Tangents. Outside the Taylor branch R_K(x) = sin(Kx)/sin(x) and R_K'(x)
 are rational in t_x = tan(x/2) and t_k = tan(Kx/2), by the half-angle
 identities sin y = 2u/(1 + u^2) and cos y = (1 - u^2)/(1 + u^2) with
 u = tan(y/2), so a kernel column costs two tangents and no sine or
 cosine. The psi = 2n theta_d columns take the same route: their fraction
-c = frac(2n d tau) from `_phases` lies in [-1/2, 1/2], so pi c is already
-the half angle, and cos psi and sin psi come from the one tangent
-tan(pi c) by `core._half_angle`, the helper that the classical series
-and the width scan share. No array path of the moments calls sin or cos.
+c = frac(2n d tau) from `_phases` lies in (-1, 1), and tan(pi c) has
+period 1, so pi c is already the half angle, and cos psi and sin psi
+come from the one tangent tan(pi c) by `core._half_angle`, the helper
+that the classical series and the width scan share. No array path of the moments calls sin or cos.
 The reason is speed: numpy dispatches float64 tan to an SVML
 (AVX512_SKX) loop at 2 to 3 ns per element, while its float64 sin and
 cos run through scalar libm at 8 to 25 ns, and at n = 10^5 the two sines
@@ -121,17 +126,19 @@ BLAS may round differently for one instant than for many, so a scalar
 agrees with the matching element of an array call to rounding.
 
 One pass for every moment at an instant. Delta-x and Delta-p need <x>,
-<x^2> and <p> at the same t, and the three share their phases: the <x>
-columns are the odd ones among the <x^2> columns, and <p> reads the same
-columns as <x>. `packet_moments` therefore asks one kernel for the union
-of the columns of the moments it is given, and forms the revival
-fraction, the phase reduction and the Dirichlet values once. Each moment
-is then a weighted sum over three feature blocks (R cos psi on the
-d-columns with R on the s-columns, R sin psi on the d-columns, and R'
-in place of R in the first), and only the blocks that some requested
-moment weights are formed. Each moment sums its own columns in the
-order its standalone kernel does, so for a scalar t the values equal
-those of exp_x, exp_x2 and exp_p bit for bit, and <p>(0) is exactly 0.
+<x^2> and <p> at the same t, and the three share their phases: <x> and
+<p> read the odd d- and s-columns, and <x^2> reads those and the even
+ones. `packet_moments` therefore asks one kernel for the union of the
+columns of the moments it is given, and forms the revival fraction, the
+phase reduction and the Dirichlet values once. Each moment is then a
+weighted sum over three feature blocks (R cos psi on the d-columns with
+R on the s-columns, R sin psi on the odd d-columns, and R' in place of R
+in the first), and only the blocks that some requested moment weights
+are formed. The kernel lays out its columns in one order whatever it is
+asked for, [even d | odd d | odd s | even s], so each moment reads one
+contiguous slice of each block, the same columns in the same order as
+its standalone kernel. For a scalar t the values therefore equal those
+of exp_x, exp_x2 and exp_p bit for bit, and <p>(0) is exactly 0.
 expectation_sample, uncertainty_product, reduced_uncertainty and the
 limit and CLI series all take this path; on the kernel one pass costs
 about as much as one exp_x2 call, not the three calls it replaces. A
@@ -153,7 +160,7 @@ heap and are reused from block to block. Larger blocks are mapped and
 unmapped, or trimmed from the heap, on every call unless some earlier
 large free in the process has raised glibc's dynamic thresholds. A fused
 pass counts the union of its columns, so its blocks hold fewer instants
-than a standalone exp_x block (44 against 89 at (500, 23)), and no
+than a standalone exp_x block (10 against 20 at (10^4, 100)), and no
 temporary ever spans instants x columns x moments; an array therefore
 agrees with the standalone calls to rounding rather than bit for bit.
 Dense blocks hold core._block_rows(2(2N+1)) instants, so the stacked
@@ -217,12 +224,15 @@ class ExpectationSample:
 # --- exact phases ------------------------------------------------------------
 
 
-def _phases(h, l, m):
+def _phases(h, l, m, bits: int):
     """frac(m * (h + l)) over instants (rows) x multipliers (columns).
 
     m holds integers with |m| < 2**bits and h keeps 53 - bits bits, so
     m * h is an exact product and its fraction is exact; m * l (below
-    2**(bits - 54) for |hi| <= 1/2) is rounded once and added after.
+    2**(2 bits - 55) for |hi| <= 1/2) is rounded once and added after.
+    Up to 27 bits the sum stays within (-1, 1), and within (-3/4, 3/4) on
+    the Dirichlet columns (m <= 2n + 2N), which is all that the periodic
+    tangents and `_dirichlet` need; past that it is reduced once more.
     Python floats h and l give one row, by plain products, which are the
     same IEEE operations as the outer ones at a third of their cost.
     """
@@ -232,6 +242,8 @@ def _phases(h, l, m):
     c -= r
     mul(l, m, out=r)
     c += r
+    if bits > 27:
+        c -= np.rint(c, out=r)
     return c
 
 
@@ -244,16 +256,18 @@ _PACKET = ("position", "position_sq", "momentum")
 class _Kernel:
     """Read-only columns and weights of one (n, N, outputs) kernel pass.
 
-    Column i holds R_{K[i]} at the phase m[i] * tau: m = d on the first
-    nd columns (the d-groups) and m = 2n + s on the rest; m ends with the
-    nd multipliers 2n d of psi = 2n theta_d. Three feature blocks are
-    formed from them: "cos" is R with the d-columns times cos psi, "sin"
-    the d-columns of R times sin psi, and "rate" R' with the d-columns
-    times cos psi. Output j is
+    Column i holds R_{K[i]} at the phase m[i] * tau. The columns come in
+    one order whatever the outputs: the nd d-groups (m = d) as
+    [even d | odd d], then the s-groups (m = 2n + s) as [odd s | even s],
+    the even ones only where <x^2> is asked; m ends with the nd
+    multipliers 2n d of psi = 2n theta_d, in the d order. Three feature
+    blocks are formed from them: "cos" is R with the d-columns times
+    cos psi, "rate" R' with the d-columns times cos psi, and "sin" the
+    odd d-columns of R times sin psi. Output j is
     const[j] + sum over (block, cols, w) in terms[j] of block[:, cols] @ w,
-    where cols is None for a whole block, or the indices of the output's
-    columns where they are a part of the union (the odd ones among all of
-    <x^2>'s). Either way each output sums the same values in the same
+    where cols is a slice: the odd d- and s-columns (<x>, <p>), the odd
+    d-columns (the quasi series), or every column (<x^2>, and the whole
+    "sin" block). Each output therefore reads the same columns in the same
     order as the kernel of that output alone.
     """
 
@@ -263,24 +277,16 @@ class _Kernel:
     a2: np.ndarray  # R_K(x) = K + a2 x^2 + a4 x^4 + O(x^6)
     a4: np.ndarray
     nd: int
-    terms: tuple[tuple[tuple[str, np.ndarray | None, np.ndarray], ...], ...]
+    odd_d: slice  # the odd d-columns, the only ones that "sin" holds
+    terms: tuple[tuple[tuple[str, slice, np.ndarray], ...], ...]
     blocks: frozenset[str]
     const: np.ndarray
     bits: int  # every m is below 2**bits
 
 
-def _cols(idx: np.ndarray, width: int):
-    """Ascending indices into a block of width columns: None for all of
-    them (the block is read as it is), else the indices to gather."""
-    if len(idx) == width:
-        return None
-    idx.setflags(write=False)
-    return idx
-
-
 @functools.lru_cache(maxsize=16)
 def _kernel(n: int, N: int, outputs: tuple[str, ...]) -> _Kernel:
-    """The union of the columns that `outputs` need, and one weight set per output.
+    """The columns that `outputs` need, in the fixed order, and one weight set per output.
 
     The outputs are the brackets of <x> ("position"), <x^2>
     ("position_sq") and the tau-derivative of <x> ("momentum"), and the
@@ -290,30 +296,27 @@ def _kernel(n: int, N: int, outputs: tuple[str, ...]) -> _Kernel:
     alone.
     """
     full = "position_sq" in outputs
-    step = 1 if full else 2
-    d = np.arange(1.0, 2 * N + 1, step)
-    s = np.arange(1.0 - 2 * N, 2 * N, step) if set(outputs) & set(_PACKET) else np.empty(0)
-    odd_d, odd_s = np.flatnonzero(d % 2 == 1), np.flatnonzero(s % 2 != 0)
-    x_d, x_s = -1.0 / d[odd_d] ** 2, 0.5 / (2 * n + s[odd_s]) ** 2  # <x> weights
-    odd = _cols(np.concatenate([odd_d, len(d) + odd_s]), len(d) + len(s))
-    d_cols = _cols(odd_d, len(d))
+    odd_d = np.arange(1.0, 2 * N + 1, 2)
+    even_d = np.arange(2.0, 2 * N + 1, 2) if full else np.empty(0)
+    odd_s = np.arange(1.0 - 2 * N, 2 * N, 2) if set(outputs) & set(_PACKET) else np.empty(0)
+    even_s = np.arange(2.0 - 2 * N, 2 * N, 2) if full else np.empty(0)
+    d, s = np.concatenate([even_d, odd_d]), np.concatenate([odd_s, even_s])
+    first = len(even_d)  # the odd d-columns, then the odd s-columns, start here
+    d_cols, odd = slice(first, len(d)), slice(first, len(d) + len(odd_s))
+    x_d, x_s = -1.0 / odd_d**2, 0.5 / (2 * n + odd_s) ** 2  # <x> weights
+    w_s = 0.5 / (2 * n + even_s) ** 2
+    levels = n + np.arange(-N, N + 1, dtype=float)
     weights = {
         "position": (("cos", odd, np.concatenate([x_d, x_s])),),
+        "position_sq": (("cos", slice(None), np.concatenate([(-1.0) ** d / d**2, x_s, -w_s])),),
         "momentum": (
-            ("sin", d_cols, -2.0 * n * d[odd_d] * x_d),
-            ("rate", odd, np.concatenate([x_d * d[odd_d], x_s * (2 * n + s[odd_s])])),
+            ("sin", slice(None), -2.0 * n * odd_d * x_d),
+            ("rate", odd, np.concatenate([x_d * odd_d, x_s * (2 * n + odd_s)])),
         ),
         "quasi_position": (("cos", d_cols, x_d),),
-        "quasi_momentum": (("sin", d_cols, 1.0 / d[odd_d]),),
+        "quasi_momentum": (("sin", slice(None), 1.0 / odd_d),),
     }
-    const = 0.0
-    if full:
-        even = s % 2 == 0
-        w_s = 0.5 / (2 * n + s) ** 2
-        levels = n + np.arange(-N, N + 1, dtype=float)
-        const = float(np.sum(w_s[even])) - 0.125 * float(np.sum(1.0 / levels**2))
-        w = np.concatenate([(-1.0) ** d / d**2, np.where(even, -w_s, w_s)])
-        weights["position_sq"] = (("cos", None, w),)
+    const = float(np.sum(w_s)) - 0.125 * float(np.sum(1.0 / levels**2))
     K = np.concatenate([2 * N + 1 - d, 2 * N + 1 - np.abs(s)])
     arrays = {
         "m": np.concatenate([d, 2 * n + s, 2 * n * d]),
@@ -329,6 +332,7 @@ def _kernel(n: int, N: int, outputs: tuple[str, ...]) -> _Kernel:
     return _Kernel(
         **arrays,
         nd=len(d),
+        odd_d=d_cols,
         terms=terms,
         blocks=frozenset(name for ts in terms for name, _, _ in ts),
         bits=(4 * n * N).bit_length(),  # one bound for every kernel of (n, N)
@@ -336,7 +340,7 @@ def _kernel(n: int, N: int, outputs: tuple[str, ...]) -> _Kernel:
 
 
 def _dirichlet(ker: _Kernel, c: np.ndarray, rate: bool):
-    """R_K and (if rate) R_K' at phi = 2 pi c, for |c| <= 1/2 (plus rounding).
+    """R_K and (if rate) R_K' at phi = 2 pi c, for |c| < 3/4.
 
     With j = rint(2c), x = phi - j pi = pi (2c - j) takes one rounding,
     |x| <= pi/2 and R_K(phi) = (-1)^(j (K - 1)) R_K(x). R_K(x) and R_K'(x)
@@ -407,7 +411,7 @@ def _kernel_block(ker: _Kernel, c: np.ndarray, out: np.ndarray) -> None:
     if "sin" in ker.blocks:
         cos = np.empty(psi.shape) if "cos" in ker.blocks or dR is not None else None
         _half_angle(psi, cos, psi)  # sin psi over psi
-        feats["sin"] = np.multiply(psi, R[:, : ker.nd])
+        feats["sin"] = np.multiply(psi[:, ker.odd_d], R[:, ker.odd_d])
     else:  # "cos" or "rate": cos psi alone
         cos = psi
         _half_angle(psi, cos)
@@ -418,13 +422,10 @@ def _kernel_block(ker: _Kernel, c: np.ndarray, out: np.ndarray) -> None:
             dR[:, : ker.nd] *= cos
     for acc, terms in zip(out, ker.terms):
         for i, (name, cols, w) in enumerate(terms):
-            # a gather is C-ordered, so BLAS sums each row as it sums
-            # the same columns in the kernel of this output alone
-            f = feats[name] if cols is None else feats[name].take(cols, axis=1)
             if i:
-                np.add(acc, f @ w, out=acc)
+                np.add(acc, feats[name][:, cols] @ w, out=acc)
             else:
-                np.matmul(f, w, out=acc)
+                np.matmul(feats[name][:, cols], w, out=acc)
 
 
 # --- dense quadratic forms ---------------------------------------------------
@@ -536,7 +537,7 @@ def _moments(cfg: WellConfig, spec: PacketSpec, t, outputs: tuple[str, ...]) -> 
         )
     block = _dense_block if dense else _kernel_block
     for h_i, l_i, out in blocks:
-        block(plan, _phases(h_i, l_i, plan.m).reshape(out.shape[1], width), out)
+        block(plan, _phases(h_i, l_i, plan.m, plan.bits).reshape(out.shape[1], width), out)
 
     brackets = brackets.reshape((len(outputs),) + t_arr.shape)
     vals = []

@@ -128,3 +128,17 @@ def test_every_export_resolves(module):
     for name in mod.__all__:
         getattr(mod, name)
 
+
+
+PACKAGE_MODULES = ("core", "classical", "quantum", "optimizer", "limits")
+
+
+def test_package_reexports_each_module_once():
+    # every public name is declared in its module's __all__ alone, and the
+    # package list is their concatenation
+    package = importlib.import_module("fejerwell")
+    modules = [importlib.import_module(f"fejerwell.{m}") for m in PACKAGE_MODULES]
+    assert package.__all__ == [name for mod in modules for name in mod.__all__]
+    for mod in modules:
+        for name in mod.__all__:
+            assert getattr(package, name) is getattr(mod, name), name

@@ -517,11 +517,11 @@ def test_kernel_momentum_near_singular_phases(monkeypatch, n, N):
         assert abs(exp_p(NATURAL, spec, t) - _mp_moments(n, N, t)["momentum"]) <= bound, t
 
 
-def _mp_closed_form(n, N, t):
+def _mp_closed_form(n, N, t, dps=30):
     """<x>, <x^2>, <p> from the d- and s-grouped Dirichlet closed forms of the
-    `quantum` docstring, in 30-digit arithmetic at the float t: O(N) terms,
+    `quantum` docstring, in dps-digit arithmetic at the float t: O(N) terms,
     so it reaches packets that the O(N^2) pair sum cannot."""
-    with mpmath.workdps(30):
+    with mpmath.workdps(dps):
         tau = mpmath.pi**2 / 2 * mpmath.mpf(t)
 
         def kernel(K, m):  # R_K(m tau) and its tau-derivative
@@ -566,17 +566,29 @@ def test_closed_form_reference_equals_pair_sum(n, N):
             assert abs(closed[kind] - pairs[kind]) <= eps * scale, (kind, t)
 
 
-def test_kernel_exact_to_rounding_at_large_n():
-    # (10^5, 316) is far past the pair sum's reach; the kernel measured 5.5,
-    # 6.0 and 2.5 eps of a, a^2 and p_n here against the closed form
-    n, N = 100_000, 316
+@pytest.mark.parametrize(
+    "n,N,fractions,p_eps",
+    [
+        (100_000, 316, (0.25, 0.49, 0.4999), 64),
+        (300_000, 1101, (0.05, 0.2, 0.4, 0.5), 64),
+        (1_000_000, 2277, (0.05, 0.2, 0.4, 0.5), 2048),
+    ],
+    ids=["100000-316", "300000-1101", "1000000-2277"],
+)
+def test_kernel_exact_to_rounding_at_large_n(n, N, fractions, p_eps):
+    # far past the pair sum's reach, against the 60-digit closed form at
+    # 0.3 T and the revival fractions. 4nN is 2^26.9, 2^30.3 and 2^33.1:
+    # past 2^27 the rounded m * l of `_phases` can pass 1/2 and reach
+    # thousands, and left unreduced it put (10^6, 2277) 8.3e5 eps of a off.
+    # <p> keeps the rounding of m * l, which grows with 4nN: 400 eps of p_n
+    # at (10^6, 2277), 2.5 eps at (10^5, 316)
     spec = PacketSpec(n=n, N=N)
     T = classical_period(NATURAL, n)
     t_rev = 2 * n * T
     eps = np.finfo(float).eps
-    bounds = {"position": 16 * eps, "position_sq": 16 * eps, "momentum": 64 * eps * n * math.pi}
-    for t in (0.3 * T, 0.25 * t_rev, 0.49 * t_rev, 0.4999 * t_rev):
-        ref = _mp_closed_form(n, N, t)
+    bounds = {"position": 16 * eps, "position_sq": 16 * eps, "momentum": p_eps * eps * n * math.pi}
+    for t in [0.3 * T] + [f * t_rev for f in fractions]:
+        ref = _mp_closed_form(n, N, t, dps=60)
         for kind, fn in CLOSED_FORMS.items():
             assert abs(fn(NATURAL, spec, t) - ref[kind]) <= bounds[kind], (kind, t)
 
@@ -731,6 +743,20 @@ def test_fused_pass_equals_standalone_moments(case):
         assert abs(value - derived_ref[name]) <= 4 * eps * scale[name], (name, value, derived_ref[name])
     if t == 0.0:
         assert got.get("momentum", 0.0) == 0.0 and derived["momentum"] == 0.0
+
+
+@pytest.mark.parametrize("n,N", [(2000, 45), (10_000, 100), (61, 60), (100_000, 316)])
+def test_fused_kernel_pass_equals_standalone_bitwise(n, N):
+    # for a scalar t each output of a kernel pass sums its own columns in
+    # the order of its standalone kernel, so the values are the same floats
+    spec = PacketSpec(n=n, N=N)
+    standalone = {"position": exp_x, "position_sq": exp_x2, "momentum": exp_p}
+    subsets = (("position", "position_sq", "momentum"), ("momentum", "position"), ("position_sq", "momentum"))
+    for t in _checked_instants(n):
+        ref = {kind: fn(NATURAL, spec, t) for kind, fn in standalone.items()}
+        for kinds in subsets:
+            for kind, value in zip(kinds, packet_moments(NATURAL, spec, t, kinds)):
+                assert value == ref[kind], (kinds, kind, t, value - ref[kind])
 
 
 @pytest.mark.parametrize("n,N", [(2, 0), (2, 1), (50, 7), (500, 23), (3000, 60), (61, 60)])
