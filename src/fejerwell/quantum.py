@@ -53,14 +53,13 @@ N <= 127, which includes the paper's (500, 23) and every packet of
 n < 16384 at N = isqrt(n): per block of instants it forms a and b from
 the tangents of their half phases and does one BLAS product per moment,
 ([a; b] @ X) * [a; b] summed over each row, or (b @ G) * a. Each matrix
-is cached as column panels of at most _CHUNK elements, and each panel's
-product fills its own columns of the product; a matrix of N <= 44 is one
-panel. The forms have no Taylor branch, so the cancellation of the
+is cached whole and filled in panels of at most _CHUNK elements. The
+forms have no Taylor branch, so the cancellation of the
 direct R_K' just above the kernel's Taylor threshold is gone there.
 Larger packets keep the Dirichlet kernel, O(N) per instant, where the
-dense forms are O(N^2): forced at (10^5, 316) they were 2.4-6.6x
-slower, and from N = 128 exp_x alone is 1.4x slower dense, while at
-(10^4, 100) a fused pass is 1.5-1.8x faster dense (DECISIONS.md, "Dense
+dense forms are O(N^2): forced at (10^5, 316) they were 2.2-4x slower,
+and from N = 128 exp_x and the fused pass are slower dense, while at
+(10^4, 100) a fused pass is 1.35-1.4x faster dense (DECISIONS.md, "Dense
 forms in 64 KiB panels up to N = 127"). Measured against the 40-digit
 pair sum, or past N = 60 the 60-digit closed form, in eps of a, a^2 and
 p_n (each path forced in turn):
@@ -169,11 +168,11 @@ than a standalone exp_x block (3 against 6 at (10^5, 316)), and no
 temporary ever spans instants x columns x moments; an array therefore
 agrees with the standalone calls to rounding rather than bit for bit.
 Dense blocks hold core._block_rows(2(2N+1)) instants, so the stacked
-[a; b] and its product with a matrix are at most 64 KiB each, as is each
-cached panel, and each panel is built from its own columns, so no
-(2N+1)^2 temporary is made either; every moment of a dense pass reads
-the same blocks, so there its arrays equal the standalone calls bit for
-bit too. Small arrays do not make the heap memory stay, though: a
+[a; b] and its product with a matrix are at most 64 KiB each. A cached
+matrix may be larger (520 KB at N = 127) but is mapped once, and it is
+filled in panels of rows, so no (2N+1)^2 temporary is made; every moment
+of a dense pass reads the same blocks, so there its arrays equal the
+standalone calls bit for bit too. Small arrays do not make the heap memory stay, though: a
 kernel block holds about 500 KB of temporaries at (10^5, 316), and where
 they sit at the top of the heap glibc trims them after the block and the
 next block faults them back in (DECISIONS.md).
@@ -440,13 +439,12 @@ def _kernel_block(ker: _Kernel, c: np.ndarray, out: np.ndarray) -> None:
 # --- dense quadratic forms ---------------------------------------------------
 
 
-_PANELS = 8  # the dense forms serve packets whose matrix fits this many _CHUNK blocks
+_PANELS = 8  # the dense forms serve packets whose matrix fills at most this many _CHUNK blocks
 
 
 @functools.lru_cache(maxsize=32)
-def _form(n: int, N: int, kind: str) -> tuple[tuple[slice, np.ndarray], ...]:
-    """The (2N+1)^2 matrix X of one output's quadratic form, as read-only
-    column panels (cols, X[:, cols]) of at most _CHUNK elements each.
+def _form(n: int, N: int, kind: str) -> np.ndarray:
+    """The read-only (2N+1)^2 matrix X of one output's quadratic form.
 
     Row j and column k stand for the levels n + j and n + k, j, k = -N..N;
     with d = j - k and w = 2n + j + k, the bracket of `_moments` is
@@ -454,24 +452,26 @@ def _form(n: int, N: int, kind: str) -> tuple[tuple[slice, np.ndarray], ...]:
     sum_jk X_jk b_j a_k for the momentum kinds. X is the docstring's X/2,
     X2/2 or -G (and the quasi parts of X/2), so each bracket equals the
     kernel's and both paths share one output scaling. -G_jk is
-    4 (n+j)(n+k) / (d w), one division of exact integers. Each panel is
-    built from its own columns, so no (2N+1)^2 temporary is made; a
-    matrix of at most _CHUNK elements is one panel.
+    4 (n+j)(n+k) / (d w), one division of exact integers. X is filled in
+    panels of rows of at most _CHUNK elements, so no (2N+1)^2 temporary
+    is made.
     """
     j = np.arange(-N, N + 1.0)
-    count = -(-len(j) // _block_rows(len(j)))
-    edges = [i * len(j) // count for i in range(count + 1)]
-    return tuple((slice(lo, hi), _panel(n, j, j[lo:hi], kind)) for lo, hi in zip(edges, edges[1:]))
+    X = np.zeros((len(j), len(j)))
+    step = _block_rows(len(j))
+    for lo in range(0, len(j), step):
+        _fill(X[lo : lo + step], n, j[lo : lo + step], j, kind)
+    X.setflags(write=False)
+    return X
 
 
-def _panel(n: int, j: np.ndarray, k: np.ndarray, kind: str) -> np.ndarray:
-    """The read-only columns k of `_form`'s matrix X, over every row j."""
+def _fill(X: np.ndarray, n: int, j: np.ndarray, k: np.ndarray, kind: str) -> None:
+    """Write the rows j, columns k of `_form`'s matrix into the zeroed X."""
     d = np.subtract.outer(j, k)
     w = np.add.outer(j, k)
     w += 2.0 * n
     pair = d != 0 if kind == "position_sq" else d % 2 != 0
     d, w = d[pair], w[pair]
-    X = np.zeros(pair.shape)
     if kind == "position":
         X[pair] = 0.5 / w**2 - 0.5 / d**2
     elif kind == "position_sq":
@@ -482,8 +482,6 @@ def _panel(n: int, j: np.ndarray, k: np.ndarray, kind: str) -> np.ndarray:
         X[pair] = -0.5 / d**2
     else:  # quasi_momentum
         X[pair] = 1.0 / d
-    X.setflags(write=False)
-    return X
 
 
 @dataclass(frozen=True)
@@ -491,14 +489,14 @@ class _Dense:
     """Read-only level multipliers and matrices of one (n, N, outputs) dense pass."""
 
     m: np.ndarray  # 2n j + j^2: u_j^2 - n^2, so a_j = cos(m_j tau)
-    forms: tuple[tuple[bool, tuple], ...]  # (reads b_j a_k, the panels of X) per output
+    forms: tuple[tuple[bool, np.ndarray], ...]  # (reads b_j a_k, X) per output
     const: np.ndarray
     bits: int  # every m is below 2**bits
 
 
 @functools.lru_cache(maxsize=16)
 def _dense(n: int, N: int, outputs: tuple[str, ...]) -> _Dense:
-    """The multipliers and one paneled matrix per output; <x^2> adds its diagonal as a constant."""
+    """The multipliers and one matrix per output; <x^2> adds its diagonal as a constant."""
     j = np.arange(-N, N + 1.0)
     m = (j + 2 * n) * j
     diagonal = -0.125 * float(np.sum(1.0 / (j + n) ** 2))
@@ -516,23 +514,18 @@ def _dense(n: int, N: int, outputs: tuple[str, ...]) -> _Dense:
 def _dense_block(plan: _Dense, c: np.ndarray, out: np.ndarray) -> None:
     """The brackets of one block: a = cos(m tau) and b = sin(m tau) from the
     half phases pi c, stacked as the rows of a over the rows of b, then one
-    matrix product per output, each panel's product filling its own columns."""
+    matrix product per output."""
     c *= math.pi
     ab = np.empty((2,) + c.shape)
     _half_angle(c, ab[0], ab[1])
     rows = ab.reshape(-1, c.shape[1])
-    for acc, (sine, panels) in zip(out, plan.forms):
-        x = ab[1] if sine else rows
-        if len(panels) == 1:
-            y = x @ panels[0][1]
-        else:
-            y = np.empty(x.shape)
-            for cols, X in panels:
-                np.matmul(x, X, out=y[:, cols])
+    for acc, (sine, X) in zip(out, plan.forms):
         if sine:
+            y = ab[1] @ X
             y *= ab[0]
             np.add.reduce(y, axis=-1, out=acc)
         else:
+            y = rows @ X
             y *= rows
             y = np.add.reduce(y, axis=-1)
             np.add(y[: len(acc)], y[len(acc) :], out=acc)
@@ -541,7 +534,7 @@ def _dense_block(plan: _Dense, c: np.ndarray, out: np.ndarray) -> None:
 def _moments(cfg: WellConfig, spec: PacketSpec, t, outputs: tuple[str, ...]) -> list:
     """Each output at t from one loop over the blocks; np.float64 for a scalar t.
 
-    A packet whose (2N+1)^2 matrix fits in _PANELS panels of _CHUNK
+    A packet whose (2N+1)^2 matrix fits in _PANELS blocks of _CHUNK
     elements (N <= 127) takes the dense quadratic forms, a larger one the
     Dirichlet kernel. The high part of frac(t / T_rev) keeps 53 - bits
     bits for `_phases`.

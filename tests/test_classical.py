@@ -336,10 +336,11 @@ def test_series_memory_stays_bounded(fn):
 
 
 def test_moment_memory_stays_bounded():
-    spec = PacketSpec(n=10_000, N=100)
+    # (10^4, 100) takes the dense forms and (10^5, 316) the Dirichlet kernel
     ts = np.random.default_rng(4).uniform(0.0, 50.0, 10_000)
-    exp_x2(WellConfig(), spec, ts[:1])  # builds the cached kernel outside the trace
-    assert _traced_peak(exp_x2, WellConfig(), spec, ts) < 2e6
+    for spec in (PacketSpec(n=10_000, N=100), PacketSpec(n=100_000, N=316)):
+        exp_x2(WellConfig(), spec, ts[:1])  # builds the cached matrix or kernel outside the trace
+        assert _traced_peak(exp_x2, WellConfig(), spec, ts) < 2e6, spec
 
 
 def test_reduced_uncertainty_momentum_at_turn():

@@ -36,7 +36,7 @@ from fejerwell import (
 )
 from fejerwell.core import classical_period
 from fejerwell import quantum
-from fejerwell.core import _CHUNK
+from fejerwell.core import _CHUNK, _block_rows
 from fejerwell.quantum import VarianceError, _dirichlet, _kernel, _variance
 from pair_oracle import pair_terms
 
@@ -471,12 +471,12 @@ def _checked_instants(n):
 
 
 def test_dense_forms_serve_packets_up_to_the_block_limit(monkeypatch):
-    # the dense path runs wherever the (2N+1)^2 matrix fits eight column
-    # panels of core._CHUNK elements: N = 127 (65025 elements) and not
-    # N = 128 (66049). The panels tile the matrix that one build of every
-    # column gives, a cold build holds no more than 8 blocks besides them
-    # (a whole-matrix build held 1.1-3.2 MB), and a matrix of one block
-    # (N <= 44) is one panel
+    # the dense path runs wherever the (2N+1)^2 matrix fits eight blocks of
+    # core._CHUNK elements: N = 127 (65025 elements) and not N = 128
+    # (66049). Each read-only matrix equals one fill of all its rows, and a
+    # cold build, which fills at most _CHUNK elements at a time, holds no
+    # more than 8 blocks besides the matrix (a build in one piece held
+    # 1.1-3.2 MB)
     blocks = []
     dense_block = quantum._dense_block
     monkeypatch.setattr(quantum, "_dense_block", lambda *args: blocks.append(args) or dense_block(*args))
@@ -487,20 +487,20 @@ def test_dense_forms_serve_packets_up_to_the_block_limit(monkeypatch):
         # the stacked [a; b] of a block, and each product with a matrix
         assert all(2 * c.size <= _CHUNK for _, c, _ in blocks)
     j = np.arange(-127, 128.0)
+    assert -(-len(j) // _block_rows(len(j))) <= 8  # fills of at most _CHUNK elements
     for kind in ("position", "position_sq", "momentum", "quasi_position", "quasi_momentum"):
-        panels = quantum._form(16384, 127, kind)
-        assert len(panels) <= 8
-        assert all(X.size <= _CHUNK and not X.flags.writeable for _, X in panels)
-        assert np.array_equal(np.hstack([X for _, X in panels]), quantum._panel(16384, j, j, kind))
-        assert [i for cols, _ in panels for i in range(len(j))[cols]] == list(range(len(j)))
+        X = quantum._form(16384, 127, kind)
+        assert not X.flags.writeable
+        whole = np.zeros(X.shape)
+        quantum._fill(whole, 16384, j, j, kind)
+        assert np.array_equal(X, whole)
         tracemalloc.start()
         try:
             cold = quantum._form.__wrapped__(16384, 127, kind)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - sum(X.nbytes for _, X in cold) <= 8 * 8 * _CHUNK
-        assert len(quantum._form(2000, 44, kind)) == 1
+        assert peak - cold.nbytes <= 8 * 8 * _CHUNK
 
 
 _FAULT_PROBE = """
@@ -530,7 +530,8 @@ print(json.dumps(per_call))
 @functools.cache
 def _fault_probe():
     """Minor faults per warm packet_moments call, packet by packet in one fresh process."""
-    env = {**os.environ, "PYTHONPATH": str(Path(quantum.__file__).parents[1])}
+    threads = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+    env = {**os.environ, **threads, "PYTHONPATH": str(Path(quantum.__file__).parents[1])}
     run = subprocess.run(
         [sys.executable, "-c", _FAULT_PROBE], env=env, capture_output=True, text=True, check=True, timeout=120
     )
@@ -546,15 +547,17 @@ def _fault_probe():
         "16383-127",
         pytest.param("100000-316", marks=pytest.mark.xfail(
             reason="the kernel's block temporaries, about 500 KB at once, can be trimmed from the top of the "
-            "heap and faulted back: 94-105 faults per call after the smaller packets, whichever path they took"
+            "heap and faulted back; whether they are depends on what the earlier packets left on the heap, "
+            "from 0 to hundreds of faults per call"
         )),
     ],
 )
 def test_warm_moments_fault_about_never(packet):
-    # every array of the moments is at most core._CHUNK float64 = 64 KiB,
-    # below glibc's 128 KiB mmap threshold, so a warm call reuses heap
-    # memory, where an array mapped afresh faults once per 4 KiB page. A
-    # fresh process keeps the count blind to what earlier tests freed
+    # every array a moments call allocates is at most core._CHUNK float64
+    # = 64 KiB, below glibc's 128 KiB mmap threshold, so a warm call reuses
+    # heap memory, where an array mapped afresh faults once per 4 KiB page;
+    # a cached dense matrix is mapped once, by the warm-up. A fresh process
+    # keeps the count blind to what earlier tests freed
     assert _fault_probe()[packet] <= 1.0
 
 
@@ -860,7 +863,7 @@ def test_fused_kernel_pass_equals_standalone_bitwise(monkeypatch, n, N):
 @pytest.mark.parametrize("n,N", [(500, 23), (10_000, 100), (16_384, 127)])
 def test_fused_dense_pass_equals_standalone_bitwise(n, N):
     # every output of a dense pass multiplies the same [a; b] blocks by its
-    # own panels, so scalars and arrays equal the standalone calls exactly
+    # own matrix, so scalars and arrays equal the standalone calls exactly
     spec = PacketSpec(n=n, N=N)
     instants = _checked_instants(n)
     for t in instants + [np.array(instants * 12)]:
@@ -870,8 +873,11 @@ def test_fused_dense_pass_equals_standalone_bitwise(n, N):
                 assert np.array_equal(value, ref[kind]), (kinds, kind, t)
 
 
-@pytest.mark.parametrize("n,N", [(2, 0), (2, 1), (50, 7), (500, 23), (3000, 60), (61, 60)])
+@pytest.mark.parametrize(
+    "n,N", [(2, 0), (2, 1), (50, 7), (500, 23), (3000, 60), (61, 60), (16_384, 128), (100_000, 316)]
+)
 def test_fused_momentum_exactly_zero_at_start(n, N):
+    # the last two packets take the Dirichlet kernel, the others the dense forms
     spec = PacketSpec(n=n, N=N)
     assert packet_moments(NATURAL, spec, 0.0)[2] == 0.0
     assert packet_moments(NATURAL, spec, np.zeros(3), ("momentum",))[0].tolist() == [0.0] * 3
