@@ -34,6 +34,38 @@ even s, and <p> = mu w_b d<x>/dtau uses R_K'. Each moment therefore
 costs O(N) kernel evaluations per instant, not O(N^2) pair terms
 (Zygmund, Trigonometric Series, ch. III).
 
+Level sums for the Hankel part. The d-groups are the Toeplitz part of
+each mean (weights that depend on d alone): the Fejer average of the
+classical series with detuned phases. The s-groups carry the weights
+1/(2n+s)^2, of order 1/n^2, and -d/(2n+s) in <p>: the Hankel part,
+which depends on s = j + k. With u = j k / ((2n+j)(2n+k)), so that
+2n + s = (2n+j)(2n+k)(1 - u)/2n, both are geometric series in u,
+
+    1/(2n+s)^2 = sum_{i>=0} (i+1) psi_i(j) psi_i(k),  psi_i(j) = 2n (-j)^i / (2n+j)^(i+2),
+    1/(2n+s)   = 2n sum_{i>=0} xi_i(j) xi_i(k),       xi_i(j) = (-j)^i / (2n+j)^(i+1),
+
+and [s odd] = (1 - (-1)^j (-1)^k)/2, so, cut after i = K, each Hankel
+part is a quadratic form of rank O(K) in the level phases
+a_j = cos(m_j tau) and b_j = sin(m_j tau) of the dense forms below:
+sums of a_j and b_j against psi_i, xi_i, j xi_i and their products with
+(-1)^j, one BLAS product per output and per a or b against a cached
+(2N+1) x O(K) basis (`_level_form`). On the kernel the a_j and b_j come
+from `_phases` and `core._half_angle` as in `_dense_block`, and share
+the kernel's split of the revival fraction, since m_j < 4nN. |u| is at
+most (N/(2n-N))^2, and the cut moves <x> and <x^2> by at most
+(2/pi^2) (2N+1) (2n)^2/(2n-N)^4 sum_{i>K} (i+1) u^i of a and a^2, and
+<p> by at most 8N (2N+1)/(pi (2n-N)^2) sum_{i>K} u^i of p_n;
+`_series_terms` takes the least K that puts both below eps/16. For
+N = isqrt(n) that is K = 2 at n = 16384 and 10^5 and K = 1 at 10^6 and
+10^7: two or three terms. The rule depends on (n, N) alone: where K
+would pass _SERIES_CAP = 16, that is n < 2.05 N, which no packet of
+N = isqrt(n) >= 128 reaches, the kernel keeps the s-columns, the exact
+path. Per instant a kernel evaluates the d-columns alone (N Dirichlet
+columns for <x> and <p>, 2N for <x^2>, where the s-columns added 2N and
+4N - 1 more), plus one tangent per level for the 2N + 1 level phases
+and two products of 2N + 1 levels by at most 4(K + 1) columns per
+output.
+
 Dense quadratic forms. The same means are quadratic forms in the 2N + 1
 level phases. With u_j = n + j and m_j = 2nj + j^2 = u_j^2 - n^2 for
 j = -N..N, every pair phase is (m_j - m_k) tau, so with a_j = cos(m_j tau)
@@ -56,8 +88,9 @@ the tangents of their half phases and does one BLAS product per moment,
 is cached whole and filled in panels of at most _CHUNK elements. The
 forms have no Taylor branch, so the cancellation of the
 direct R_K' just above the kernel's Taylor threshold is gone there.
-Larger packets keep the Dirichlet kernel, O(N) per instant, where the
-dense forms are O(N^2): forced at (10^5, 316) they were 2.2-4x slower,
+Larger packets keep the Dirichlet kernel, O(N) per instant with the
+level sums, where the dense forms are O(N^2): forced at (10^5, 316) they
+were 2.2-4x slower than the kernel with s-columns,
 and from N = 128 exp_x and the fused pass are slower dense, while at
 (10^4, 100) a fused pass is 1.35-1.4x faster dense (DECISIONS.md, "Dense
 forms in 64 KiB panels up to N = 127"). Measured against the 40-digit
@@ -72,6 +105,8 @@ p_n (each path forced in turn):
     the same near-singular set, (61, 60)           0.9 / 1.5 / 108.4      0.5 / 0.6 / 0.3
     the near-singular set and three long times,    1.5 / 1.6 / 3.4        0.7 / 1.0 / 0.6
       (10^4, 100) and (16384, 127)
+    the same set, (16384, 128) and (10^5, 316),    1.3 / 1.2 / 4.2        -
+      level sums or s-columns (the same worst errors)
 
 Every closed form here is validated by `oracle_expectation`, which knows
 nothing of the term parametrization: its "grid" path evaluates the packet
@@ -110,12 +145,12 @@ cosine. The psi = 2n theta_d columns take the same route: their fraction
 c = frac(2n d tau) from `_phases` lies in (-1, 1), and tan(pi c) has
 period 1, so pi c is already the half angle, and cos psi and sin psi
 come from the one tangent tan(pi c) by `core._half_angle`, the helper
-that the classical series and the width scan share. No array path of the moments calls sin or cos.
-The reason is speed: numpy dispatches float64 tan to an SVML
-(AVX512_SKX) loop at 2 to 3 ns per element, while its float64 sin and
-cos run through scalar libm at 8 to 25 ns, and at n = 10^5 the two sines
-of each column took most of a kernel block (DECISIONS.md has the
-measurements and the hosts they hold on). The j reduction keeps
+that the classical series and the width scan share. No array path of
+the moments calls sin or cos. The reason is speed: numpy dispatches
+float64 tan to an SVML (AVX512_SKX) loop at 2 to 3 ns per element,
+while its float64 sin and cos run through scalar libm at 8 to 25 ns,
+and at n = 10^5 the two sines of each column took most of a kernel
+block (DECISIONS.md has the measurements and the hosts they hold on). The j reduction keeps
 |x/2| <= pi/4, so |t_x| <= 1 and only t_k meets the poles of tan; there
 sin(Kx) = 0, |t_k| is at most about 1e16, and the formulas stay finite
 and accurate to a few eps of K (R) and K^2 (R'). At c = +-1/2, the pole
@@ -130,52 +165,61 @@ BLAS may round differently for one instant than for many, so a scalar
 agrees with the matching element of an array call to rounding.
 
 One pass for every moment at an instant. Delta-x and Delta-p need <x>,
-<x^2> and <p> at the same t, and the three share their phases: <x> and
-<p> read the odd d- and s-columns, and <x^2> reads those and the even
-ones. `packet_moments` therefore asks one kernel for the union of the
-columns of the moments it is given, and forms the revival fraction, the
-phase reduction and the Dirichlet values once. Each moment is then a
-weighted sum over three feature blocks (R cos psi on the d-columns with
-R on the s-columns, R sin psi on the odd d-columns, and R' in place of R
-in the first), and only the blocks that some requested moment weights
+<x^2> and <p> at the same t, and the three share their phases: <x>
+and <p> read the odd d-columns, <x^2> reads those and the even ones,
+and all three read the level phases (or, past the series rule, the odd
+s-columns, and <x^2> the even ones too). `packet_moments` therefore asks
+one kernel for the union of the columns of the moments it is given, and
+forms the revival fraction, the phase reduction, the Dirichlet values
+and the level phases once. Each moment is then a weighted sum over three
+feature blocks (R cos psi on the d-columns with R on the s-columns,
+R sin psi on the odd d-columns, and R' in place of R in the first) plus
+its level sum, and only the blocks that some requested moment weights
 are formed. The kernel lays out its columns in one order whatever it is
 asked for, [even d | odd d | odd s | even s], so each moment reads one
 contiguous slice of each block, the same columns in the same order as
-its standalone kernel. For a scalar t the values therefore equal those
-of exp_x, exp_x2 and exp_p bit for bit, and <p>(0) is exactly 0.
-expectation_sample, uncertainty_product, reduced_uncertainty and the
-limit and CLI series all take this path; on the kernel one pass costs
-about as much as one exp_x2 call, not the three calls it replaces. A
-dense pass forms a and b once and does one product per moment.
+its standalone kernel, and does its own level-sum products against its
+own basis. For a scalar t the values therefore equal those of exp_x,
+exp_x2 and exp_p bit for bit, and <p>(0) is exactly 0: every R', every
+sin psi and every b_j is 0 there. expectation_sample,
+uncertainty_product, reduced_uncertainty and the limit and CLI series
+all take this path; on the kernel one pass costs about as much as one
+exp_x2 call, not the three calls it replaces. A dense pass forms a and b
+once and does one product per moment.
 
 Block size. Every moment runs one loop over blocks, in `_moments`. The
 revival fraction and the split of its high part are formed once per
 call on t as passed, so a scalar t runs them on Python floats; each
 block then forms only the outer products frac(m * that fraction), and
 the element passes of the kernel run in place. Arrays are evaluated in
-blocks of at most core._CHUNK = 8192 instants x kernel columns, by the
-rule core._block_rows that the classical series share, and a t that
-fits in one block, a scalar included, is that block, unsliced. A block
-holds a few temporaries of that size at once (the phases, the sign, the
-two tangents, 1 + t^2 of each, one more for R', and 1 + t^2 or cos of
-the psi columns). Each float64 temporary is then at most 64 KiB, below
-glibc's default mmap threshold of 128 KiB: the temporaries come from the
-heap and are reused from block to block. Larger blocks are mapped and
-unmapped, or trimmed from the heap, on every call unless some earlier
-large free in the process has raised glibc's dynamic thresholds. A fused
-pass counts the union of its columns, so its blocks hold fewer instants
-than a standalone exp_x block (3 against 6 at (10^5, 316)), and no
-temporary ever spans instants x columns x moments; an array therefore
-agrees with the standalone calls to rounding rather than bit for bit.
-Dense blocks hold core._block_rows(2(2N+1)) instants, so the stacked
-[a; b] and its product with a matrix are at most 64 KiB each. A cached
-matrix may be larger (520 KB at N = 127) but is mapped once, and it is
-filled in panels of rows, so no (2N+1)^2 temporary is made; every moment
-of a dense pass reads the same blocks, so there its arrays equal the
-standalone calls bit for bit too. Small arrays do not make the heap memory stay, though: a
-kernel block holds about 500 KB of temporaries at (10^5, 316), and where
-they sit at the top of the heap glibc trims them after the block and the
-next block faults them back in (DECISIONS.md).
+blocks of at most core._CHUNK = 8192 instants x columns, by the rule
+core._block_rows that the classical series share, and a t that fits in
+one block, a scalar included, is that block, unsliced. A kernel block
+counts the wider of its Dirichlet and psi columns and its 2N + 1 level
+phases, not their sum, since each is its own array. It holds a few
+temporaries of that size at once (the phases, the sign, the two
+tangents, 1 + t^2 of each, one more for R', 1 + t^2 or cos of the psi
+columns, and a and b of the levels). Each float64 temporary is then at
+most 64 KiB, below glibc's default mmap threshold of 128 KiB: the
+temporaries come from the heap and are reused from block to block.
+Larger blocks are mapped and unmapped, or trimmed from the heap, on
+every call unless some earlier large free in the process has raised
+glibc's dynamic thresholds. A fused pass counts the union of its
+columns, so its blocks may hold fewer instants than a standalone exp_x
+block (6 against 12 at (10^5, 316)), and no temporary ever spans
+instants x columns x moments; an array therefore agrees with the
+standalone calls to rounding rather than bit for bit. Dense blocks hold
+core._block_rows(2(2N+1)) instants, so the stacked [a; b] and its
+product with a matrix are at most 64 KiB each. A cached matrix may be
+larger (520 KB at N = 127) but is mapped once, and it is filled in
+panels of rows, so no (2N+1)^2 temporary is made; every moment of a
+dense pass reads the same blocks, so there its arrays equal the
+standalone calls bit for bit too. Small arrays do not make the heap
+memory stay, though: where a block's temporaries sit at the top of the
+heap, glibc can trim them after the block and the next block faults
+them back in. With the level sums a warm call at (10^5, 316) on 8
+instants peaks at 220-286 KiB of temporaries, against 469-558 KiB with
+the s-columns (`tracemalloc`; DECISIONS.md).
 """
 
 from __future__ import annotations
@@ -258,6 +302,70 @@ def _phases(h, l, m, bits: int):
 # --- Dirichlet-kernel sums ---------------------------------------------------
 
 _PACKET = ("position", "position_sq", "momentum")
+_SERIES_TOL = 2.0**-56  # bound on the level sums' truncation: eps/16 of a, a^2 and p_n
+_SERIES_CAP = 16  # the longest level-sum series; a packet that needs more keeps the s-columns
+
+
+def _series_terms(n: int, N: int) -> int | None:
+    """The last index K of the level-sum series of (n, N), or None past _SERIES_CAP.
+
+    The series of `_level_form` falls as u^k with u = (N / (2n - N))^2,
+    the largest j k / ((2n + j)(2n + k)). Cut after k = K, it moves <x>
+    and <x^2> by at most (2/pi^2) (2N+1) (2n)^2 / (2n-N)^4
+    sum_{k>K} (k+1) u^k of a and a^2, and <p> by at most
+    8N (2N+1) / (pi (2n-N)^2) sum_{k>K} u^k of p_n: each of the (2N+1)^2
+    pair weights is off by its tail. K is the least that puts both below
+    _SERIES_TOL.
+    """
+    u = (N / (2 * n - N)) ** 2
+    x = 2 / math.pi**2 * (2 * N + 1) * (2 * n) ** 2 / (2 * n - N) ** 4
+    p = 8 * N * (2 * N + 1) / (math.pi * (2 * n - N) ** 2)
+    for K in range(_SERIES_CAP + 1):
+        tail = u ** (K + 1) / (1 - u)
+        if max(x * tail * (K + 2 - (K + 1) * u) / (1 - u), p * tail) <= _SERIES_TOL:
+            return K
+    return None
+
+
+@functools.lru_cache(maxsize=48)
+def _level_form(n: int, N: int, output: str, K: int) -> tuple:
+    """(sine, left, right, w): the Hankel part of one output's bracket as a short level sum.
+
+    With s = j + k, d = j - k and sigma_j = (-1)^j, the Hankel weights are
+    separable series in the levels j and k,
+
+        1/(2n+s)^2 = sum_i (i+1) psi_i(j) psi_i(k),
+        -d/(2n+s)  = 2n sum_i [(-j xi_i(j)) xi_i(k) + xi_i(j) (k xi_i(k))],
+        [s odd]    = (1 - sigma_j sigma_k)/2,
+
+    with psi_i(j) = 2n (-j)^i / (2n+j)^(i+2) and xi_i(j) = (-j)^i / (2n+j)^(i+1):
+    the geometric series in u = j k / ((2n+j)(2n+k)) of
+    (2n)^2 / (2n+s)^2 = 1/((1 - u)^2 (1 + j/2n)^2 (1 + k/2n)^2) and of
+    2n / (2n+s), cut after i = K. The bracket's Hankel part is then
+    sum_r w_r (a @ left)_r (a @ right)_r plus the same in b for <x> and
+    <x^2>, where left is right, and sum_r w_r (b @ left)_r (a @ right)_r
+    for <p>, over the columns psi_i and sigma psi_i (or the xi pairs).
+    <x^2> sums -sigma_j sigma_k / (2 (2n+s)^2) over every pair, d = 0
+    included, which is its diagonal part, so its kernel has no constant.
+    """
+    j = np.arange(-N, N + 1.0)[:, None]
+    i = np.arange(K + 1.0)
+    sign = 1.0 - 2.0 * (j % 2)
+    if output == "momentum":
+        xi = (-j) ** i / (2 * n + j) ** (i + 1)
+        left, right = np.hstack([-j * xi, xi]), np.hstack([xi, j * xi])
+        left, right = np.hstack([left, sign * left]), np.hstack([right, -sign * right])
+        w = np.full(left.shape[1], float(n))  # 2n times the 1/2 of [s odd]
+    else:
+        psi = 2.0 * n * (-j) ** i / (2 * n + j) ** (i + 2)
+        if output == "position_sq":
+            left, w = sign * psi, -0.5 * (i + 1)
+        else:
+            left, w = np.hstack([psi, sign * psi]), 0.25 * np.concatenate([i + 1, -(i + 1)])
+        right = left
+    for arr in (left, right, w):
+        arr.setflags(write=False)
+    return output == "momentum", left, right, w
 
 
 @dataclass(frozen=True)
@@ -266,17 +374,20 @@ class _Kernel:
 
     Column i holds R_{K[i]} at the phase m[i] * tau. The columns come in
     one order whatever the outputs: the nd d-groups (m = d) as
-    [even d | odd d], then the s-groups (m = 2n + s) as [odd s | even s],
-    the even ones only where <x^2> is asked; m ends with the nd
-    multipliers 2n d of psi = 2n theta_d, in the d order. Three feature
-    blocks are formed from them: "cos" is R with the d-columns times
-    cos psi, "rate" R' with the d-columns times cos psi, and "sin" the
-    odd d-columns of R times sin psi. Output j is
-    const[j] + sum over (block, cols, w) in terms[j] of block[:, cols] @ w,
-    where cols is a slice: the odd d- and s-columns (<x>, <p>), the odd
-    d-columns (the quasi series), or every column (<x^2>, and the whole
-    "sin" block). Each output therefore reads the same columns in the same
-    order as the kernel of that output alone.
+    [even d | odd d], then, where `_series_terms` gives no level sums, the
+    s-groups (m = 2n + s) as [odd s | even s], the even ones only where
+    <x^2> is asked; m ends with the nd multipliers 2n d of psi =
+    2n theta_d, in the d order. Three feature blocks are formed from them:
+    "cos" is R with the d-columns times cos psi, "rate" R' with the
+    d-columns times cos psi, and "sin" the odd d-columns of R times
+    sin psi. Output j is const[j] + sum over (block, cols, w) in terms[j]
+    of block[:, cols] @ w, plus the level sum forms[j] over a_l =
+    cos(m_l tau) and b_l = sin(m_l tau) at the level multipliers
+    m_l = 2n l + l^2, l = -N..N, where it is not None. cols is a slice:
+    the odd d- (and s-) columns (<x>, <p>), the odd d-columns (the quasi
+    series), or every column (<x^2>, and the whole "sin" block). Each
+    output therefore reads the same columns in the same order, and the
+    same level sum, as the kernel of that output alone.
     """
 
     m: np.ndarray
@@ -288,8 +399,11 @@ class _Kernel:
     odd_d: slice  # the odd d-columns, the only ones that "sin" holds
     terms: tuple[tuple[tuple[str, slice, np.ndarray], ...], ...]
     blocks: frozenset[str]
+    level_m: np.ndarray  # the level multipliers, empty without level sums
+    forms: tuple[tuple | None, ...]  # `_level_form` per output, or None
     const: np.ndarray
     bits: int  # every m is below 2**bits
+    width: int  # a block holds _block_rows(width) instants
 
 
 @functools.lru_cache(maxsize=16)
@@ -299,32 +413,39 @@ def _kernel(n: int, N: int, outputs: tuple[str, ...]) -> _Kernel:
     The outputs are the brackets of <x> ("position"), <x^2>
     ("position_sq") and the tau-derivative of <x> ("momentum"), and the
     classical-amplitude series of `quasi_exp` ("quasi_position",
-    "quasi_momentum"). <x> and <p> take the odd d- and s-columns, <x^2>
-    every d = 1..2N and |s| < 2N, and the quasi series the odd d-columns
-    alone.
+    "quasi_momentum"). <x> and <p> take the odd d-columns, <x^2> every
+    d = 1..2N, and the quasi series the odd d-columns alone. The Hankel
+    parts of <x>, <x^2> and <p> are level sums where `_series_terms`
+    gives their length, and otherwise the odd s-columns (<x>, <p>) and
+    every |s| < 2N (<x^2>).
     """
+    packet = bool(set(outputs) & set(_PACKET))
+    series = _series_terms(n, N) if packet else None
+    s_cols = packet and series is None
     full = "position_sq" in outputs
     odd_d = np.arange(1.0, 2 * N + 1, 2)
     even_d = np.arange(2.0, 2 * N + 1, 2) if full else np.empty(0)
-    odd_s = np.arange(1.0 - 2 * N, 2 * N, 2) if set(outputs) & set(_PACKET) else np.empty(0)
-    even_s = np.arange(2.0 - 2 * N, 2 * N, 2) if full else np.empty(0)
+    odd_s = np.arange(1.0 - 2 * N, 2 * N, 2) if s_cols else np.empty(0)
+    even_s = np.arange(2.0 - 2 * N, 2 * N, 2) if s_cols and full else np.empty(0)
     d, s = np.concatenate([even_d, odd_d]), np.concatenate([odd_s, even_s])
-    first = len(even_d)  # the odd d-columns, then the odd s-columns, start here
-    d_cols, odd = slice(first, len(d)), slice(first, len(d) + len(odd_s))
+    nd, first = len(d), len(even_d)  # the odd d-columns start at first
+    d_cols, s_odd, s_all = slice(first, nd), slice(nd, nd + len(odd_s)), slice(nd, nd + len(s))
     x_d, x_s = -1.0 / odd_d**2, 0.5 / (2 * n + odd_s) ** 2  # <x> weights
     w_s = 0.5 / (2 * n + even_s) ** 2
-    levels = n + np.arange(-N, N + 1, dtype=float)
-    weights = {
-        "position": (("cos", odd, np.concatenate([x_d, x_s])),),
-        "position_sq": (("cos", slice(None), np.concatenate([(-1.0) ** d / d**2, x_s, -w_s])),),
-        "momentum": (
-            ("sin", slice(None), -2.0 * n * odd_d * x_d),
-            ("rate", odd, np.concatenate([x_d * odd_d, x_s * (2 * n + odd_s)])),
-        ),
+    j = np.arange(-N, N + 1.0)
+    weights = {  # the Toeplitz part of each output: its d-columns
+        "position": (("cos", d_cols, x_d),),
+        "position_sq": (("cos", slice(0, nd), (-1.0) ** d / d**2),),
+        "momentum": (("sin", slice(None), -2.0 * n * odd_d * x_d), ("rate", d_cols, x_d * odd_d)),
         "quasi_position": (("cos", d_cols, x_d),),
         "quasi_momentum": (("sin", slice(None), 1.0 / odd_d),),
     }
-    const = float(np.sum(w_s)) - 0.125 * float(np.sum(1.0 / levels**2))
+    hankel = {  # the s-columns, where there are no level sums
+        "position": (("cos", s_odd, x_s),),
+        "position_sq": (("cos", s_all, np.concatenate([x_s, -w_s])),),
+        "momentum": (("rate", s_odd, x_s * (2 * n + odd_s)),),
+    } if s_cols else {}
+    const = float(np.sum(w_s)) - 0.125 * float(np.sum(1.0 / (n + j) ** 2)) if s_cols else 0.0
     K = np.concatenate([2 * N + 1 - d, 2 * N + 1 - np.abs(s)])
     arrays = {
         "m": np.concatenate([d, 2 * n + s, 2 * n * d]),
@@ -332,18 +453,24 @@ def _kernel(n: int, N: int, outputs: tuple[str, ...]) -> _Kernel:
         "flip": -2.0 * (K % 2 == 0),
         "a2": K * (1 - K**2) / 6,
         "a4": K * (K**2 - 1) * (3 * K**2 - 7) / 360,
+        "level_m": (j + 2 * n) * j if series is not None else np.empty(0),
         "const": np.array([const if out == "position_sq" else 0.0 for out in outputs]),
     }
-    terms = tuple(weights[out] for out in outputs)
+    terms = tuple(weights[out] + hankel.get(out, ()) for out in outputs)
+    forms = tuple(
+        _level_form(n, N, out, series) if series is not None and out in _PACKET else None for out in outputs
+    )
     for arr in (*arrays.values(), *(w for ts in terms for _, _, w in ts)):
         arr.setflags(write=False)
     return _Kernel(
         **arrays,
-        nd=len(d),
+        nd=nd,
         odd_d=d_cols,
         terms=terms,
         blocks=frozenset(name for ts in terms for name, _, _ in ts),
-        bits=(4 * n * N).bit_length(),  # one bound for every kernel of (n, N)
+        forms=forms,
+        bits=(4 * n * N).bit_length(),  # one bound for every kernel of (n, N), levels included
+        width=max(len(arrays["m"]), len(arrays["level_m"])),
     )
 
 
@@ -357,7 +484,8 @@ def _dirichlet(ker: _Kernel, c: np.ndarray, rate: bool):
         R   = t_k (1 + t_x^2) / (t_x (1 + t_k^2))
         R'  = (1 + t_x^2) (K (1 - t_k^2) t_x - (1 - t_x^2) t_k) / (2 t_x^2 (1 + t_k^2))
 
-    and where |K x| < _TAYLOR they come from their Taylor series instead.
+    and where |K x| < _TAYLOR they come from their Taylor series instead,
+    evaluated on those elements alone.
     """
     u = 2.0 * c  # a new contiguous array, also where c is a view
     j = np.rint(u)
@@ -369,17 +497,20 @@ def _dirichlet(ker: _Kernel, c: np.ndarray, rate: bool):
     sign += 1.0
     tk = u * ker.K  # K x/2
     a = np.abs(tk)  # later 1 + t_x^2
-    near = np.minimum.reduce(a, axis=None, initial=np.inf) < 0.5 * _TAYLOR
-    if near:
-        small = a < 0.5 * _TAYLOR
-        x = 2.0 * u
+    small = None
+    if np.minimum.reduce(a, axis=None, initial=np.inf) < 0.5 * _TAYLOR:
+        small = np.flatnonzero(a < 0.5 * _TAYLOR)
+        col = small % len(ker.K)
+        x = 2.0 * u.reshape(-1)[small]
         x2 = x * x
-        taylor = sign * (ker.K + x2 * (ker.a2 + x2 * ker.a4))
-        taylor_rate = sign * (x * (2.0 * ker.a2 + 4.0 * x2 * ker.a4)) if rate else None
+        sign_s = sign.reshape(-1)[small]
+        taylor = sign_s * (ker.K[col] + x2 * (ker.a2[col] + x2 * ker.a4[col]))
+        if rate:
+            taylor_rate = sign_s * (x * (2.0 * ker.a2[col] + 4.0 * x2 * ker.a4[col]))
     tx = np.tan(u, out=u)
     np.tan(tk, out=tk)
-    if near:
-        np.copyto(tx, 1.0, where=small)  # t_x = 0 only where K x = 0
+    if small is not None:
+        tx.reshape(-1)[small] = 1.0  # t_x = 0 only where K x = 0
     np.multiply(tx, tx, out=a)
     a += 1.0
     b = tk * tk
@@ -402,16 +533,17 @@ def _dirichlet(ker: _Kernel, c: np.ndarray, rate: bool):
         dR *= a
         dR /= tx
         dR *= 0.5
-    if near:
-        np.copyto(R, taylor, where=small)
+    if small is not None:
+        R.reshape(-1)[small] = taylor
         if rate:
-            np.copyto(dR, taylor_rate, where=small)
+            dR.reshape(-1)[small] = taylor_rate
     return R, dR
 
 
-def _kernel_block(ker: _Kernel, c: np.ndarray, out: np.ndarray) -> None:
-    """The brackets of one block of instants from its phase fractions c."""
-    nk = len(ker.K)
+def _kernel_block(ker: _Kernel, h, l, out: np.ndarray) -> None:
+    """The brackets of one block of instants from the split revival fraction h + l."""
+    rows, nk = out.shape[1], len(ker.K)
+    c = _phases(h, l, ker.m, ker.bits).reshape(rows, len(ker.m))
     R, dR = _dirichlet(ker, c[:, :nk], "rate" in ker.blocks)
     psi = c[:, nk:]
     psi *= math.pi  # psi / 2, for the one tangent of `core._half_angle`
@@ -428,12 +560,28 @@ def _kernel_block(ker: _Kernel, c: np.ndarray, out: np.ndarray) -> None:
             R[:, : ker.nd] *= cos
         if dR is not None:
             dR[:, : ker.nd] *= cos
-    for acc, terms in zip(out, ker.terms):
+    if len(ker.level_m):
+        b = _phases(h, l, ker.level_m, ker.bits).reshape(rows, len(ker.level_m))
+        b *= math.pi  # half the level phases, as in `_dense_block`
+        a = np.empty(b.shape)
+        _half_angle(b, a, b)
+    for acc, terms, form in zip(out, ker.terms, ker.forms):
         for i, (name, cols, w) in enumerate(terms):
             if i:
                 np.add(acc, feats[name][:, cols] @ w, out=acc)
             else:
                 np.matmul(feats[name][:, cols], w, out=acc)
+        if form is not None:
+            sine, left, right, w = form
+            y = (b if sine else a) @ left
+            if sine:
+                y *= a @ right
+            else:  # left is right
+                y *= y
+                z = b @ left
+                z *= z
+                y += z
+            acc += y @ w
 
 
 # --- dense quadratic forms ---------------------------------------------------
@@ -492,6 +640,7 @@ class _Dense:
     forms: tuple[tuple[bool, np.ndarray], ...]  # (reads b_j a_k, X) per output
     const: np.ndarray
     bits: int  # every m is below 2**bits
+    width: int  # the stacked [a; b] of a block: _block_rows(width) instants
 
 
 @functools.lru_cache(maxsize=16)
@@ -508,13 +657,15 @@ def _dense(n: int, N: int, outputs: tuple[str, ...]) -> _Dense:
         forms=tuple((out.endswith("momentum"), _form(n, N, out)) for out in outputs),
         const=const,
         bits=(2 * n * N + N * N).bit_length(),
+        width=2 * len(m),
     )
 
 
-def _dense_block(plan: _Dense, c: np.ndarray, out: np.ndarray) -> None:
+def _dense_block(plan: _Dense, h, l, out: np.ndarray) -> None:
     """The brackets of one block: a = cos(m tau) and b = sin(m tau) from the
     half phases pi c, stacked as the rows of a over the rows of b, then one
     matrix product per output."""
+    c = _phases(h, l, plan.m, plan.bits).reshape(out.shape[1], len(plan.m))
     c *= math.pi
     ab = np.empty((2,) + c.shape)
     _half_angle(c, ab[0], ab[1])
@@ -541,13 +692,12 @@ def _moments(cfg: WellConfig, spec: PacketSpec, t, outputs: tuple[str, ...]) -> 
     """
     dense = spec.size**2 <= _PANELS * _CHUNK
     plan = (_dense if dense else _kernel)(spec.n, spec.N, outputs)
-    width = len(plan.m)
     t_arr = np.asarray(t, dtype=float)
     hi, lo = _fraction(cfg._revival_rate, t_arr)
     h, l = _split(hi, max(plan.bits, 1))
     l = l + lo
     brackets = np.empty((len(outputs), t_arr.size))
-    step = _block_rows(2 * width if dense else width)
+    step = _block_rows(plan.width)
     blocks = [(h, l, brackets)]  # a t that fits in one block, a scalar included
     if t_arr.size > step:
         h, l = h.reshape(-1), l.reshape(-1)
@@ -557,7 +707,7 @@ def _moments(cfg: WellConfig, spec: PacketSpec, t, outputs: tuple[str, ...]) -> 
         )
     block = _dense_block if dense else _kernel_block
     for h_i, l_i, out in blocks:
-        block(plan, _phases(h_i, l_i, plan.m, plan.bits).reshape(out.shape[1], width), out)
+        block(plan, h_i, l_i, out)
 
     brackets = brackets.reshape((len(outputs),) + t_arr.shape)
     vals = []

@@ -485,7 +485,7 @@ def test_dense_forms_serve_packets_up_to_the_block_limit(monkeypatch):
         packet_moments(NATURAL, PacketSpec(n=16384, N=N), np.linspace(0.0, 1e-3, 300))
         assert bool(blocks) == dense, N
         # the stacked [a; b] of a block, and each product with a matrix
-        assert all(2 * c.size <= _CHUNK for _, c, _ in blocks)
+        assert all(2 * out.shape[1] * len(plan.m) <= _CHUNK for plan, _, _, out in blocks)
     j = np.arange(-127, 128.0)
     assert -(-len(j) // _block_rows(len(j))) <= 8  # fills of at most _CHUNK elements
     for kind in ("position", "position_sq", "momentum", "quasi_position", "quasi_momentum"):
@@ -545,11 +545,7 @@ def _fault_probe():
         "500-23",
         "10000-100",
         "16383-127",
-        pytest.param("100000-316", marks=pytest.mark.xfail(
-            reason="the kernel's block temporaries, about 500 KB at once, can be trimmed from the top of the "
-            "heap and faulted back; whether they are depends on what the earlier packets left on the heap, "
-            "from 0 to hundreds of faults per call"
-        )),
+        "100000-316",
     ],
 )
 def test_warm_moments_fault_about_never(packet):
@@ -557,7 +553,9 @@ def test_warm_moments_fault_about_never(packet):
     # = 64 KiB, below glibc's 128 KiB mmap threshold, so a warm call reuses
     # heap memory, where an array mapped afresh faults once per 4 KiB page;
     # a cached dense matrix is mapped once, by the warm-up. A fresh process
-    # keeps the count blind to what earlier tests freed
+    # keeps the count blind to what earlier tests freed. (10^5, 316) runs
+    # the Dirichlet kernel, whose block temporaries glibc has trimmed from
+    # the top of the heap and faulted back in other processes (DECISIONS.md)
     assert _fault_probe()[packet] <= 1.0
 
 
@@ -681,6 +679,123 @@ def test_kernel_exact_to_rounding_at_large_n(n, N, fractions, p_eps):
 _KERNEL_COLUMNS = _kernel(317, 316, ("position_sq",))  # one column for each K = 1..633
 
 
+_SERIES_CAP = quantum._SERIES_CAP
+
+
+def _force_hankel(monkeypatch, levels):
+    """Send every kernel packet's Hankel part down one path: level sums
+    (with twice the series cap) or the s-columns. A fresh `_kernel` cache
+    keeps the forced plans out of the module's own."""
+    monkeypatch.setattr(quantum, "_SERIES_CAP", 2 * _SERIES_CAP if levels else -1)
+    monkeypatch.setattr(quantum, "_kernel", functools.lru_cache(maxsize=16)(quantum._kernel.__wrapped__))
+
+
+# (n, N) and whether the rule gives level sums: N = isqrt(n) packets and
+# both sides of the edge n = 2.05 N at N = 60 and N = 128
+_RULE_SIDES = [(16_384, 128, True), (100_000, 316, True), (122, 60, False), (123, 60, True),
+               (261, 128, False), (262, 128, True)]
+
+
+@pytest.mark.parametrize("n,N,levels", _RULE_SIDES)
+def test_level_sums_equal_s_columns(monkeypatch, n, N, levels):
+    # the Hankel part from the level sums and from the s-columns, each
+    # forced in turn on the Dirichlet kernel, at scalar instants, so that
+    # both paths sum the same d-columns in the same product
+    assert (quantum._series_terms(n, N) is not None) == levels
+    spec = PacketSpec(n=n, N=N)
+    eps = np.finfo(float).eps
+    scales = _scales(n)
+    kinds = tuple(CLOSED_FORMS)
+    _force_path(monkeypatch, dense=False)
+    for t in _checked_instants(n):
+        got = {}
+        for side in (True, False):
+            _force_hankel(monkeypatch, side)
+            assert (quantum._series_terms(n, N) is not None) == side
+            got[side] = packet_moments(NATURAL, spec, t, kinds)
+        for kind, lv, sc in zip(kinds, *got.values()):
+            assert abs(lv - sc) <= 4 * eps * scales[kind], (kind, t)
+
+
+@pytest.mark.parametrize("n,N", [(16_384, 128), (100_000, 316), (123, 60), (2, 0)])
+def test_level_forms_reproduce_the_hankel_weights(n, N):
+    # each cached (left, right, w) rebuilds the output's (2N+1)^2 Hankel
+    # weights within the per-pair tail that `_series_terms` bounds
+    K = quantum._series_terms(n, N)
+    j = np.arange(-N, N + 1.0)
+    d, s = np.subtract.outer(j, j), np.add.outer(j, j)
+    odd = s % 2 != 0
+    w = 2 * n + s
+    u = (N / (2 * n - N)) ** 2
+    tail = u ** (K + 1) / (1 - u)
+    first = 1 / np.add.outer(2 * n + j, 0 * j) / np.add.outer(0 * j, 2 * n + j)  # 1/((2n+j)(2n+k))
+    bounds = {
+        "position": 0.5 * (2 * n * first) ** 2 * tail * (K + 2 - (K + 1) * u) / (1 - u),
+        "momentum": np.abs(d) * 2 * n * first * tail,
+    }
+    bounds["position_sq"] = bounds["position"]
+    exact = {
+        "position": np.where(odd, 0.5 / w**2, 0.0),
+        "position_sq": -0.5 * np.where(odd, -1.0, 1.0) / w**2,
+        "momentum": np.where(odd, -d / w, 0.0),
+    }
+    for kind, H in exact.items():
+        sine, left, right, weights = quantum._level_form(n, N, kind, K)
+        assert sine == (kind == "momentum")
+        assert not (left.flags.writeable or right.flags.writeable or weights.flags.writeable)
+        rebuilt = (left * weights) @ right.T
+        assert np.all(np.abs(rebuilt - H) <= bounds[kind] + 8 * np.finfo(float).eps * np.abs(H).max()), kind
+
+
+def test_series_lengths_on_the_sqrt_regime():
+    # K for N = isqrt(n) from the first kernel packet up: one to three
+    # terms, fewer as N/n falls; and none near n = N, where u -> 1
+    lengths = [quantum._series_terms(n, math.isqrt(n)) for n in (16_384, 10**5, 10**6, 10**7)]
+    assert lengths == [2, 2, 1, 1]
+    assert quantum._series_terms(61, 60) is None and quantum._series_terms(2, 1) is None
+
+
+def _whole_block_taylor(ker, c):
+    """R_K and R_K' from their Taylor series on every element of c, in the
+    operations of `_dirichlet`, and the elements where it takes them."""
+    u = 2.0 * c
+    j = np.rint(u)
+    u -= j
+    u *= 0.5 * math.pi
+    sign = j * j
+    sign *= ker.flip
+    sign += 1.0
+    x = 2.0 * u
+    x2 = x * x
+    taylor = sign * (ker.K + x2 * (ker.a2 + x2 * ker.a4))
+    rate = sign * (x * (2.0 * ker.a2 + 4.0 * x2 * ker.a4))
+    return taylor, rate, np.abs(u * ker.K) < 0.5 * quantum._TAYLOR
+
+
+@pytest.mark.parametrize("flagged", ["none", "one", "all"])
+def test_dirichlet_taylor_branch_on_flagged_elements_only(flagged):
+    # the series runs on the gathered elements with |K x| < _TAYLOR alone:
+    # there it equals the series over the whole block bit for bit, and
+    # every other element is the tangent formula, whatever is flagged
+    ker = _KERNEL_COLUMNS
+    rng = np.random.default_rng(7)
+    c = rng.uniform(0.1, 0.4, (3, len(ker.K))) * rng.choice([-1.0, 1.0], (3, len(ker.K)))
+    if flagged == "one":
+        c[1, 200] = 0.5 - 3e-8
+    elif flagged == "all":
+        c = rng.choice([-0.5, 0.0, 0.5], c.shape) + rng.uniform(-1e-7, 1e-7, c.shape)
+    taylor, rate, small = _whole_block_taylor(ker, c)
+    assert np.count_nonzero(small) == {"none": 0, "one": 1, "all": c.size}[flagged]
+    R, dR = _dirichlet(ker, c, True)
+    assert np.array_equal(R[small], taylor[small]) and np.array_equal(dR[small], rate[small])
+    off = c.copy()
+    off[small] = 0.25  # no element flagged: the tangent formula everywhere
+    R_off, dR_off = _dirichlet(ker, off, True)
+    assert np.array_equal(R[~small], R_off[~small]) and np.array_equal(dR[~small], dR_off[~small])
+
+
+
+
 @st.composite
 def _near_poles(draw):
     """K and a phase fraction c whose K x/2 lies within 1e-12 of a pole pi/2 + m pi of tan."""
@@ -744,8 +859,11 @@ def _packets_and_instants(draw):
 @example((500, 0, 0.0))
 @example((16384, 127, 1.7))  # the largest dense packet
 @example((16384, 128, 2.3))  # the smallest Dirichlet-kernel packet
+@example((122, 60, 1.1))  # forced onto the kernel: the s-columns, the last packet before the edge
+@example((123, 60, 1.1))  # and the level sums, the first packet past it
 def test_kernels_equal_pair_sum(case):
-    # each packet on the path of the rule, and on the Dirichlet kernel forced
+    # each packet on the path of the rule, and on the Dirichlet kernel forced;
+    # the draws reach both sides of the kernel's level-sum rule, n = 2.05 N
     n, N, periods = case
     spec = PacketSpec(n=n, N=N)
     t = periods * classical_period(NATURAL, n)
@@ -811,6 +929,8 @@ def _fused_cases(draw):
 @example((500, 0, (0.0, 0), ("position_sq",)))
 @example((16384, 127, (0.3, 1000), ("momentum", "position", "position_sq")))
 @example((16384, 128, (0.3, 1000), ("momentum", "position", "position_sq")))
+@example((122, 60, (0.5, 3), ("position_sq", "momentum", "position")))
+@example((123, 60, (0.5, 3), ("position_sq", "momentum", "position")))
 def test_fused_pass_equals_standalone_moments(case):
     # packet_moments, expectation_sample, uncertainty_product and
     # reduced_uncertainty read one pass over the union of the columns;
@@ -844,11 +964,12 @@ def _check_fused_pass(case):
         assert got.get("momentum", 0.0) == 0.0 and derived["momentum"] == 0.0
 
 
-@pytest.mark.parametrize("n,N", [(2000, 45), (10_000, 100), (61, 60), (100_000, 316)])
+@pytest.mark.parametrize("n,N", [(2000, 45), (10_000, 100), (61, 60), (100_000, 316), (16_384, 128)])
 def test_fused_kernel_pass_equals_standalone_bitwise(monkeypatch, n, N):
     # for a scalar t each output of a kernel pass sums its own columns in
-    # the order of its standalone kernel, so the values are the same floats;
-    # the kernel is forced, since the first three packets take the dense forms
+    # the order of its standalone kernel, and its own level sum, so the
+    # values are the same floats; the kernel is forced, since the first
+    # three packets take the dense forms. (61, 60) keeps the s-columns
     _force_path(monkeypatch, dense=False)
     spec = PacketSpec(n=n, N=N)
     standalone = {"position": exp_x, "position_sq": exp_x2, "momentum": exp_p}
