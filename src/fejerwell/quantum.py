@@ -79,31 +79,40 @@ and b_j = sin(m_j tau), d = j - k and s = j + k:
             G_jk = 2u_j (1/(u_j+u_k) - 1/(u_j-u_k)) = -4 u_j u_k / (d (2n+s)) for odd d
 
 and quasi_exp keeps the -1/d^2 part of X (position) or takes 1/d on
-b_j a_k (momentum). `_moments` takes these forms for every packet whose
-(2N+1)^2 matrix fits in _PANELS = 8 blocks of core._CHUNK elements,
-N <= 127, which includes the paper's (500, 23) and every packet of
-n < 16384 at N = isqrt(n): per block of instants it forms a and b from
-the tangents of their half phases and does one BLAS product per moment,
-([a; b] @ X) * [a; b] summed over each row, or (b @ G) * a. Each matrix
-is cached whole and filled in panels of at most _CHUNK elements. The
-forms have no Taylor branch, so the cancellation of the
-direct R_K' just above the kernel's Taylor threshold is gone there.
-Larger packets keep the Dirichlet kernel, O(N) per instant with the
-level sums, where the dense forms are O(N^2): forced at (10^5, 316) they
-were 2.2-4x slower than the kernel with s-columns,
-and from N = 128 exp_x and the fused pass are slower dense, while at
-(10^4, 100) a fused pass is 1.35-1.4x faster dense (DECISIONS.md, "Dense
-forms in 64 KiB panels up to N = 127"). Measured against the 40-digit
-pair sum, or past N = 60 the 60-digit closed form, in eps of a, a^2 and
-p_n (each path forced in turn):
+b_j a_k (momentum). X is symmetric and vanishes at even d, where j and k
+have the same parity, so <x> sums the even-by-odd block alone:
+
+    <x>   = a/2 + (4a/pi^2)/(2N+1) * sum_{j even, k odd} X_jk (a_j a_k + b_j b_k),
+
+a quarter of the (2N+1)^2 terms, and so does the quasi position.
+`_moments` takes these forms for every packet whose (2N+1)^2 matrix fits
+in _PANELS = 8 blocks of core._CHUNK elements, N <= 127, which includes
+the paper's (500, 23) and every packet of n < 16384 at N = isqrt(n). The
+levels come in the parity order [even j | odd j] (`_levels`). Per block
+of instants it forms a and b from the tangents of their half phases,
+stacks the rows of a over those of b, and does one BLAS product per
+moment: ([a_e; b_e] @ 2 X_eo) times [a_o; b_o] for <x> and
+([a; b] @ X2) times [a; b] for <x^2>, each summed over an instant's a
+and b rows by np.vecdot, and (b @ G) times a for <p>, summed pairwise.
+The <x> block 2 X_eo is cached alone, the other matrices whole, each
+filled in panels of at most _CHUNK elements. The forms have no Taylor
+branch, so the cancellation of the direct R_K' just above the kernel's
+Taylor threshold is gone there. Larger packets keep the Dirichlet
+kernel, O(N) per instant with the level sums, where the dense forms are
+O(N^2): forced at (10^5, 316) they were 2.2-4x slower than the kernel
+with s-columns, and from N = 128 exp_x and the fused pass are slower
+dense, while at (10^4, 100) a fused pass is 1.35-1.4x faster dense
+(DECISIONS.md, "Dense forms in 64 KiB panels up to N = 127"). Measured
+against the 40-digit pair sum, or past N = 60 the 60-digit closed form,
+in eps of a, a^2 and p_n (each path forced in turn):
 
     instants                                       kernel <x>/<x^2>/<p>   dense
-    near-singular set and three long times,        1.0 / 2.0 / 3.6        0.5 / 1.0 / 1.3
+    near-singular set and three long times,        1.0 / 2.0 / 3.6        0.6 / 1.5 / 1.3
       (500, 23) and (2000, 44)
-    60 instants just above the Taylor threshold,   0.9 / 1.3 / 40.7       0.8 / 0.8 / 1.3
+    60 instants just above the Taylor threshold,   0.9 / 1.3 / 40.7       0.9 / 0.8 / 1.3
       (500, 23)
-    the same near-singular set, (61, 60)           0.9 / 1.5 / 108.4      0.5 / 0.6 / 0.3
-    the near-singular set and three long times,    1.5 / 1.6 / 3.4        0.7 / 1.0 / 0.6
+    the same near-singular set, (61, 60)           0.9 / 1.5 / 108.4      0.8 / 1.0 / 0.5
+    the near-singular set and three long times,    1.5 / 1.6 / 3.4        1.0 / 1.0 / 0.6
       (10^4, 100) and (16384, 127)
     the same set, (16384, 128) and (10^5, 316),    1.3 / 1.2 / 4.2        -
       level sums or s-columns (the same worst errors)
@@ -209,12 +218,13 @@ columns, so its blocks may hold fewer instants than a standalone exp_x
 block (6 against 12 at (10^5, 316)), and no temporary ever spans
 instants x columns x moments; an array therefore agrees with the
 standalone calls to rounding rather than bit for bit. Dense blocks hold
-core._block_rows(2(2N+1)) instants, so the stacked [a; b] and its
-product with a matrix are at most 64 KiB each. A cached matrix may be
-larger (520 KB at N = 127) but is mapped once, and it is filled in
-panels of rows, so no (2N+1)^2 temporary is made; every moment of a
-dense pass reads the same blocks, so there its arrays equal the
-standalone calls bit for bit too. Small arrays do not make the heap
+core._block_rows(2(2N+1)) instants, a number the plan keeps, so the
+stacked [a; b] and its product with a matrix are at most 64 KiB each. A
+cached matrix may be larger (520 KB whole and 130 KB for the <x> block
+at N = 127, 323 and 81 KB at N = 100) but is mapped once, and it is
+filled in panels of rows, so no (2N+1)^2 temporary is made; every
+moment of a dense pass reads the same blocks, so there its arrays equal
+the standalone calls bit for bit too. Small arrays do not make the heap
 memory stay, though: where a block's temporaries sit at the top of the
 heap, glibc can trim them after the block and the next block faults
 them back in. With the level sums a warm call at (10^5, 316) on 8
@@ -231,7 +241,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PacketSpec, WellConfig, packet_wavefunction, spectral_data
+from .core import PacketSpec, WellConfig, packet_wavefunction
 from .core import _CHUNK, _block_rows, _fraction, _half_angle, _reduced_spread, _split
 
 __all__ = [
@@ -588,33 +598,47 @@ def _kernel_block(ker: _Kernel, h, l, out: np.ndarray) -> None:
 
 
 _PANELS = 8  # the dense forms serve packets whose matrix fills at most this many _CHUNK blocks
+_PARITY = ("position", "quasi_position")  # symmetric forms that couple only opposite parities
+
+
+def _levels(N: int) -> tuple[np.ndarray, int]:
+    """j = -N..N in the dense forms' parity order [even j | odd j], and the count of even j."""
+    j = np.arange(-N, N + 1.0)
+    even = j % 2 == 0
+    return np.concatenate([j[even], j[~even]]), N + 1 - N % 2
 
 
 @functools.lru_cache(maxsize=32)
 def _form(n: int, N: int, kind: str) -> np.ndarray:
-    """The read-only (2N+1)^2 matrix X of one output's quadratic form.
+    """The read-only matrix of one output's quadratic form, levels in parity order.
 
-    Row j and column k stand for the levels n + j and n + k, j, k = -N..N;
-    with d = j - k and w = 2n + j + k, the bracket of `_moments` is
-    sum_jk X_jk (a_j a_k + b_j b_k) for the position kinds and
-    sum_jk X_jk b_j a_k for the momentum kinds. X is the docstring's X/2,
-    X2/2 or -G (and the quasi parts of X/2), so each bracket equals the
-    kernel's and both paths share one output scaling. -G_jk is
-    4 (n+j)(n+k) / (d w), one division of exact integers. X is filled in
-    panels of rows of at most _CHUNK elements, so no (2N+1)^2 temporary
-    is made.
+    Row j and column k stand for the levels n + j and n + k, j and k in
+    the order of `_levels`; with d = j - k and w = 2n + j + k, the bracket
+    of `_moments` is sum_jk X_jk (a_j a_k + b_j b_k) for the position kinds
+    and sum_jk X_jk b_j a_k for the momentum kinds. X is the docstring's
+    X/2, X2/2 or -G (and the quasi parts of X/2), so each bracket equals
+    the kernel's and both paths share one output scaling. -G_jk is
+    4 (n+j)(n+k) / (d w), one division of exact integers. The <x> and
+    quasi-position X are symmetric and vanish at even d, so their bracket
+    is 2 sum_{j even, k odd} X_jk (a_j a_k + b_j b_k), and only the
+    (N_even x N_odd) block 2 X_eo is kept: a quarter of the whole matrix.
+    X is filled in panels of rows of at most _CHUNK elements, so no
+    (2N+1)^2 temporary is made.
     """
-    j = np.arange(-N, N + 1.0)
-    X = np.zeros((len(j), len(j)))
-    step = _block_rows(len(j))
-    for lo in range(0, len(j), step):
-        _fill(X[lo : lo + step], n, j[lo : lo + step], j, kind)
+    j, even = _levels(N)
+    rows, cols = (j[:even], j[even:]) if kind in _PARITY else (j, j)
+    X = np.zeros((len(rows), len(cols)))
+    step = _block_rows(len(cols))
+    for lo in range(0, len(rows), step):
+        _fill(X[lo : lo + step], n, rows[lo : lo + step], cols, kind)
+    if kind in _PARITY:
+        X *= 2.0  # X_eo plus the transpose of X_oe, exactly
     X.setflags(write=False)
     return X
 
 
 def _fill(X: np.ndarray, n: int, j: np.ndarray, k: np.ndarray, kind: str) -> None:
-    """Write the rows j, columns k of `_form`'s matrix into the zeroed X."""
+    """Write the elements X_jk of one form's matrix, rows j by columns k, into the zeroed X."""
     d = np.subtract.outer(j, k)
     w = np.add.outer(j, k)
     w += 2.0 * n
@@ -634,52 +658,83 @@ def _fill(X: np.ndarray, n: int, j: np.ndarray, k: np.ndarray, kind: str) -> Non
 
 @dataclass(frozen=True)
 class _Dense:
-    """Read-only level multipliers and matrices of one (n, N, outputs) dense pass."""
+    """Read-only level multipliers and matrices of one (n, N, outputs) dense pass.
+
+    The levels come in the parity order of `_levels`. Each output carries
+    its matrix X and the columns it reads: None for the momentum kinds,
+    which take b @ X times a; else the slices (left, right), every column
+    twice for <x^2> and the even columns times the odd ones for the parity
+    blocks of <x> and the quasi position, which take [a; b][:, left] @ X
+    times [a; b][:, right].
+    """
 
     m: np.ndarray  # 2n j + j^2: u_j^2 - n^2, so a_j = cos(m_j tau)
-    forms: tuple[tuple[bool, np.ndarray], ...]  # (reads b_j a_k, X) per output
+    forms: tuple[tuple[tuple[slice, slice] | None, np.ndarray], ...]  # (cols, X) per output
     const: np.ndarray
     bits: int  # every m is below 2**bits
-    width: int  # the stacked [a; b] of a block: _block_rows(width) instants
+    rows: int  # instants per block: the stacked [a; b] and each product hold at most _CHUNK elements
 
 
 @functools.lru_cache(maxsize=16)
 def _dense(n: int, N: int, outputs: tuple[str, ...]) -> _Dense:
     """The multipliers and one matrix per output; <x^2> adds its diagonal as a constant."""
-    j = np.arange(-N, N + 1.0)
+    j, even = _levels(N)
     m = (j + 2 * n) * j
-    diagonal = -0.125 * float(np.sum(1.0 / (j + n) ** 2))
+    diagonal = -0.125 * float(np.sum(1.0 / (np.arange(-N, N + 1.0) + n) ** 2))
     const = np.array([diagonal if out == "position_sq" else 0.0 for out in outputs])
     m.setflags(write=False)
     const.setflags(write=False)
+    cols = dict.fromkeys(_PARITY, (slice(even), slice(even, None)))
+    cols["position_sq"] = (slice(None), slice(None))
     return _Dense(
         m=m,
-        forms=tuple((out.endswith("momentum"), _form(n, N, out)) for out in outputs),
+        forms=tuple((cols.get(out), _form(n, N, out)) for out in outputs),
         const=const,
         bits=(2 * n * N + N * N).bit_length(),
-        width=2 * len(m),
+        rows=_block_rows(2 * len(m)),
     )
 
 
 def _dense_block(plan: _Dense, h, l, out: np.ndarray) -> None:
     """The brackets of one block: a = cos(m tau) and b = sin(m tau) from the
     half phases pi c, stacked as the rows of a over the rows of b, then one
-    matrix product per output."""
-    c = _phases(h, l, plan.m, plan.bits).reshape(out.shape[1], len(plan.m))
+    matrix product per output, times the columns it pairs with, summed over
+    each instant's a and b rows."""
+    size = out.shape[1]
+    c = _phases(h, l, plan.m, plan.bits).reshape(size, len(plan.m))
     c *= math.pi
     ab = np.empty((2,) + c.shape)
     _half_angle(c, ab[0], ab[1])
     rows = ab.reshape(-1, c.shape[1])
-    for acc, (sine, X) in zip(out, plan.forms):
-        if sine:
+    for acc, (cols, X) in zip(out, plan.forms):
+        if cols is None:  # sum_jk X_jk b_j a_k, summed pairwise (DECISIONS.md: not np.vecdot)
             y = ab[1] @ X
             y *= ab[0]
             np.add.reduce(y, axis=-1, out=acc)
-        else:
-            y = rows @ X
-            y *= rows
-            y = np.add.reduce(y, axis=-1)
-            np.add(y[: len(acc)], y[len(acc) :], out=acc)
+        else:  # sum_jk X_jk (a_j a_k + b_j b_k) over the form's columns
+            left, right = cols
+            y = np.vecdot(rows[:, left] @ X, rows[:, right])
+            np.add(y[:size], y[size:], out=acc)
+
+
+@functools.lru_cache(maxsize=64)
+def _scales(a: float, hbar: float, n: int, N: int, outputs: tuple[str, ...]) -> tuple:
+    """(offset, factor / (2N+1)) per output: its value is offset + that * (const + bracket).
+
+    Cached apart from the plans, which both paths key on (n, N, outputs)
+    alone, so that a call does not work them out again.
+    """
+    x, x2 = (a / 2.0, 4.0 * a / math.pi**2), (a**2 / 3.0, 4.0 * a**2 / math.pi**2)
+    p_n = n * math.pi * hbar / a
+    scale = {
+        "position": x,
+        "position_sq": x2,
+        # mu w_b (4a/pi^2) = 2 hbar / a scales the tau-derivative of the <x> bracket
+        "momentum": (0.0, 2.0 * hbar / a),
+        "quasi_position": x,
+        "quasi_momentum": (0.0, 4.0 * p_n / math.pi),
+    }
+    return tuple((scale[out][0], scale[out][1] / (2 * N + 1)) for out in outputs)
 
 
 def _moments(cfg: WellConfig, spec: PacketSpec, t, outputs: tuple[str, ...]) -> list:
@@ -697,7 +752,7 @@ def _moments(cfg: WellConfig, spec: PacketSpec, t, outputs: tuple[str, ...]) -> 
     h, l = _split(hi, max(plan.bits, 1))
     l = l + lo
     brackets = np.empty((len(outputs), t_arr.size))
-    step = _block_rows(plan.width)
+    block, step = (_dense_block, plan.rows) if dense else (_kernel_block, _block_rows(plan.width))
     blocks = [(h, l, brackets)]  # a t that fits in one block, a scalar included
     if t_arr.size > step:
         h, l = h.reshape(-1), l.reshape(-1)
@@ -705,24 +760,12 @@ def _moments(cfg: WellConfig, spec: PacketSpec, t, outputs: tuple[str, ...]) -> 
             (h[i : i + step], l[i : i + step], brackets[:, i : i + step])
             for i in range(0, h.size, step)
         )
-    block = _dense_block if dense else _kernel_block
     for h_i, l_i, out in blocks:
         block(plan, h_i, l_i, out)
 
     brackets = brackets.reshape((len(outputs),) + t_arr.shape)
-    vals = []
-    for j, output in enumerate(outputs):
-        if output == "position_sq":
-            offset, factor = cfg.a**2 / 3.0, 4.0 * cfg.a**2 / math.pi**2
-        elif output == "momentum":
-            # mu w_b (4a/pi^2) = 2 hbar / a scales the tau-derivative of the <x> bracket
-            offset, factor = 0.0, 2.0 * cfg.hbar / cfg.a
-        elif output == "quasi_momentum":
-            offset, factor = 0.0, 4.0 * spectral_data(cfg, spec.n).p_n / math.pi
-        else:
-            offset, factor = cfg.a / 2.0, 4.0 * cfg.a / math.pi**2
-        vals.append(offset + factor / spec.size * (plan.const[j] + brackets[j]))
-    return vals
+    scales = _scales(cfg.a, cfg.hbar, spec.n, spec.N, outputs)
+    return [offset + f * (c + b) for (offset, f), c, b in zip(scales, plan.const, brackets)]
 
 
 def packet_moments(cfg: WellConfig, spec: PacketSpec, t, kinds=_PACKET) -> tuple:
@@ -905,7 +948,8 @@ def quasi_exp(cfg: WellConfig, spec: PacketSpec, t, kind: str):
     spacing alone. Grouped by d, the pairs sum to R_{2N+1-d}(theta_d) times
     cos(2n theta_d) or sin(2n theta_d), the d-groups of `exp_x`, in one
     kernel pass of `_moments`; a packet with N <= 127 takes the dense form
-    with matrix -1/d^2 or 1/d at odd d instead.
+    with matrix -1/d^2 or 1/d at odd d instead, the position's as its
+    even-by-odd block alone, like <x>'s.
     """
     if kind not in ("position", "momentum"):
         raise ValueError(f"kind must be 'position' or 'momentum', got {kind!r}")

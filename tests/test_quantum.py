@@ -460,8 +460,9 @@ def test_kernels_exact_to_rounding_near_singular_phases(n, N):
 
 def _force_path(monkeypatch, dense):
     """Send every packet down one path: `_moments` compares (2N+1)^2 with
-    quantum._PANELS * quantum._CHUNK."""
-    monkeypatch.setattr(quantum, "_CHUNK", 1 << 62 if dense else 0)
+    quantum._PANELS * quantum._CHUNK. _PANELS, not _CHUNK, since a cached
+    dense plan keeps the block rows that _CHUNK gave it."""
+    monkeypatch.setattr(quantum, "_PANELS", 1 << 62 if dense else 0)
 
 
 def _checked_instants(n):
@@ -470,13 +471,32 @@ def _checked_instants(n):
     return _near_singular_instants(n) + [0.3 * T + k * (2 * n * T) for k in (1, 1000, 10**6)]
 
 
+def _natural_form(n, N, kind):
+    """The (2N+1)^2 matrix of `_form`, levels j = -N..N in natural order,
+    rebuilt from its cached parity form: the whole matrix, or the block
+    2 X_eo of the symmetric <x> and quasi-position forms."""
+    j, even = quantum._levels(N)
+    at = (j + N).astype(int)  # the natural index of each parity-ordered level
+    X = quantum._form(n, N, kind)
+    whole = np.zeros((2 * N + 1, 2 * N + 1))
+    if kind in quantum._PARITY:
+        whole[np.ix_(at[:even], at[even:])] = X / 2
+        whole[np.ix_(at[even:], at[:even])] = X.T / 2
+    else:
+        whole[np.ix_(at, at)] = X
+    return whole
+
+
+_DENSE_KINDS = ("position", "position_sq", "momentum", "quasi_position", "quasi_momentum")
+
+
 def test_dense_forms_serve_packets_up_to_the_block_limit(monkeypatch):
     # the dense path runs wherever the (2N+1)^2 matrix fits eight blocks of
     # core._CHUNK elements: N = 127 (65025 elements) and not N = 128
-    # (66049). Each read-only matrix equals one fill of all its rows, and a
-    # cold build, which fills at most _CHUNK elements at a time, holds no
-    # more than 8 blocks besides the matrix (a build in one piece held
-    # 1.1-3.2 MB)
+    # (66049). Each read-only cached form rebuilds one fill of all rows,
+    # and a cold build, which fills at most _CHUNK elements at a time,
+    # holds no more than 8 blocks besides the form (a build in one piece
+    # held 1.1-3.2 MB)
     blocks = []
     dense_block = quantum._dense_block
     monkeypatch.setattr(quantum, "_dense_block", lambda *args: blocks.append(args) or dense_block(*args))
@@ -488,12 +508,13 @@ def test_dense_forms_serve_packets_up_to_the_block_limit(monkeypatch):
         assert all(2 * out.shape[1] * len(plan.m) <= _CHUNK for plan, _, _, out in blocks)
     j = np.arange(-127, 128.0)
     assert -(-len(j) // _block_rows(len(j))) <= 8  # fills of at most _CHUNK elements
-    for kind in ("position", "position_sq", "momentum", "quasi_position", "quasi_momentum"):
+    for kind in _DENSE_KINDS:
         X = quantum._form(16384, 127, kind)
         assert not X.flags.writeable
-        whole = np.zeros(X.shape)
+        assert X.shape == ((127, 128) if kind in quantum._PARITY else (255, 255))
+        whole = np.zeros((len(j), len(j)))
         quantum._fill(whole, 16384, j, j, kind)
-        assert np.array_equal(X, whole)
+        assert np.array_equal(_natural_form(16384, 127, kind), whole)
         tracemalloc.start()
         try:
             cold = quantum._form.__wrapped__(16384, 127, kind)
@@ -501,6 +522,22 @@ def test_dense_forms_serve_packets_up_to_the_block_limit(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak - cold.nbytes <= 8 * 8 * _CHUNK
+
+
+@pytest.mark.parametrize("n,N", [(2, 1), (3, 2), (500, 23), (2000, 44), (16_384, 127)])
+def test_dense_forms_keep_the_parity_structure(n, N):
+    # the cached forms, in the levels' parity order [even j | odd j] and
+    # for <x> and the quasi position only the block 2 X_eo, rebuild the
+    # natural (2N+1)^2 matrix of one fill of all rows bit for bit; <x>
+    # couples no two levels of the same parity
+    j = np.arange(-N, N + 1.0)
+    even = j % 2 == 0
+    for kind in _DENSE_KINDS:
+        whole = np.zeros((len(j), len(j)))
+        quantum._fill(whole, n, j, j, kind)
+        assert np.array_equal(_natural_form(n, N, kind), whole), kind
+        if kind == "position":
+            assert not whole[np.ix_(even, even)].any() and not whole[np.ix_(~even, ~even)].any()
 
 
 _FAULT_PROBE = """
