@@ -143,6 +143,12 @@ def _check_position(cfg: WellConfig, x) -> np.ndarray:
     return x
 
 
+def _check_instant(t) -> None:
+    """Reject an array t where a function evaluates one instant."""
+    if np.ndim(t) != 0:
+        raise ValueError(f"t must be one instant, got an array of shape {np.shape(t)}")
+
+
 def stationary_wavefunction(cfg: WellConfig, m: int, x):
     """Normalized eigenfunction sqrt(2/a)*sin(m*pi*x/a), zero at both walls.
 
@@ -161,8 +167,10 @@ def packet_wavefunction(cfg: WellConfig, spec: PacketSpec, x, t: float):
     psi(x,t) = (2N+1)^(-1/2) * sum_{m=n-N}^{n+N} psi_m(x) exp(-i E_m t / hbar).
 
     The value is exactly real at t = 0. Accepts scalar or array x; a scalar
-    comes back as np.complex128.
+    comes back as np.complex128. t is one instant: an array t raises
+    ValueError.
     """
+    _check_instant(t)
     xa = _check_position(cfg, x)
     levels = spec.levels().astype(float)
     k = levels * math.pi / cfg.a

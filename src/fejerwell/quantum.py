@@ -48,10 +48,11 @@ and [s odd] = (1 - (-1)^j (-1)^k)/2, so, cut after i = K, each Hankel
 part is a quadratic form of rank O(K) in the level phases
 a_j = cos(m_j tau) and b_j = sin(m_j tau) of the dense forms below:
 sums of a_j and b_j against psi_i, xi_i, j xi_i and their products with
-(-1)^j, one BLAS product per output and per a or b against a cached
-(2N+1) x O(K) basis (`_level_form`). On the kernel the a_j and b_j come
-from `_phases` and `core._half_angle` as in `_dense_block`, and share
-the kernel's split of the revival fraction, since m_j < 4nN. |u| is at
+(-1)^j, one BLAS product per output and per a or b against a
+(2N+1) x O(K) basis (`_level_form`) that the kernel plan keeps. On the
+kernel the a_j and b_j come from `_phases` and `core._half_angle` as in
+`_dense_block`, and share the kernel's split of the revival fraction,
+since m_j < 4nN. |u| is at
 most (N/(2n-N))^2, and the cut moves <x> and <x^2> by at most
 (2/pi^2) (2N+1) (2n)^2/(2n-N)^4 sum_{i>K} (i+1) u^i of a and a^2, and
 <p> by at most 8N (2N+1)/(pi (2n-N)^2) sum_{i>K} u^i of p_n;
@@ -94,13 +95,12 @@ stacks the rows of a over those of b, and does one BLAS product per
 moment: ([a_e; b_e] @ 2 X_eo) times [a_o; b_o] for <x> and
 ([a; b] @ X2) times [a; b] for <x^2>, each summed over an instant's a
 and b rows by np.vecdot, and (b @ G) times a for <p>, summed pairwise.
-The <x> block 2 X_eo is cached alone, the other matrices whole, each
-filled in panels of at most _CHUNK elements. The forms have no Taylor
-branch, so the cancellation of the direct R_K' just above the kernel's
-Taylor threshold is gone there. Larger packets keep the Dirichlet
-kernel, O(N) per instant with the level sums, where the dense forms are
-O(N^2): forced at (10^5, 316) they were 2.2-4x slower than the kernel
-with s-columns, and from N = 128 exp_x and the fused pass are slower
+The plan keeps the <x> block 2 X_eo alone and the other matrices whole,
+each filled in panels of at most _CHUNK elements. The forms have no
+Taylor branch, so the cancellation of the direct R_K' just above the
+kernel's Taylor threshold is gone there. Larger packets keep the
+Dirichlet kernel, O(N) per instant with the level sums, where the dense
+forms are O(N^2): from N = 128 exp_x and the fused pass are slower
 dense, while at (10^4, 100) a fused pass is 1.35-1.4x faster dense
 (DECISIONS.md, "Dense forms in 64 KiB panels up to N = 127"). Measured
 against the 40-digit pair sum, or past N = 60 the 60-digit closed form,
@@ -200,36 +200,46 @@ Block size. Every moment runs one loop over blocks, in `_moments`. The
 revival fraction and the split of its high part are formed once per
 call on t as passed, so a scalar t runs them on Python floats; each
 block then forms only the outer products frac(m * that fraction), and
-the element passes of the kernel run in place. Arrays are evaluated in
-blocks of at most core._CHUNK = 8192 instants x columns, by the rule
-core._block_rows that the classical series share, and a t that fits in
-one block, a scalar included, is that block, unsliced. A kernel block
-counts the wider of its Dirichlet and psi columns and its 2N + 1 level
-phases, not their sum, since each is its own array. It holds a few
-temporaries of that size at once (the phases, the sign, the two
-tangents, 1 + t^2 of each, one more for R', 1 + t^2 or cos of the psi
-columns, and a and b of the levels). Each float64 temporary is then at
-most 64 KiB, below glibc's default mmap threshold of 128 KiB: the
-temporaries come from the heap and are reused from block to block.
-Larger blocks are mapped and unmapped, or trimmed from the heap, on
-every call unless some earlier large free in the process has raised
-glibc's dynamic thresholds. A fused pass counts the union of its
-columns, so its blocks may hold fewer instants than a standalone exp_x
-block (6 against 12 at (10^5, 316)), and no temporary ever spans
-instants x columns x moments; an array therefore agrees with the
-standalone calls to rounding rather than bit for bit. Dense blocks hold
-core._block_rows(2(2N+1)) instants, a number the plan keeps, so the
-stacked [a; b] and its product with a matrix are at most 64 KiB each. A
-cached matrix may be larger (520 KB whole and 130 KB for the <x> block
-at N = 127, 323 and 81 KB at N = 100) but is mapped once, and it is
-filled in panels of rows, so no (2N+1)^2 temporary is made; every
-moment of a dense pass reads the same blocks, so there its arrays equal
-the standalone calls bit for bit too. Small arrays do not make the heap
+the element passes of the kernel run in place. Each plan, `_kernel` or
+`_dense`, sets its block's instants once, as its field rows, by the
+rule core._block_rows that the classical series share, and `_moments`
+reads plan.rows for either engine: an array is evaluated in blocks of
+rows instants, and a t that fits in one block, a scalar included, is
+that block, unsliced. A kernel block holds at most core._CHUNK = 8192
+elements in its phases (the Dirichlet and psi columns) and as many in
+its 2N + 1 level phases, since each is its own array, so its rows come
+from the wider of the two, not their sum. It holds a few temporaries of
+that size at once (the phases, the sign, the two tangents, 1 + t^2 of
+each, one more for R', cos psi, and a and b of the levels). A dense
+block holds _block_rows(2(2N+1)) instants, so the stacked [a; b] and
+its product with a matrix are at most 64 KiB each. Each float64
+temporary is then at most 64 KiB, below glibc's default mmap threshold
+of 128 KiB: the temporaries come from the heap and are reused from
+block to block. Larger blocks are mapped and unmapped, or trimmed from
+the heap, on every call unless some earlier large free in the process
+has raised glibc's dynamic thresholds. A fused pass counts the union of
+its columns, so its kernel blocks may hold fewer instants than a
+standalone exp_x block (6 against 12 at (10^5, 316)), and no temporary
+ever spans instants x columns x moments; an array therefore agrees with
+the standalone calls to rounding rather than bit for bit. Every moment
+of a dense pass reads the same blocks, so there its arrays equal the
+standalone calls bit for bit too. Small arrays do not make the heap
 memory stay, though: where a block's temporaries sit at the top of the
 heap, glibc can trim them after the block and the next block faults
 them back in. With the level sums a warm call at (10^5, 316) on 8
 instants peaks at 220-286 KiB of temporaries, against 469-558 KiB with
 the s-columns (`tracemalloc`; DECISIONS.md).
+
+Memory. The plans are the one cache of what their blocks read: `_form`
+and `_level_form` are builders that only `_dense` and `_kernel` call,
+and a plan evicted from its cache of 16 frees its arrays. A dense
+matrix may be larger than a block (520 KB whole and 130 KB for the <x>
+block at N = 127, 323 and 81 KB at N = 100), but it is mapped once and
+filled in panels of rows, so no (2N+1)^2 temporary is made. A dense plan
+holds at most two whole matrices (<x^2>, <p>) and one <x> block, so the
+16 dense plans keep at most 16 x (2 x 520 + 130) KB, about 19 MB, at
+N = 127; the kernel plans' level-sum bases are small (30, 15 and 122 KB
+for <x>, <x^2> and <p> at (10^5, 316)).
 """
 
 from __future__ import annotations
@@ -242,7 +252,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PacketSpec, WellConfig, packet_wavefunction
-from .core import _CHUNK, _block_rows, _fraction, _half_angle, _reduced_spread, _split
+from .core import _CHUNK, _block_rows, _check_instant, _fraction, _half_angle, _reduced_spread, _split
 
 __all__ = [
     "OBSERVABLES",
@@ -337,9 +347,10 @@ def _series_terms(n: int, N: int) -> int | None:
     return None
 
 
-@functools.lru_cache(maxsize=48)
 def _level_form(n: int, N: int, output: str, K: int) -> tuple:
     """(sine, left, right, w): the Hankel part of one output's bracket as a short level sum.
+
+    Built for `_kernel`, whose plan keeps it.
 
     With s = j + k, d = j - k and sigma_j = (-1)^j, the Hankel weights are
     separable series in the levels j and k,
@@ -413,7 +424,7 @@ class _Kernel:
     forms: tuple[tuple | None, ...]  # `_level_form` per output, or None
     const: np.ndarray
     bits: int  # every m is below 2**bits
-    width: int  # a block holds _block_rows(width) instants
+    rows: int  # instants per block: the phases and the level phases each hold at most _CHUNK elements
 
 
 @functools.lru_cache(maxsize=16)
@@ -480,7 +491,7 @@ def _kernel(n: int, N: int, outputs: tuple[str, ...]) -> _Kernel:
         blocks=frozenset(name for ts in terms for name, _, _ in ts),
         forms=forms,
         bits=(4 * n * N).bit_length(),  # one bound for every kernel of (n, N), levels included
-        width=max(len(arrays["m"]), len(arrays["level_m"])),
+        rows=_block_rows(max(len(arrays["m"]), len(arrays["level_m"]))),
     )
 
 
@@ -557,19 +568,15 @@ def _kernel_block(ker: _Kernel, h, l, out: np.ndarray) -> None:
     R, dR = _dirichlet(ker, c[:, :nk], "rate" in ker.blocks)
     psi = c[:, nk:]
     psi *= math.pi  # psi / 2, for the one tangent of `core._half_angle`
+    cos, sin = np.empty(psi.shape), psi if "sin" in ker.blocks else None
+    _half_angle(psi, cos, sin)  # sin psi over psi
     feats = {"cos": R, "rate": dR}
-    if "sin" in ker.blocks:
-        cos = np.empty(psi.shape) if "cos" in ker.blocks or dR is not None else None
-        _half_angle(psi, cos, psi)  # sin psi over psi
-        feats["sin"] = np.multiply(psi[:, ker.odd_d], R[:, ker.odd_d])
-    else:  # "cos" or "rate": cos psi alone
-        cos = psi
-        _half_angle(psi, cos)
-    if cos is not None:
-        if "cos" in ker.blocks:
-            R[:, : ker.nd] *= cos
-        if dR is not None:
-            dR[:, : ker.nd] *= cos
+    if sin is not None:
+        feats["sin"] = np.multiply(sin[:, ker.odd_d], R[:, ker.odd_d])
+    if "cos" in ker.blocks:
+        R[:, : ker.nd] *= cos
+    if dR is not None:
+        dR[:, : ker.nd] *= cos
     if len(ker.level_m):
         b = _phases(h, l, ker.level_m, ker.bits).reshape(rows, len(ker.level_m))
         b *= math.pi  # half the level phases, as in `_dense_block`
@@ -608,9 +615,10 @@ def _levels(N: int) -> tuple[np.ndarray, int]:
     return np.concatenate([j[even], j[~even]]), N + 1 - N % 2
 
 
-@functools.lru_cache(maxsize=32)
 def _form(n: int, N: int, kind: str) -> np.ndarray:
     """The read-only matrix of one output's quadratic form, levels in parity order.
+
+    Built for `_dense`, whose plan keeps it.
 
     Row j and column k stand for the levels n + j and n + k, j and k in
     the order of `_levels`; with d = j - k and w = 2n + j + k, the bracket
@@ -752,7 +760,7 @@ def _moments(cfg: WellConfig, spec: PacketSpec, t, outputs: tuple[str, ...]) -> 
     h, l = _split(hi, max(plan.bits, 1))
     l = l + lo
     brackets = np.empty((len(outputs), t_arr.size))
-    block, step = (_dense_block, plan.rows) if dense else (_kernel_block, _block_rows(plan.width))
+    block, step = _dense_block if dense else _kernel_block, plan.rows
     blocks = [(h, l, brackets)]  # a t that fits in one block, a scalar included
     if t_arr.size > step:
         h, l = h.reshape(-1), l.reshape(-1)
@@ -914,8 +922,10 @@ def oracle_expectation(
     powers pointwise, momentum via finite differences). method="spectral"
     sums analytic matrix elements over all level pairs with their Bohr
     phases; it is exact up to rounding and independent of the closed
-    forms' term bookkeeping.
+    forms' term bookkeeping. t is one instant: an array t raises
+    ValueError.
     """
+    _check_instant(t)
     if kind not in OBSERVABLES:
         raise ValueError(f"kind must be one of {OBSERVABLES}, got {kind!r}")
     if method == "spectral":
@@ -987,7 +997,7 @@ def uncertainty_product(cfg: WellConfig, spec: PacketSpec, t):
 
 
 def expectation_sample(cfg: WellConfig, spec: PacketSpec, t: float) -> ExpectationSample:
-    """All moments of the packet at time t in one record, from one kernel pass."""
+    """All moments of the packet at one instant t in one record, from one kernel pass."""
     x_mean, x2_mean, p_mean = _moments(cfg, spec, t, _PACKET)
     p2_mean = exp_p2(cfg, spec)
     dx = math.sqrt(_variance(x_mean, x2_mean, cfg.a**2))

@@ -151,6 +151,14 @@ def test_packet_normalization_by_quadrature():
         assert abs(norm - 1.0) < 1e-10
 
 
+def test_packet_wavefunction_takes_one_instant():
+    # an array t used to broadcast against the 2N + 1 level energies and
+    # return a wavefunction that belongs to no instant
+    t = np.linspace(0.0, 0.06, 7)
+    with pytest.raises(ValueError, match="one instant"):
+        packet_wavefunction(NATURAL, PacketSpec(n=10, N=3), 0.3, t)
+
+
 def test_packet_real_at_time_zero():
     spec = PacketSpec(n=50, N=7)
     x = np.linspace(0.0, 1.0, 257)

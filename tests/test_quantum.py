@@ -1,6 +1,7 @@
 """Tests for the closed-form packet expectation values against first principles."""
 
 import functools
+import gc
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import platform
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import mpmath
@@ -36,7 +38,7 @@ from fejerwell import (
 )
 from fejerwell.core import classical_period
 from fejerwell import quantum
-from fejerwell.core import _CHUNK, _block_rows
+from fejerwell.core import _CHUNK, _block_rows, _fraction, _split
 from fejerwell.quantum import VarianceError, _dirichlet, _kernel, _variance
 from pair_oracle import pair_terms
 
@@ -88,6 +90,19 @@ def test_grid_and_spectral_oracles_cross_validate():
         g = oracle_expectation(NATURAL, spec, t, "position", method="grid")
         s = oracle_expectation(NATURAL, spec, t, "position", method="spectral")
         assert abs(g - s) < 1e-8
+
+
+@pytest.mark.parametrize("method", ["grid", "spectral"])
+def test_oracle_takes_one_instant(method):
+    # the grid oracle used to return one float for a 7-instant t
+    t = np.linspace(0.0, 0.06, 7)
+    with pytest.raises(ValueError, match="one instant"):
+        oracle_expectation(NATURAL, PacketSpec(n=10, N=3), t, "position", method=method)
+
+
+def test_expectation_sample_takes_one_instant():
+    with pytest.raises(TypeError):
+        expectation_sample(NATURAL, PacketSpec(n=10, N=3), np.linspace(0.0, 0.06, 7))
 
 
 def test_brute_force_matrix_elements_small_packet():
@@ -473,7 +488,7 @@ def _checked_instants(n):
 
 def _natural_form(n, N, kind):
     """The (2N+1)^2 matrix of `_form`, levels j = -N..N in natural order,
-    rebuilt from its cached parity form: the whole matrix, or the block
+    rebuilt from its parity form: the whole matrix, or the block
     2 X_eo of the symmetric <x> and quasi-position forms."""
     j, even = quantum._levels(N)
     at = (j + N).astype(int)  # the natural index of each parity-ordered level
@@ -493,7 +508,7 @@ _DENSE_KINDS = ("position", "position_sq", "momentum", "quasi_position", "quasi_
 def test_dense_forms_serve_packets_up_to_the_block_limit(monkeypatch):
     # the dense path runs wherever the (2N+1)^2 matrix fits eight blocks of
     # core._CHUNK elements: N = 127 (65025 elements) and not N = 128
-    # (66049). Each read-only cached form rebuilds one fill of all rows,
+    # (66049). Each read-only form rebuilds one fill of all rows,
     # and a cold build, which fills at most _CHUNK elements at a time,
     # holds no more than 8 blocks besides the form (a build in one piece
     # held 1.1-3.2 MB)
@@ -517,7 +532,7 @@ def test_dense_forms_serve_packets_up_to_the_block_limit(monkeypatch):
         assert np.array_equal(_natural_form(16384, 127, kind), whole)
         tracemalloc.start()
         try:
-            cold = quantum._form.__wrapped__(16384, 127, kind)
+            cold = quantum._form(16384, 127, kind)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -526,7 +541,7 @@ def test_dense_forms_serve_packets_up_to_the_block_limit(monkeypatch):
 
 @pytest.mark.parametrize("n,N", [(2, 1), (3, 2), (500, 23), (2000, 44), (16_384, 127)])
 def test_dense_forms_keep_the_parity_structure(n, N):
-    # the cached forms, in the levels' parity order [even j | odd j] and
+    # the forms, in the levels' parity order [even j | odd j] and
     # for <x> and the quasi position only the block 2 X_eo, rebuild the
     # natural (2N+1)^2 matrix of one fill of all rows bit for bit; <x>
     # couples no two levels of the same parity
@@ -538,6 +553,43 @@ def test_dense_forms_keep_the_parity_structure(n, N):
         assert np.array_equal(_natural_form(n, N, kind), whole), kind
         if kind == "position":
             assert not whole[np.ix_(even, even)].any() and not whole[np.ix_(~even, ~even)].any()
+
+
+@pytest.mark.parametrize("n,N", [(16_384, 128), (100_000, 316)])
+def test_kernel_blocks_hold_at_most_a_chunk(monkeypatch, n, N):
+    # every kernel block's phases (its Dirichlet and psi columns) and its
+    # level phases each hold at most core._CHUNK elements, and the blocks
+    # of a call tile its instants in order, standalone and fused
+    blocks = []
+    kernel_block = quantum._kernel_block
+    monkeypatch.setattr(quantum, "_kernel_block", lambda *args: blocks.append(args) or kernel_block(*args))
+    spec = PacketSpec(n=n, N=N)
+    t = np.random.default_rng(N).uniform(0.0, 3.0 * classical_period(NATURAL, n), 100)
+    hi, _ = _fraction(NATURAL._revival_rate, t)
+    calls = [lambda f=f: f(NATURAL, spec, t) for f in (exp_x, exp_x2, exp_p, packet_moments)]
+    calls += [lambda kind=kind: quasi_exp(NATURAL, spec, t, kind) for kind in ("position", "momentum")]
+    for call in calls:
+        blocks.clear()
+        call()
+        ker = blocks[0][0]
+        sizes = [out.shape[1] for _, _, _, out in blocks]
+        assert len(sizes) > 1 and set(sizes[:-1]) == {ker.rows} and 0 < sizes[-1] <= ker.rows
+        assert ker.rows * max(len(ker.m), len(ker.level_m)) <= _CHUNK
+        assert np.array_equal(np.concatenate([h for _, h, _, _ in blocks]), _split(hi, ker.bits)[0])
+
+
+def test_dense_plans_own_their_matrices():
+    # the `_dense` plans are the one cache of the dense matrices: a plan
+    # evicted from the cache frees its matrix
+    specs = [PacketSpec(n=1000 + k, N=9) for k in range(quantum._dense.cache_info().maxsize + 1)]
+    exp_x2(NATURAL, specs[0], 0.1)
+    (_, X), = quantum._dense(specs[0].n, specs[0].N, ("position_sq",)).forms
+    ref = weakref.ref(X)
+    del X
+    for spec in specs[1:]:
+        exp_x2(NATURAL, spec, 0.1)
+    gc.collect()
+    assert ref() is None
 
 
 _FAULT_PROBE = """
@@ -554,7 +606,7 @@ per_call = {}
 for n, N, size in ((500, 23, 256), (10_000, 100, 64), (16_383, 127, 64), (100_000, 316, 16)):
     spec = PacketSpec(n=n, N=N)
     t = np.random.default_rng(n).uniform(0.0, 2.0 * classical_period(cfg, n), size)
-    for _ in range(2):  # builds the cached forms or kernel
+    for _ in range(2):  # builds the cached dense or kernel plan
         packet_moments(cfg, spec, t)
     start = faults()
     for _ in range(50):
@@ -756,7 +808,7 @@ def test_level_sums_equal_s_columns(monkeypatch, n, N, levels):
 
 @pytest.mark.parametrize("n,N", [(16_384, 128), (100_000, 316), (123, 60), (2, 0)])
 def test_level_forms_reproduce_the_hankel_weights(n, N):
-    # each cached (left, right, w) rebuilds the output's (2N+1)^2 Hankel
+    # each read-only (left, right, w) rebuilds the output's (2N+1)^2 Hankel
     # weights within the per-pair tail that `_series_terms` bounds
     K = quantum._series_terms(n, N)
     j = np.arange(-N, N + 1.0)
