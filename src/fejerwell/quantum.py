@@ -205,30 +205,36 @@ the element passes of the kernel run in place. Each plan, `_kernel` or
 rule core._block_rows that the classical series share, and `_moments`
 reads plan.rows for either engine: an array is evaluated in blocks of
 rows instants, and a t that fits in one block, a scalar included, is
-that block, unsliced. A kernel block holds at most core._CHUNK = 8192
-elements in its phases (the Dirichlet and psi columns) and as many in
-its 2N + 1 level phases, since each is its own array, so its rows come
-from the wider of the two, not their sum. It holds a few temporaries of
-that size at once (the phases, the sign, the two tangents, 1 + t^2 of
-each, one more for R', cos psi, and a and b of the levels). A dense
-block holds _block_rows(2(2N+1)) instants, so the stacked [a; b] and
-its product with a matrix are at most 64 KiB each. Each float64
+that block, unsliced. A kernel block forms three phase arrays, each its
+own: the Dirichlet columns, the psi = 2n theta_d columns and the 2N + 1
+level phases. Each holds at most core._CHUNK = 8192 elements, so the
+rows come from the widest of the three, not their sum. Where the level
+sums run, the levels (2N + 1) are the widest for every packet moment:
+exp_x, exp_x2, exp_p and a fused pass all take 12 instants per block at
+(10^5, 316). Past the series rule the s-columns make the Dirichlet array
+the widest. A block holds a few temporaries of one array's size at once
+(the phases, the sign, the two tangents, 1 + t^2 of each, one more for
+R', cos psi, and a and b of the levels). A dense block holds
+_block_rows(2(2N+1)) instants, so the stacked [a; b] and its product
+with a matrix are at most 64 KiB each. Each float64
 temporary is then at most 64 KiB, below glibc's default mmap threshold
 of 128 KiB: the temporaries come from the heap and are reused from
 block to block. Larger blocks are mapped and unmapped, or trimmed from
 the heap, on every call unless some earlier large free in the process
-has raised glibc's dynamic thresholds. A fused pass counts the union of
-its columns, so its kernel blocks may hold fewer instants than a
-standalone exp_x block (6 against 12 at (10^5, 316)), and no temporary
-ever spans instants x columns x moments; an array therefore agrees with
-the standalone calls to rounding rather than bit for bit. Every moment
-of a dense pass reads the same blocks, so there its arrays equal the
-standalone calls bit for bit too. Small arrays do not make the heap
-memory stay, though: where a block's temporaries sit at the top of the
-heap, glibc can trim them after the block and the next block faults
-them back in. With the level sums a warm call at (10^5, 316) on 8
-instants peaks at 220-286 KiB of temporaries, against 469-558 KiB with
-the s-columns (`tracemalloc`; DECISIONS.md).
+has raised glibc's dynamic thresholds. A fused pass reads the blocks of
+its standalone calls wherever the level sums run, so there its arrays
+equal exp_x, exp_x2 and exp_p bit for bit. Past the series rule it
+counts the union of its s-columns, so its kernel blocks may hold fewer
+instants than a standalone exp_x block (9 against 18 at (200, 150)),
+and no temporary ever spans instants x columns x moments; an array
+there agrees with the standalone calls to rounding rather than bit for
+bit. Every moment of a dense pass reads the same blocks, so there its
+arrays equal the standalone calls bit for bit too. Small arrays do not
+make the heap memory stay, though: where a block's temporaries sit at
+the top of the heap, glibc can trim them after the block and the next
+block faults them back in. With the level sums a warm fused call at
+(10^5, 316) on 8 instants, one block, peaks at 379 KiB of temporaries
+(`tracemalloc`; DECISIONS.md).
 
 Memory. The plans are the one cache of what their blocks read: `_form`
 and `_level_form` are builders that only `_dense` and `_kernel` call,
@@ -397,8 +403,9 @@ class _Kernel:
     one order whatever the outputs: the nd d-groups (m = d) as
     [even d | odd d], then, where `_series_terms` gives no level sums, the
     s-groups (m = 2n + s) as [odd s | even s], the even ones only where
-    <x^2> is asked; m ends with the nd multipliers 2n d of psi =
-    2n theta_d, in the d order. Three feature blocks are formed from them:
+    <x^2> is asked. psi_m holds the nd multipliers 2n d of psi =
+    2n theta_d, in the d order, as an array of its own. Three feature
+    blocks are formed from them:
     "cos" is R with the d-columns times cos psi, "rate" R' with the
     d-columns times cos psi, and "sin" the odd d-columns of R times
     sin psi. Output j is const[j] + sum over (block, cols, w) in terms[j]
@@ -412,6 +419,7 @@ class _Kernel:
     """
 
     m: np.ndarray
+    psi_m: np.ndarray
     K: np.ndarray
     flip: np.ndarray  # -2 where K is even (R_K(phi + pi) = -R_K(phi)), else 0
     a2: np.ndarray  # R_K(x) = K + a2 x^2 + a4 x^4 + O(x^6)
@@ -424,7 +432,7 @@ class _Kernel:
     forms: tuple[tuple | None, ...]  # `_level_form` per output, or None
     const: np.ndarray
     bits: int  # every m is below 2**bits
-    rows: int  # instants per block: the phases and the level phases each hold at most _CHUNK elements
+    rows: int  # instants per block: the Dirichlet, psi and level phases each hold at most _CHUNK elements
 
 
 @functools.lru_cache(maxsize=16)
@@ -469,7 +477,8 @@ def _kernel(n: int, N: int, outputs: tuple[str, ...]) -> _Kernel:
     const = float(np.sum(w_s)) - 0.125 * float(np.sum(1.0 / (n + j) ** 2)) if s_cols else 0.0
     K = np.concatenate([2 * N + 1 - d, 2 * N + 1 - np.abs(s)])
     arrays = {
-        "m": np.concatenate([d, 2 * n + s, 2 * n * d]),
+        "m": np.concatenate([d, 2 * n + s]),
+        "psi_m": 2 * n * d,
         "K": K,
         "flip": -2.0 * (K % 2 == 0),
         "a2": K * (1 - K**2) / 6,
@@ -491,7 +500,7 @@ def _kernel(n: int, N: int, outputs: tuple[str, ...]) -> _Kernel:
         blocks=frozenset(name for ts in terms for name, _, _ in ts),
         forms=forms,
         bits=(4 * n * N).bit_length(),  # one bound for every kernel of (n, N), levels included
-        rows=_block_rows(max(len(arrays["m"]), len(arrays["level_m"]))),
+        rows=_block_rows(max(len(arrays["m"]), len(arrays["psi_m"]), len(arrays["level_m"]))),
     )
 
 
@@ -508,7 +517,7 @@ def _dirichlet(ker: _Kernel, c: np.ndarray, rate: bool):
     and where |K x| < _TAYLOR they come from their Taylor series instead,
     evaluated on those elements alone.
     """
-    u = 2.0 * c  # a new contiguous array, also where c is a view
+    u = 2.0 * c  # a new array: c is left as it is
     j = np.rint(u)
     u -= j
     u *= 0.5 * math.pi  # x/2
@@ -563,10 +572,10 @@ def _dirichlet(ker: _Kernel, c: np.ndarray, rate: bool):
 
 def _kernel_block(ker: _Kernel, h, l, out: np.ndarray) -> None:
     """The brackets of one block of instants from the split revival fraction h + l."""
-    rows, nk = out.shape[1], len(ker.K)
+    rows = out.shape[1]
     c = _phases(h, l, ker.m, ker.bits).reshape(rows, len(ker.m))
-    R, dR = _dirichlet(ker, c[:, :nk], "rate" in ker.blocks)
-    psi = c[:, nk:]
+    R, dR = _dirichlet(ker, c, "rate" in ker.blocks)
+    psi = _phases(h, l, ker.psi_m, ker.bits).reshape(rows, ker.nd)
     psi *= math.pi  # psi / 2, for the one tangent of `core._half_angle`
     cos, sin = np.empty(psi.shape), psi if "sin" in ker.blocks else None
     _half_angle(psi, cos, sin)  # sin psi over psi
@@ -782,9 +791,10 @@ def packet_moments(cfg: WellConfig, spec: PacketSpec, t, kinds=_PACKET) -> tuple
     kinds names any of "position", "position_sq" and "momentum". The pass
     evaluates the union of their kernel columns once, so it costs about
     as much as the widest of the matching exp_x, exp_x2 and exp_p calls.
-    Each value equals that call's, bit for bit for a scalar t and to
-    rounding for an array on the kernel (its blocks hold fewer instants);
-    scalar or array t, each value shaped like t.
+    Each value equals that call's, bit for bit, except for an array on
+    the kernel past the series rule (n < 2.05 N), where its blocks hold
+    fewer instants and it agrees to rounding; scalar or array t, each
+    value shaped like t.
     """
     kinds = tuple(kinds)
     if not kinds or not set(kinds) <= set(_PACKET):
@@ -982,8 +992,20 @@ def reduced_uncertainty(cfg: WellConfig, spec: PacketSpec, t, kind: str):
 
 
 def _variance(mean, second, scale):
-    var = second - np.asarray(mean) ** 2
-    if (var < -1e-12 * scale).any():
+    """second - mean^2 clamped at 0; below -1e-12 scale it raises VarianceError.
+
+    A scalar variance (np.float64 is a float) is guarded and clamped as a
+    Python float, with the IEEE operations of the array path and without
+    its numpy calls; the clamp keeps np.maximum's results, 0.0 for -0.0
+    and nan for nan.
+    """
+    var = second - mean * mean
+    if isinstance(var, float):
+        var = float(var)
+        if var < -1e-12 * scale:
+            raise VarianceError(f"variance {var} below round-off guard")
+        return 0.0 if var <= 0.0 else var
+    if np.count_nonzero(var < -1e-12 * scale):
         raise VarianceError(f"variance {np.min(var)} below round-off guard")
     return np.maximum(var, 0.0)
 
@@ -997,7 +1019,12 @@ def uncertainty_product(cfg: WellConfig, spec: PacketSpec, t):
 
 
 def expectation_sample(cfg: WellConfig, spec: PacketSpec, t: float) -> ExpectationSample:
-    """All moments of the packet at one instant t in one record, from one kernel pass."""
+    """All moments of the packet at one instant t in one record, from one kernel pass.
+
+    An array t raises TypeError before any moment is evaluated.
+    """
+    if not isinstance(t, float) and np.ndim(t) != 0:  # np.ndim costs a float about 1 us
+        raise TypeError(f"t must be one instant, got an array of shape {np.shape(t)}")
     x_mean, x2_mean, p_mean = _moments(cfg, spec, t, _PACKET)
     p2_mean = exp_p2(cfg, spec)
     dx = math.sqrt(_variance(x_mean, x2_mean, cfg.a**2))

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -100,9 +101,14 @@ def test_oracle_takes_one_instant(method):
         oracle_expectation(NATURAL, PacketSpec(n=10, N=3), t, "position", method=method)
 
 
-def test_expectation_sample_takes_one_instant():
-    with pytest.raises(TypeError):
-        expectation_sample(NATURAL, PacketSpec(n=10, N=3), np.linspace(0.0, 0.06, 7))
+def test_expectation_sample_takes_one_instant(monkeypatch):
+    # an array t is refused by name and shape before any moment is evaluated
+    moments = []
+    monkeypatch.setattr(quantum, "_moments", lambda *args: moments.append(args))
+    for t in (np.linspace(0.0, 0.06, 7), np.zeros((2, 3)), [0.1]):
+        with pytest.raises(TypeError, match=rf"one instant.*shape {re.escape(str(np.shape(t)))}"):
+            expectation_sample(NATURAL, PacketSpec(n=10, N=3), t)
+    assert not moments
 
 
 def test_brute_force_matrix_elements_small_packet():
@@ -266,12 +272,37 @@ def test_quasi_rejects_bad_arguments():
 
 
 def test_variance_guard():
-    # a variance below -1e-12 scale is an error; above it, round-off clamped to 0
-    assert _variance(1.0, 1.0 - 0.5e-12, 1.0) == 0.0
-    with pytest.raises(VarianceError):
-        _variance(1.0, 1.0 - 2e-12, 1.0)
+    # a variance below -1e-12 scale is an error; above it, round-off clamped
+    # to 0, at the same bound for Python floats, np.float64 and arrays
+    for kind in (float, np.float64, np.array):
+        assert _variance(kind(1.0), kind(1.0 - 0.5e-12), 1.0) == 0.0, kind
+        assert _variance(kind(2.0), kind(4.0 - 0.5e-12 * 4.0), 4.0) == 0.0, kind
+        assert _variance(kind(0.5), kind(0.5), 1.0) == 0.25, kind
+        with pytest.raises(VarianceError, match="below round-off guard"):
+            _variance(kind(1.0), kind(1.0 - 2e-12), 1.0)
+        with pytest.raises(VarianceError):
+            _variance(kind(2.0), kind(4.0 - 2e-12 * 4.0), 4.0)
     with pytest.raises(VarianceError):
         _variance(np.array([1.0, 0.0]), np.array([1.0 - 2e-12, 0.0]), 1.0)
+
+
+@pytest.mark.parametrize("n,N", [(500, 23), (100_000, 316)])
+def test_expectation_sample_spreads_bit_for_bit(n, N):
+    # dx, dp and their product equal the array formula
+    # sqrt(max(second - mean^2, 0)) in numpy, bit for bit, at 0, at and near
+    # k T/2, on seeded instants of a window and at 10^6 T_rev
+    spec = PacketSpec(n=n, N=N)
+    T = classical_period(NATURAL, n)
+    rng = np.random.default_rng(n)
+    ts = [0.0, 0.5 * T, 7 * 0.5 * T, 7 * 0.5 * T + 1e-9 * T, 1e6 * 2 * n * T]
+    ts += [float(t) for t in rng.uniform(0.0, 3.0 * T, 12)]
+    p2 = exp_p2(NATURAL, spec)
+    for t in ts:
+        s = expectation_sample(NATURAL, spec, t)
+        dx = math.sqrt(np.maximum(s.x2_mean - np.asarray(s.x_mean) ** 2, 0.0))
+        dp = math.sqrt(np.maximum(p2 - np.asarray(s.p_mean) ** 2, 0.0))
+        assert (s.dx, s.dp, s.product) == (dx, dp, dx * dp), t
+        assert uncertainty_product(NATURAL, spec, t) == dx * dp, t
 
 
 def test_reduced_uncertainty_rejects_unknown_kind():
@@ -557,9 +588,9 @@ def test_dense_forms_keep_the_parity_structure(n, N):
 
 @pytest.mark.parametrize("n,N", [(16_384, 128), (100_000, 316)])
 def test_kernel_blocks_hold_at_most_a_chunk(monkeypatch, n, N):
-    # every kernel block's phases (its Dirichlet and psi columns) and its
-    # level phases each hold at most core._CHUNK elements, and the blocks
-    # of a call tile its instants in order, standalone and fused
+    # every kernel block's Dirichlet phases, psi phases and level phases
+    # each hold at most core._CHUNK elements, and the blocks of a call tile
+    # its instants in order, standalone and fused
     blocks = []
     kernel_block = quantum._kernel_block
     monkeypatch.setattr(quantum, "_kernel_block", lambda *args: blocks.append(args) or kernel_block(*args))
@@ -574,8 +605,25 @@ def test_kernel_blocks_hold_at_most_a_chunk(monkeypatch, n, N):
         ker = blocks[0][0]
         sizes = [out.shape[1] for _, _, _, out in blocks]
         assert len(sizes) > 1 and set(sizes[:-1]) == {ker.rows} and 0 < sizes[-1] <= ker.rows
-        assert ker.rows * max(len(ker.m), len(ker.level_m)) <= _CHUNK
+        assert all(ker.rows * len(arr) <= _CHUNK for arr in (ker.m, ker.psi_m, ker.level_m))
         assert np.array_equal(np.concatenate([h for _, h, _, _ in blocks]), _split(hi, ker.bits)[0])
+
+
+def test_kernel_blocks_take_eight_instants_at_316(monkeypatch):
+    # at (10^5, 316) the widest phase array of any kernel plan is the 633
+    # level phases, not the 632 Dirichlet or the 632 psi phases of exp_x2
+    # and the fused pass, so 8 instants are one block for every moment
+    blocks = []
+    kernel_block = quantum._kernel_block
+    monkeypatch.setattr(quantum, "_kernel_block", lambda *args: blocks.append(args) or kernel_block(*args))
+    spec = PacketSpec(n=100_000, N=316)
+    t = np.random.default_rng(8).uniform(0.0, 3.0 * classical_period(NATURAL, 100_000), 8)
+    calls = [lambda f=f: f(NATURAL, spec, t) for f in (exp_x, exp_x2, exp_p, packet_moments)]
+    calls += [lambda kind=kind: quasi_exp(NATURAL, spec, t, kind) for kind in ("position", "momentum")]
+    for call in calls:
+        blocks.clear()
+        call()
+        assert len(blocks) == 1 and blocks[0][3].shape[1] == 8
 
 
 def test_dense_plans_own_their_matrices():
@@ -1058,16 +1106,21 @@ def test_fused_kernel_pass_equals_standalone_bitwise(monkeypatch, n, N):
     # for a scalar t each output of a kernel pass sums its own columns in
     # the order of its standalone kernel, and its own level sum, so the
     # values are the same floats; the kernel is forced, since the first
-    # three packets take the dense forms. (61, 60) keeps the s-columns
+    # three packets take the dense forms. Where the level sums run, the
+    # 2N + 1 levels are the widest phase array of every pass, so an
+    # array's blocks are the standalone call's too and its values the
+    # same floats. (61, 60) keeps the s-columns: scalars only
     _force_path(monkeypatch, dense=False)
     spec = PacketSpec(n=n, N=N)
     standalone = {"position": exp_x, "position_sq": exp_x2, "momentum": exp_p}
     subsets = (("position", "position_sq", "momentum"), ("momentum", "position"), ("position_sq", "momentum"))
-    for t in _checked_instants(n):
+    instants = _checked_instants(n)
+    arrays = [np.array(instants * 12)] if quantum._series_terms(n, N) is not None else []
+    for t in instants + arrays:
         ref = {kind: fn(NATURAL, spec, t) for kind, fn in standalone.items()}
         for kinds in subsets:
             for kind, value in zip(kinds, packet_moments(NATURAL, spec, t, kinds)):
-                assert value == ref[kind], (kinds, kind, t, value - ref[kind])
+                assert np.array_equal(value, ref[kind]), (kinds, kind, t, value - ref[kind])
 
 
 @pytest.mark.parametrize("n,N", [(500, 23), (10_000, 100), (16_384, 127)])
