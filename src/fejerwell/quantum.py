@@ -85,18 +85,31 @@ have the same parity, so <x> sums the even-by-odd block alone:
 
     <x>   = a/2 + (4a/pi^2)/(2N+1) * sum_{j even, k odd} X_jk (a_j a_k + b_j b_k),
 
-a quarter of the (2N+1)^2 terms, and so does the quasi position.
-`_moments` takes these forms for every packet whose (2N+1)^2 matrix fits
-in _PANELS = 8 blocks of core._CHUNK elements, N <= 127, which includes
-the paper's (500, 23) and every packet of n < 16384 at N = isqrt(n). The
-levels come in the parity order [even j | odd j] (`_levels`). Per block
-of instants it forms a and b from the tangents of their half phases,
-stacks the rows of a over those of b, and does one BLAS product per
-moment: ([a_e; b_e] @ 2 X_eo) times [a_o; b_o] for <x> and
-([a; b] @ X2) times [a; b] for <x^2>, each summed over an instant's a
-and b rows by np.vecdot, and (b @ G) times a for <p>, summed pairwise.
-The plan keeps the <x> block 2 X_eo alone and the other matrices whole,
-each filled in panels of at most _CHUNK elements. The forms have no
+a quarter of the (2N+1)^2 terms, and so does the quasi position. G
+vanishes at even d too and is antisymmetric, G_oe = -G_eo^T, so
+
+    <p>   = -(2 hbar/a)/(2N+1) * sum_{j even, k odd} G_jk (b_j a_k - a_j b_k),
+
+and X2 is symmetric, so <x^2> sums [X2_ee | 2 X2_eo] over the even rows
+and X2_oo over the odd ones. `_moments` takes these forms for every
+packet whose (2N+1)^2 matrix fits in _PANELS = 8 blocks of core._CHUNK
+elements, N <= 127, which includes the paper's (500, 23) and every
+packet of n < 16384 at N = isqrt(n). The levels come in the parity order
+[even j | odd j] (`_levels`). Per block of instants it forms a and b
+from the tangents of their half phases, stacks the rows of a over those
+of b, and does one BLAS product per moment and block of its matrix:
+([a_e; b_e] @ 2 X_eo) times [a_o; b_o] for <x> and ([a; b] @ X2) times
+[a; b] for <x^2>, each summed over an instant's a and b rows by
+np.vecdot, and (b @ G) times a for <p>, summed pairwise. Where the whole
+matrix passes one _CHUNK, N >= 45, <p> takes ([a_e; b_e] @ G_eo) times
+the swapped [b_o; a_o] instead, by np.vecdot, a quarter of the
+multiply-adds; where it passes two, N >= 64, <x^2> takes its block
+triangle in two products, three quarters of them. Below those bounds
+one whole product is the faster, since the second product and the extra
+calls cost more than the quarters they save (DECISIONS.md, "Dense <p>
+and <x^2> past one chunk"). The plan keeps only the blocks that its
+outputs read, as views of one buffer, each filled in panels of at most
+_CHUNK elements. The forms have no
 Taylor branch, so the cancellation of the direct R_K' just above the
 kernel's Taylor threshold is gone there. Larger packets keep the
 Dirichlet kernel, O(N) per instant with the level sums, where the dense
@@ -112,7 +125,10 @@ in eps of a, a^2 and p_n (each path forced in turn):
     60 instants just above the Taylor threshold,   0.9 / 1.3 / 40.7       0.9 / 0.8 / 1.3
       (500, 23)
     the same near-singular set, (61, 60)           0.9 / 1.5 / 108.4      0.8 / 1.0 / 0.5
-    the near-singular set and three long times,    1.5 / 1.6 / 3.4        1.0 / 1.0 / 0.6
+    the near-singular set, three long times and    1.6 / 2.5 / 21.9       1.2 / 0.7 / 1.3
+      the 60 Taylor-edge instants, (2025, 45)
+      and (4096, 64)
+    the near-singular set and three long times,    1.5 / 1.6 / 3.4        1.0 / 1.0 / 1.0
       (10^4, 100) and (16384, 127)
     the same set, (16384, 128) and (10^5, 316),    1.3 / 1.2 / 4.2        -
       level sums or s-columns (the same worst errors)
@@ -238,14 +254,18 @@ block faults them back in. With the level sums a warm fused call at
 
 Memory. The plans are the one cache of what their blocks read: `_form`
 and `_level_form` are builders that only `_dense` and `_kernel` call,
-and a plan evicted from its cache of 16 frees its arrays. A dense
-matrix may be larger than a block (520 KB whole and 130 KB for the <x>
-block at N = 127, 323 and 81 KB at N = 100), but it is mapped once and
-filled in panels of rows, so no (2N+1)^2 temporary is made. A dense plan
-holds at most two whole matrices (<x^2>, <p>) and one <x> block, so the
-16 dense plans keep at most 16 x (2 x 520 + 130) KB, about 19 MB, at
-N = 127; the kernel plans' level-sum bases are small (30, 15 and 122 KB
-for <x>, <x^2> and <p> at (10^5, 316)).
+and a plan evicted from its cache of 16 frees its arrays. The blocks of
+a dense plan may be larger than a block of instants (at N = 127, 130 KB
+each for the <x> and <p> blocks and 390 KB for the <x^2> triangle; at
+N = 100, 81, 81 and 242 KB), but they are views of one buffer, so a plan
+past glibc's 128 KiB mmap threshold maps its matrices once and keeps
+none of them in the heap among the temporaries of its blocks of
+instants; the buffer is filled in panels of rows, so no (2N+1)^2
+temporary is made. A fused dense plan at N = 127 holds 650 KB, so the
+16 dense plans keep at most 16 x (130 + 390 + 130) KB, about 10.4 MB
+(about 19 MB while <x^2> and <p> kept whole matrices); the kernel plans'
+level-sum bases are small (30, 15 and 122 KB for <x>, <x^2> and <p> at
+(10^5, 316)).
 """
 
 from __future__ import annotations
@@ -254,6 +274,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -285,9 +306,8 @@ class VarianceError(RuntimeError):
     """A variance came out negative beyond the round-off guard."""
 
 
-@dataclass(frozen=True)
-class ExpectationSample:
-    """All first and second moments of a packet at one instant."""
+class ExpectationSample(NamedTuple):
+    """All first and second moments of a packet at one instant, as an immutable tuple."""
 
     t: float
     x_mean: float
@@ -624,10 +644,10 @@ def _levels(N: int) -> tuple[np.ndarray, int]:
     return np.concatenate([j[even], j[~even]]), N + 1 - N % 2
 
 
-def _form(n: int, N: int, kind: str) -> np.ndarray:
-    """The read-only matrix of one output's quadratic form, levels in parity order.
+def _form(n: int, N: int, kinds: tuple[str, ...]) -> tuple:
+    """(rule, parts) per kind: the read-only blocks of each output's quadratic form.
 
-    Built for `_dense`, whose plan keeps it.
+    Built for `_dense`, whose plan keeps them, all in one buffer.
 
     Row j and column k stand for the levels n + j and n + k, j and k in
     the order of `_levels`; with d = j - k and w = 2n + j + k, the bracket
@@ -635,23 +655,68 @@ def _form(n: int, N: int, kind: str) -> np.ndarray:
     and sum_jk X_jk b_j a_k for the momentum kinds. X is the docstring's
     X/2, X2/2 or -G (and the quasi parts of X/2), so each bracket equals
     the kernel's and both paths share one output scaling. -G_jk is
-    4 (n+j)(n+k) / (d w), one division of exact integers. The <x> and
-    quasi-position X are symmetric and vanish at even d, so their bracket
-    is 2 sum_{j even, k odd} X_jk (a_j a_k + b_j b_k), and only the
-    (N_even x N_odd) block 2 X_eo is kept: a quarter of the whole matrix.
-    X is filled in panels of rows of at most _CHUNK elements, so no
-    (2N+1)^2 temporary is made.
+    4 (n+j)(n+k) / (d w), one division of exact integers. Each part
+    (left, right, B) is the block of X on the levels left (rows) by right
+    (columns), slices of the parity order, and the rule says how
+    `_dense_block` sums it:
+
+    - "sym", sum over the parts of B_jk (a_j a_k + b_j b_k). The <x> and
+      quasi-position X are symmetric and vanish at even d, so they keep
+      the (N_even x N_odd) block 2 X_eo alone, a quarter of X. Past two
+      _CHUNKs, (2N+1)^2 > 16384 or N >= 64, <x^2> keeps its upper block
+      triangle [X_ee | 2 X_eo] on the even rows and X_oo on the odd ones,
+      three quarters of X in two products; below, X whole, since there
+      the second product costs more than the quarter it saves
+      (DECISIONS.md, "Dense <p> and <x^2> past one chunk").
+    - "cross", sum_jk B_jk b_j a_k with B = X whole: the momentum kinds up
+      to one _CHUNK, (2N+1)^2 <= 8192 or N <= 44.
+    - "anti", sum B_jk (b_j a_k - a_j b_k) over the even rows and odd
+      columns, with B = X_eo: the momentum kinds past one _CHUNK. Their X
+      vanishes at even d and is antisymmetric, X_oe = -X_eo^T, so this
+      is the whole bracket from a quarter of X.
+
+    Doubling is exact, so every block holds the elements of one fill of
+    X, or twice them. The blocks of all kinds are views of one buffer, so
+    a plan's matrices are one allocation however they are split: past
+    128 KiB glibc maps it once, and no long-lived block sits in the heap
+    among the temporaries of the blocks of instants. Each block is filled
+    in panels of rows of at most _CHUNK elements, so no (2N+1)^2
+    temporary is made.
     """
     j, even = _levels(N)
-    rows, cols = (j[:even], j[even:]) if kind in _PARITY else (j, j)
-    X = np.zeros((len(rows), len(cols)))
-    step = _block_rows(len(cols))
-    for lo in range(0, len(rows), step):
-        _fill(X[lo : lo + step], n, rows[lo : lo + step], cols, kind)
-    if kind in _PARITY:
-        X *= 2.0  # X_eo plus the transpose of X_oe, exactly
-    X.setflags(write=False)
-    return X
+    e, o, every = slice(even), slice(even, None), slice(None)
+    size = len(j) ** 2  # the whole matrix, in elements
+    layouts = []  # (kind, rule, (rows, columns, the doubled columns) per block)
+    for kind in kinds:
+        if kind in _PARITY:
+            rule, blocks = "sym", ((e, o, every),)
+        elif kind == "position_sq" and size <= 2 * _CHUNK:
+            rule, blocks = "sym", ((every, every, None),)
+        elif kind == "position_sq":
+            rule, blocks = "sym", ((e, every, o), (o, o, None))
+        elif size <= _CHUNK:
+            rule, blocks = "cross", ((every, every, None),)
+        else:
+            rule, blocks = "anti", ((e, o, None),)
+        layouts.append((kind, rule, blocks))
+    buffer = np.zeros(sum(len(j[rows]) * len(j[cols]) for _, _, blocks in layouts for rows, cols, _ in blocks))
+    forms, at = [], 0
+    for kind, rule, blocks in layouts:
+        parts = []
+        for left, right, double in blocks:
+            rows, cols = j[left], j[right]
+            X = buffer[at : at + len(rows) * len(cols)].reshape(len(rows), len(cols))
+            at += X.size
+            step = _block_rows(len(cols))
+            for lo in range(0, len(rows), step):
+                _fill(X[lo : lo + step], n, rows[lo : lo + step], cols, kind)
+            if double is not None:
+                X[:, double] *= 2.0  # X_eo plus the transpose of X_oe, exactly
+            X.setflags(write=False)
+            parts.append((left, right, X))
+        forms.append((rule, tuple(parts)))
+    buffer.setflags(write=False)
+    return tuple(forms)
 
 
 def _fill(X: np.ndarray, n: int, j: np.ndarray, k: np.ndarray, kind: str) -> None:
@@ -675,18 +740,15 @@ def _fill(X: np.ndarray, n: int, j: np.ndarray, k: np.ndarray, kind: str) -> Non
 
 @dataclass(frozen=True)
 class _Dense:
-    """Read-only level multipliers and matrices of one (n, N, outputs) dense pass.
+    """Read-only level multipliers and matrix blocks of one (n, N, outputs) dense pass.
 
     The levels come in the parity order of `_levels`. Each output carries
-    its matrix X and the columns it reads: None for the momentum kinds,
-    which take b @ X times a; else the slices (left, right), every column
-    twice for <x^2> and the even columns times the odd ones for the parity
-    blocks of <x> and the quasi position, which take [a; b][:, left] @ X
-    times [a; b][:, right].
+    the (rule, parts) of `_form`: the blocks of its matrix that it reads,
+    each with the level slices (left, right) of its rows and columns.
     """
 
     m: np.ndarray  # 2n j + j^2: u_j^2 - n^2, so a_j = cos(m_j tau)
-    forms: tuple[tuple[tuple[slice, slice] | None, np.ndarray], ...]  # (cols, X) per output
+    forms: tuple[tuple[str, tuple[tuple[slice, slice, np.ndarray], ...]], ...]  # `_form` per output
     const: np.ndarray
     bits: int  # every m is below 2**bits
     rows: int  # instants per block: the stacked [a; b] and each product hold at most _CHUNK elements
@@ -694,18 +756,16 @@ class _Dense:
 
 @functools.lru_cache(maxsize=16)
 def _dense(n: int, N: int, outputs: tuple[str, ...]) -> _Dense:
-    """The multipliers and one matrix per output; <x^2> adds its diagonal as a constant."""
-    j, even = _levels(N)
+    """The multipliers and the blocks of `_form` per output; <x^2> adds its diagonal as a constant."""
+    j, _ = _levels(N)
     m = (j + 2 * n) * j
     diagonal = -0.125 * float(np.sum(1.0 / (np.arange(-N, N + 1.0) + n) ** 2))
     const = np.array([diagonal if out == "position_sq" else 0.0 for out in outputs])
     m.setflags(write=False)
     const.setflags(write=False)
-    cols = dict.fromkeys(_PARITY, (slice(even), slice(even, None)))
-    cols["position_sq"] = (slice(None), slice(None))
     return _Dense(
         m=m,
-        forms=tuple((cols.get(out), _form(n, N, out)) for out in outputs),
+        forms=_form(n, N, outputs),
         const=const,
         bits=(2 * n * N + N * N).bit_length(),
         rows=_block_rows(2 * len(m)),
@@ -715,23 +775,28 @@ def _dense(n: int, N: int, outputs: tuple[str, ...]) -> _Dense:
 def _dense_block(plan: _Dense, h, l, out: np.ndarray) -> None:
     """The brackets of one block: a = cos(m tau) and b = sin(m tau) from the
     half phases pi c, stacked as the rows of a over the rows of b, then one
-    matrix product per output, times the columns it pairs with, summed over
-    each instant's a and b rows."""
+    matrix product per output and block of its form, times the columns it
+    pairs with, summed over each instant's a and b rows."""
     size = out.shape[1]
     c = _phases(h, l, plan.m, plan.bits).reshape(size, len(plan.m))
     c *= math.pi
     ab = np.empty((2,) + c.shape)
     _half_angle(c, ab[0], ab[1])
     rows = ab.reshape(-1, c.shape[1])
-    for acc, (cols, X) in zip(out, plan.forms):
-        if cols is None:  # sum_jk X_jk b_j a_k, summed pairwise (DECISIONS.md: not np.vecdot)
+    for acc, (rule, parts) in zip(out, plan.forms):
+        left, right, X = parts[0]
+        if rule == "sym":  # sum_jk X_jk (a_j a_k + b_j b_k), block by block
+            y = np.vecdot(rows[:, left] @ X, rows[:, right])
+            for left, right, X in parts[1:]:
+                y += np.vecdot(rows[:, left] @ X, rows[:, right])
+            np.add(y[:size], y[size:], out=acc)
+        elif rule == "cross":  # sum_jk X_jk b_j a_k, summed pairwise (DECISIONS.md: not np.vecdot)
             y = ab[1] @ X
             y *= ab[0]
             np.add.reduce(y, axis=-1, out=acc)
-        else:  # sum_jk X_jk (a_j a_k + b_j b_k) over the form's columns
-            left, right = cols
-            y = np.vecdot(rows[:, left] @ X, rows[:, right])
-            np.add(y[:size], y[size:], out=acc)
+        else:  # "anti": sum_eo X_eo (b_e a_o - a_e b_o), np.vecdot within 2 eps of p_n (DECISIONS.md)
+            y = np.vecdot((rows[:, left] @ X).reshape(2, size, -1), ab[::-1, :, right])
+            np.subtract(y[1], y[0], out=acc)  # (b_e @ X) a_o - (a_e @ X) b_o
 
 
 @functools.lru_cache(maxsize=64)
@@ -969,7 +1034,8 @@ def quasi_exp(cfg: WellConfig, spec: PacketSpec, t, kind: str):
     cos(2n theta_d) or sin(2n theta_d), the d-groups of `exp_x`, in one
     kernel pass of `_moments`; a packet with N <= 127 takes the dense form
     with matrix -1/d^2 or 1/d at odd d instead, the position's as its
-    even-by-odd block alone, like <x>'s.
+    even-by-odd block alone, like <x>'s, and the momentum's, past one
+    core._CHUNK (N >= 45), as its antisymmetric block, like <p>'s.
     """
     if kind not in ("position", "momentum"):
         raise ValueError(f"kind must be 'position' or 'momentum', got {kind!r}")
@@ -1014,8 +1080,10 @@ def uncertainty_product(cfg: WellConfig, spec: PacketSpec, t):
     """Delta-x times Delta-p for the packet; never below hbar/2."""
     x, x2, p = _moments(cfg, spec, t, _PACKET)
     p2 = exp_p2(cfg, spec)
-    val = np.sqrt(_variance(x, x2, cfg.a**2)) * np.sqrt(_variance(p, p2, p2))
-    return val[()]
+    var_x, var_p = _variance(x, x2, cfg.a**2), _variance(p, p2, p2)
+    if isinstance(var_x, float):  # the same IEEE roots as np.sqrt, without its scalar dispatch
+        return np.float64(math.sqrt(var_x) * math.sqrt(var_p))
+    return np.sqrt(var_x) * np.sqrt(var_p)
 
 
 def expectation_sample(cfg: WellConfig, spec: PacketSpec, t: float) -> ExpectationSample:

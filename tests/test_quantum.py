@@ -286,11 +286,12 @@ def test_variance_guard():
         _variance(np.array([1.0, 0.0]), np.array([1.0 - 2e-12, 0.0]), 1.0)
 
 
-@pytest.mark.parametrize("n,N", [(500, 23), (100_000, 316)])
+@pytest.mark.parametrize("n,N", [(500, 23), (10_000, 100), (100_000, 316)])
 def test_expectation_sample_spreads_bit_for_bit(n, N):
     # dx, dp and their product equal the array formula
     # sqrt(max(second - mean^2, 0)) in numpy, bit for bit, at 0, at and near
-    # k T/2, on seeded instants of a window and at 10^6 T_rev
+    # k T/2, on seeded instants of a window and at 10^6 T_rev; a scalar
+    # uncertainty_product, from math.sqrt, is that product as np.float64
     spec = PacketSpec(n=n, N=N)
     T = classical_period(NATURAL, n)
     rng = np.random.default_rng(n)
@@ -302,7 +303,20 @@ def test_expectation_sample_spreads_bit_for_bit(n, N):
         dx = math.sqrt(np.maximum(s.x2_mean - np.asarray(s.x_mean) ** 2, 0.0))
         dp = math.sqrt(np.maximum(p2 - np.asarray(s.p_mean) ** 2, 0.0))
         assert (s.dx, s.dp, s.product) == (dx, dp, dx * dp), t
-        assert uncertainty_product(NATURAL, spec, t) == dx * dp, t
+        product = uncertainty_product(NATURAL, spec, t)
+        assert type(product) is np.float64 and product.tobytes() == np.float64(dx * dp).tobytes(), t
+
+
+def test_expectation_sample_is_an_immutable_tuple():
+    # the one-instant record is a NamedTuple of eight fields in this order
+    spec = PacketSpec(n=500, N=23)
+    s = expectation_sample(NATURAL, spec, 0.25)
+    names = ("t", "x_mean", "x2_mean", "p_mean", "p2_mean", "dx", "dp", "product")
+    assert isinstance(s, tuple) and type(s)._fields == names
+    assert tuple(s) == tuple(getattr(s, name) for name in names)
+    assert s == quantum.ExpectationSample(*s) and s.t == 0.25
+    with pytest.raises(AttributeError):
+        s.dx = 0.0
 
 
 def test_reduced_uncertainty_rejects_unknown_kind():
@@ -519,30 +533,56 @@ def _checked_instants(n):
 
 def _natural_form(n, N, kind):
     """The (2N+1)^2 matrix of `_form`, levels j = -N..N in natural order,
-    rebuilt from its parity form: the whole matrix, or the block
-    2 X_eo of the symmetric <x> and quasi-position forms."""
-    j, even = quantum._levels(N)
+    rebuilt from the blocks it keeps: a whole matrix, the block 2 X_eo of
+    the symmetric <x> and quasi-position forms, the upper block triangle
+    [X_ee | 2 X_eo], X_oo of <x^2>, or the block X_eo of an antisymmetric
+    momentum form. Halving a doubled block is exact."""
+    j, _ = quantum._levels(N)
     at = (j + N).astype(int)  # the natural index of each parity-ordered level
-    X = quantum._form(n, N, kind)
+    (rule, parts), = quantum._form(n, N, (kind,))
     whole = np.zeros((2 * N + 1, 2 * N + 1))
-    if kind in quantum._PARITY:
-        whole[np.ix_(at[:even], at[even:])] = X / 2
-        whole[np.ix_(at[even:], at[:even])] = X.T / 2
-    else:
-        whole[np.ix_(at, at)] = X
+    for left, right, X in parts:
+        rows, cols = at[left], at[right]
+        whole[np.ix_(rows, cols)] = X
+        if rule == "anti":
+            whole[np.ix_(cols, rows)] = -X.T
+        elif rule == "sym":  # columns off the rows' levels stand for the block and its transpose
+            off = ~np.isin(cols, rows)
+            whole[np.ix_(rows, cols[off])] = X[:, off] / 2
+            whole[np.ix_(cols[off], rows)] = X[:, off].T / 2
+    return whole
+
+
+def _natural_fill(n, N, kind):
+    """One `_fill` of all rows of a form's matrix, levels in natural order."""
+    j = np.arange(-N, N + 1.0)
+    whole = np.zeros((len(j), len(j)))
+    quantum._fill(whole, n, j, j, kind)
     return whole
 
 
 _DENSE_KINDS = ("position", "position_sq", "momentum", "quasi_position", "quasi_momentum")
 
 
+# the blocks that `_form` keeps, by packet: (rule, shapes of its parts) per kind.
+# (2000, 44) keeps every matrix whole but <x>'s; past one _CHUNK the momentum
+# kinds keep X_eo, and past two <x^2> keeps [X_ee | 2 X_eo] and X_oo
+_FORM_LAYOUTS = {
+    (2000, 44): {"position": ("sym", [(45, 44)]), "position_sq": ("sym", [(89, 89)]),
+                 "momentum": ("cross", [(89, 89)])},
+    (2025, 45): {"position": ("sym", [(45, 46)]), "position_sq": ("sym", [(91, 91)]),
+                 "momentum": ("anti", [(45, 46)])},
+    (4096, 64): {"position": ("sym", [(65, 64)]), "position_sq": ("sym", [(65, 129), (64, 64)]),
+                 "momentum": ("anti", [(65, 64)])},
+    (16_384, 127): {"position": ("sym", [(127, 128)]), "position_sq": ("sym", [(127, 255), (128, 128)]),
+                    "momentum": ("anti", [(127, 128)])},
+}
+
+
 def test_dense_forms_serve_packets_up_to_the_block_limit(monkeypatch):
     # the dense path runs wherever the (2N+1)^2 matrix fits eight blocks of
     # core._CHUNK elements: N = 127 (65025 elements) and not N = 128
-    # (66049). Each read-only form rebuilds one fill of all rows,
-    # and a cold build, which fills at most _CHUNK elements at a time,
-    # holds no more than 8 blocks besides the form (a build in one piece
-    # held 1.1-3.2 MB)
+    # (66049)
     blocks = []
     dense_block = quantum._dense_block
     monkeypatch.setattr(quantum, "_dense_block", lambda *args: blocks.append(args) or dense_block(*args))
@@ -552,38 +592,53 @@ def test_dense_forms_serve_packets_up_to_the_block_limit(monkeypatch):
         assert bool(blocks) == dense, N
         # the stacked [a; b] of a block, and each product with a matrix
         assert all(2 * out.shape[1] * len(plan.m) <= _CHUNK for plan, _, _, out in blocks)
-    j = np.arange(-127, 128.0)
+
+
+@pytest.mark.parametrize("n,N", list(_FORM_LAYOUTS))
+def test_dense_forms_keep_the_blocks_they_read(n, N):
+    # each kind keeps the blocks of its layout, read-only, and they rebuild
+    # one fill of all rows; a cold build, which fills at most _CHUNK
+    # elements at a time, holds no more than 8 blocks besides the form (a
+    # build in one piece held 1.1-3.2 MB)
+    j = np.arange(-N, N + 1.0)
     assert -(-len(j) // _block_rows(len(j))) <= 8  # fills of at most _CHUNK elements
+    layouts = _FORM_LAYOUTS[n, N]
+    layouts = {**layouts, "quasi_position": layouts["position"], "quasi_momentum": layouts["momentum"]}
     for kind in _DENSE_KINDS:
-        X = quantum._form(16384, 127, kind)
-        assert not X.flags.writeable
-        assert X.shape == ((127, 128) if kind in quantum._PARITY else (255, 255))
-        whole = np.zeros((len(j), len(j)))
-        quantum._fill(whole, 16384, j, j, kind)
-        assert np.array_equal(_natural_form(16384, 127, kind), whole)
+        (rule, parts), = quantum._form(n, N, (kind,))
+        assert (rule, [X.shape for _, _, X in parts]) == layouts[kind], kind
+        assert not any(X.flags.writeable for _, _, X in parts)
+        assert np.array_equal(_natural_form(n, N, kind), _natural_fill(n, N, kind)), kind
         tracemalloc.start()
         try:
-            cold = quantum._form(16384, 127, kind)
+            (_, cold), = quantum._form(n, N, (kind,))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - cold.nbytes <= 8 * 8 * _CHUNK
+        assert peak - sum(X.nbytes for _, _, X in cold) <= 8 * 8 * _CHUNK, kind
 
 
-@pytest.mark.parametrize("n,N", [(2, 1), (3, 2), (500, 23), (2000, 44), (16_384, 127)])
+@pytest.mark.parametrize(
+    "n,N", [(2, 1), (3, 2), (500, 23), (2000, 44), (2025, 45), (4096, 64), (10_000, 100), (16_384, 127)]
+)
 def test_dense_forms_keep_the_parity_structure(n, N):
-    # the forms, in the levels' parity order [even j | odd j] and
-    # for <x> and the quasi position only the block 2 X_eo, rebuild the
-    # natural (2N+1)^2 matrix of one fill of all rows bit for bit; <x>
-    # couples no two levels of the same parity
-    j = np.arange(-N, N + 1.0)
-    even = j % 2 == 0
+    # the blocks of each form, in the levels' parity order [even j | odd j],
+    # rebuild the natural (2N+1)^2 matrix of one fill of all rows bit for
+    # bit. <x> couples no two levels of the same parity, and <x^2> is
+    # symmetric; the momentum forms couple no two levels of the same parity
+    # and are antisymmetric, X_oe = -X_eo^T, bit for bit
+    j, even = quantum._levels(N)
+    at, e, o = (j + N).astype(int), slice(even), slice(even, None)
     for kind in _DENSE_KINDS:
-        whole = np.zeros((len(j), len(j)))
-        quantum._fill(whole, n, j, j, kind)
-        assert np.array_equal(_natural_form(n, N, kind), whole), kind
-        if kind == "position":
-            assert not whole[np.ix_(even, even)].any() and not whole[np.ix_(~even, ~even)].any()
+        natural = _natural_fill(n, N, kind)
+        assert np.array_equal(_natural_form(n, N, kind), natural), kind
+        X = natural[np.ix_(at, at)]  # parity order
+        if kind == "position_sq":
+            assert np.array_equal(X[o, e], X[e, o].T)
+        else:
+            assert not X[e, e].any() and not X[o, o].any(), kind
+        if kind in ("momentum", "quasi_momentum"):
+            assert np.array_equal(X[o, e], -X[e, o].T), kind
 
 
 @pytest.mark.parametrize("n,N", [(16_384, 128), (100_000, 316)])
@@ -631,13 +686,31 @@ def test_dense_plans_own_their_matrices():
     # evicted from the cache frees its matrix
     specs = [PacketSpec(n=1000 + k, N=9) for k in range(quantum._dense.cache_info().maxsize + 1)]
     exp_x2(NATURAL, specs[0], 0.1)
-    (_, X), = quantum._dense(specs[0].n, specs[0].N, ("position_sq",)).forms
+    (_, ((_, _, X),)), = quantum._dense(specs[0].n, specs[0].N, ("position_sq",)).forms
     ref = weakref.ref(X)
     del X
     for spec in specs[1:]:
         exp_x2(NATURAL, spec, 0.1)
     gc.collect()
     assert ref() is None
+
+
+def test_dense_plans_at_127_keep_three_quarters_of_a_matrix_each():
+    # a fused plan at N = 127 keeps <x>'s 2 X_eo (127 x 128), <x^2>'s
+    # [X_ee | 2 X_eo] and X_oo (127 x 255, 128 x 128) and <p>'s X_eo
+    # (127 x 128): 650 KB, where two whole matrices and the <x> block took
+    # 1170 KB. The 16 cached plans then hold about 10.4 MB
+    quantum._dense.cache_clear()
+    tracemalloc.start()
+    try:
+        for k in range(quantum._dense.cache_info().maxsize):
+            packet_moments(NATURAL, PacketSpec(n=16_384 + k, N=127), 0.1)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        quantum._dense.cache_clear()
+    blocks = 8 * (127 * 128 + 127 * 255 + 128 * 128 + 127 * 128)  # 650 KB
+    assert held <= 16 * blocks + 256 * 1024
 
 
 _FAULT_PROBE = """
@@ -696,7 +769,7 @@ def test_warm_moments_fault_about_never(packet):
     assert _fault_probe()[packet] <= 1.0
 
 
-@pytest.mark.parametrize("n,N", [(2000, 44), (61, 60), (10_000, 100), (16_384, 127)])
+@pytest.mark.parametrize("n,N", [(2000, 44), (2025, 45), (61, 60), (4096, 64), (10_000, 100), (16_384, 127)])
 def test_dense_and_kernel_paths_agree(monkeypatch, n, N):
     # each path forced in turn: <x> and <x^2> agree to 4 eps, and the dense
     # forms equal the reference to 4 eps of a, a^2 and p_n. Past N = 60 the
@@ -1123,10 +1196,12 @@ def test_fused_kernel_pass_equals_standalone_bitwise(monkeypatch, n, N):
                 assert np.array_equal(value, ref[kind]), (kinds, kind, t, value - ref[kind])
 
 
-@pytest.mark.parametrize("n,N", [(500, 23), (10_000, 100), (16_384, 127)])
+@pytest.mark.parametrize("n,N", [(500, 23), (2025, 45), (4096, 64), (10_000, 100), (16_384, 127)])
 def test_fused_dense_pass_equals_standalone_bitwise(n, N):
-    # every output of a dense pass multiplies the same [a; b] blocks by its
-    # own matrix, so scalars and arrays equal the standalone calls exactly
+    # every output of a dense pass multiplies the same [a; b] blocks by the
+    # blocks of its own matrix, in products of its own, so scalars and
+    # arrays equal the standalone calls exactly: on the whole matrices
+    # (500, 23), past one _CHUNK on <p>'s X_eo, past two on <x^2>'s triangle
     spec = PacketSpec(n=n, N=N)
     instants = _checked_instants(n)
     for t in instants + [np.array(instants * 12)]:
