@@ -135,8 +135,8 @@ def _resolve_t_max(value: float | str, period: float) -> float:
             t_max = float(text)
     else:
         t_max = float(value)
-    if t_max <= 0:
-        raise ValueError(f"t_max must be positive, got {value!r}")
+    if not 0 < t_max < math.inf:  # nan fails both
+        raise ValueError(f"t_max must be finite and positive, got {value!r}")
     return t_max
 
 

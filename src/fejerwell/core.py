@@ -137,16 +137,19 @@ def classical_period(cfg: WellConfig, n: int) -> float:
 
 
 def _check_position(cfg: WellConfig, x) -> np.ndarray:
+    """x as a float array, each element in [0, a]; nan is outside."""
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0) or np.any(x > cfg.a):
+    if not np.all((x >= 0.0) & (x <= cfg.a)):
         raise ValueError(f"position outside the well [0, {cfg.a}]")
     return x
 
 
 def _check_instant(t) -> None:
-    """Reject an array t where a function evaluates one instant."""
+    """Reject an array t, or a non-finite one, where a function evaluates one instant."""
     if np.ndim(t) != 0:
         raise ValueError(f"t must be one instant, got an array of shape {np.shape(t)}")
+    if not math.isfinite(t):
+        raise ValueError(f"need finite t, got {t}")
 
 
 def stationary_wavefunction(cfg: WellConfig, m: int, x):

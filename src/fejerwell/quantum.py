@@ -97,17 +97,17 @@ elements, N <= 127, which includes the paper's (500, 23) and every
 packet of n < 16384 at N = isqrt(n). The levels come in the parity order
 [even j | odd j] (`_levels`). Per block of instants it forms a and b
 from the tangents of their half phases, stacks the rows of a over those
-of b, and does one BLAS product per moment and block of its matrix:
-([a_e; b_e] @ 2 X_eo) times [a_o; b_o] for <x> and ([a; b] @ X2) times
-[a; b] for <x^2>, each summed over an instant's a and b rows by
-np.vecdot, and (b @ G) times a for <p>, summed pairwise. Where the whole
-matrix passes one _CHUNK, N >= 45, <p> takes ([a_e; b_e] @ G_eo) times
-the swapped [b_o; a_o] instead, by np.vecdot, a quarter of the
-multiply-adds; where it passes two, N >= 64, <x^2> takes its block
-triangle in two products, three quarters of them. Below those bounds
-one whole product is the faster, since the second product and the extra
-calls cost more than the quarters they save (DECISIONS.md, "Dense <p>
-and <x^2> past one chunk"). The plan keeps only the blocks that its
+of b, and does one BLAS product per moment and block of its matrix,
+each form by the rule of its matrix's symmetry: ([a_e; b_e] @ 2 X_eo)
+times [a_o; b_o] for <x> and ([a; b] @ X2) times [a; b] for <x^2>, each
+summed over an instant's a and b rows by np.vecdot, and
+([a_e; b_e] @ G_eo) times the swapped [b_o; a_o] for <p>, by np.vecdot,
+a quarter of the multiply-adds at every N (DECISIONS.md, "Dense <p> on
+G_eo at every N"). Where the whole matrix passes two _CHUNKs, N >= 64,
+<x^2> takes its block triangle in two products, three quarters of them;
+below that one whole product is the faster, since the second product
+costs more than the quarter it saves (DECISIONS.md, "Dense <p> and
+<x^2> past one chunk"). The plan keeps only the blocks that its
 outputs read, as views of one buffer, each filled in panels of at most
 _CHUNK elements. The forms have no
 Taylor branch, so the cancellation of the direct R_K' just above the
@@ -120,9 +120,9 @@ against the 40-digit pair sum, or past N = 60 the 60-digit closed form,
 in eps of a, a^2 and p_n (each path forced in turn):
 
     instants                                       kernel <x>/<x^2>/<p>   dense
-    near-singular set and three long times,        1.0 / 2.0 / 3.6        0.6 / 1.5 / 1.3
+    near-singular set and three long times,        1.0 / 2.0 / 3.6        0.6 / 1.5 / 0.7
       (500, 23) and (2000, 44)
-    60 instants just above the Taylor threshold,   0.9 / 1.3 / 40.7       0.9 / 0.8 / 1.3
+    60 instants just above the Taylor threshold,   0.9 / 1.3 / 40.7       0.9 / 0.8 / 0.7
       (500, 23)
     the same near-singular set, (61, 60)           0.9 / 1.5 / 108.4      0.8 / 1.0 / 0.5
     the near-singular set, three long times and    1.6 / 2.5 / 21.9       1.2 / 0.7 / 1.3
@@ -634,7 +634,6 @@ def _kernel_block(ker: _Kernel, h, l, out: np.ndarray) -> None:
 
 
 _PANELS = 8  # the dense forms serve packets whose matrix fills at most this many _CHUNK blocks
-_PARITY = ("position", "quasi_position")  # symmetric forms that couple only opposite parities
 
 
 def _levels(N: int) -> tuple[np.ndarray, int]:
@@ -660,20 +659,19 @@ def _form(n: int, N: int, kinds: tuple[str, ...]) -> tuple:
     (columns), slices of the parity order, and the rule says how
     `_dense_block` sums it:
 
-    - "sym", sum over the parts of B_jk (a_j a_k + b_j b_k). The <x> and
-      quasi-position X are symmetric and vanish at even d, so they keep
+    - "sym", sum over the parts of B_jk (a_j a_k + b_j b_k): the symmetric
+      kinds. The <x> and quasi-position X vanish at even d, so they keep
       the (N_even x N_odd) block 2 X_eo alone, a quarter of X. Past two
       _CHUNKs, (2N+1)^2 > 16384 or N >= 64, <x^2> keeps its upper block
       triangle [X_ee | 2 X_eo] on the even rows and X_oo on the odd ones,
       three quarters of X in two products; below, X whole, since there
       the second product costs more than the quarter it saves
       (DECISIONS.md, "Dense <p> and <x^2> past one chunk").
-    - "cross", sum_jk B_jk b_j a_k with B = X whole: the momentum kinds up
-      to one _CHUNK, (2N+1)^2 <= 8192 or N <= 44.
     - "anti", sum B_jk (b_j a_k - a_j b_k) over the even rows and odd
-      columns, with B = X_eo: the momentum kinds past one _CHUNK. Their X
-      vanishes at even d and is antisymmetric, X_oe = -X_eo^T, so this
-      is the whole bracket from a quarter of X.
+      columns, with B = X_eo: the antisymmetric momentum kinds, at every
+      N. Their X vanishes at even d and X_oe = -X_eo^T, so this is the
+      whole bracket from a quarter of X (DECISIONS.md, "Dense <p> on
+      G_eo at every N").
 
     Doubling is exact, so every block holds the elements of one fill of
     X, or twice them. The blocks of all kinds are views of one buffer, so
@@ -685,19 +683,16 @@ def _form(n: int, N: int, kinds: tuple[str, ...]) -> tuple:
     """
     j, even = _levels(N)
     e, o, every = slice(even), slice(even, None), slice(None)
-    size = len(j) ** 2  # the whole matrix, in elements
     layouts = []  # (kind, rule, (rows, columns, the doubled columns) per block)
     for kind in kinds:
-        if kind in _PARITY:
-            rule, blocks = "sym", ((e, o, every),)
-        elif kind == "position_sq" and size <= 2 * _CHUNK:
-            rule, blocks = "sym", ((every, every, None),)
-        elif kind == "position_sq":
-            rule, blocks = "sym", ((e, every, o), (o, o, None))
-        elif size <= _CHUNK:
-            rule, blocks = "cross", ((every, every, None),)
-        else:
+        if kind.endswith("momentum"):
             rule, blocks = "anti", ((e, o, None),)
+        elif kind != "position_sq":
+            rule, blocks = "sym", ((e, o, every),)
+        elif len(j) ** 2 <= 2 * _CHUNK:
+            rule, blocks = "sym", ((every, every, None),)
+        else:
+            rule, blocks = "sym", ((e, every, o), (o, o, None))
         layouts.append((kind, rule, blocks))
     buffer = np.zeros(sum(len(j[rows]) * len(j[cols]) for _, _, blocks in layouts for rows, cols, _ in blocks))
     forms, at = [], 0
@@ -776,7 +771,9 @@ def _dense_block(plan: _Dense, h, l, out: np.ndarray) -> None:
     """The brackets of one block: a = cos(m tau) and b = sin(m tau) from the
     half phases pi c, stacked as the rows of a over the rows of b, then one
     matrix product per output and block of its form, times the columns it
-    pairs with, summed over each instant's a and b rows."""
+    pairs with: the same columns for a symmetric form, summed over each
+    instant's a and b rows, and the swapped odd columns [b_o; a_o] for an
+    antisymmetric one, each instant's b row less its a row."""
     size = out.shape[1]
     c = _phases(h, l, plan.m, plan.bits).reshape(size, len(plan.m))
     c *= math.pi
@@ -790,10 +787,6 @@ def _dense_block(plan: _Dense, h, l, out: np.ndarray) -> None:
             for left, right, X in parts[1:]:
                 y += np.vecdot(rows[:, left] @ X, rows[:, right])
             np.add(y[:size], y[size:], out=acc)
-        elif rule == "cross":  # sum_jk X_jk b_j a_k, summed pairwise (DECISIONS.md: not np.vecdot)
-            y = ab[1] @ X
-            y *= ab[0]
-            np.add.reduce(y, axis=-1, out=acc)
         else:  # "anti": sum_eo X_eo (b_e a_o - a_e b_o), np.vecdot within 2 eps of p_n (DECISIONS.md)
             y = np.vecdot((rows[:, left] @ X).reshape(2, size, -1), ab[::-1, :, right])
             np.subtract(y[1], y[0], out=acc)  # (b_e @ X) a_o - (a_e @ X) b_o
@@ -1033,9 +1026,9 @@ def quasi_exp(cfg: WellConfig, spec: PacketSpec, t, kind: str):
     spacing alone. Grouped by d, the pairs sum to R_{2N+1-d}(theta_d) times
     cos(2n theta_d) or sin(2n theta_d), the d-groups of `exp_x`, in one
     kernel pass of `_moments`; a packet with N <= 127 takes the dense form
-    with matrix -1/d^2 or 1/d at odd d instead, the position's as its
-    even-by-odd block alone, like <x>'s, and the momentum's, past one
-    core._CHUNK (N >= 45), as its antisymmetric block, like <p>'s.
+    with matrix -1/d^2 or 1/d at odd d instead, each as its even-by-odd
+    block alone: the symmetric position's like <x>'s, and the
+    antisymmetric momentum's like <p>'s.
     """
     if kind not in ("position", "momentum"):
         raise ValueError(f"kind must be 'position' or 'momentum', got {kind!r}")

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -201,6 +202,19 @@ def test_usage_errors_exit_one(tmp_path):
     assert main(["trajectories", "--n", "5", "--N", "9"]) == 1  # N >= n
     assert main(["trajectories", "--t-max", "-1"]) == 1
     assert main(["trajectories", "--config", str(tmp_path / "missing.cfg")]) == 1
+
+
+@pytest.mark.parametrize("t_max", ["nan", "inf", "1e400", "1e400T"])
+def test_t_max_must_be_finite(capsys, t_max):
+    # an infinite t_max reached np.linspace, whose RuntimeWarning came on
+    # stderr before the error record
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["trajectories", "--n", "50", "--N", "3", "--steps", "8", "--t-max", t_max]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert json.loads(line) == {"error": "usage", "message": f"t_max must be finite and positive, got {t_max!r}"}
 
 
 def test_io_error_exit_three(tmp_path):

@@ -1,6 +1,7 @@
 """Tests for the well configuration, spectrum, and packet wavefunction."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from fejerwell import (
     spectral_data,
     stationary_wavefunction,
 )
+from fejerwell.quantum import oracle_expectation
 
 NATURAL = WellConfig()
 
@@ -157,6 +159,34 @@ def test_packet_wavefunction_takes_one_instant():
     t = np.linspace(0.0, 0.06, 7)
     with pytest.raises(ValueError, match="one instant"):
         packet_wavefunction(NATURAL, PacketSpec(n=10, N=3), 0.3, t)
+
+
+@pytest.mark.parametrize("x", [math.nan, np.array([0.5, math.nan])])
+def test_positions_reject_nan(x):
+    # nan compares false with both walls, so it passed the range check and
+    # came back as a nan amplitude
+    with pytest.raises(ValueError, match="outside the well"):
+        stationary_wavefunction(NATURAL, 1, x)
+    with pytest.raises(ValueError, match="outside the well"):
+        packet_wavefunction(NATURAL, PacketSpec(n=10, N=3), x, 0.0)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, np.float64(math.inf)])
+def test_one_instant_must_be_finite(t):
+    # an infinite t read nan after numpy's "invalid value" RuntimeWarning,
+    # the grid oracle read nan at nan, and the spectral oracle failed with
+    # "math domain error"
+    spec = PacketSpec(n=10, N=3)
+    calls = [
+        lambda: packet_wavefunction(NATURAL, spec, 0.3, t),
+        lambda: oracle_expectation(NATURAL, spec, t, "position"),
+        lambda: oracle_expectation(NATURAL, spec, t, "momentum", method="spectral"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError, match="need finite t"):
+                call()
 
 
 def test_packet_real_at_time_zero():

@@ -511,7 +511,7 @@ def test_kernels_exact_to_rounding_near_singular_phases(n, N):
     # 44 eps off just above its Taylor threshold
     spec = PacketSpec(n=n, N=N)
     eps = np.finfo(float).eps
-    bounds = {"position": 4 * eps, "position_sq": 4 * eps, "momentum": 16 * eps * n * math.pi}
+    bounds = {"position": 4 * eps, "position_sq": 4 * eps, "momentum": 4 * eps * n * math.pi}
     for t in _near_singular_instants(n) + (_taylor_edge_instants(n) if n == 500 else []):
         ref = _mp_moments(n, N, t)
         for kind, fn in CLOSED_FORMS.items():
@@ -533,10 +533,11 @@ def _checked_instants(n):
 
 def _natural_form(n, N, kind):
     """The (2N+1)^2 matrix of `_form`, levels j = -N..N in natural order,
-    rebuilt from the blocks it keeps: a whole matrix, the block 2 X_eo of
-    the symmetric <x> and quasi-position forms, the upper block triangle
-    [X_ee | 2 X_eo], X_oo of <x^2>, or the block X_eo of an antisymmetric
-    momentum form. Halving a doubled block is exact."""
+    rebuilt from the blocks it keeps: for the symmetric forms ("sym") the
+    block 2 X_eo of <x> and the quasi position, or <x^2>'s whole matrix or
+    upper block triangle [X_ee | 2 X_eo], X_oo; for the antisymmetric
+    momentum forms ("anti") the block X_eo. Halving a doubled block is
+    exact."""
     j, _ = quantum._levels(N)
     at = (j + N).astype(int)  # the natural index of each parity-ordered level
     (rule, parts), = quantum._form(n, N, (kind,))
@@ -546,7 +547,7 @@ def _natural_form(n, N, kind):
         whole[np.ix_(rows, cols)] = X
         if rule == "anti":
             whole[np.ix_(cols, rows)] = -X.T
-        elif rule == "sym":  # columns off the rows' levels stand for the block and its transpose
+        else:  # "sym": columns off the rows' levels stand for the block and its transpose
             off = ~np.isin(cols, rows)
             whole[np.ix_(rows, cols[off])] = X[:, off] / 2
             whole[np.ix_(cols[off], rows)] = X[:, off].T / 2
@@ -565,11 +566,13 @@ _DENSE_KINDS = ("position", "position_sq", "momentum", "quasi_position", "quasi_
 
 
 # the blocks that `_form` keeps, by packet: (rule, shapes of its parts) per kind.
-# (2000, 44) keeps every matrix whole but <x>'s; past one _CHUNK the momentum
-# kinds keep X_eo, and past two <x^2> keeps [X_ee | 2 X_eo] and X_oo
+# <x> and the momentum kinds keep X_eo at every N; <x^2> keeps its whole
+# matrix up to two _CHUNKs and past them [X_ee | 2 X_eo] and X_oo
 _FORM_LAYOUTS = {
+    (500, 23): {"position": ("sym", [(23, 24)]), "position_sq": ("sym", [(47, 47)]),
+                "momentum": ("anti", [(23, 24)])},
     (2000, 44): {"position": ("sym", [(45, 44)]), "position_sq": ("sym", [(89, 89)]),
-                 "momentum": ("cross", [(89, 89)])},
+                 "momentum": ("anti", [(45, 44)])},
     (2025, 45): {"position": ("sym", [(45, 46)]), "position_sq": ("sym", [(91, 91)]),
                  "momentum": ("anti", [(45, 46)])},
     (4096, 64): {"position": ("sym", [(65, 64)]), "position_sq": ("sym", [(65, 129), (64, 64)]),
