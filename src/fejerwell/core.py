@@ -148,7 +148,11 @@ def _check_instant(t) -> None:
     """Reject an array t, or a non-finite one, where a function evaluates one instant."""
     if np.ndim(t) != 0:
         raise ValueError(f"t must be one instant, got an array of shape {np.shape(t)}")
-    if not math.isfinite(t):
+    try:
+        finite = math.isfinite(t)
+    except OverflowError:  # a Python int past the float range
+        raise ValueError("need finite t, got a number past the float range") from None
+    if not finite:
         raise ValueError(f"need finite t, got {t}")
 
 
@@ -218,21 +222,24 @@ def _fraction(rate, t):
     t times the high part of the rate is an exact Dekker two-product p + e,
     so hi = p - rint(p) is exact; the low part adds one rounded product.
     The pair is exact to rounding while |t| * rate < 2^52 (about 4.5e15
-    periods); a non-finite t or one past that raises ValueError. |t| is
-    compared with the bound before any product, so the check cannot
-    overflow. A scalar t (Python, numpy or 0-d) is reduced in Python
-    floats and comes back as floats: the same IEEE operations as on an
-    array element, at about half the cost of the same steps on numpy
-    scalars (1.4 against 2.3 us).
+    periods); a non-finite t or one past that raises ValueError, a Python
+    int too large for a float included. |t| is compared with the bound
+    before any product, so the check cannot overflow. A scalar t (Python,
+    numpy or 0-d) is reduced in Python floats and comes back as floats:
+    the same IEEE operations as on an array element, at about half the
+    cost of the same steps on numpy scalars (1.4 against 2.3 us).
     """
     c_hi, c_lo, ch, cl, limit = rate
-    if not isinstance(t, (float, int)):
-        t = np.asarray(t, dtype=float)
-    if isinstance(t, np.ndarray) and t.ndim:
-        inside, rint = np.count_nonzero(abs(t) < limit) == t.size, np.rint
-    else:
-        t = float(t)
-        inside, rint = abs(t) < limit, _rint
+    try:
+        if not isinstance(t, (float, int)):
+            t = np.asarray(t, dtype=float)
+        if isinstance(t, np.ndarray) and t.ndim:
+            inside, rint = np.count_nonzero(abs(t) < limit) == t.size, np.rint
+        else:
+            t = float(t)
+            inside, rint = abs(t) < limit, _rint
+    except OverflowError:  # a Python int past the float range
+        inside = False
     if not inside:  # nan and inf are outside
         raise ValueError(
             f"need finite t with |t| < {limit:.6g} (2^52 periods) for an exact phase"

@@ -22,15 +22,19 @@ rises above the running minimum. That assumption held on every window
 checked (DECISIONS.md, "optimal_N stops at the first rise"). Half-width N
 adds the 2N pairs of span N to the running sum, each with about
 2 sqrt(P) exact float residues, as many tangents, and 2P multiply-adds in
-the span's one matrix product over the P-point grid, so the search costs
+the span's matrix product over the P-point grid, so the search costs
 O(N_opt^2 P) against O(N_max^2 P) for scoring the whole window. The
 default window ends at about 4 N_opt, and the stop takes 8-9x less time
-than the whole window at n = 500 to 10^4. The pairs' residues and
-amplitudes come from tables of about 1024 pairs that serve consecutive
-spans, so a span pays only for its residues, tangents and product, not
-for rebuilding its pair list. The float residues are exact while
-2 n P^2 < 2^53, which admits n = 10^6 at P = 65536; a larger n P^2
-raises ValueError.
+than the whole window at n = 500 to 10^4. The residues and tangents are
+formed in blocks of up to 127 pairs (at P = 1024) that hold whole spans
+while spans are short, cut from tables of about 1024 pairs, and at most
+one block ahead of the span being summed. A span pays only for its
+product and its error update: one product up to v = 63 and one per 127
+pairs beyond. The scan to the first rise at n = 500 forms 6 blocks where
+one block per span made 24, since there the fixed cost of a block's ~15
+numpy calls outweighed its arithmetic. The float residues are exact
+while 2 n P^2 < 2^53, which admits n = 10^6 at P = 65536; a larger
+n P^2 raises ValueError.
 
 The uncertainty product Delta-x Delta-p at the initial turning (t = 0) is
 reported for the selected packet but is no selection criterion: it falls
@@ -60,7 +64,7 @@ __all__ = [
 ]
 
 _TRACK_POINTS = 1024
-_TABLE_PAIRS = 1024  # level pairs per table of consecutive spans (`_span_pairs`)
+_TABLE_PAIRS = 1024  # level pairs per table of consecutive spans (`_pair_blocks`)
 
 
 @dataclass(frozen=True)
@@ -100,16 +104,24 @@ def default_n_grid(n_min: int = 10, n_max: int = 500, points: int = 12) -> list[
     return sorted({int(round(n_min * ratio**i)) for i in range(points)})
 
 
-def _span_pairs(n: int, M: int, scale: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(residues, amplitudes) of the 2v level pairs of span v, for v = 1, 2, ..., n - 1.
+def _pair_blocks(
+    n: int, M: int, scale: float, size: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, list[tuple[int, int, bool]]]]:
+    """The level pairs of spans 1..n-1 in blocks of at most size pairs.
 
-    A span-v pair has odd difference d = 1, 3, ..., 2v - 1 and sum offset
-    s = +-(2v - d), the v pairs with s > 0 first. Its residue is
-    d (2n + s) mod M, an exact integer held as a float, and its amplitude
-    scale (1/(2n + s)^2 - 1/d^2). Consecutive spans are built together in
-    one table of at most _TABLE_PAIRS pairs (or one span, if larger),
-    span-major, so that a span costs two slices; a table spans v = 1..31
-    first and fewer spans as v grows.
+    Each block is (residues, amplitudes, groups). A span-v pair has odd
+    difference d = 1, 3, ..., 2v - 1 and sum offset s = +-(2v - d), the
+    v pairs with s > 0 first. Its residue is d (2n + s) mod M, an exact
+    integer held as a float, and its amplitudes +-scale (1/(2n + s)^2 -
+    1/d^2), shape (2, pairs). A span's 2v pairs split into product groups
+    of size pairs, the last one shorter, and a block holds as many
+    consecutive groups as fit in size pairs: while 2v <= size it runs
+    across span boundaries, and a longer span's groups fill a block each.
+    groups lists the block's groups as (lo, hi, whether it ends its
+    span). Consecutive spans are built together in one table of at most
+    _TABLE_PAIRS pairs (or one span, if larger), span-major, so that a
+    block costs two slices; a table spans v = 1..31 first and fewer spans
+    as v grows.
     """
     v0 = 1
     while v0 < n:
@@ -128,10 +140,17 @@ def _span_pairs(n: int, M: int, scale: float) -> Iterator[tuple[np.ndarray, np.n
         amp = np.empty((2, len(res)))
         amp[0] = scale * (1.0 / q**2 - 1.0 / d**2)
         np.negative(amp[0], out=amp[1])
-        lo = 0
+        lo = hi = 0
+        groups: list[tuple[int, int, bool]] = []
         for v in range(v0, v1):
-            yield res[lo : lo + 2 * v], amp[:, lo : lo + 2 * v, None]
-            lo += 2 * v
+            for g in range(0, 2 * v, size):
+                count = min(size, 2 * v - g)
+                if hi + count - lo > size:
+                    yield res[lo:hi], amp[:, lo:hi], groups
+                    lo, groups = hi, []
+                groups.append((hi - lo, hi - lo + count, g + count == 2 * v))
+                hi += count
+        yield res[lo:], amp[:, lo:], groups
         v0 = v1
 
 
@@ -164,21 +183,29 @@ def _tracking_errors(cfg: WellConfig, n: int, t_points: int) -> Iterator[float]:
     product, over about P/B + B tangents per pair (`core._half_angle`:
     cos and sin of 2 pi r / M from t = tan(pi r / M)) instead of P
     cosines, and the RMS of the error e is sqrt(e.e / P). Each value costs
-    only its own span, so a caller may stop early.
+    only its own span, and at most one block of tangents ahead, so a
+    caller may stop early.
 
-    The residues are exact floats. With res = m mod M (`_span_pairs`) and
+    The residues are exact floats. With res = m mod M (`_pair_blocks`) and
     a grid step below P, x = res step is an integer below 2 n P^2, exact
     in float64 while 2 n P^2 < 2^53 (n = 10^6 at P = 65536 is 0.95 of
     that; past it ValueError is raised). r = x - M rint(x / M) is then
     exact too, congruent to x modulo M, and |r| <= M/2, because x / M is
     rounded by less than 1/M (`_residues`); so the half phase is r pi / M
-    in [-pi/2, pi/2]. The residues and amplitudes of consecutive spans
-    come from one table of about 1024 pairs, so a span costs no
-    small-array calls of its own. A span's pairs go in blocks of
-    fewer than core._CHUNK residues (127 pairs at P = 1024, so every span
-    to v = 63 is one block), which keeps every array of a span below
-    glibc's 128 KiB mmap threshold, and the products of the blocks add
-    into the running sum.
+    in [-pi/2, pi/2].
+
+    The residues, tangents and amplitude scaling run in blocks of fewer
+    than core._CHUNK residues (127 pairs at P = 1024) that hold whole
+    product groups (`_pair_blocks`): every span up to v = 63 is one group,
+    so a block runs across span boundaries, and a longer span's groups of
+    127 pairs fill a block each. A block is formed when the first span in
+    it is summed, so the values drawn run at most one block ahead. A span
+    copies its cos rows over its sin rows out of its block into one
+    operand, unless they are the whole block, and pays only for that
+    copy, its product and its error update. Every product sees the rows,
+    order and layout that a block per group gave, so every value is the
+    same bit for bit. Every array stays below glibc's 128 KiB mmap
+    threshold.
 
     Both halves of e are exact on the index grid: the phases are integer
     residues and the sawtooth at t_i is 2a min(i, P - i)/P, so no time is
@@ -203,20 +230,25 @@ def _tracking_errors(cfg: WellConfig, n: int, t_points: int) -> Iterator[float]:
     # pairs per block: fewer than _CHUNK residues, so that the stacked cos
     # and sin rows stay below 2 _CHUNK elements, glibc's 128 KiB threshold
     rows = max(1, (_CHUNK - 1) // len(steps))
-    for v, (res, amp) in enumerate(_span_pairs(n, M, 4.0 * cfg.a / math.pi**2), 1):
-        for lo in range(0, 2 * v, rows):
-            k = min(rows, 2 * v - lo)
-            pair = np.empty((2, k, len(steps)))
-            cos, x = pair
-            _residues(res[lo : lo + k], steps, M, x, cos)
-            x *= math.pi / M
-            _half_angle(x, cos, x)
-            pair[:, :, :H] *= amp[:, lo : lo + k]
-            pair = pair.reshape(2 * k, -1)
-            cum += (pair[:, :H].T @ pair[:, H:]).reshape(-1)[:t_points]
-        err = cum / (2 * v + 1)
-        err += base
-        yield math.sqrt(err @ err / t_points)
+    flat = np.empty(2 * rows * len(steps))
+    v = 0
+    for res, amp, groups in _pair_blocks(n, M, 4.0 * cfg.a / math.pi**2, rows):
+        k = len(res)
+        pair = flat[: 2 * k * len(steps)].reshape(2, k, -1)
+        cos, x = pair
+        _residues(res, steps, M, x, cos)
+        x *= math.pi / M
+        _half_angle(x, cos, x)
+        pair[:, :, :H] *= amp[:, :, None]
+        for lo, hi, ends_span in groups:
+            # cos rows over sin rows: a view of a whole block, else a copy
+            group = pair[:, lo:hi].reshape(2 * (hi - lo), -1)
+            cum += (group[:, :H].T @ group[:, H:]).reshape(-1)[:t_points]
+            if ends_span:
+                v += 1
+                err = cum / (2 * v + 1)
+                err += base
+                yield math.sqrt(err @ err / t_points)
 
 
 def _tracking_curve(

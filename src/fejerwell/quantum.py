@@ -822,8 +822,8 @@ def _moments(cfg: WellConfig, spec: PacketSpec, t, outputs: tuple[str, ...]) -> 
     """
     dense = spec.size**2 <= _PANELS * _CHUNK
     plan = (_dense if dense else _kernel)(spec.n, spec.N, outputs)
+    hi, lo = _fraction(cfg._revival_rate, t)  # raises ValueError before t_arr can overflow
     t_arr = np.asarray(t, dtype=float)
-    hi, lo = _fraction(cfg._revival_rate, t_arr)
     h, l = _split(hi, max(plan.bits, 1))
     l = l + lo
     brackets = np.empty((len(outputs), t_arr.size))

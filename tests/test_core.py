@@ -7,12 +7,17 @@ import numpy as np
 import pytest
 
 from fejerwell import (
+    ClassicalOrbit,
     PacketSpec,
     WellConfig,
     classical_period,
     energy,
+    exp_x,
     exp_x2,
+    expectation_sample,
+    fejer_position,
     packet_wavefunction,
+    sawtooth_position,
     spectral_data,
     stationary_wavefunction,
 )
@@ -187,6 +192,25 @@ def test_one_instant_must_be_finite(t):
         for call in calls:
             with pytest.raises(ValueError, match="need finite t"):
                 call()
+
+
+@pytest.mark.parametrize("t", [10**400, -(10**400)])
+def test_int_instant_past_the_float_range_is_refused(t):
+    # a Python int too large for a float raised OverflowError from float()
+    # or np.asarray, where the float inf gets the documented ValueError
+    spec = PacketSpec(n=10, N=3)
+    orbit = ClassicalOrbit()
+    calls = [
+        lambda: exp_x(NATURAL, spec, t),
+        lambda: expectation_sample(NATURAL, spec, t),
+        lambda: fejer_position(orbit, 3, t),
+        lambda: sawtooth_position(orbit, t),
+        lambda: packet_wavefunction(NATURAL, spec, 0.3, t),
+        lambda: oracle_expectation(NATURAL, spec, t, "position"),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="need finite t"):
+            call()
 
 
 def test_packet_real_at_time_zero():

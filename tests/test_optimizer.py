@@ -4,7 +4,6 @@ import math
 import tracemalloc
 import warnings
 from fractions import Fraction
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -154,20 +153,36 @@ def test_scan_range_guard():
     _tracking_curve(NATURAL, 2**20 - 1, 1, 65536)
 
 
-@pytest.mark.parametrize("n", [100, 10_000])
+@pytest.mark.parametrize("n", [30, 100, 10_000])
 def test_pair_tables_hold_each_span(n):
     # spans 1..80 cross six table boundaries (at v = 32, 45, 55, 63, 70 and
-    # 77); each span's residues, which are the multipliers d (2n + s) below
-    # M, and amplitudes are those of the pair enumeration, as multisets
-    P = 1024
+    # 77). A block holds whole product groups, at most 127 pairs: all of a
+    # span up to v = 63, 127 pairs of a longer one. Each span's residues,
+    # which are the multipliers d (2n + s) below M, and amplitudes are
+    # those of the pair enumeration, as multisets
+    P, size = 1024, 127
     M = 2 * n * P
-    amp, freq, span = pair_terms(NATURAL, n, 80, "position")
+    V = min(80, n - 1)
+    amp, freq, span = pair_terms(NATURAL, n, V, "position")
     m = np.rint(freq / (math.pi**2 / 2))
-    tables = optimizer._span_pairs(n, M, 4.0 / math.pi**2)
-    for v, (res, a) in enumerate(islice(tables, 80), 1):
-        assert res.shape == (2 * v,) and a.shape == (2, 2 * v, 1)
+    spans, pending = [], []
+    for res, a, groups in optimizer._pair_blocks(n, M, 4.0 / math.pi**2, size):
+        assert 0 < len(res) <= size and a.shape == (2, len(res))
         assert np.array_equal(a[1], -a[0])
-        got = np.stack([res, a[0, :, 0]])
+        # the groups tile the block in order
+        assert [lo for lo, _, _ in groups] == [0] + [hi for _, hi, _ in groups[:-1]]
+        assert groups[-1][1] == len(res)
+        for lo, hi, ends_span in groups:
+            pending.append(np.stack([res[lo:hi], a[0, lo:hi]]))
+            if ends_span:
+                spans.append(pending)
+                pending = []
+        if len(spans) >= V:
+            break
+    for v, parts in enumerate(spans[:V], 1):
+        sizes = [part.shape[1] for part in parts]
+        assert sizes == [size] * (len(sizes) - 1) + [2 * v - size * (len(sizes) - 1)], v
+        got = np.concatenate(parts, axis=1)
         want = np.stack([m[span == v], amp[span == v]])
         assert np.array_equal(got[:, np.lexsort(got)], want[:, np.lexsort(want)]), v
 
@@ -222,6 +237,22 @@ def test_scan_stops_after_first_rise(monkeypatch):
     # N = 0..24 up to the first rise, not the window's 0..90
     assert len(drawn) <= row.N_opt + 2
     assert drawn[-1] > drawn[-2]
+
+
+def test_scan_forms_tangents_in_blocks_across_spans(monkeypatch):
+    # spans 1..24 hold 600 pairs, so the scan to its first rise at n = 500
+    # forms its residues and tangents in 6 blocks of whole spans, at most
+    # 127 pairs each, not in one block per span (24)
+    calls = []
+    residues = optimizer._residues
+
+    def counted(res, *args):
+        calls.append(len(res))
+        residues(res, *args)
+
+    monkeypatch.setattr(optimizer, "_residues", counted)
+    assert optimal_N(NATURAL, 500).N_opt == 23
+    assert len(calls) <= 6, calls
 
 
 @pytest.mark.parametrize(
