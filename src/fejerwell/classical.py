@@ -20,7 +20,14 @@ weighted terms, so no temporary exceeds 64 KiB, whatever the number of
 instants or the order. Each row is summed as a whole row in every block,
 so the values do not depend on where the blocks fall; a t that fits in
 one block, a scalar included, runs that block alone, with no loop,
-reshape or concatenation.
+reshape or concatenation. The blocks read f = frac(t / T) (below), and
+`_cycle` keeps the f of the last array t, read-only and keyed by t's
+contents and the orbit's cycle rate (`core._LastInstants`), so the
+series of one orbit on one array, the three Fejer averages that the CLI
+series and `limits.limit_sequence` compare, reduce it once and give the
+values a reduction of their own gives, bit for bit. A scalar or 0-d t
+never looks, and an array of more than _PANELS * _CHUNK instants is not
+kept.
 
 Every function reduces t to f = frac(t / T) in [-1/2, 1/2] by the exact
 reduction of the packet moments (`core._fraction`), with 1/T = p_c/(2a mu)
@@ -65,7 +72,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import WellConfig, spectral_data
-from .core import _block_rows, _fraction, _half_angle, _rate, _reduced_spread, _rint
+from .core import _LastInstants, _block_rows, _fraction, _half_angle, _rate, _reduced_spread, _rint
 
 __all__ = [
     "ClassicalOrbit",
@@ -125,11 +132,27 @@ def _matched_orbit(cfg: WellConfig, n: int) -> ClassicalOrbit:
     return orbit
 
 
+_instants = _LastInstants()  # f of the last array of instants, keyed by the cycle rate
+
+
 def _cycle(orbit: ClassicalOrbit, t):
-    """f = frac(t / T) in [-1/2, 1/2], exact to rounding; a Python float for a scalar t."""
+    """f = frac(t / T) in [-1/2, 1/2], exact to rounding; a Python float for a scalar t.
+
+    The f of an array t is kept, read-only, for the next call on the same
+    rate and contents (`core._LastInstants`); a scalar or 0-d t skips that.
+    """
+    tag = None
+    if isinstance(t, np.ndarray) and t.ndim:
+        tag, f = _instants.find(None, orbit._cycle_rate, t, 1)
+        if f is not None:
+            return f
     hi, lo = _fraction(orbit._cycle_rate, t)
     f = hi + lo
-    return f - (np.rint(f) if isinstance(f, np.ndarray) else _rint(f))  # hi + lo may round past 1/2
+    f = f - (np.rint(f) if isinstance(f, np.ndarray) else _rint(f))  # hi + lo may round past 1/2
+    if tag is not None:
+        f.setflags(write=False)
+        _instants.keep(None, orbit._cycle_rate, tag, f)
+    return f
 
 
 def sawtooth_position(orbit: ClassicalOrbit, t):

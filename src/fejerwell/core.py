@@ -192,11 +192,62 @@ def packet_wavefunction(cfg: WellConfig, spec: PacketSpec, x, t: float):
 
 _PI_LO = 1.2246467991473532e-16  # pi - math.pi
 _CHUNK = 1 << 13  # max elements per (instants x columns) block: 64 KiB of float64
+_PANELS = 8  # the dense forms serve packets whose matrix fills at most this many _CHUNK blocks
 
 
 def _block_rows(width: int) -> int:
     """Instants per block of at most _CHUNK instants x width elements, at least one."""
     return max(1, _CHUNK // max(width, 1))
+
+
+class _LastInstants:
+    """One layer's work on its last array of instants that no observable enters.
+
+    The moments and the classical series spend part of each call on work
+    that depends on the instants alone: the exact reduction of t, and in
+    the moments the level phases of every block. A layer keeps that work
+    for its last array t in one entry, (owner, key, tag, value), and a
+    later call that finds its own t there reads the kept arrays instead of
+    forming them again, the same arrays bit for bit. The tag is t's dtype,
+    shape and bytes: an array is mutable, so its identity says nothing of
+    its contents, and an array changed in place, or another array with
+    other values, never matches while an equal copy does. The owner,
+    compared with `is`, and the key, compared with ==, name everything
+    else the value depends on. The entry is replaced whole by one
+    rebinding and never changed, so a thread reads the old entry or the
+    new one, never a mix; threads that alternate arrays only miss. An
+    array whose widest kept array would pass _PANELS * _CHUNK elements is
+    not kept, so an entry holds at most about 1 MiB of phases.
+    DECISIONS.md, "One entry of instants per layer", has the reasons.
+    """
+
+    __slots__ = ("entry",)
+
+    def __init__(self) -> None:
+        self.entry = None
+
+    def find(self, owner, key, t: np.ndarray, width: int):
+        """(tag, value): t's tag and the value kept for it under owner and key, or None.
+
+        width is the number of elements per instant of the widest array
+        that the value holds; where t.size * width passes the budget the
+        tag is None, and then nothing is kept for t.
+        """
+        if t.size * width > _PANELS * _CHUNK:
+            return None, None
+        tag = (t.dtype, t.shape, t.tobytes())
+        entry = self.entry  # read once: another thread may rebind it meanwhile
+        if entry is not None and entry[0] is owner and entry[1] == key and entry[2] == tag:
+            return tag, entry[3]
+        return tag, None
+
+    def keep(self, owner, key, tag, value) -> None:
+        """Rebind the entry to value under (owner, key, tag); a None tag keeps nothing.
+
+        The caller makes value's arrays read-only first: later calls read them.
+        """
+        if tag is not None:
+            self.entry = (owner, key, tag, value)
 
 
 def _split(a, bits: int):

@@ -50,9 +50,9 @@ a_j = cos(m_j tau) and b_j = sin(m_j tau) of the dense forms below:
 sums of a_j and b_j against psi_i, xi_i, j xi_i and their products with
 (-1)^j, one BLAS product per output and per a or b against a
 (2N+1) x O(K) basis (`_level_form`) that the kernel plan keeps. On the
-kernel the a_j and b_j come from `_phases` and `core._half_angle` as in
-`_dense_block`, and share the kernel's split of the revival fraction,
-since m_j < 4nN. |u| is at
+kernel the a_j and b_j come from `_level_phases`, as on the dense forms,
+and share the kernel's split of the revival fraction, since
+m_j < 4nN. |u| is at
 most (N/(2n-N))^2, and the cut moves <x> and <x^2> by at most
 (2/pi^2) (2N+1) (2n)^2/(2n-N)^4 sum_{i>K} (i+1) u^i of a and a^2, and
 <p> by at most 8N (2N+1)/(pi (2n-N)^2) sum_{i>K} u^i of p_n;
@@ -212,6 +212,23 @@ all take this path; on the kernel one pass costs about as much as one
 exp_x2 call, not the three calls it replaces. A dense pass forms a and b
 once and does one product per moment.
 
+Calls on one array of instants share more. The split revival fraction
+and each block's level phases a and b depend on t and the packet, not on
+the moment, so `_moments` keeps them for the last array t it saw
+(`core._LastInstants`), keyed by t's contents, under the plan's level
+multipliers, its bits and block rows, and the revival rate. The
+multipliers are one read-only array per packet and engine (`_level_m`),
+which the plans of every output share and the key compares with `is`.
+exp_x, exp_x2, exp_p, packet_moments and quasi_exp on the same values,
+the benchmark's moment calls among them, then skip that work, and their
+arrays equal a fresh call's bit for bit, since the kept arrays are the
+ones that call would form. On the dense forms a and b are a block's
+whole input, so a later call does only its products; on the kernel the
+Dirichlet and psi columns are still formed per call, and a kernel plan
+without level sums (the quasi series, and packets past the series rule)
+keeps nothing. A scalar or 0-d t takes the scalar path and never looks
+(DECISIONS.md, "One entry of instants per layer").
+
 Block size. Every moment runs one loop over blocks, in `_moments`. The
 revival fraction and the split of its high part are formed once per
 call on t as passed, so a scalar t runs them on Python floats; each
@@ -221,10 +238,12 @@ the element passes of the kernel run in place. Each plan, `_kernel` or
 rule core._block_rows that the classical series share, and `_moments`
 reads plan.rows for either engine: an array is evaluated in blocks of
 rows instants, and a t that fits in one block, a scalar included, is
-that block, unsliced. A kernel block forms three phase arrays, each its
-own: the Dirichlet columns, the psi = 2n theta_d columns and the 2N + 1
-level phases. Each holds at most core._CHUNK = 8192 elements, so the
-rows come from the widest of the three, not their sum. Where the level
+that block, unsliced. A kernel block reads three phase arrays, each its
+own: the Dirichlet columns and the psi = 2n theta_d columns, which it
+forms, and the 2N + 1 level phases, which `_moments` forms by
+`_level_phases` or reads from the kept instants. Each holds at most
+core._CHUNK = 8192 elements, so the rows come from the widest of the
+three, not their sum. Where the level
 sums run, the levels (2N + 1) are the widest for every packet moment:
 exp_x, exp_x2, exp_p and a fused pass all take 12 instants per block at
 (10^5, 316). Past the series rule the s-columns make the Dirichlet array
@@ -265,7 +284,12 @@ temporary is made. A fused dense plan at N = 127 holds 650 KB, so the
 16 dense plans keep at most 16 x (130 + 390 + 130) KB, about 10.4 MB
 (about 19 MB while <x^2> and <p> kept whole matrices); the kernel plans'
 level-sum bases are small (30, 15 and 122 KB for <x>, <x^2> and <p> at
-(10^5, 316)).
+(10^5, 316)). The kept instants are one entry: the split fraction and
+the level phases a and b of an array t, each of a and b at most
+_PANELS * _CHUNK elements (512 KiB), so about 1 MiB in all; an array
+whose level phases would pass that is not kept. The entry holds the
+level multipliers, not the plan, so an evicted plan still frees its
+matrices.
 """
 
 from __future__ import annotations
@@ -279,7 +303,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import PacketSpec, WellConfig, packet_wavefunction
-from .core import _CHUNK, _block_rows, _check_instant, _fraction, _half_angle, _reduced_spread, _split
+from .core import _CHUNK, _PANELS, _LastInstants, _block_rows, _check_instant, _fraction, _half_angle
+from .core import _reduced_spread, _split
 
 __all__ = [
     "OBSERVABLES",
@@ -343,6 +368,35 @@ def _phases(h, l, m, bits: int):
     if bits > 27:
         c -= np.rint(c, out=r)
     return c
+
+
+@functools.lru_cache(maxsize=16)
+def _level_m(n: int, N: int, parity: bool) -> np.ndarray:
+    """The level multipliers m_j = (2n + j) j = u_j^2 - n^2, read-only.
+
+    j = -N..N in natural order (the kernel's level sums) or, with parity,
+    in the order of `_levels` (the dense forms). One array per packet and
+    order, shared by the plans of all outputs, so that `_moments` can tell
+    by identity that two plans form the same level phases.
+    """
+    j = _levels(N)[0] if parity else np.arange(-N, N + 1.0)
+    m = (j + 2 * n) * j
+    m.setflags(write=False)
+    return m
+
+
+def _level_phases(m, bits: int, h, l) -> np.ndarray:
+    """a = cos(m tau) over b = sin(m tau) of one block, as ab[0] and ab[1].
+
+    Both come from the one tangent of each half phase pi c, c from
+    `_phases`, by `core._half_angle`; the dense forms read the stacked
+    rows [a; b], the kernel's level sums a and b apart.
+    """
+    c = _phases(h, l, m, bits).reshape(-1, len(m))
+    c *= math.pi
+    ab = np.empty((2,) + c.shape)
+    _half_angle(c, ab[0], ab[1])
+    return ab
 
 
 # --- Dirichlet-kernel sums ---------------------------------------------------
@@ -503,7 +557,7 @@ def _kernel(n: int, N: int, outputs: tuple[str, ...]) -> _Kernel:
         "flip": -2.0 * (K % 2 == 0),
         "a2": K * (1 - K**2) / 6,
         "a4": K * (K**2 - 1) * (3 * K**2 - 7) / 360,
-        "level_m": (j + 2 * n) * j if series is not None else np.empty(0),
+        "level_m": _level_m(n, N, False) if series is not None else np.empty(0),
         "const": np.array([const if out == "position_sq" else 0.0 for out in outputs]),
     }
     terms = tuple(weights[out] + hankel.get(out, ()) for out in outputs)
@@ -590,8 +644,9 @@ def _dirichlet(ker: _Kernel, c: np.ndarray, rate: bool):
     return R, dR
 
 
-def _kernel_block(ker: _Kernel, h, l, out: np.ndarray) -> None:
-    """The brackets of one block of instants from the split revival fraction h + l."""
+def _kernel_block(ker: _Kernel, h, l, ab, out: np.ndarray) -> None:
+    """The brackets of one block of instants from the split revival fraction h + l
+    and, where the plan has level sums, the block's level phases ab of `_level_phases`."""
     rows = out.shape[1]
     c = _phases(h, l, ker.m, ker.bits).reshape(rows, len(ker.m))
     R, dR = _dirichlet(ker, c, "rate" in ker.blocks)
@@ -606,11 +661,8 @@ def _kernel_block(ker: _Kernel, h, l, out: np.ndarray) -> None:
         R[:, : ker.nd] *= cos
     if dR is not None:
         dR[:, : ker.nd] *= cos
-    if len(ker.level_m):
-        b = _phases(h, l, ker.level_m, ker.bits).reshape(rows, len(ker.level_m))
-        b *= math.pi  # half the level phases, as in `_dense_block`
-        a = np.empty(b.shape)
-        _half_angle(b, a, b)
+    if ab is not None:
+        a, b = ab
     for acc, terms, form in zip(out, ker.terms, ker.forms):
         for i, (name, cols, w) in enumerate(terms):
             if i:
@@ -631,9 +683,6 @@ def _kernel_block(ker: _Kernel, h, l, out: np.ndarray) -> None:
 
 
 # --- dense quadratic forms ---------------------------------------------------
-
-
-_PANELS = 8  # the dense forms serve packets whose matrix fills at most this many _CHUNK blocks
 
 
 def _levels(N: int) -> tuple[np.ndarray, int]:
@@ -752,11 +801,9 @@ class _Dense:
 @functools.lru_cache(maxsize=16)
 def _dense(n: int, N: int, outputs: tuple[str, ...]) -> _Dense:
     """The multipliers and the blocks of `_form` per output; <x^2> adds its diagonal as a constant."""
-    j, _ = _levels(N)
-    m = (j + 2 * n) * j
+    m = _level_m(n, N, True)
     diagonal = -0.125 * float(np.sum(1.0 / (np.arange(-N, N + 1.0) + n) ** 2))
     const = np.array([diagonal if out == "position_sq" else 0.0 for out in outputs])
-    m.setflags(write=False)
     const.setflags(write=False)
     return _Dense(
         m=m,
@@ -767,19 +814,16 @@ def _dense(n: int, N: int, outputs: tuple[str, ...]) -> _Dense:
     )
 
 
-def _dense_block(plan: _Dense, h, l, out: np.ndarray) -> None:
-    """The brackets of one block: a = cos(m tau) and b = sin(m tau) from the
-    half phases pi c, stacked as the rows of a over the rows of b, then one
-    matrix product per output and block of its form, times the columns it
-    pairs with: the same columns for a symmetric form, summed over each
-    instant's a and b rows, and the swapped odd columns [b_o; a_o] for an
-    antisymmetric one, each instant's b row less its a row."""
+def _dense_block(plan: _Dense, ab: np.ndarray, out: np.ndarray) -> None:
+    """The brackets of one block from its level phases ab of `_level_phases`,
+    a = cos(m tau) and b = sin(m tau), read as the rows of a stacked over
+    the rows of b: one matrix product per output and block of its form,
+    times the columns it pairs with: the same columns for a symmetric form,
+    summed over each instant's a and b rows, and the swapped odd columns
+    [b_o; a_o] for an antisymmetric one, each instant's b row less its a
+    row."""
     size = out.shape[1]
-    c = _phases(h, l, plan.m, plan.bits).reshape(size, len(plan.m))
-    c *= math.pi
-    ab = np.empty((2,) + c.shape)
-    _half_angle(c, ab[0], ab[1])
-    rows = ab.reshape(-1, c.shape[1])
+    rows = ab.reshape(-1, ab.shape[2])
     for acc, (rule, parts) in zip(out, plan.forms):
         left, right, X = parts[0]
         if rule == "sym":  # sum_jk X_jk (a_j a_k + b_j b_k), block by block
@@ -812,33 +856,68 @@ def _scales(a: float, hbar: float, n: int, N: int, outputs: tuple[str, ...]) -> 
     return tuple((scale[out][0], scale[out][1] / (2 * N + 1)) for out in outputs)
 
 
+_instants = _LastInstants()  # the split fraction and level phases of the last array of instants
+
+
 def _moments(cfg: WellConfig, spec: PacketSpec, t, outputs: tuple[str, ...]) -> list:
     """Each output at t from one loop over the blocks; np.float64 for a scalar t.
 
     A packet whose (2N+1)^2 matrix fits in _PANELS blocks of _CHUNK
     elements (N <= 127) takes the dense quadratic forms, a larger one the
     Dirichlet kernel. The high part of frac(t / T_rev) keeps 53 - bits
-    bits for `_phases`.
+    bits for `_phases`. For an array t, the split fraction and each
+    block's level phases are kept (`core._LastInstants`) under the plan's
+    level multipliers, which the plans of all outputs of one packet and
+    engine share, its bits and block rows, and the revival rate; a later
+    call on the same contents reads them. A scalar or 0-d t, and a kernel
+    plan without level sums, keep nothing.
     """
     dense = spec.size**2 <= _PANELS * _CHUNK
     plan = (_dense if dense else _kernel)(spec.n, spec.N, outputs)
-    hi, lo = _fraction(cfg._revival_rate, t)  # raises ValueError before t_arr can overflow
-    t_arr = np.asarray(t, dtype=float)
-    h, l = _split(hi, max(plan.bits, 1))
-    l = l + lo
-    brackets = np.empty((len(outputs), t_arr.size))
-    block, step = _dense_block if dense else _kernel_block, plan.rows
+    m, step = plan.m if dense else plan.level_m, plan.rows
+    tag = kept = None
+    if isinstance(t, np.ndarray) and t.ndim and len(m):
+        key = (plan.bits, step, cfg._revival_rate)
+        tag, kept = _instants.find(m, key, t, len(m))
+    if kept is None:
+        hi, lo = _fraction(cfg._revival_rate, t)  # raises ValueError before t_arr can overflow
+        t_arr = np.asarray(t, dtype=float)
+        size, shape = t_arr.size, t_arr.shape
+        h, l = _split(hi, max(plan.bits, 1))
+        l = l + lo
+        phases = None
+    else:
+        h, l, phases = kept
+        size, shape = h.size, h.shape
+    brackets = np.empty((len(outputs), size))
     blocks = [(h, l, brackets)]  # a t that fits in one block, a scalar included
-    if t_arr.size > step:
-        h, l = h.reshape(-1), l.reshape(-1)
+    if size > step:
+        hf, lf = h.reshape(-1), l.reshape(-1)
         blocks = (
-            (h[i : i + step], l[i : i + step], brackets[:, i : i + step])
-            for i in range(0, h.size, step)
+            (hf[i : i + step], lf[i : i + step], brackets[:, i : i + step])
+            for i in range(0, size, step)
         )
-    for h_i, l_i, out in blocks:
-        block(plan, h_i, l_i, out)
+    formed = []
+    for i, (h_i, l_i, out) in enumerate(blocks):
+        if phases is not None:
+            ab = phases[i]
+        elif len(m):
+            ab = _level_phases(m, plan.bits, h_i, l_i)
+            if tag is not None:
+                ab.setflags(write=False)
+                formed.append(ab)
+        else:
+            ab = None
+        if dense:
+            _dense_block(plan, ab, out)
+        else:
+            _kernel_block(plan, h_i, l_i, ab, out)
+    if tag is not None and phases is None:
+        h.setflags(write=False)
+        l.setflags(write=False)
+        _instants.keep(m, key, tag, (h, l, tuple(formed)))
 
-    brackets = brackets.reshape((len(outputs),) + t_arr.shape)
+    brackets = brackets.reshape((len(outputs),) + shape)
     scales = _scales(cfg.a, cfg.hbar, spec.n, spec.N, outputs)
     return [offset + f * (c + b) for (offset, f), c, b in zip(scales, plan.const, brackets)]
 

@@ -1,6 +1,8 @@
 """Tests for the classical trajectory, its partial sums, and the weighted averages."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import mpmath
@@ -24,7 +26,9 @@ from fejerwell import (
     sawtooth_position,
     square_momentum,
 )
+from fejerwell import classical
 from fejerwell.classical import _cycle, _matched_orbit
+from fejerwell.core import _CHUNK, _PANELS
 
 ORBIT = ClassicalOrbit()  # a = p_c = mu = 1, T = 2
 T = ORBIT.period
@@ -388,3 +392,92 @@ def test_matched_orbit_keeps_the_packet_phase_at_long_times(hbar):
     orbit = _matched_orbit(cfg, n)
     assert orbit.p_c == n * math.pi * hbar
     assert abs(_cycle(orbit, t) - ref) <= np.finfo(float).eps
+
+
+# --- the kept f of the last array (`core._LastInstants`) ----------------------------
+
+_SERIES = (fejer_position, fejer_position_sq, fejer_momentum)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _fresh(fn, *args):
+    classical._instants.entry = None
+    return fn(*args)
+
+
+def _count_fractions(monkeypatch):
+    calls = []
+    fraction = classical._fraction
+    monkeypatch.setattr(classical, "_fraction", lambda *args: calls.append(1) or fraction(*args))
+    return calls
+
+
+@pytest.mark.parametrize("n,N", [(500, 23), (10_000, 100), (100_000, 316), (122, 60)])
+def test_reused_cycle_gives_the_fresh_series(monkeypatch, n, N):
+    # the three series of one orbit on one array reduce it once, and each
+    # equals the series that reduces it itself, bit for bit
+    orbit = _matched_orbit(WellConfig(), n)
+    t = np.random.default_rng(n).uniform(0.0, 3.0 * orbit.period, 300)
+    fresh = [_fresh(fn, orbit, N, t) for fn in _SERIES]
+    fractions = _count_fractions(monkeypatch)
+    classical._instants.entry = None
+    assert all(_same_bits(fn(orbit, N, t), ref) for fn, ref in zip(_SERIES, fresh))
+    assert _same_bits(sawtooth_position(orbit, t), _fresh(sawtooth_position, orbit, t))
+    assert len(fractions) == 2
+
+
+def test_cycle_of_changed_instants_and_other_orbits_is_formed_again(monkeypatch):
+    # an array changed in place, or the same array on an orbit of another
+    # period, is reduced again; an equal copy is not
+    t = np.random.default_rng(5).uniform(0.0, 3.0 * T, 50)
+    other = ClassicalOrbit(p_c=1.25)
+    fejer_position(ORBIT, 23, t)
+    t[9] += 0.25
+    assert _same_bits(fejer_momentum(ORBIT, 23, t), _fresh(fejer_momentum, ORBIT, 23, t.copy()))
+    assert _same_bits(fejer_momentum(other, 23, t), _fresh(fejer_momentum, other, 23, t))
+    fractions = _count_fractions(monkeypatch)
+    fejer_position(other, 23, t.copy())
+    assert not fractions
+
+
+def test_scalar_cycles_and_arrays_past_the_budget_keep_nothing():
+    # a scalar or 0-d t takes the scalar path, and an array of more than
+    # _PANELS * _CHUNK instants is not kept
+    t = np.random.default_rng(6).uniform(0.0, 3.0 * T, 50)
+    fejer_position(ORBIT, 23, t)
+    entry = classical._instants.entry
+    for s in (0.3, np.float64(0.3), np.array(0.3), 3):
+        for fn in (*_SERIES, lambda o, N, t: sawtooth_position(o, t), lambda o, N, t: square_momentum(o, t)):
+            fn(ORBIT, 23, s)
+    assert classical._instants.entry is entry
+    wide = np.linspace(0.0, 3.0 * T, _PANELS * _CHUNK + 1)
+    assert _same_bits(fejer_position(ORBIT, 23, wide), _fresh(fejer_position, ORBIT, 23, wide))
+    assert classical._instants.entry is None
+
+
+def test_threads_alternating_arrays_get_their_own_series():
+    arrays = [[np.random.default_rng(seed).uniform(0.0, 3.0 * T, 40) for seed in pair] for pair in ((1, 2), (3, 4))]
+    ref = {id(t): [_fresh(fn, ORBIT, 23, t) for fn in _SERIES] for ts in arrays for t in ts}
+    errors = []
+
+    def work(ts):
+        for k in range(200):
+            t = ts[k % 2]
+            if not all(_same_bits(fn(ORBIT, 23, t), r) for fn, r in zip(_SERIES, ref[id(t)])):
+                errors.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(ts,)) for ts in arrays]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert not errors

@@ -6,8 +6,9 @@ import warnings
 
 import pytest
 
-from fejerwell import ClassicalOrbit, PacketSpec, WellConfig, cli, fejer_position, quantum, reduced_uncertainty
+from fejerwell import ClassicalOrbit, PacketSpec, WellConfig, classical, cli, fejer_position, quantum, reduced_uncertainty
 from fejerwell.classical import _matched_orbit
+from fejerwell.core import _LastInstants
 from fejerwell.cli import RunConfig, TimeSeries, emit, main, run
 
 
@@ -315,3 +316,21 @@ def test_variance_error_in_a_series_exits_two(tmp_path, capsys, monkeypatch):
     (record,) = error_records(capsys)
     assert record["error"] == "validation" and "round-off" in record["message"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["trajectories", "uncertainty", "limit"])
+def test_kept_instants_leave_the_artifacts_as_they_were(tmp_path, monkeypatch, command):
+    # each command calls two or three Fejer series on one time grid, so the
+    # classical layer reads its kept cycle inside the command. Two runs in
+    # one process, and one after clearing the kept instants, write the
+    # bytes of a run that keeps nothing
+    def run_once(name):
+        out = tmp_path / f"{name}.csv"
+        assert main([command, "--out", str(out)]) == 0
+        return read(out)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(_LastInstants, "find", lambda self, owner, key, t, width: (None, None))
+        reference = run_once("nothing-kept")
+    quantum._instants.entry = classical._instants.entry = None
+    assert [run_once(name) for name in ("cleared", "first", "second")] == [reference] * 3

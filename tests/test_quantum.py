@@ -9,6 +9,7 @@ import platform
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -38,8 +39,8 @@ from fejerwell import (
     uncertainty_product,
 )
 from fejerwell.core import classical_period
-from fejerwell import quantum
-from fejerwell.core import _CHUNK, _block_rows, _fraction, _split
+from fejerwell import classical, quantum
+from fejerwell.core import _CHUNK, _LastInstants, _block_rows, _fraction, _split
 from fejerwell.quantum import VarianceError, _dirichlet, _kernel, _variance
 from pair_oracle import pair_terms
 
@@ -594,7 +595,7 @@ def test_dense_forms_serve_packets_up_to_the_block_limit(monkeypatch):
         packet_moments(NATURAL, PacketSpec(n=16384, N=N), np.linspace(0.0, 1e-3, 300))
         assert bool(blocks) == dense, N
         # the stacked [a; b] of a block, and each product with a matrix
-        assert all(2 * out.shape[1] * len(plan.m) <= _CHUNK for plan, _, _, out in blocks)
+        assert all(2 * out.shape[1] * len(plan.m) <= _CHUNK for plan, _, out in blocks)
 
 
 @pytest.mark.parametrize("n,N", list(_FORM_LAYOUTS))
@@ -661,10 +662,10 @@ def test_kernel_blocks_hold_at_most_a_chunk(monkeypatch, n, N):
         blocks.clear()
         call()
         ker = blocks[0][0]
-        sizes = [out.shape[1] for _, _, _, out in blocks]
+        sizes = [out.shape[1] for _, _, _, _, out in blocks]
         assert len(sizes) > 1 and set(sizes[:-1]) == {ker.rows} and 0 < sizes[-1] <= ker.rows
         assert all(ker.rows * len(arr) <= _CHUNK for arr in (ker.m, ker.psi_m, ker.level_m))
-        assert np.array_equal(np.concatenate([h for _, h, _, _ in blocks]), _split(hi, ker.bits)[0])
+        assert np.array_equal(np.concatenate([h for _, h, _, _, _ in blocks]), _split(hi, ker.bits)[0])
 
 
 def test_kernel_blocks_take_eight_instants_at_316(monkeypatch):
@@ -681,7 +682,7 @@ def test_kernel_blocks_take_eight_instants_at_316(monkeypatch):
     for call in calls:
         blocks.clear()
         call()
-        assert len(blocks) == 1 and blocks[0][3].shape[1] == 8
+        assert len(blocks) == 1 and blocks[0][4].shape[1] == 8
 
 
 def test_dense_plans_own_their_matrices():
@@ -1230,3 +1231,160 @@ def test_packet_moments_rejects_bad_kinds():
     for kinds in ((), ("momentum_sq",), ("position", "energy")):
         with pytest.raises(ValueError):
             packet_moments(NATURAL, spec, 0.0, kinds)
+
+
+# --- the kept instants of the last array (`core._LastInstants`) -------------------
+
+_REUSE_PACKETS = [(500, 23, None), (10_000, 100, None), (100_000, 316, None), (122, 60, None), (122, 60, False)]
+_REUSED_CALLS = {
+    "exp_x": exp_x,
+    "exp_x2": exp_x2,
+    "exp_p": exp_p,
+    "packet_moments": lambda cfg, spec, t: np.stack(packet_moments(cfg, spec, t)),
+    "quasi_position": lambda cfg, spec, t: quasi_exp(cfg, spec, t, "position"),
+    "quasi_momentum": lambda cfg, spec, t: quasi_exp(cfg, spec, t, "momentum"),
+}
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _fresh(fn, *args):
+    """fn(*args) with no kept instants in either layer."""
+    quantum._instants.entry = classical._instants.entry = None
+    return fn(*args)
+
+
+def _count_fractions(monkeypatch, module):
+    """The list that gets one entry per `_fraction` call of module."""
+    calls = []
+    fraction = module._fraction
+    monkeypatch.setattr(module, "_fraction", lambda *args: calls.append(1) or fraction(*args))
+    return calls
+
+
+def _instants_over(n, size, seed=26):
+    return np.random.default_rng(seed).uniform(0.0, 3.0 * classical_period(NATURAL, n), size)
+
+
+@pytest.mark.parametrize("n,N,dense", _REUSE_PACKETS)
+def test_reused_instants_give_the_fresh_arrays(monkeypatch, n, N, dense):
+    # every call after the first on one array reads its split fraction and
+    # level phases from the entry, and returns the same floats as a call
+    # that forms them; (122, 60) is an s-column packet, on the dense forms
+    # and with the kernel forced, where nothing is kept
+    if dense is not None:
+        _force_path(monkeypatch, dense)
+    spec = PacketSpec(n=n, N=N)
+    t = _instants_over(n, 100)
+    fresh = {name: _fresh(fn, NATURAL, spec, t) for name, fn in _REUSED_CALLS.items()}
+    fractions = _count_fractions(monkeypatch, quantum)
+    _fresh(exp_x, NATURAL, spec, t)
+    for name, fn in _REUSED_CALLS.items():
+        assert _same_bits(fn(NATURAL, spec, t), fresh[name]), name
+    kept = dense is None  # the s-columns of the forced kernel keep nothing
+    plain = 2 if kept and n == 100_000 else 0  # the kernel's quasi plans have no level sums
+    assert len(fractions) == (1 + plain if kept else 1 + len(_REUSED_CALLS))
+
+
+def test_instants_changed_in_place_are_evaluated_again(monkeypatch):
+    spec = PacketSpec(n=500, N=23)
+    t = _instants_over(500, 50)
+    exp_x(NATURAL, spec, t)
+    t[7] += 0.125
+    assert _same_bits(exp_x2(NATURAL, spec, t), _fresh(exp_x2, NATURAL, spec, t.copy()))
+    fractions = _count_fractions(monkeypatch, quantum)
+    exp_p(NATURAL, spec, t.copy())  # an equal copy matches
+    assert not fractions
+
+
+def test_another_config_never_reuses_the_entry(monkeypatch):
+    spec = PacketSpec(n=500, N=23)
+    t = _instants_over(500, 50)
+    other = WellConfig(hbar=0.75)
+    exp_x(NATURAL, spec, t)
+    fractions = _count_fractions(monkeypatch, quantum)
+    assert _same_bits(exp_x(other, spec, t), _fresh(exp_x, other, spec, t))
+    assert len(fractions) == 2
+
+
+def _configure(monkeypatch, dense, levels):
+    """Force the engine and, where levels is not None, the kernel's Hankel path."""
+    _force_path(monkeypatch, dense)
+    if levels is not None:
+        _force_hankel(monkeypatch, levels)
+
+
+@pytest.mark.parametrize("n,N", [(500, 23), (16_384, 128)])
+def test_forced_paths_never_read_another_plans_entry(monkeypatch, n, N):
+    # the dense forms and the kernel form different level phases (parity
+    # and natural order, other bits), and a kernel forced to the s-columns
+    # keeps nothing: after each path's call on t, each path's own call
+    # equals its fresh one and leaves the entry under its own multipliers
+    spec = PacketSpec(n=n, N=N)
+    t = _instants_over(n, 60)
+    paths = [(True, None), (False, None), (False, False), (False, True)]
+    for target in paths:
+        with monkeypatch.context() as mp:
+            _configure(mp, *target)
+            fresh = _fresh(packet_moments, NATURAL, spec, t)
+        for other in paths:
+            with monkeypatch.context() as mp:
+                _configure(mp, *other)
+                exp_x2(NATURAL, spec, t)
+            before = quantum._instants.entry
+            with monkeypatch.context() as mp:
+                _configure(mp, *target)
+                got = packet_moments(NATURAL, spec, t)
+                plan = (quantum._dense if target[0] else quantum._kernel)(n, N, quantum._PACKET)
+            assert all(_same_bits(g, f) for g, f in zip(got, fresh)), (target, other)
+            m = plan.m if target[0] else plan.level_m
+            assert quantum._instants.entry[0] is m if len(m) else quantum._instants.entry is before
+
+
+def test_scalars_and_arrays_past_the_budget_keep_nothing(monkeypatch):
+    # a scalar or 0-d t leaves by the scalar path before any lookup, and a t
+    # whose level phases pass _PANELS * _CHUNK elements is not kept
+    spec = PacketSpec(n=500, N=23)
+    exp_x(NATURAL, spec, _instants_over(500, 50))
+    entry = quantum._instants.entry
+    found = []
+    find = _LastInstants.find
+    monkeypatch.setattr(_LastInstants, "find", lambda self, *args: found.append(1) or find(self, *args))
+    for s in (0.3, np.float64(0.3), np.array(0.3), 3):
+        for fn in (exp_x, exp_x2, exp_p, packet_moments, uncertainty_product, expectation_sample):
+            fn(NATURAL, spec, s)
+    assert not found and quantum._instants.entry is entry
+    wide = _instants_over(500, quantum._PANELS * _CHUNK // spec.size + 1)
+    assert _same_bits(exp_x(NATURAL, spec, wide), _fresh(exp_x, NATURAL, spec, wide))
+    assert quantum._instants.entry is None
+
+
+def test_threads_alternating_arrays_get_their_own_values():
+    # two threads evaluate their own arrays, alternating two each, while
+    # the other rebinds the entry; every value is its array's
+    spec = PacketSpec(n=500, N=23)
+    arrays = [[_instants_over(500, 40, seed) for seed in pair] for pair in ((1, 2), (3, 4))]
+    ref = {id(t): (_fresh(exp_x, NATURAL, spec, t), _fresh(exp_p, NATURAL, spec, t)) for ts in arrays for t in ts}
+    errors = []
+
+    def work(ts):
+        for k in range(200):
+            t = ts[k % 2]
+            x, p = exp_x(NATURAL, spec, t), exp_p(NATURAL, spec, t)
+            if not (_same_bits(x, ref[id(t)][0]) and _same_bits(p, ref[id(t)][1])):
+                errors.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(ts,)) for ts in arrays]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert not errors
