@@ -23,9 +23,10 @@ one block, a scalar included, runs that block alone, with no loop,
 reshape or concatenation. The blocks read f = frac(t / T) (below), and
 `_cycle` keeps the f of the last array t, read-only and keyed by t's
 contents and the orbit's cycle rate (`core._LastInstants`), so the
-series of one orbit on one array, the three Fejer averages that the CLI
-series and `limits.limit_sequence` compare, reduce it once and give the
-values a reduction of their own gives, bit for bit. A scalar or 0-d t
+series of one orbit on one array reduce it once and give the values a
+reduction of their own gives, bit for bit: the two Fejer averages of the
+CLI trajectories series, and the three that its uncertainty series and
+`limits.limit_sequence` compare, each on one time grid. A scalar or 0-d t
 never looks, and an array of more than _PANELS * _CHUNK instants is not
 kept.
 
@@ -143,7 +144,7 @@ def _cycle(orbit: ClassicalOrbit, t):
     """
     tag = None
     if isinstance(t, np.ndarray) and t.ndim:
-        tag, f = _instants.find(None, orbit._cycle_rate, t, 1)
+        tag, f = _instants.find(orbit._cycle_rate, t, 1)
         if f is not None:
             return f
     hi, lo = _fraction(orbit._cycle_rate, t)
@@ -151,7 +152,7 @@ def _cycle(orbit: ClassicalOrbit, t):
     f = f - (np.rint(f) if isinstance(f, np.ndarray) else _rint(f))  # hi + lo may round past 1/2
     if tag is not None:
         f.setflags(write=False)
-        _instants.keep(None, orbit._cycle_rate, tag, f)
+        _instants.keep(orbit._cycle_rate, tag, f)
     return f
 
 

@@ -206,13 +206,15 @@ class _LastInstants:
     The moments and the classical series spend part of each call on work
     that depends on the instants alone: the exact reduction of t, and in
     the moments the level phases of every block. A layer keeps that work
-    for its last array t in one entry, (owner, key, tag, value), and a
-    later call that finds its own t there reads the kept arrays instead of
-    forming them again, the same arrays bit for bit. The tag is t's dtype,
-    shape and bytes: an array is mutable, so its identity says nothing of
-    its contents, and an array changed in place, or another array with
-    other values, never matches while an equal copy does. The owner,
-    compared with `is`, and the key, compared with ==, name everything
+    for its last array t in one entry, (key, tag, value), and a later call
+    that finds its own t there reads the kept arrays instead of forming
+    them again, the same arrays bit for bit. The tag is t's dtype, shape
+    and bytes: an array is mutable, so its identity says nothing of its
+    contents, and an array changed in place, or another array with other
+    values, never matches while an equal copy does. Only arrays of a
+    numeric kind (bool, int, float) are looked up, since the bytes of any
+    other kind, an object array's element pointers among them, need not
+    say what its values are. The key, compared with ==, names everything
     else the value depends on. The entry is replaced whole by one
     rebinding and never changed, so a thread reads the old entry or the
     new one, never a mix; threads that alternate arrays only miss. An
@@ -226,28 +228,29 @@ class _LastInstants:
     def __init__(self) -> None:
         self.entry = None
 
-    def find(self, owner, key, t: np.ndarray, width: int):
-        """(tag, value): t's tag and the value kept for it under owner and key, or None.
+    def find(self, key, t: np.ndarray, width: int):
+        """(tag, value): t's tag and the value kept for it under key, or None.
 
         width is the number of elements per instant of the widest array
-        that the value holds; where t.size * width passes the budget the
-        tag is None, and then nothing is kept for t.
+        that the value holds. Where t.size * width passes the budget, or
+        t is not of a numeric kind, the tag is None, and then nothing is
+        kept for t.
         """
-        if t.size * width > _PANELS * _CHUNK:
+        if t.size * width > _PANELS * _CHUNK or t.dtype.kind not in "biuf":
             return None, None
         tag = (t.dtype, t.shape, t.tobytes())
         entry = self.entry  # read once: another thread may rebind it meanwhile
-        if entry is not None and entry[0] is owner and entry[1] == key and entry[2] == tag:
-            return tag, entry[3]
+        if entry is not None and entry[0] == key and entry[1] == tag:
+            return tag, entry[2]
         return tag, None
 
-    def keep(self, owner, key, tag, value) -> None:
-        """Rebind the entry to value under (owner, key, tag); a None tag keeps nothing.
+    def keep(self, key, tag, value) -> None:
+        """Rebind the entry to value under (key, tag); a None tag keeps nothing.
 
         The caller makes value's arrays read-only first: later calls read them.
         """
         if tag is not None:
-            self.entry = (owner, key, tag, value)
+            self.entry = (key, tag, value)
 
 
 def _split(a, bits: int):

@@ -215,19 +215,22 @@ once and does one product per moment.
 Calls on one array of instants share more. The split revival fraction
 and each block's level phases a and b depend on t and the packet, not on
 the moment, so `_moments` keeps them for the last array t it saw
-(`core._LastInstants`), keyed by t's contents, under the plan's level
-multipliers, its bits and block rows, and the revival rate. The
-multipliers are one read-only array per packet and engine (`_level_m`),
-which the plans of every output share and the key compares with `is`.
-exp_x, exp_x2, exp_p, packet_moments and quasi_exp on the same values,
-the benchmark's moment calls among them, then skip that work, and their
-arrays equal a fresh call's bit for bit, since the kept arrays are the
-ones that call would form. On the dense forms a and b are a block's
-whole input, so a later call does only its products; on the kernel the
-Dirichlet and psi columns are still formed per call, and a kernel plan
-without level sums (the quasi series, and packets past the series rule)
-keeps nothing. A scalar or 0-d t takes the scalar path and never looks
-(DECISIONS.md, "One entry of instants per layer").
+(`core._LastInstants`), keyed by t's contents, under the packet (n, N),
+the engine, the plan's bits and block rows, and the revival rate: the
+values that fix the level multipliers and the blocks. A caller that
+makes several calls of exp_x, exp_x2, exp_p, packet_moments or
+quasi_exp on the same values, such as the benchmark's moment calls, then
+skips that work, and its arrays equal a fresh call's bit for bit, since
+the kept arrays are the ones that call would form. Inside the package no
+two such calls share an array: `limits.limit_sequence` and the CLI series
+make one fused packet_moments call per array, so only direct callers
+gain, and every other call on an array within the budget below pays for
+the lookup and for keeping its arrays. On the dense forms a and b are a block's whole input, so a later
+call does only its products; on the kernel the Dirichlet and psi columns
+are still formed per call, and a kernel plan without level sums (the
+quasi series, and packets past the series rule) keeps nothing. A scalar
+or 0-d t takes the scalar path and never looks (DECISIONS.md, "One entry
+of instants per layer").
 
 Block size. Every moment runs one loop over blocks, in `_moments`. The
 revival fraction and the split of its high part are formed once per
@@ -287,9 +290,8 @@ level-sum bases are small (30, 15 and 122 KB for <x>, <x^2> and <p> at
 (10^5, 316)). The kept instants are one entry: the split fraction and
 the level phases a and b of an array t, each of a and b at most
 _PANELS * _CHUNK elements (512 KiB), so about 1 MiB in all; an array
-whose level phases would pass that is not kept. The entry holds the
-level multipliers, not the plan, so an evicted plan still frees its
-matrices.
+whose level phases would pass that is not kept. The entry holds no
+array of a plan, so an evicted plan still frees its matrices.
 """
 
 from __future__ import annotations
@@ -368,21 +370,6 @@ def _phases(h, l, m, bits: int):
     if bits > 27:
         c -= np.rint(c, out=r)
     return c
-
-
-@functools.lru_cache(maxsize=16)
-def _level_m(n: int, N: int, parity: bool) -> np.ndarray:
-    """The level multipliers m_j = (2n + j) j = u_j^2 - n^2, read-only.
-
-    j = -N..N in natural order (the kernel's level sums) or, with parity,
-    in the order of `_levels` (the dense forms). One array per packet and
-    order, shared by the plans of all outputs, so that `_moments` can tell
-    by identity that two plans form the same level phases.
-    """
-    j = _levels(N)[0] if parity else np.arange(-N, N + 1.0)
-    m = (j + 2 * n) * j
-    m.setflags(write=False)
-    return m
 
 
 def _level_phases(m, bits: int, h, l) -> np.ndarray:
@@ -557,7 +544,7 @@ def _kernel(n: int, N: int, outputs: tuple[str, ...]) -> _Kernel:
         "flip": -2.0 * (K % 2 == 0),
         "a2": K * (1 - K**2) / 6,
         "a4": K * (K**2 - 1) * (3 * K**2 - 7) / 360,
-        "level_m": _level_m(n, N, False) if series is not None else np.empty(0),
+        "level_m": (j + 2 * n) * j if series is not None else np.empty(0),
         "const": np.array([const if out == "position_sq" else 0.0 for out in outputs]),
     }
     terms = tuple(weights[out] + hankel.get(out, ()) for out in outputs)
@@ -801,9 +788,11 @@ class _Dense:
 @functools.lru_cache(maxsize=16)
 def _dense(n: int, N: int, outputs: tuple[str, ...]) -> _Dense:
     """The multipliers and the blocks of `_form` per output; <x^2> adds its diagonal as a constant."""
-    m = _level_m(n, N, True)
+    j, _ = _levels(N)
+    m = (j + 2 * n) * j
     diagonal = -0.125 * float(np.sum(1.0 / (np.arange(-N, N + 1.0) + n) ** 2))
     const = np.array([diagonal if out == "position_sq" else 0.0 for out in outputs])
+    m.setflags(write=False)
     const.setflags(write=False)
     return _Dense(
         m=m,
@@ -866,19 +855,18 @@ def _moments(cfg: WellConfig, spec: PacketSpec, t, outputs: tuple[str, ...]) -> 
     elements (N <= 127) takes the dense quadratic forms, a larger one the
     Dirichlet kernel. The high part of frac(t / T_rev) keeps 53 - bits
     bits for `_phases`. For an array t, the split fraction and each
-    block's level phases are kept (`core._LastInstants`) under the plan's
-    level multipliers, which the plans of all outputs of one packet and
-    engine share, its bits and block rows, and the revival rate; a later
-    call on the same contents reads them. A scalar or 0-d t, and a kernel
-    plan without level sums, keep nothing.
+    block's level phases are kept (`core._LastInstants`) under the packet,
+    the engine, the plan's bits and block rows, and the revival rate; a
+    later call on the same contents reads them. A scalar or 0-d t, and a
+    kernel plan without level sums, keep nothing.
     """
     dense = spec.size**2 <= _PANELS * _CHUNK
     plan = (_dense if dense else _kernel)(spec.n, spec.N, outputs)
     m, step = plan.m if dense else plan.level_m, plan.rows
     tag = kept = None
     if isinstance(t, np.ndarray) and t.ndim and len(m):
-        key = (plan.bits, step, cfg._revival_rate)
-        tag, kept = _instants.find(m, key, t, len(m))
+        key = (spec.n, spec.N, dense, plan.bits, step, cfg._revival_rate)
+        tag, kept = _instants.find(key, t, len(m))
     if kept is None:
         hi, lo = _fraction(cfg._revival_rate, t)  # raises ValueError before t_arr can overflow
         t_arr = np.asarray(t, dtype=float)
@@ -915,7 +903,7 @@ def _moments(cfg: WellConfig, spec: PacketSpec, t, outputs: tuple[str, ...]) -> 
     if tag is not None and phases is None:
         h.setflags(write=False)
         l.setflags(write=False)
-        _instants.keep(m, key, tag, (h, l, tuple(formed)))
+        _instants.keep(key, tag, (h, l, tuple(formed)))
 
     brackets = brackets.reshape((len(outputs),) + shape)
     scales = _scales(cfg.a, cfg.hbar, spec.n, spec.N, outputs)

@@ -7,7 +7,8 @@ metric and workload are the benchmark's, and if its `met` flag follows
 from the rule it states: the change wins at least nine tenths of the
 pairs, and the medians differ, in the metric's better direction, by more
 than the parent's quartile spread. The pairs won, the gap and the spread
-are worked out again here from the runs the record holds.
+are worked out again here from the runs the record holds, for the final
+change and for each variant and earlier version that the record keeps.
 """
 
 import json
@@ -24,10 +25,11 @@ RECORDS = sorted(ROOT.glob("BENCH_*.json"))
 
 
 def _claims(record):
-    """(where, claim, workloads) for the record and each earlier version it keeps."""
+    """(where, claim, workloads) for the record and each variant and earlier version it keeps."""
     yield "final", record["claim"], record["workloads"]
-    for i, version in enumerate(record.get("earlier_versions", [])):
-        yield f"earlier_versions[{i}]", version["claim"], version["workloads"]
+    for kind in ("variants", "earlier_versions"):
+        for i, version in enumerate(record.get(kind, [])):
+            yield f"{kind}[{i}]", version["claim"], version["workloads"]
 
 
 def test_records_exist():

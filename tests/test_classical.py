@@ -458,6 +458,20 @@ def test_scalar_cycles_and_arrays_past_the_budget_keep_nothing():
     assert classical._instants.entry is None
 
 
+def test_cycle_of_an_object_array_is_formed_every_time():
+    # an object array's bytes are its elements' addresses, which a new
+    # float may take over after the second assignment: never looked up
+    objects = np.random.default_rng(7).uniform(0.0, 3.0 * T, 50).astype(object)
+    for fn in _SERIES:
+        fn(ORBIT, 23, objects)
+        objects[0] = objects[1] * 0.5
+        objects[0] = objects[1] * 0.25
+        assert _same_bits(fn(ORBIT, 23, objects), _fresh(fn, ORBIT, 23, objects.astype(float)))
+    entry = classical._instants.entry
+    fejer_position(ORBIT, 23, objects)
+    assert classical._instants.entry is entry
+
+
 def test_threads_alternating_arrays_get_their_own_series():
     arrays = [[np.random.default_rng(seed).uniform(0.0, 3.0 * T, 40) for seed in pair] for pair in ((1, 2), (3, 4))]
     ref = {id(t): [_fresh(fn, ORBIT, 23, t) for fn in _SERIES] for ts in arrays for t in ts}

@@ -330,7 +330,7 @@ def test_kept_instants_leave_the_artifacts_as_they_were(tmp_path, monkeypatch, c
         return read(out)
 
     with monkeypatch.context() as mp:
-        mp.setattr(_LastInstants, "find", lambda self, owner, key, t, width: (None, None))
+        mp.setattr(_LastInstants, "find", lambda self, key, t, width: (None, None))
         reference = run_once("nothing-kept")
     quantum._instants.entry = classical._instants.entry = None
     assert [run_once(name) for name in ("cleared", "first", "second")] == [reference] * 3

@@ -1309,6 +1309,19 @@ def test_another_config_never_reuses_the_entry(monkeypatch):
     assert len(fractions) == 2
 
 
+@pytest.mark.parametrize("first,second", [((500, 23), (520, 23)), ((10_000, 140), (10_400, 140))])
+def test_another_packet_never_reuses_the_entry(monkeypatch, first, second):
+    # packets of one order whose plans have the same bits and block rows
+    # form other level phases: the key holds n and N themselves
+    t = _instants_over(first[0], 40)
+    plan = quantum._dense if (2 * first[1] + 1) ** 2 <= quantum._PANELS * _CHUNK else quantum._kernel
+    plans = [plan(n, N, ("position",)) for n, N in (first, second)]
+    assert (plans[0].bits, plans[0].rows) == (plans[1].bits, plans[1].rows)
+    exp_x(NATURAL, PacketSpec(*first), t)
+    spec = PacketSpec(*second)
+    assert _same_bits(exp_x(NATURAL, spec, t), _fresh(exp_x, NATURAL, spec, t))
+
+
 def _configure(monkeypatch, dense, levels):
     """Force the engine and, where levels is not None, the kernel's Hankel path."""
     _force_path(monkeypatch, dense)
@@ -1321,7 +1334,7 @@ def test_forced_paths_never_read_another_plans_entry(monkeypatch, n, N):
     # the dense forms and the kernel form different level phases (parity
     # and natural order, other bits), and a kernel forced to the s-columns
     # keeps nothing: after each path's call on t, each path's own call
-    # equals its fresh one and leaves the entry under its own multipliers
+    # equals its fresh one and leaves the entry under its own key
     spec = PacketSpec(n=n, N=N)
     t = _instants_over(n, 60)
     paths = [(True, None), (False, None), (False, False), (False, True)]
@@ -1339,8 +1352,11 @@ def test_forced_paths_never_read_another_plans_entry(monkeypatch, n, N):
                 got = packet_moments(NATURAL, spec, t)
                 plan = (quantum._dense if target[0] else quantum._kernel)(n, N, quantum._PACKET)
             assert all(_same_bits(g, f) for g, f in zip(got, fresh)), (target, other)
-            m = plan.m if target[0] else plan.level_m
-            assert quantum._instants.entry[0] is m if len(m) else quantum._instants.entry is before
+            entry = quantum._instants.entry
+            if len(plan.m if target[0] else plan.level_m):
+                assert entry[0] == (n, N, target[0], plan.bits, plan.rows, NATURAL._revival_rate)
+            else:
+                assert entry is before
 
 
 def test_scalars_and_arrays_past_the_budget_keep_nothing(monkeypatch):
@@ -1359,6 +1375,23 @@ def test_scalars_and_arrays_past_the_budget_keep_nothing(monkeypatch):
     wide = _instants_over(500, quantum._PANELS * _CHUNK // spec.size + 1)
     assert _same_bits(exp_x(NATURAL, spec, wide), _fresh(exp_x, NATURAL, spec, wide))
     assert quantum._instants.entry is None
+
+
+def test_object_arrays_are_never_looked_up():
+    # an object array's bytes are its elements' addresses, and a new float
+    # can take the address of one just freed: the second assignment below
+    # may put a new value at element 0's old address, bytes unchanged. Such
+    # an array is evaluated afresh every time and leaves the entry as it was
+    spec = PacketSpec(n=500, N=23)
+    objects = _instants_over(500, 50).astype(object)
+    for fn in (exp_x, exp_x2, exp_p):
+        fn(NATURAL, spec, objects)
+        objects[0] = objects[1] * 0.5
+        objects[0] = objects[1] * 0.25
+        assert _same_bits(fn(NATURAL, spec, objects), _fresh(fn, NATURAL, spec, objects.astype(float)))
+    entry = quantum._instants.entry
+    exp_x2(NATURAL, spec, objects)
+    assert quantum._instants.entry is entry
 
 
 def test_threads_alternating_arrays_get_their_own_values():
