@@ -60,12 +60,12 @@ most (N/(2n-N))^2, and the cut moves <x> and <x^2> by at most
 N = isqrt(n) that is K = 2 at n = 16384 and 10^5 and K = 1 at 10^6 and
 10^7: two or three terms. The rule depends on (n, N) alone: where K
 would pass _SERIES_CAP = 16, that is n < 2.05 N, which no packet of
-N = isqrt(n) >= 128 reaches, the kernel keeps the s-columns, the exact
-path. Per instant a kernel evaluates the d-columns alone (N Dirichlet
-columns for <x> and <p>, 2N for <x^2>, where the s-columns added 2N and
-4N - 1 more), plus one tangent per level for the 2N + 1 level phases
-and two products of 2N + 1 levels by at most 4(K + 1) columns per
-output.
+N = isqrt(n) >= 128 reaches, the packet takes the dense forms below at
+any N, so _SERIES_CAP is the boundary between the two engines. Per
+instant a kernel evaluates the d-columns alone (N Dirichlet columns for
+<x> and <p>, 2N for <x^2>), plus one tangent per level for the 2N + 1
+level phases and two products of 2N + 1 levels by at most 4(K + 1)
+columns per output.
 
 Dense quadratic forms. The same means are quadratic forms in the 2N + 1
 level phases. With u_j = n + j and m_j = 2nj + j^2 = u_j^2 - n^2 for
@@ -94,7 +94,8 @@ and X2 is symmetric, so <x^2> sums [X2_ee | 2 X2_eo] over the even rows
 and X2_oo over the odd ones. `_moments` takes these forms for every
 packet whose (2N+1)^2 matrix fits in _PANELS = 8 blocks of core._CHUNK
 elements, N <= 127, which includes the paper's (500, 23) and every
-packet of n < 16384 at N = isqrt(n). The levels come in the parity order
+packet of n < 16384 at N = isqrt(n), and for every packet past the
+series rule, n < 2.05 N, at any N. The levels come in the parity order
 [even j | odd j] (`_levels`). Per block of instants it forms a and b
 from the tangents of their half phases, stacks the rows of a over those
 of b, and does one BLAS product per moment and block of its matrix,
@@ -111,11 +112,26 @@ costs more than the quarter it saves (DECISIONS.md, "Dense <p> and
 outputs read, as views of one buffer, each filled in panels of at most
 _CHUNK elements. The forms have no
 Taylor branch, so the cancellation of the direct R_K' just above the
-kernel's Taylor threshold is gone there. Larger packets keep the
-Dirichlet kernel, O(N) per instant with the level sums, where the dense
-forms are O(N^2): from N = 128 exp_x and the fused pass are slower
-dense, while at (10^4, 100) a fused pass is 1.35-1.4x faster dense
-(DECISIONS.md, "Dense forms in 64 KiB panels up to N = 127"). Measured
+kernel's Taylor threshold is gone there. Larger packets inside the
+series rule keep the Dirichlet kernel, O(N) per instant with the level
+sums, where the dense forms are O(N^2): from N = 128 exp_x and the fused
+pass are slower dense at N = isqrt(n), while at (10^4, 100) a fused pass
+is 1.35-1.4x faster dense (DECISIONS.md, "Dense forms in 64 KiB panels
+up to N = 127"). Past the series rule the dense forms replaced the
+kernel's old sum-grouped columns (the s-groups above), at this cost:
+time dense over time with those columns, on 1, 8, 300 and 2000
+instants, and the size of the fused dense plan (`tracemalloc`;
+DECISIONS.md, "Packets past the series rule on the dense forms"):
+
+    packet          packet_moments   exp_x        fused plan
+    (261, 128)      0.56-0.76        0.59-0.63    0.67 MB
+    (200, 150)      0.64-0.82        0.59-0.64    0.91 MB
+    (300, 200)      0.88-1.14        0.67-0.72    1.6 MB
+    (600, 400)      2.4-3.8          1.2-1.5      6.4 MB
+    (1000, 600)     5.1-9.0          2.9-3.3      14.4 MB
+    (1500, 1000)    12-22            6.8-10       40 MB
+
+Measured
 against the 40-digit pair sum, or past N = 60 the 60-digit closed form,
 in eps of a, a^2 and p_n (each path forced in turn):
 
@@ -124,14 +140,17 @@ in eps of a, a^2 and p_n (each path forced in turn):
       (500, 23) and (2000, 44)
     60 instants just above the Taylor threshold,   0.9 / 1.3 / 40.7       0.9 / 0.8 / 0.7
       (500, 23)
-    the same near-singular set, (61, 60)           0.9 / 1.5 / 108.4      0.8 / 1.0 / 0.5
+    the near-singular set and three long times,    1.0 / 0.5 / 40.2       1.0 / 0.5 / 0.7
+      (123, 60)
     the near-singular set, three long times and    1.6 / 2.5 / 21.9       1.2 / 0.7 / 1.3
       the 60 Taylor-edge instants, (2025, 45)
       and (4096, 64)
     the near-singular set and three long times,    1.5 / 1.6 / 3.4        1.0 / 1.0 / 1.0
       (10^4, 100) and (16384, 127)
-    the same set, (16384, 128) and (10^5, 316),    1.3 / 1.2 / 4.2        -
-      level sums or s-columns (the same worst errors)
+    the same set, (16384, 128) and (10^5, 316)     1.3 / 1.2 / 4.2        -
+    the same set, (262, 128)                       1.0 / 1.5 / 59.5       1.0 / 1.0 / 0.6
+    the same set, past the series rule: (61, 60),  -                      1.0 / 1.2 / 1.1
+      (122, 60), (200, 150), (261, 128), (300, 200)
 
 Every closed form here is validated by `oracle_expectation`, which knows
 nothing of the term parametrization: its "grid" path evaluates the packet
@@ -192,20 +211,19 @@ agrees with the matching element of an array call to rounding.
 One pass for every moment at an instant. Delta-x and Delta-p need <x>,
 <x^2> and <p> at the same t, and the three share their phases: <x>
 and <p> read the odd d-columns, <x^2> reads those and the even ones,
-and all three read the level phases (or, past the series rule, the odd
-s-columns, and <x^2> the even ones too). `packet_moments` therefore asks
+and all three read the level phases. `packet_moments` therefore asks
 one kernel for the union of the columns of the moments it is given, and
 forms the revival fraction, the phase reduction, the Dirichlet values
 and the level phases once. Each moment is then a weighted sum over three
-feature blocks (R cos psi on the d-columns with R on the s-columns,
-R sin psi on the odd d-columns, and R' in place of R in the first) plus
+feature blocks (R cos psi on the d-columns, R sin psi on the odd
+d-columns, and R' in place of R in the first) plus
 its level sum, and only the blocks that some requested moment weights
 are formed. The kernel lays out its columns in one order whatever it is
-asked for, [even d | odd d | odd s | even s], so each moment reads one
+asked for, [even d | odd d], so each moment reads one
 contiguous slice of each block, the same columns in the same order as
 its standalone kernel, and does its own level-sum products against its
-own basis. For a scalar t the values therefore equal those of exp_x,
-exp_x2 and exp_p bit for bit, and <p>(0) is exactly 0: every R', every
+own basis. The values therefore equal those of exp_x, exp_x2 and exp_p
+bit for bit, and <p>(0) is exactly 0: every R', every
 sin psi and every b_j is 0 there. expectation_sample,
 uncertainty_product, reduced_uncertainty and the limit and CLI series
 all take this path; on the kernel one pass costs about as much as one
@@ -227,8 +245,8 @@ make one fused packet_moments call per array, so only direct callers
 gain, and every other call on an array within the budget below pays for
 the lookup and for keeping its arrays. On the dense forms a and b are a block's whole input, so a later
 call does only its products; on the kernel the Dirichlet and psi columns
-are still formed per call, and a kernel plan without level sums (the
-quasi series, and packets past the series rule) keeps nothing. A scalar
+are still formed per call, and a kernel plan without level sums, the
+quasi series, keeps nothing. A scalar
 or 0-d t takes the scalar path and never looks (DECISIONS.md, "One entry
 of instants per layer").
 
@@ -246,29 +264,23 @@ own: the Dirichlet columns and the psi = 2n theta_d columns, which it
 forms, and the 2N + 1 level phases, which `_moments` forms by
 `_level_phases` or reads from the kept instants. Each holds at most
 core._CHUNK = 8192 elements, so the rows come from the widest of the
-three, not their sum. Where the level
-sums run, the levels (2N + 1) are the widest for every packet moment:
-exp_x, exp_x2, exp_p and a fused pass all take 12 instants per block at
-(10^5, 316). Past the series rule the s-columns make the Dirichlet array
-the widest. A block holds a few temporaries of one array's size at once
-(the phases, the sign, the two tangents, 1 + t^2 of each, one more for
-R', cos psi, and a and b of the levels). A dense block holds
-_block_rows(2(2N+1)) instants, so the stacked [a; b] and its product
-with a matrix are at most 64 KiB each. Each float64
-temporary is then at most 64 KiB, below glibc's default mmap threshold
-of 128 KiB: the temporaries come from the heap and are reused from
-block to block. Larger blocks are mapped and unmapped, or trimmed from
+three, not their sum. The levels (2N + 1) are the widest for every
+packet moment: exp_x, exp_x2, exp_p and a fused pass all take 12
+instants per block at (10^5, 316). A block holds a few temporaries of
+one array's size at once (the phases, the sign, the two tangents,
+1 + t^2 of each, one more for R', cos psi, and a and b of the levels).
+A dense block holds _block_rows(2(2N+1)) instants, so the stacked
+[a; b] and its product with a matrix are at most 64 KiB each. Each
+float64 temporary is then at most 64 KiB, below glibc's default mmap
+threshold of 128 KiB: the temporaries come from the heap and are reused
+from block to block. Larger blocks are mapped and unmapped, or trimmed from
 the heap, on every call unless some earlier large free in the process
-has raised glibc's dynamic thresholds. A fused pass reads the blocks of
-its standalone calls wherever the level sums run, so there its arrays
-equal exp_x, exp_x2 and exp_p bit for bit. Past the series rule it
-counts the union of its s-columns, so its kernel blocks may hold fewer
-instants than a standalone exp_x block (9 against 18 at (200, 150)),
-and no temporary ever spans instants x columns x moments; an array
-there agrees with the standalone calls to rounding rather than bit for
-bit. Every moment of a dense pass reads the same blocks, so there its
-arrays equal the standalone calls bit for bit too. Small arrays do not
-make the heap memory stay, though: where a block's temporaries sit at
+has raised glibc's dynamic thresholds. A fused kernel pass reads the
+blocks of its standalone calls, so its arrays equal exp_x, exp_x2 and
+exp_p bit for bit, and no temporary ever spans instants x columns x
+moments. Every moment of a dense pass reads the same blocks, so there
+its arrays equal the standalone calls bit for bit too. Small arrays do
+not make the heap memory stay, though: where a block's temporaries sit at
 the top of the heap, glibc can trim them after the block and the next
 block faults them back in. With the level sums a warm fused call at
 (10^5, 316) on 8 instants, one block, peaks at 379 KiB of temporaries
@@ -283,9 +295,11 @@ N = 100, 81, 81 and 242 KB), but they are views of one buffer, so a plan
 past glibc's 128 KiB mmap threshold maps its matrices once and keeps
 none of them in the heap among the temporaries of its blocks of
 instants; the buffer is filled in panels of rows, so no (2N+1)^2
-temporary is made. A fused dense plan at N = 127 holds 650 KB, so the
-16 dense plans keep at most 16 x (130 + 390 + 130) KB, about 10.4 MB
-(about 19 MB while <x^2> and <p> kept whole matrices); the kernel plans'
+temporary is made. A fused dense plan at N = 127 holds 650 KB, so 16
+dense plans of N <= 127 keep at most 16 x (130 + 390 + 130) KB, about
+10.4 MB (about 19 MB while <x^2> and <p> kept whole matrices). A fused
+plan past the series rule holds five quarters of (2N+1)^2 float64, as
+in the cost table above, and so may each of the 16; the kernel plans'
 level-sum bases are small (30, 15 and 122 KB for <x>, <x^2> and <p> at
 (10^5, 316)). The kept instants are one entry: the split fraction and
 the level phases a and b of an array t, each of a and b at most
@@ -356,7 +370,7 @@ def _phases(h, l, m, bits: int):
     m * h is an exact product and its fraction is exact; m * l (below
     2**(2 bits - 55) for |hi| <= 1/2) is rounded once and added after.
     Up to 27 bits the sum stays within (-1, 1), and within (-3/4, 3/4) on
-    the Dirichlet columns (m <= 2n + 2N), which is all that the periodic
+    the Dirichlet columns (m <= 2N), which is all that the periodic
     tangents and `_dirichlet` need; past that it is reduced once more.
     Python floats h and l give one row, by plain products, which are the
     same IEEE operations as the outer ones at a third of their cost.
@@ -390,9 +404,10 @@ def _level_phases(m, bits: int, h, l) -> np.ndarray:
 
 _PACKET = ("position", "position_sq", "momentum")
 _SERIES_TOL = 2.0**-56  # bound on the level sums' truncation: eps/16 of a, a^2 and p_n
-_SERIES_CAP = 16  # the longest level-sum series; a packet that needs more keeps the s-columns
+_SERIES_CAP = 16  # the longest level-sum series: a packet that needs more takes the dense forms
 
 
+@functools.lru_cache(maxsize=64)
 def _series_terms(n: int, N: int) -> int | None:
     """The last index K of the level-sum series of (n, N), or None past _SERIES_CAP.
 
@@ -402,7 +417,8 @@ def _series_terms(n: int, N: int) -> int | None:
     sum_{k>K} (k+1) u^k of a and a^2, and <p> by at most
     8N (2N+1) / (pi (2n-N)^2) sum_{k>K} u^k of p_n: each of the (2N+1)^2
     pair weights is off by its tail. K is the least that puts both below
-    _SERIES_TOL.
+    _SERIES_TOL. Cached, since `_moments` asks it for the engine of every
+    call past the dense size.
     """
     u = (N / (2 * n - N)) ** 2
     x = 2 / math.pi**2 * (2 * N + 1) * (2 * n) ** 2 / (2 * n - N) ** 4
@@ -460,23 +476,19 @@ def _level_form(n: int, N: int, output: str, K: int) -> tuple:
 class _Kernel:
     """Read-only columns and weights of one (n, N, outputs) kernel pass.
 
-    Column i holds R_{K[i]} at the phase m[i] * tau. The columns come in
-    one order whatever the outputs: the nd d-groups (m = d) as
-    [even d | odd d], then, where `_series_terms` gives no level sums, the
-    s-groups (m = 2n + s) as [odd s | even s], the even ones only where
-    <x^2> is asked. psi_m holds the nd multipliers 2n d of psi =
-    2n theta_d, in the d order, as an array of its own. Three feature
-    blocks are formed from them:
-    "cos" is R with the d-columns times cos psi, "rate" R' with the
-    d-columns times cos psi, and "sin" the odd d-columns of R times
-    sin psi. Output j is const[j] + sum over (block, cols, w) in terms[j]
-    of block[:, cols] @ w, plus the level sum forms[j] over a_l =
-    cos(m_l tau) and b_l = sin(m_l tau) at the level multipliers
-    m_l = 2n l + l^2, l = -N..N, where it is not None. cols is a slice:
-    the odd d- (and s-) columns (<x>, <p>), the odd d-columns (the quasi
-    series), or every column (<x^2>, and the whole "sin" block). Each
-    output therefore reads the same columns in the same order, and the
-    same level sum, as the kernel of that output alone.
+    Column i holds R_{K[i]} at the phase m[i] * tau. The columns are the
+    d-groups (m = d) in one order whatever the outputs, [even d | odd d],
+    the even ones only where <x^2> is asked. psi_m holds the multipliers
+    2n d of psi = 2n theta_d, in the same order, as an array of its own.
+    Three feature blocks are formed from them: "cos" is R times cos psi,
+    "rate" R' times cos psi, and "sin" the odd columns of R times sin psi.
+    Output j is sum over (block, cols, w) in terms[j] of block[:, cols] @ w,
+    plus the level sum forms[j] over a_l = cos(m_l tau) and
+    b_l = sin(m_l tau) at the level multipliers m_l = 2n l + l^2,
+    l = -N..N, where it is not None. cols is a slice: the odd columns
+    (<x>, <p> and the quasi series) or every column (<x^2>, and the whole
+    "sin" block). Each output therefore reads the same columns in the same
+    order, and the same level sum, as the kernel of that output alone.
     """
 
     m: np.ndarray
@@ -485,13 +497,11 @@ class _Kernel:
     flip: np.ndarray  # -2 where K is even (R_K(phi + pi) = -R_K(phi)), else 0
     a2: np.ndarray  # R_K(x) = K + a2 x^2 + a4 x^4 + O(x^6)
     a4: np.ndarray
-    nd: int
     odd_d: slice  # the odd d-columns, the only ones that "sin" holds
     terms: tuple[tuple[tuple[str, slice, np.ndarray], ...], ...]
     blocks: frozenset[str]
     level_m: np.ndarray  # the level multipliers, empty without level sums
     forms: tuple[tuple | None, ...]  # `_level_form` per output, or None
-    const: np.ndarray
     bits: int  # every m is below 2**bits
     rows: int  # instants per block: the Dirichlet, psi and level phases each hold at most _CHUNK elements
 
@@ -505,63 +515,47 @@ def _kernel(n: int, N: int, outputs: tuple[str, ...]) -> _Kernel:
     classical-amplitude series of `quasi_exp` ("quasi_position",
     "quasi_momentum"). <x> and <p> take the odd d-columns, <x^2> every
     d = 1..2N, and the quasi series the odd d-columns alone. The Hankel
-    parts of <x>, <x^2> and <p> are level sums where `_series_terms`
-    gives their length, and otherwise the odd s-columns (<x>, <p>) and
-    every |s| < 2N (<x^2>).
+    parts of <x>, <x^2> and <p> are level sums of the length that
+    `_series_terms` gives, so a plan with any of them is for a packet
+    inside the series rule.
     """
     packet = bool(set(outputs) & set(_PACKET))
     series = _series_terms(n, N) if packet else None
-    s_cols = packet and series is None
-    full = "position_sq" in outputs
     odd_d = np.arange(1.0, 2 * N + 1, 2)
-    even_d = np.arange(2.0, 2 * N + 1, 2) if full else np.empty(0)
-    odd_s = np.arange(1.0 - 2 * N, 2 * N, 2) if s_cols else np.empty(0)
-    even_s = np.arange(2.0 - 2 * N, 2 * N, 2) if s_cols and full else np.empty(0)
-    d, s = np.concatenate([even_d, odd_d]), np.concatenate([odd_s, even_s])
-    nd, first = len(d), len(even_d)  # the odd d-columns start at first
-    d_cols, s_odd, s_all = slice(first, nd), slice(nd, nd + len(odd_s)), slice(nd, nd + len(s))
-    x_d, x_s = -1.0 / odd_d**2, 0.5 / (2 * n + odd_s) ** 2  # <x> weights
-    w_s = 0.5 / (2 * n + even_s) ** 2
+    even_d = np.arange(2.0, 2 * N + 1, 2) if "position_sq" in outputs else np.empty(0)
+    d = np.concatenate([even_d, odd_d])
+    d_cols = slice(len(even_d), len(d))  # the odd d-columns
+    x_d = -1.0 / odd_d**2  # <x> weights
     j = np.arange(-N, N + 1.0)
     weights = {  # the Toeplitz part of each output: its d-columns
         "position": (("cos", d_cols, x_d),),
-        "position_sq": (("cos", slice(0, nd), (-1.0) ** d / d**2),),
+        "position_sq": (("cos", slice(None), (-1.0) ** d / d**2),),
         "momentum": (("sin", slice(None), -2.0 * n * odd_d * x_d), ("rate", d_cols, x_d * odd_d)),
         "quasi_position": (("cos", d_cols, x_d),),
         "quasi_momentum": (("sin", slice(None), 1.0 / odd_d),),
     }
-    hankel = {  # the s-columns, where there are no level sums
-        "position": (("cos", s_odd, x_s),),
-        "position_sq": (("cos", s_all, np.concatenate([x_s, -w_s])),),
-        "momentum": (("rate", s_odd, x_s * (2 * n + odd_s)),),
-    } if s_cols else {}
-    const = float(np.sum(w_s)) - 0.125 * float(np.sum(1.0 / (n + j) ** 2)) if s_cols else 0.0
-    K = np.concatenate([2 * N + 1 - d, 2 * N + 1 - np.abs(s)])
+    K = 2 * N + 1 - d
     arrays = {
-        "m": np.concatenate([d, 2 * n + s]),
+        "m": d,
         "psi_m": 2 * n * d,
         "K": K,
         "flip": -2.0 * (K % 2 == 0),
         "a2": K * (1 - K**2) / 6,
         "a4": K * (K**2 - 1) * (3 * K**2 - 7) / 360,
-        "level_m": (j + 2 * n) * j if series is not None else np.empty(0),
-        "const": np.array([const if out == "position_sq" else 0.0 for out in outputs]),
+        "level_m": (j + 2 * n) * j if packet else np.empty(0),
     }
-    terms = tuple(weights[out] + hankel.get(out, ()) for out in outputs)
-    forms = tuple(
-        _level_form(n, N, out, series) if series is not None and out in _PACKET else None for out in outputs
-    )
+    terms = tuple(weights[out] for out in outputs)
+    forms = tuple(_level_form(n, N, out, series) if out in _PACKET else None for out in outputs)
     for arr in (*arrays.values(), *(w for ts in terms for _, _, w in ts)):
         arr.setflags(write=False)
     return _Kernel(
         **arrays,
-        nd=nd,
         odd_d=d_cols,
         terms=terms,
         blocks=frozenset(name for ts in terms for name, _, _ in ts),
         forms=forms,
         bits=(4 * n * N).bit_length(),  # one bound for every kernel of (n, N), levels included
-        rows=_block_rows(max(len(arrays["m"]), len(arrays["psi_m"]), len(arrays["level_m"]))),
+        rows=_block_rows(max(len(d), len(arrays["level_m"]))),
     )
 
 
@@ -637,7 +631,7 @@ def _kernel_block(ker: _Kernel, h, l, ab, out: np.ndarray) -> None:
     rows = out.shape[1]
     c = _phases(h, l, ker.m, ker.bits).reshape(rows, len(ker.m))
     R, dR = _dirichlet(ker, c, "rate" in ker.blocks)
-    psi = _phases(h, l, ker.psi_m, ker.bits).reshape(rows, ker.nd)
+    psi = _phases(h, l, ker.psi_m, ker.bits).reshape(rows, len(ker.psi_m))
     psi *= math.pi  # psi / 2, for the one tangent of `core._half_angle`
     cos, sin = np.empty(psi.shape), psi if "sin" in ker.blocks else None
     _half_angle(psi, cos, sin)  # sin psi over psi
@@ -645,9 +639,9 @@ def _kernel_block(ker: _Kernel, h, l, ab, out: np.ndarray) -> None:
     if sin is not None:
         feats["sin"] = np.multiply(sin[:, ker.odd_d], R[:, ker.odd_d])
     if "cos" in ker.blocks:
-        R[:, : ker.nd] *= cos
+        R *= cos
     if dR is not None:
-        dR[:, : ker.nd] *= cos
+        dR *= cos
     if ab is not None:
         a, b = ab
     for acc, terms, form in zip(out, ker.terms, ker.forms):
@@ -852,15 +846,16 @@ def _moments(cfg: WellConfig, spec: PacketSpec, t, outputs: tuple[str, ...]) -> 
     """Each output at t from one loop over the blocks; np.float64 for a scalar t.
 
     A packet whose (2N+1)^2 matrix fits in _PANELS blocks of _CHUNK
-    elements (N <= 127) takes the dense quadratic forms, a larger one the
-    Dirichlet kernel. The high part of frac(t / T_rev) keeps 53 - bits
+    elements (N <= 127), or whose level sums `_series_terms` would cut past
+    _SERIES_CAP (n < 2.05 N), takes the dense quadratic forms, any other
+    the Dirichlet kernel. The high part of frac(t / T_rev) keeps 53 - bits
     bits for `_phases`. For an array t, the split fraction and each
     block's level phases are kept (`core._LastInstants`) under the packet,
     the engine, the plan's bits and block rows, and the revival rate; a
     later call on the same contents reads them. A scalar or 0-d t, and a
     kernel plan without level sums, keep nothing.
     """
-    dense = spec.size**2 <= _PANELS * _CHUNK
+    dense = spec.size**2 <= _PANELS * _CHUNK or _series_terms(spec.n, spec.N) is None
     plan = (_dense if dense else _kernel)(spec.n, spec.N, outputs)
     m, step = plan.m if dense else plan.level_m, plan.rows
     tag = kept = None
@@ -907,7 +902,8 @@ def _moments(cfg: WellConfig, spec: PacketSpec, t, outputs: tuple[str, ...]) -> 
 
     brackets = brackets.reshape((len(outputs),) + shape)
     scales = _scales(cfg.a, cfg.hbar, spec.n, spec.N, outputs)
-    return [offset + f * (c + b) for (offset, f), c, b in zip(scales, plan.const, brackets)]
+    consts = plan.const if dense else (0.0,) * len(outputs)  # the level sums hold <x^2>'s diagonal
+    return [offset + f * (c + b) for (offset, f), c, b in zip(scales, consts, brackets)]
 
 
 def packet_moments(cfg: WellConfig, spec: PacketSpec, t, kinds=_PACKET) -> tuple:
@@ -916,10 +912,8 @@ def packet_moments(cfg: WellConfig, spec: PacketSpec, t, kinds=_PACKET) -> tuple
     kinds names any of "position", "position_sq" and "momentum". The pass
     evaluates the union of their kernel columns once, so it costs about
     as much as the widest of the matching exp_x, exp_x2 and exp_p calls.
-    Each value equals that call's, bit for bit, except for an array on
-    the kernel past the series rule (n < 2.05 N), where its blocks hold
-    fewer instants and it agrees to rounding; scalar or array t, each
-    value shaped like t.
+    Each value equals that call's, bit for bit, for a scalar or an array
+    t, and is shaped like t.
     """
     kinds = tuple(kinds)
     if not kinds or not set(kinds) <= set(_PACKET):
@@ -1092,10 +1086,11 @@ def quasi_exp(cfg: WellConfig, spec: PacketSpec, t, kind: str):
     the deviation from the Fejer average is the effect of unequal level
     spacing alone. Grouped by d, the pairs sum to R_{2N+1-d}(theta_d) times
     cos(2n theta_d) or sin(2n theta_d), the d-groups of `exp_x`, in one
-    kernel pass of `_moments`; a packet with N <= 127 takes the dense form
-    with matrix -1/d^2 or 1/d at odd d instead, each as its even-by-odd
-    block alone: the symmetric position's like <x>'s, and the
-    antisymmetric momentum's like <p>'s.
+    kernel pass of `_moments`; a packet that `_moments` gives the dense
+    forms (N <= 127, or past the series rule) takes the dense form with
+    matrix -1/d^2 or 1/d at odd d instead, each as its even-by-odd block
+    alone: the symmetric position's like <x>'s, and the antisymmetric
+    momentum's like <p>'s.
     """
     if kind not in ("position", "momentum"):
         raise ValueError(f"kind must be 'position' or 'momentum', got {kind!r}")

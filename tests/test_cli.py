@@ -147,6 +147,20 @@ def test_gibbs_command(tmp_path):
     assert final[2] <= 1 + 1e-9
 
 
+def test_gibbs_reduces_the_shared_grid_once(tmp_path, monkeypatch):
+    # the Fejer columns of all orders read one kept reduction of the
+    # 10000-instant grid, and each overshoot reduces its own lobe grid: one
+    # `classical._fraction` call per order plus one, where alternating the
+    # two replaced the kept entry on every call, two per order
+    calls = []
+    fraction = classical._fraction
+    monkeypatch.setattr(classical, "_fraction", lambda *args: calls.append(1) or fraction(*args))
+    classical._instants.entry = None
+    assert main(["gibbs", "--out", str(tmp_path / "gibbs.csv")]) == 0
+    orders = [m for m in cli._GIBBS_LADDER if m < RunConfig.m] + [RunConfig.m]
+    assert len(calls) == 1 + len(orders)
+
+
 def test_limit_command(tmp_path):
     out = tmp_path / "limit.csv"
     assert main(["limit", "--N", "5", "--n-list", "100,200", "--out", str(out)]) == 0
