@@ -89,6 +89,8 @@ __all__ = [
     "classical_reduced_uncertainty",
 ]
 
+_GIBBS_POINTS = 1000  # grid points inside the first lobe of `gibbs_overshoot`
+
 
 @dataclass(frozen=True)
 class ClassicalOrbit:
@@ -248,20 +250,19 @@ def fourier_partial_momentum(orbit: ClassicalOrbit, m: int, t):
     return (4.0 * orbit.p_c / math.pi) * s
 
 
-def gibbs_overshoot(orbit: ClassicalOrbit, m: int, refine_points: int = 1000) -> float:
+def gibbs_overshoot(orbit: ClassicalOrbit, m: int) -> float:
     """Peak of the truncated momentum series near the jump, over p_c.
 
     The first (largest) ripple sits within one lobe width pi/((2m+1) w) of
-    the jump at t = 0; the peak is located on a fine grid inside that lobe.
+    the jump at t = 0; the peak is located on a fixed grid of 1000 points
+    inside that lobe (`classical._GIBBS_POINTS`).
     As m grows the ratio approaches the Wilbraham-Gibbs constant
     (2/pi) * integral_0^pi sin(u)/u du ~= 1.17898.
     """
     if m < 1:
         raise ValueError(f"series order must be >= 1, got m={m}")
-    if refine_points < 1:
-        raise ValueError(f"need refine_points >= 1, got {refine_points}")
     lobe = math.pi / ((2 * m + 1) * orbit.omega)
-    ts = np.linspace(lobe / refine_points, lobe, refine_points)
+    ts = np.linspace(lobe / _GIBBS_POINTS, lobe, _GIBBS_POINTS)
     vals = fourier_partial_momentum(orbit, m, ts)
     return float(np.max(vals)) / orbit.p_c
 

@@ -26,6 +26,8 @@ from .quantum import packet_moments
 
 __all__ = ["LimitRow", "DetuningReport", "limit_sequence", "detuning_report"]
 
+_LIMIT_POINTS = 2048  # grid points over one period per row; the last row takes twice as many
+
 
 @dataclass(frozen=True)
 class LimitRow:
@@ -66,20 +68,17 @@ def limit_sequence(
     p_c: float,
     n_values: list[int],
     N_rule: int | str = "sqrt",
-    t_points: int = 2048,
 ) -> list[LimitRow]:
     """Deviation rows along an ascending sequence of levels at fixed action.
 
     N_rule is either a fixed integer half-width or "sqrt" for
-    N = floor(sqrt(n)). The sup norms are taken over a uniform grid of
-    t_points samples spanning one period; the final row uses a grid twice
-    as fine so that the reported (smallest) deviation is not an artifact
-    of grid resolution.
+    N = floor(sqrt(n)). The sup norms are taken over a fixed uniform grid
+    of 2048 samples spanning one period (`limits._LIMIT_POINTS`); the
+    final row uses 4096 so that the reported (smallest) deviation is not
+    an artifact of grid resolution.
     """
     if any(b <= a_ for a_, b in zip(n_values, n_values[1:])):
         raise ValueError("n_values must be strictly ascending")
-    if t_points < 256:
-        raise ValueError(f"need t_points >= 256, got {t_points}")
     if isinstance(N_rule, str):
         if N_rule != "sqrt":
             raise ValueError(f"N_rule must be an integer or 'sqrt', got {N_rule!r}")
@@ -96,7 +95,7 @@ def limit_sequence(
         cfg = WellConfig(a=a, mu=mu, hbar=hbar_eff)
         spec = PacketSpec(n=n, N=N)
         orbit = _matched_orbit(cfg, n)
-        points = t_points * 2 if i == len(n_values) - 1 else t_points
+        points = _LIMIT_POINTS * 2 if i == len(n_values) - 1 else _LIMIT_POINTS
         ts = np.linspace(0.0, orbit.period, points)
         x, x2, p = packet_moments(cfg, spec, ts)
         err_x = np.abs(x - fejer_position(orbit, N, ts))

@@ -5,16 +5,19 @@ the packet behave classically: too few superposed states and the packet
 mean is a poor (truncated-average) rendering of the bounce trajectory; too
 many and the unequal level spacing dephases the packet within a period.
 The selection minimizes the RMS deviation of the position mean
-from the classical sawtooth over one period, sampled at t_i = i T/P.
-Both halves of that objective are exact on the index grid: every level
-pair's phase is an integer residue modulo 2nP, and the sawtooth is
-2a min(i, P - i)/P. The objective is therefore a function of n and P
-alone times the well width a, and N_opt cannot depend on mu or hbar.
-On the 10..500 grid N_opt lands within floor(sqrt(n)) +- 1 (N = 23 at
-n = 500), but it grows faster than sqrt(n) beyond: N = 54 at n = 2000
-and N = 144 at n = 10^4, against floor(sqrt(n)) = 44 and 100. The 144 is
-the value of the default 1024-point rectangle rule over the period; with
-4096 points or more the same objective gives N = 142 at n = 10^4.
+from the classical sawtooth over one period, sampled at t_i = i T/P on a
+fixed grid of P = 1024 points (`optimizer._TRACK_POINTS`), over the
+fixed window N = 1..min(n - 1, ceil(4 sqrt(n))). Neither is an option,
+so N_opt is a function of n alone. Both halves of that objective are
+exact on the index grid: every level pair's phase is an integer residue
+modulo 2nP, and the sawtooth is 2a min(i, P - i)/P. The objective is
+therefore a function of n and P alone times the well width a, and N_opt
+cannot depend on mu or hbar. On the 10..500 grid N_opt lands within
+floor(sqrt(n)) +- 1 (N = 23 at n = 500), but it grows faster than
+sqrt(n) beyond: N = 54 at n = 2000 and N = 144 at n = 10^4, against
+floor(sqrt(n)) = 44 and 100. The 144 is the value of the 1024-point
+rectangle rule over the period; 4096 points give N = 142 at n = 10^4
+(`test_width_at_1e4_on_a_finer_grid`).
 
 The error is assumed to have a single local minimum in N over the search
 window, so optimal_N walks N upward and stops at the first N whose error
@@ -24,8 +27,8 @@ adds the 2N pairs of span N to the running sum, each with about
 2 sqrt(P) exact float residues, as many tangents, and 2P multiply-adds in
 the span's matrix product over the P-point grid, so the search costs
 O(N_opt^2 P) against O(N_max^2 P) for scoring the whole window. The
-default window ends at about 4 N_opt, and the stop takes 8-9x less time
-than the whole window at n = 500 to 10^4. The residues and tangents are
+window ends at about 4 N_opt, and the stop takes 8-9x less time than
+the whole window at n = 500 to 10^4. The residues and tangents are
 formed in blocks of up to 127 pairs (at P = 1024) that hold whole spans
 while spans are short, cut from tables of about 1024 pairs, and at most
 one block ahead of the span being summed. A span pays only for its
@@ -33,8 +36,8 @@ product and its error update: one product up to v = 63 and one per 127
 pairs beyond. The scan to the first rise at n = 500 forms 6 blocks where
 one block per span made 24, since there the fixed cost of a block's ~15
 numpy calls outweighed its arithmetic. The float residues are exact
-while 2 n P^2 < 2^53, which admits n = 10^6 at P = 65536; a larger
-n P^2 raises ValueError.
+while 2 n P^2 < 2^53, which at P = 1024 admits n < 2^32;
+`_tracking_errors` raises ValueError past it.
 
 The uncertainty product Delta-x Delta-p at the initial turning (t = 0) is
 reported for the selected packet but is no selection criterion: it falls
@@ -63,7 +66,8 @@ __all__ = [
     "scan_n",
 ]
 
-_TRACK_POINTS = 1024
+_TRACK_POINTS = 1024  # grid points over one period of the width scan
+_N_GRID = (10, 500, 12)  # first level, last level and points of `default_n_grid`
 _TABLE_PAIRS = 1024  # level pairs per table of consecutive spans (`_pair_blocks`)
 
 
@@ -96,10 +100,10 @@ class ScanResult:
     fit: ScanFit | None
 
 
-def default_n_grid(n_min: int = 10, n_max: int = 500, points: int = 12) -> list[int]:
-    """Geometric grid of integer levels, deduplicated, endpoints included."""
-    if points < 2 or n_min < 1 or n_max <= n_min:
-        raise ValueError("need points >= 2 and 1 <= n_min < n_max")
+def default_n_grid() -> list[int]:
+    """The 12-point geometric grid of integer levels on [10, 500],
+    deduplicated, endpoints included."""
+    n_min, n_max, points = _N_GRID
     ratio = (n_max / n_min) ** (1.0 / (points - 1))
     return sorted({int(round(n_min * ratio**i)) for i in range(points)})
 
@@ -259,31 +263,24 @@ def _tracking_curve(
     return np.fromiter(errors, dtype=float, count=N_max + 1)
 
 
-def optimal_N(
-    cfg: WellConfig,
-    n: int,
-    N_min: int = 1,
-    N_max: int | None = None,
-    t_points: int = _TRACK_POINTS,
-) -> ScanRow:
+def optimal_N(cfg: WellConfig, n: int) -> ScanRow:
     """The half-width with the least tracking error, by a first-rise stop.
 
-    The search window defaults to [1, min(n-1, ceil(4*sqrt(n)))]. N walks
-    up from N_min and the search stops at the first N whose error exceeds
-    the least error so far, which is the window's minimum when the error
-    has a single local minimum there (see the module docstring). Ties
-    break toward the smaller N (the more monochromatic packet).
+    The search window is [1, min(n-1, ceil(4*sqrt(n)))] and the error is
+    sampled on the 1024-point grid `optimizer._TRACK_POINTS`; neither is
+    an option. N walks up from 1 and the search stops at the first N whose
+    error exceeds the least error so far, which is the window's minimum
+    when the error has a single local minimum there (see the module
+    docstring). Ties break toward the smaller N (the more monochromatic
+    packet).
     """
     n = operator.index(n)
     if n < 4:
         raise ValueError(f"need n >= 4, got n={n}")
-    if N_max is None:
-        N_max = min(n - 1, math.ceil(4.0 * math.sqrt(n)))
-    if not (1 <= N_min <= N_max < n):
-        raise ValueError(f"empty or invalid search range [{N_min}, {N_max}] for n={n}")
-    errors = islice(_tracking_errors(cfg, n, t_points), N_min, N_max + 1)
-    best, least = N_min, math.inf
-    for N, err in enumerate(errors, N_min):
+    N_max = min(n - 1, math.ceil(4.0 * math.sqrt(n)))
+    errors = islice(_tracking_errors(cfg, n, _TRACK_POINTS), 1, N_max + 1)
+    best, least = 1, math.inf
+    for N, err in enumerate(errors, 1):
         if err < least:
             best, least = N, err
         elif err > least:
@@ -296,20 +293,17 @@ def optimal_N(
     )
 
 
-def scan_n(
-    cfg: WellConfig,
-    n_values: list[int] | None = None,
-    t_points: int = _TRACK_POINTS,
-) -> ScanResult:
+def scan_n(cfg: WellConfig, n_values: list[int] | None = None) -> ScanResult:
     """optimal_N over a list of levels plus a log-log fit of N_opt vs n.
 
     n_values, in any order (the rows keep it; `fig1` emits them), defaults
-    to the 12-point geometric grid on [10, 500]. With fewer than 3 distinct
-    levels the fit is skipped (fit=None).
+    to the 12-point geometric grid on [10, 500]. Each level takes
+    optimal_N's fixed window and 1024-point grid. With fewer than 3
+    distinct levels the fit is skipped (fit=None).
     """
     if n_values is None:
         n_values = default_n_grid()
-    rows = [optimal_N(cfg, n, t_points=t_points) for n in n_values]
+    rows = [optimal_N(cfg, n) for n in n_values]
 
     fit = None
     if len(set(n_values)) >= 3:

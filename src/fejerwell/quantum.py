@@ -312,7 +312,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -340,6 +339,7 @@ __all__ = [
 
 OBSERVABLES = ("position", "position_sq", "momentum", "momentum_sq")
 
+_ORACLE_POINTS = 4096  # grid points of `oracle_expectation`'s grid quadrature
 _TAYLOR = 1e-3  # |K delta| below which R_K and R_K' use their Taylor series
 
 
@@ -1041,14 +1041,14 @@ def oracle_expectation(
     spec: PacketSpec,
     t: float,
     kind: str,
-    grid_points: int = 4096,
     method: str = "grid",
 ) -> float:
     """First-principles packet expectation value, for validating closed forms.
 
-    method="grid" builds the wavefunction on a uniform quadrature grid of
-    `grid_points` samples and applies the operator numerically (position
-    powers pointwise, momentum via finite differences). method="spectral"
+    method="grid" builds the wavefunction on a fixed uniform quadrature
+    grid of 4096 samples (`quantum._ORACLE_POINTS`) and applies the
+    operator numerically (position powers pointwise, momentum via finite
+    differences). method="spectral"
     sums analytic matrix elements over all level pairs with their Bohr
     phases; it is exact up to rounding and independent of the closed
     forms' term bookkeeping. t is one instant: an array t raises
@@ -1061,15 +1061,7 @@ def oracle_expectation(
         return _spectral_expectation(cfg, spec, t, kind)
     if method != "grid":
         raise ValueError(f"method must be 'grid' or 'spectral', got {method!r}")
-    if grid_points < 512:
-        raise ValueError(f"grid too coarse: {grid_points} points (minimum 512)")
-    if grid_points < 2048:
-        warnings.warn(
-            f"{grid_points}-point grid may not reach validation accuracy "
-            f"for n around {spec.n}",
-            stacklevel=2,
-        )
-    return _grid_expectation(cfg, spec, t, kind, grid_points)
+    return _grid_expectation(cfg, spec, t, kind, _ORACLE_POINTS)
 
 
 # --- quasi-quantum series ----------------------------------------------------

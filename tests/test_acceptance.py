@@ -197,7 +197,7 @@ def test_criterion_08_reduced_uncertainty_coincidence():
 
 
 def test_criterion_09_constrained_limit_convergence():
-    rows = limit_sequence(1.0, 1.0, 500 * math.pi, [100, 200, 400, 800], N_rule=5, t_points=2048)
+    rows = limit_sequence(1.0, 1.0, 500 * math.pi, [100, 200, 400, 800], N_rule=5)
     errs = [r.sup_err_x for r in rows]
     decreasing = all(b < a - 1e-12 for a, b in zip(errs, errs[1:]))
     quarter = errs[-1] < errs[0] / 4

@@ -154,9 +154,6 @@ def test_series_reject_non_integer_orders():
 def test_gibbs_overshoot_rejects_bad_arguments():
     with pytest.raises(ValueError):
         gibbs_overshoot(ORBIT, 0)
-    with pytest.raises(ValueError):
-        gibbs_overshoot(ORBIT, 20, refine_points=0)
-    assert gibbs_overshoot(ORBIT, 20, refine_points=1) > 0.0
 
 
 def test_fejer_degenerate_order_zero():

@@ -4,7 +4,9 @@ README.md and the package's docstrings cite modules' attributes by name
 in backticks, `core._CHUNK` or `quantum._form`, private helpers among
 them. A refactor that renames or deletes one would otherwise pass every
 tier-1 test and leave the text pointing at nothing. DECISIONS.md is a
-history, whose entries may name what is gone, and stays out.
+history, whose entries may name what is gone, and stays out. README's
+fenced python blocks run as they stand, so a removed keyword or a renamed
+function in the library tour fails here too.
 """
 
 import ast
@@ -15,6 +17,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fejerwell"
 REFERENCE = re.compile(r"`(core|quantum|classical|optimizer|limits|cli)((?:\.\w+)+)`")
+PYTHON_BLOCK = re.compile(r"^```python\n(.*?)^```", re.MULTILINE | re.DOTALL)
 
 
 def _texts():
@@ -42,3 +45,10 @@ def test_backticked_references_name_existing_attributes():
     assert len(refs) >= 10  # README and the quantum docstring cite core._CHUNK and core._fraction at least
     broken = [f"{where}: {module}{path}" for where, module, path in refs if not _resolves(module, path.split(".")[1:])]
     assert not broken
+
+
+def test_readme_python_blocks_run():
+    blocks = PYTHON_BLOCK.findall((ROOT / "README.md").read_text())
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

@@ -22,7 +22,7 @@ P_C = 500.0 * math.pi
 
 
 def test_fixed_width_sequence_converges():
-    rows = limit_sequence(1.0, 1.0, P_C, [100, 200, 400, 800], N_rule=5, t_points=2048)
+    rows = limit_sequence(1.0, 1.0, P_C, [100, 200, 400, 800], N_rule=5)
     errs = [r.sup_err_x for r in rows]
     assert all(b < a for a, b in zip(errs, errs[1:]))
     assert errs[-1] < errs[0] / 4
@@ -30,7 +30,7 @@ def test_fixed_width_sequence_converges():
 
 
 def test_action_matching_is_exact():
-    rows = limit_sequence(1.0, 1.0, P_C, [100, 400], N_rule=5, t_points=256)
+    rows = limit_sequence(1.0, 1.0, P_C, [100, 400], N_rule=5)
     for r in rows:
         # hbar_eff * n * pi / a recovers p_c exactly by construction
         assert r.hbar_eff * r.n * math.pi == pytest.approx(P_C, rel=1e-15)
@@ -42,14 +42,14 @@ def test_action_matching_is_exact():
 
 
 def test_sqrt_rule_sequence_converges():
-    rows = limit_sequence(1.0, 1.0, P_C, [100, 1000, 10000], N_rule="sqrt", t_points=512)
+    rows = limit_sequence(1.0, 1.0, P_C, [100, 1000, 10000], N_rule="sqrt")
     assert [r.N for r in rows] == [10, 31, 100]
     errs = [r.sup_err_x for r in rows]
     assert errs[1] < errs[0] and errs[2] < errs[1]
 
 
 def test_near_limit_deviation_is_small():
-    rows = limit_sequence(1.0, 1.0, P_C, [100000], N_rule=5, t_points=512)
+    rows = limit_sequence(1.0, 1.0, P_C, [100000], N_rule=5)
     assert rows[0].sup_err_x < 1e-3
 
 
@@ -69,8 +69,6 @@ def test_rejects_bad_input():
     with pytest.raises(ValueError):
         limit_sequence(1.0, 1.0, P_C, [200, 100], N_rule=5)
     with pytest.raises(ValueError):
-        limit_sequence(1.0, 1.0, P_C, [100, 200], N_rule=5, t_points=16)
-    with pytest.raises(ValueError):
         limit_sequence(1.0, 1.0, P_C, [4, 8], N_rule=9)
     with pytest.raises(ValueError):
         limit_sequence(1.0, 1.0, P_C, [100, 200], N_rule="cube")
@@ -82,9 +80,9 @@ def test_rejects_bad_input():
 
 
 def test_numpy_integer_levels():
-    (row,) = limit_sequence(1.0, 1.0, P_C, [np.int64(100)], N_rule=np.int64(5), t_points=256)
+    (row,) = limit_sequence(1.0, 1.0, P_C, [np.int64(100)], N_rule=np.int64(5))
     assert type(row.n) is int and type(row.N) is int
-    assert row == limit_sequence(1.0, 1.0, P_C, [100], N_rule=5, t_points=256)[0]
+    assert row == limit_sequence(1.0, 1.0, P_C, [100], N_rule=5)[0]
 
 
 def test_detuning_leading_branches():
@@ -128,5 +126,5 @@ def test_rows_use_the_matched_orbit(monkeypatch):
     # with the cycle rate 2n / T_rev of that row's hbar
     made = []
     monkeypatch.setattr(limits, "_matched_orbit", lambda cfg, n: made.append((cfg.hbar, n)) or _matched_orbit(cfg, n))
-    rows = limit_sequence(1.0, 1.0, P_C, [100, 200], N_rule=3, t_points=256)
+    rows = limit_sequence(1.0, 1.0, P_C, [100, 200], N_rule=3)
     assert made == [(r.hbar_eff, r.n) for r in rows]

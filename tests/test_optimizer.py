@@ -43,10 +43,11 @@ def test_square_root_law_samples(n, target):
 
 
 def test_small_n_matches_exhaustive_bruteforce():
-    # independent check: every candidate's error from the O(N^2) pair sum
+    # independent check: every candidate's error from the O(N^2) pair sum,
+    # over all of [1, n - 1], beyond the window at n = 30
     for n in (4, 5, 9, 30):
-        row = optimal_N(NATURAL, n, N_min=1, N_max=n - 1)
-        objs = tracking_curve(NATURAL, n, n - 1, 1024)
+        row = optimal_N(NATURAL, n)
+        objs = tracking_curve(NATURAL, n, n - 1, optimizer._TRACK_POINTS)
         assert row.N_opt == 1 + int(np.argmin(objs[1:])), n
 
 
@@ -203,22 +204,22 @@ def test_scan_memory_stays_bounded():
 def test_first_rise_stop_equals_exhaustive_scan():
     # optimal_N stops at the first rise; the whole window's argmin must agree
     for n in range(4, 301):
-        N_max = default_window(n)
-        curve = _tracking_curve(NATURAL, n, N_max, 1024)
-        opt = 1 + int(np.argmin(curve[1:]))
-        for N_min in {1, opt - 1, opt, opt + 1} & set(range(1, N_max + 1)):
-            want = N_min + int(np.argmin(curve[N_min:]))
-            assert optimal_N(NATURAL, n, N_min=N_min).N_opt == want, (n, N_min)
+        curve = _tracking_curve(NATURAL, n, default_window(n), optimizer._TRACK_POINTS)
+        assert optimal_N(NATURAL, n).N_opt == 1 + int(np.argmin(curve[1:])), n
+    # the single-minimum assumption on all of [1, n - 1], past the window:
+    # the error falls strictly to its minimum and rises strictly after it
     for n in range(4, 61):
-        curve = _tracking_curve(NATURAL, n, n - 1, 1024)
-        assert optimal_N(NATURAL, n, N_max=n - 1).N_opt == 1 + int(np.argmin(curve[1:])), n
+        curve = _tracking_curve(NATURAL, n, n - 1, optimizer._TRACK_POINTS)[1:]
+        k = int(np.argmin(curve))
+        assert np.all(np.diff(curve[: k + 1]) < 0) and np.all(np.diff(curve[k:]) > 0), n
 
 
 @pytest.mark.parametrize("t_points", [2, 257, 2048])
-def test_first_rise_stop_equals_exhaustive_scan_on_other_grids(t_points):
+def test_first_rise_stop_equals_exhaustive_scan_on_other_grids(t_points, monkeypatch):
+    monkeypatch.setattr(optimizer, "_TRACK_POINTS", t_points)
     for n in (4, 7, 12, 20, 33, 55, 90, 150, 250, 300):
         curve = _tracking_curve(NATURAL, n, default_window(n), t_points)
-        row = optimal_N(NATURAL, n, t_points=t_points)
+        row = optimal_N(NATURAL, n)
         assert row.N_opt == 1 + int(np.argmin(curve[1:])), n
 
 
@@ -265,7 +266,7 @@ def test_scan_forms_tangents_in_blocks_across_spans(monkeypatch):
 )
 def test_width_law_at_scale(n, N_opt, product):
     # well above floor(sqrt(n)) = 44, 100 and 200: the +-1 band holds only
-    # on the 10..500 grid. 144 and 337 are the values of the default
+    # on the 10..500 grid. 144 and 337 are the values of the fixed
     # 1024-point rectangle rule; the converged objective gives 142 and 327
     row = optimal_N(NATURAL, n)
     assert row.N_opt == N_opt
@@ -280,9 +281,10 @@ def test_numpy_integer_levels():
     assert res.rows == scan_n(NATURAL, [50, 100, 200]).rows
 
 
-def test_width_at_1e4_on_a_finer_grid():
-    # the pinned 144 is the value of the default 1024-point rectangle rule
-    assert optimal_N(NATURAL, 10_000, t_points=4096).N_opt == 142
+def test_width_at_1e4_on_a_finer_grid(monkeypatch):
+    # the pinned 144 is the value of the fixed 1024-point rectangle rule
+    monkeypatch.setattr(optimizer, "_TRACK_POINTS", 4096)
+    assert optimal_N(NATURAL, 10_000).N_opt == 142
 
 
 def test_determinism():
@@ -295,7 +297,7 @@ def test_determinism():
 def test_minimality_certificate():
     for n in (60, 250, 500):
         row = optimal_N(NATURAL, n)
-        curve = _tracking_curve(NATURAL, n, row.N_opt + 1, 1024)
+        curve = _tracking_curve(NATURAL, n, row.N_opt + 1, optimizer._TRACK_POINTS)
         best = curve[row.N_opt]
         for neighbor in (row.N_opt - 1, row.N_opt + 1):
             assert best <= curve[neighbor] * (1 + 1e-12)
@@ -383,13 +385,7 @@ def test_product_start_mode_has_no_interior_minimum():
 def test_rejects_bad_input():
     with pytest.raises(ValueError):
         optimal_N(NATURAL, 3)
-    with pytest.raises(ValueError):
-        optimal_N(NATURAL, 100, N_min=5, N_max=4)
     # any order is accepted, and the rows keep it (fig1 --n-list emits them)
     assert [r.n for r in scan_n(NATURAL, [100, 50]).rows] == [100, 50]
     with pytest.raises(ValueError):
-        default_n_grid(points=1)
-    with pytest.raises(ValueError):
         _tracking_curve(NATURAL, 100, 5, t_points=0)
-    with pytest.raises(ValueError):
-        optimal_N(NATURAL, 100, t_points=0)
