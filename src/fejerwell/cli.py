@@ -42,7 +42,7 @@ from .classical import (
 from .core import PacketSpec, WellConfig, _reduced_spread, spectral_data
 from .limits import limit_sequence
 from .optimizer import optimal_N, scan_n
-from .quantum import exp_p2, oracle_expectation, packet_moments
+from .quantum import OBSERVABLES, exp_p2, oracle_expectation, packet_moments
 
 __all__ = ["RunConfig", "TimeSeries", "emit", "run", "main"]
 
@@ -53,7 +53,7 @@ _GIBBS_LADDER = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
 # oracle-check tolerances: (observable, relative tolerance)
 _ORACLE_SPECS = (("position", 1e-8), ("position_sq", 1e-8), ("momentum", 1e-6),
                  ("momentum_sq", 1e-12))
-OBS_CODE = {"position": 0, "position_sq": 1, "momentum": 2, "momentum_sq": 3}
+OBS_CODE = {kind: code for code, kind in enumerate(OBSERVABLES)}
 _ORACLE_CASES = ((10, 3), (50, 7), (200, 14))
 
 

@@ -325,9 +325,9 @@ def _half_angle(half, cos=None, sin=None, weights=(2.0, 1.0)) -> None:
     libm, 4-10x slower per element (DECISIONS.md), so every phase trig of
     the package goes through here: the width scan's half phases pi r / M
     of exact residues |r| <= M/2; the moments' pi c with |c| <= 1/2, both
-    the kernel's psi = 2n theta_d columns and the dense forms' level
-    phases m_j tau (quasi_exp's series among them, in the same pass), all
-    in [-pi/2, pi/2]; and the classical pi h f. At a pole of tan the
+    the kernel's psi = 2n theta_d columns and the level phases m_j tau of
+    either engine (quasi_exp's series take the dense forms' at every
+    packet), all in [-pi/2, pi/2]; and the classical pi h f. At a pole of tan the
     rounded half is never exactly pi/2 + k pi, so t stays finite (about
     +-1.6e16 at +-pi/2): cos comes out -w and sin about +-1e-16 w, as
     np.sin(+-np.pi) gives, with no warning.

@@ -58,14 +58,13 @@ most (N/(2n-N))^2, and the cut moves <x> and <x^2> by at most
 <p> by at most 8N (2N+1)/(pi (2n-N)^2) sum_{i>K} u^i of p_n;
 `_series_terms` takes the least K that puts both below eps/16. For
 N = isqrt(n) that is K = 2 at n = 16384 and 10^5 and K = 1 at 10^6 and
-10^7: two or three terms. The rule depends on (n, N) alone: where K
-would pass _SERIES_CAP = 16, that is n < 2.05 N, which no packet of
-N = isqrt(n) >= 128 reaches, the packet takes the dense forms below at
-any N, so _SERIES_CAP is the boundary between the two engines. Per
-instant a kernel evaluates the d-columns alone (N Dirichlet columns for
-<x> and <p>, 2N for <x^2>), plus one tangent per level for the 2N + 1
-level phases and two products of 2N + 1 levels by at most 4(K + 1)
-columns per output.
+10^7: two or three terms. The rule depends on (n, N) alone; K would
+pass _SERIES_CAP = 16 where n < 2.05 N, which no packet of
+N = isqrt(n) >= 128 reaches, and such a packet has no kernel (the
+engine rule below). Per instant a kernel evaluates the d-columns alone
+(N Dirichlet columns for <x> and <p>, 2N for <x^2>), plus one tangent
+per level for the 2N + 1 level phases and two products of 2N + 1 levels
+by at most 4(K + 1) columns per output.
 
 Dense quadratic forms. The same means are quadratic forms in the 2N + 1
 level phases. With u_j = n + j and m_j = 2nj + j^2 = u_j^2 - n^2 for
@@ -91,13 +90,9 @@ vanishes at even d too and is antisymmetric, G_oe = -G_eo^T, so
     <p>   = -(2 hbar/a)/(2N+1) * sum_{j even, k odd} G_jk (b_j a_k - a_j b_k),
 
 and X2 is symmetric, so <x^2> sums [X2_ee | 2 X2_eo] over the even rows
-and X2_oo over the odd ones. `_moments` takes these forms for every
-packet whose (2N+1)^2 matrix fits in _PANELS = 8 blocks of core._CHUNK
-elements, N <= 127, which includes the paper's (500, 23) and every
-packet of n < 16384 at N = isqrt(n), and for every packet past the
-series rule, n < 2.05 N, at any N. The levels come in the parity order
-[even j | odd j] (`_levels`). Per block of instants it forms a and b
-from the tangents of their half phases, stacks the rows of a over those
+and X2_oo over the odd ones. The levels come in the parity order
+[even j | odd j] (`_levels`). Per block of instants `_moments` forms a
+and b from the tangents of their half phases, stacks the rows of a over those
 of b, and does one BLAS product per moment and block of its matrix,
 each form by the rule of its matrix's symmetry: ([a_e; b_e] @ 2 X_eo)
 times [a_o; b_o] for <x> and ([a; b] @ X2) times [a; b] for <x^2>, each
@@ -112,45 +107,24 @@ costs more than the quarter it saves (DECISIONS.md, "Dense <p> and
 outputs read, as views of one buffer, each filled in panels of at most
 _CHUNK elements. The forms have no
 Taylor branch, so the cancellation of the direct R_K' just above the
-kernel's Taylor threshold is gone there. Larger packets inside the
-series rule keep the Dirichlet kernel, O(N) per instant with the level
-sums, where the dense forms are O(N^2): from N = 128 exp_x and the fused
-pass are slower dense at N = isqrt(n), while at (10^4, 100) a fused pass
-is 1.35-1.4x faster dense (DECISIONS.md, "Dense forms in 64 KiB panels
-up to N = 127"). Past the series rule the dense forms replaced the
-kernel's old sum-grouped columns (the s-groups above), at this cost:
-time dense over time with those columns, on 1, 8, 300 and 2000
-instants, and the size of the fused dense plan (`tracemalloc`;
-DECISIONS.md, "Packets past the series rule on the dense forms"):
+kernel's Taylor threshold is gone there.
 
-    packet          packet_moments   exp_x        fused plan
-    (261, 128)      0.56-0.76        0.59-0.63    0.67 MB
-    (200, 150)      0.64-0.82        0.59-0.64    0.91 MB
-    (300, 200)      0.88-1.14        0.67-0.72    1.6 MB
-    (600, 400)      2.4-3.8          1.2-1.5      6.4 MB
-    (1000, 600)     5.1-9.0          2.9-3.3      14.4 MB
-    (1500, 1000)    12-22            6.8-10       40 MB
-
-Measured
-against the 40-digit pair sum, or past N = 60 the 60-digit closed form,
-in eps of a, a^2 and p_n (each path forced in turn):
-
-    instants                                       kernel <x>/<x^2>/<p>   dense
-    near-singular set and three long times,        1.0 / 2.0 / 3.6        0.6 / 1.5 / 0.7
-      (500, 23) and (2000, 44)
-    60 instants just above the Taylor threshold,   0.9 / 1.3 / 40.7       0.9 / 0.8 / 0.7
-      (500, 23)
-    the near-singular set and three long times,    1.0 / 0.5 / 40.2       1.0 / 0.5 / 0.7
-      (123, 60)
-    the near-singular set, three long times and    1.6 / 2.5 / 21.9       1.2 / 0.7 / 1.3
-      the 60 Taylor-edge instants, (2025, 45)
-      and (4096, 64)
-    the near-singular set and three long times,    1.5 / 1.6 / 3.4        1.0 / 1.0 / 1.0
-      (10^4, 100) and (16384, 127)
-    the same set, (16384, 128) and (10^5, 316)     1.3 / 1.2 / 4.2        -
-    the same set, (262, 128)                       1.0 / 1.5 / 59.5       1.0 / 1.0 / 0.6
-    the same set, past the series rule: (61, 60),  -                      1.0 / 1.2 / 1.1
-      (122, 60), (200, 150), (261, 128), (300, 200)
+The engine rule. `_moments` takes the dense forms for the quasi series
+at every packet; for the packet moments where the (2N+1)^2 matrix fits
+in _PANELS = 8 blocks of core._CHUNK elements, N <= 127, which includes
+the paper's (500, 23) and every packet of n < 16384 at N = isqrt(n); and
+for the packet moments past the series rule, n < 2.05 N, at any N. Every
+other packet moment takes the Dirichlet kernel, O(N) per instant with
+the level sums, where the dense forms are O(N^2): from N = 128 exp_x and
+the fused pass are slower dense at N = isqrt(n), while at (10^4, 100) a
+fused pass is 1.35-1.4x faster dense (DECISIONS.md, "Dense forms in
+64 KiB panels up to N = 127"). The cost of the dense forms past the
+series rule, with a 40 MB fused plan at (1500, 1000), is in DECISIONS.md,
+"Packets past the series rule on the dense forms". The accuracy of each
+path, in eps of a, a^2 and p_n against the 40-digit pair sum or the
+60-digit closed form, and the cost of the quasi series past N = 127, are
+in DECISIONS.md, "The Dirichlet kernel serves the three packet moments
+only".
 
 Every closed form here is validated by `oracle_expectation`, which knows
 nothing of the term parametrization: its "grid" path evaluates the packet
@@ -243,10 +217,9 @@ the kept arrays are the ones that call would form. Inside the package no
 two such calls share an array: `limits.limit_sequence` and the CLI series
 make one fused packet_moments call per array, so only direct callers
 gain, and every other call on an array within the budget below pays for
-the lookup and for keeping its arrays. On the dense forms a and b are a block's whole input, so a later
-call does only its products; on the kernel the Dirichlet and psi columns
-are still formed per call, and a kernel plan without level sums, the
-quasi series, keeps nothing. A scalar
+the lookup and for keeping its arrays. On the dense forms a and b are a
+block's whole input, so a later call does only its products; on the
+kernel the Dirichlet and psi columns are still formed per call. A scalar
 or 0-d t takes the scalar path and never looks (DECISIONS.md, "One entry
 of instants per layer").
 
@@ -297,9 +270,9 @@ none of them in the heap among the temporaries of its blocks of
 instants; the buffer is filled in panels of rows, so no (2N+1)^2
 temporary is made. A fused dense plan at N = 127 holds 650 KB, so 16
 dense plans of N <= 127 keep at most 16 x (130 + 390 + 130) KB, about
-10.4 MB (about 19 MB while <x^2> and <p> kept whole matrices). A fused
-plan past the series rule holds five quarters of (2N+1)^2 float64, as
-in the cost table above, and so may each of the 16; the kernel plans'
+10.4 MB. A fused plan past the series rule holds five quarters of
+(2N+1)^2 float64 (40 MB at (1500, 1000)), and a quasi plan one quarter
+(8.0 MB at N = 1000), and so may each of the 16; the kernel plans'
 level-sum bases are small (30, 15 and 122 KB for <x>, <x^2> and <p> at
 (10^5, 316)). The kept instants are one entry: the split fraction and
 the level phases a and b of an array t, each of a and b at most
@@ -450,7 +423,7 @@ def _level_form(n: int, N: int, output: str, K: int) -> tuple:
     <x^2>, where left is right, and sum_r w_r (b @ left)_r (a @ right)_r
     for <p>, over the columns psi_i and sigma psi_i (or the xi pairs).
     <x^2> sums -sigma_j sigma_k / (2 (2n+s)^2) over every pair, d = 0
-    included, which is its diagonal part, so its kernel has no constant.
+    included, which is its diagonal part, so its kernel's const is zero.
     """
     j = np.arange(-N, N + 1.0)[:, None]
     i = np.arange(K + 1.0)
@@ -474,24 +447,24 @@ def _level_form(n: int, N: int, output: str, K: int) -> tuple:
 
 @dataclass(frozen=True)
 class _Kernel:
-    """Read-only columns and weights of one (n, N, outputs) kernel pass.
+    """Read-only columns, weights and level sums of one (n, N, outputs) kernel pass.
 
-    Column i holds R_{K[i]} at the phase m[i] * tau. The columns are the
-    d-groups (m = d) in one order whatever the outputs, [even d | odd d],
-    the even ones only where <x^2> is asked. psi_m holds the multipliers
-    2n d of psi = 2n theta_d, in the same order, as an array of its own.
-    Three feature blocks are formed from them: "cos" is R times cos psi,
-    "rate" R' times cos psi, and "sin" the odd columns of R times sin psi.
+    Column i holds R_{K[i]} at the phase d[i] * tau. The columns are the
+    d-groups in one order whatever the outputs, [even d | odd d], the even
+    ones only where <x^2> is asked. psi_m holds the multipliers 2n d of
+    psi = 2n theta_d, in the same order, as an array of its own. Three
+    feature blocks are formed from them: "cos" is R times cos psi, "rate"
+    R' times cos psi, and "sin" the odd columns of R times sin psi.
     Output j is sum over (block, cols, w) in terms[j] of block[:, cols] @ w,
     plus the level sum forms[j] over a_l = cos(m_l tau) and
     b_l = sin(m_l tau) at the level multipliers m_l = 2n l + l^2,
-    l = -N..N, where it is not None. cols is a slice: the odd columns
-    (<x>, <p> and the quasi series) or every column (<x^2>, and the whole
-    "sin" block). Each output therefore reads the same columns in the same
-    order, and the same level sum, as the kernel of that output alone.
+    l = -N..N. cols is a slice: the odd columns (<x> and <p>) or every
+    column (<x^2>, and the whole "sin" block). Each output therefore reads
+    the same columns in the same order, and the same level sum, as the
+    kernel of that output alone.
     """
 
-    m: np.ndarray
+    d: np.ndarray  # the Dirichlet multipliers
     psi_m: np.ndarray
     K: np.ndarray
     flip: np.ndarray  # -2 where K is even (R_K(phi + pi) = -R_K(phi)), else 0
@@ -500,27 +473,24 @@ class _Kernel:
     odd_d: slice  # the odd d-columns, the only ones that "sin" holds
     terms: tuple[tuple[tuple[str, slice, np.ndarray], ...], ...]
     blocks: frozenset[str]
-    level_m: np.ndarray  # the level multipliers, empty without level sums
-    forms: tuple[tuple | None, ...]  # `_level_form` per output, or None
-    bits: int  # every m is below 2**bits
+    m: np.ndarray  # the level multipliers
+    forms: tuple[tuple, ...]  # `_level_form` per output
+    const: np.ndarray  # zeros: the level sums hold <x^2>'s diagonal
+    bits: int  # every d and m is below 2**bits
     rows: int  # instants per block: the Dirichlet, psi and level phases each hold at most _CHUNK elements
 
 
 @functools.lru_cache(maxsize=16)
 def _kernel(n: int, N: int, outputs: tuple[str, ...]) -> _Kernel:
-    """The columns that `outputs` need, in the fixed order, and one weight set per output.
+    """The columns that `outputs` need, in the fixed order, and one weight set and level sum per output.
 
     The outputs are the brackets of <x> ("position"), <x^2>
-    ("position_sq") and the tau-derivative of <x> ("momentum"), and the
-    classical-amplitude series of `quasi_exp` ("quasi_position",
-    "quasi_momentum"). <x> and <p> take the odd d-columns, <x^2> every
-    d = 1..2N, and the quasi series the odd d-columns alone. The Hankel
-    parts of <x>, <x^2> and <p> are level sums of the length that
-    `_series_terms` gives, so a plan with any of them is for a packet
-    inside the series rule.
+    ("position_sq") and the tau-derivative of <x> ("momentum"). <x> and
+    <p> take the odd d-columns, <x^2> every d = 1..2N. Their Hankel parts
+    are level sums of the length that `_series_terms` gives, so the
+    packet is one inside the series rule.
     """
-    packet = bool(set(outputs) & set(_PACKET))
-    series = _series_terms(n, N) if packet else None
+    series = _series_terms(n, N)
     odd_d = np.arange(1.0, 2 * N + 1, 2)
     even_d = np.arange(2.0, 2 * N + 1, 2) if "position_sq" in outputs else np.empty(0)
     d = np.concatenate([even_d, odd_d])
@@ -531,21 +501,19 @@ def _kernel(n: int, N: int, outputs: tuple[str, ...]) -> _Kernel:
         "position": (("cos", d_cols, x_d),),
         "position_sq": (("cos", slice(None), (-1.0) ** d / d**2),),
         "momentum": (("sin", slice(None), -2.0 * n * odd_d * x_d), ("rate", d_cols, x_d * odd_d)),
-        "quasi_position": (("cos", d_cols, x_d),),
-        "quasi_momentum": (("sin", slice(None), 1.0 / odd_d),),
     }
     K = 2 * N + 1 - d
     arrays = {
-        "m": d,
+        "d": d,
         "psi_m": 2 * n * d,
         "K": K,
         "flip": -2.0 * (K % 2 == 0),
         "a2": K * (1 - K**2) / 6,
         "a4": K * (K**2 - 1) * (3 * K**2 - 7) / 360,
-        "level_m": (j + 2 * n) * j if packet else np.empty(0),
+        "m": (j + 2 * n) * j,
+        "const": np.zeros(len(outputs)),
     }
     terms = tuple(weights[out] for out in outputs)
-    forms = tuple(_level_form(n, N, out, series) if out in _PACKET else None for out in outputs)
     for arr in (*arrays.values(), *(w for ts in terms for _, _, w in ts)):
         arr.setflags(write=False)
     return _Kernel(
@@ -553,9 +521,9 @@ def _kernel(n: int, N: int, outputs: tuple[str, ...]) -> _Kernel:
         odd_d=d_cols,
         terms=terms,
         blocks=frozenset(name for ts in terms for name, _, _ in ts),
-        forms=forms,
+        forms=tuple(_level_form(n, N, out, series) for out in outputs),
         bits=(4 * n * N).bit_length(),  # one bound for every kernel of (n, N), levels included
-        rows=_block_rows(max(len(d), len(arrays["level_m"]))),
+        rows=_block_rows(max(len(d), len(arrays["m"]))),
     )
 
 
@@ -627,9 +595,9 @@ def _dirichlet(ker: _Kernel, c: np.ndarray, rate: bool):
 
 def _kernel_block(ker: _Kernel, h, l, ab, out: np.ndarray) -> None:
     """The brackets of one block of instants from the split revival fraction h + l
-    and, where the plan has level sums, the block's level phases ab of `_level_phases`."""
+    and the block's level phases ab of `_level_phases`."""
     rows = out.shape[1]
-    c = _phases(h, l, ker.m, ker.bits).reshape(rows, len(ker.m))
+    c = _phases(h, l, ker.d, ker.bits).reshape(rows, len(ker.d))
     R, dR = _dirichlet(ker, c, "rate" in ker.blocks)
     psi = _phases(h, l, ker.psi_m, ker.bits).reshape(rows, len(ker.psi_m))
     psi *= math.pi  # psi / 2, for the one tangent of `core._half_angle`
@@ -642,25 +610,22 @@ def _kernel_block(ker: _Kernel, h, l, ab, out: np.ndarray) -> None:
         R *= cos
     if dR is not None:
         dR *= cos
-    if ab is not None:
-        a, b = ab
-    for acc, terms, form in zip(out, ker.terms, ker.forms):
+    a, b = ab
+    for acc, terms, (sine, left, right, v) in zip(out, ker.terms, ker.forms):
         for i, (name, cols, w) in enumerate(terms):
             if i:
                 np.add(acc, feats[name][:, cols] @ w, out=acc)
             else:
                 np.matmul(feats[name][:, cols], w, out=acc)
-        if form is not None:
-            sine, left, right, w = form
-            y = (b if sine else a) @ left
-            if sine:
-                y *= a @ right
-            else:  # left is right
-                y *= y
-                z = b @ left
-                z *= z
-                y += z
-            acc += y @ w
+        y = (b if sine else a) @ left
+        if sine:
+            y *= a @ right
+        else:  # left is right
+            y *= y
+            z = b @ left
+            z *= z
+            y += z
+        acc += y @ v
 
 
 # --- dense quadratic forms ---------------------------------------------------
@@ -682,8 +647,8 @@ def _form(n: int, N: int, kinds: tuple[str, ...]) -> tuple:
     the order of `_levels`; with d = j - k and w = 2n + j + k, the bracket
     of `_moments` is sum_jk X_jk (a_j a_k + b_j b_k) for the position kinds
     and sum_jk X_jk b_j a_k for the momentum kinds. X is the docstring's
-    X/2, X2/2 or -G (and the quasi parts of X/2), so each bracket equals
-    the kernel's and both paths share one output scaling. -G_jk is
+    X/2, X2/2 or -G (and the quasi parts of X/2), so each packet bracket
+    equals the kernel's and both paths share one output scaling. -G_jk is
     4 (n+j)(n+k) / (d w), one division of exact integers. Each part
     (left, right, B) is the block of X on the levels left (rows) by right
     (columns), slices of the parity order, and the rule says how
@@ -797,14 +762,15 @@ def _dense(n: int, N: int, outputs: tuple[str, ...]) -> _Dense:
     )
 
 
-def _dense_block(plan: _Dense, ab: np.ndarray, out: np.ndarray) -> None:
+def _dense_block(plan: _Dense, h, l, ab: np.ndarray, out: np.ndarray) -> None:
     """The brackets of one block from its level phases ab of `_level_phases`,
     a = cos(m tau) and b = sin(m tau), read as the rows of a stacked over
     the rows of b: one matrix product per output and block of its form,
     times the columns it pairs with: the same columns for a symmetric form,
     summed over each instant's a and b rows, and the swapped odd columns
     [b_o; a_o] for an antisymmetric one, each instant's b row less its a
-    row."""
+    row. h and l, the block's split revival fraction, are not read: both
+    engines' blocks take the same arguments."""
     size = out.shape[1]
     rows = ab.reshape(-1, ab.shape[2])
     for acc, (rule, parts) in zip(out, plan.forms):
@@ -815,7 +781,7 @@ def _dense_block(plan: _Dense, ab: np.ndarray, out: np.ndarray) -> None:
                 y += np.vecdot(rows[:, left] @ X, rows[:, right])
             np.add(y[:size], y[size:], out=acc)
         else:  # "anti": sum_eo X_eo (b_e a_o - a_e b_o), np.vecdot within 2 eps of p_n (DECISIONS.md)
-            y = np.vecdot((rows[:, left] @ X).reshape(2, size, -1), ab[::-1, :, right])
+            y = np.vecdot((rows[:, left] @ X).reshape(2, size, X.shape[1]), ab[::-1, :, right])
             np.subtract(y[1], y[0], out=acc)  # (b_e @ X) a_o - (a_e @ X) b_o
 
 
@@ -845,23 +811,25 @@ _instants = _LastInstants()  # the split fraction and level phases of the last a
 def _moments(cfg: WellConfig, spec: PacketSpec, t, outputs: tuple[str, ...]) -> list:
     """Each output at t from one loop over the blocks; np.float64 for a scalar t.
 
-    A packet whose (2N+1)^2 matrix fits in _PANELS blocks of _CHUNK
-    elements (N <= 127), or whose level sums `_series_terms` would cut past
-    _SERIES_CAP (n < 2.05 N), takes the dense quadratic forms, any other
-    the Dirichlet kernel. The high part of frac(t / T_rev) keeps 53 - bits
-    bits for `_phases`. For an array t, the split fraction and each
-    block's level phases are kept (`core._LastInstants`) under the packet,
-    the engine, the plan's bits and block rows, and the revival rate; a
-    later call on the same contents reads them. A scalar or 0-d t, and a
-    kernel plan without level sums, keep nothing.
+    The engine rule: the dense quadratic forms serve a quasi series, a
+    packet whose (2N+1)^2 matrix fits in _PANELS blocks of _CHUNK elements
+    (N <= 127), and a packet whose level sums `_series_terms` would cut
+    past _SERIES_CAP (n < 2.05 N); the Dirichlet kernel serves the packet
+    moments of every other packet. The high part of frac(t / T_rev) keeps
+    53 - bits bits for `_phases`. For an array t, the split fraction and
+    each block's level phases are kept (`core._LastInstants`) under the
+    packet, the engine, the plan's bits and block rows, and the revival
+    rate; a later call on the same contents reads them. A scalar or 0-d t
+    keeps nothing.
     """
-    dense = spec.size**2 <= _PANELS * _CHUNK or _series_terms(spec.n, spec.N) is None
-    plan = (_dense if dense else _kernel)(spec.n, spec.N, outputs)
-    m, step = plan.m if dense else plan.level_m, plan.rows
+    dense = spec.size**2 <= _PANELS * _CHUNK or outputs[0] not in _PACKET or _series_terms(spec.n, spec.N) is None
+    build, block = (_dense, _dense_block) if dense else (_kernel, _kernel_block)
+    plan = build(spec.n, spec.N, outputs)
+    step = plan.rows
     tag = kept = None
-    if isinstance(t, np.ndarray) and t.ndim and len(m):
+    if isinstance(t, np.ndarray) and t.ndim:
         key = (spec.n, spec.N, dense, plan.bits, step, cfg._revival_rate)
-        tag, kept = _instants.find(key, t, len(m))
+        tag, kept = _instants.find(key, t, len(plan.m))
     if kept is None:
         hi, lo = _fraction(cfg._revival_rate, t)  # raises ValueError before t_arr can overflow
         t_arr = np.asarray(t, dtype=float)
@@ -884,17 +852,12 @@ def _moments(cfg: WellConfig, spec: PacketSpec, t, outputs: tuple[str, ...]) -> 
     for i, (h_i, l_i, out) in enumerate(blocks):
         if phases is not None:
             ab = phases[i]
-        elif len(m):
-            ab = _level_phases(m, plan.bits, h_i, l_i)
+        else:
+            ab = _level_phases(plan.m, plan.bits, h_i, l_i)
             if tag is not None:
                 ab.setflags(write=False)
                 formed.append(ab)
-        else:
-            ab = None
-        if dense:
-            _dense_block(plan, ab, out)
-        else:
-            _kernel_block(plan, h_i, l_i, ab, out)
+        block(plan, h_i, l_i, ab, out)
     if tag is not None and phases is None:
         h.setflags(write=False)
         l.setflags(write=False)
@@ -902,8 +865,7 @@ def _moments(cfg: WellConfig, spec: PacketSpec, t, outputs: tuple[str, ...]) -> 
 
     brackets = brackets.reshape((len(outputs),) + shape)
     scales = _scales(cfg.a, cfg.hbar, spec.n, spec.N, outputs)
-    consts = plan.const if dense else (0.0,) * len(outputs)  # the level sums hold <x^2>'s diagonal
-    return [offset + f * (c + b) for (offset, f), c, b in zip(scales, consts, brackets)]
+    return [offset + f * (c + b) for (offset, f), c, b in zip(scales, plan.const, brackets)]
 
 
 def packet_moments(cfg: WellConfig, spec: PacketSpec, t, kinds=_PACKET) -> tuple:
@@ -953,8 +915,8 @@ def exp_p2(cfg: WellConfig, spec: PacketSpec) -> float:
 # --- first-principles oracles ------------------------------------------------
 
 
-def _grid_expectation(cfg, spec, t, kind, grid_points):
-    x = np.linspace(0.0, cfg.a, grid_points)
+def _grid_expectation(cfg, spec, t, kind):
+    x = np.linspace(0.0, cfg.a, _ORACLE_POINTS)
     psi = packet_wavefunction(cfg, spec, x, t)
     h = x[1] - x[0]
     if kind == "position":
@@ -1061,7 +1023,7 @@ def oracle_expectation(
         return _spectral_expectation(cfg, spec, t, kind)
     if method != "grid":
         raise ValueError(f"method must be 'grid' or 'spectral', got {method!r}")
-    return _grid_expectation(cfg, spec, t, kind, _ORACLE_POINTS)
+    return _grid_expectation(cfg, spec, t, kind)
 
 
 # --- quasi-quantum series ----------------------------------------------------
@@ -1076,13 +1038,12 @@ def quasi_exp(cfg: WellConfig, spec: PacketSpec, t, kind: str):
     momentum 4 p_n/(pi d) per sine pair. The deviation from the true mean,
     the amplitude effect, therefore stays of order 1/n^2 at all times, and
     the deviation from the Fejer average is the effect of unequal level
-    spacing alone. Grouped by d, the pairs sum to R_{2N+1-d}(theta_d) times
-    cos(2n theta_d) or sin(2n theta_d), the d-groups of `exp_x`, in one
-    kernel pass of `_moments`; a packet that `_moments` gives the dense
-    forms (N <= 127, or past the series rule) takes the dense form with
-    matrix -1/d^2 or 1/d at odd d instead, each as its even-by-odd block
-    alone: the symmetric position's like <x>'s, and the antisymmetric
-    momentum's like <p>'s.
+    spacing alone. `_moments` evaluates both series on the dense forms at
+    every packet, with the matrix -1/d^2 or 1/d at odd d, each as its
+    even-by-odd block alone: the symmetric position's like <x>'s, and the
+    antisymmetric momentum's like <p>'s. Past N = 127 that costs O(N^2)
+    per instant and a plan of a quarter of (2N+1)^2 float64 (DECISIONS.md,
+    "The Dirichlet kernel serves the three packet moments only").
     """
     if kind not in ("position", "momentum"):
         raise ValueError(f"kind must be 'position' or 'momentum', got {kind!r}")

@@ -35,39 +35,45 @@ from fejerwell import (
 )
 
 NATURAL = WellConfig()
-SPEC = PacketSpec(n=500, N=23)
 ORBIT = ClassicalOrbit(a=1.0, p_c=500 * math.pi, mu=1.0)
 T = ORBIT.period
 
-SERIES = {
-    "fejer_position": lambda N, t: fejer_position(ORBIT, N, t),
-    "fejer_position_sq": lambda N, t: fejer_position_sq(ORBIT, N, t),
-    "fejer_momentum": lambda N, t: fejer_momentum(ORBIT, N, t),
-    "fourier_partial_position": lambda N, t: fourier_partial_position(ORBIT, N, t),
-    "fourier_partial_momentum": lambda N, t: fourier_partial_momentum(ORBIT, N, t),
+_SERIES_FUNCTIONS = {
+    "fejer_position": fejer_position,
+    "fejer_position_sq": fejer_position_sq,
+    "fejer_momentum": fejer_momentum,
+    "fourier_partial_position": fourier_partial_position,
+    "fourier_partial_momentum": fourier_partial_momentum,
 }
+SERIES = {name: (lambda N, t, f=f: f(ORBIT, N, t)) for name, f in _SERIES_FUNCTIONS.items()}
 
-# every public function of t, at (500, 23)
-OF_T = {
-    **{name: (lambda t, f=f: f(23, t)) for name, f in SERIES.items()},
-    "sawtooth_position": lambda t: sawtooth_position(ORBIT, t),
-    "square_momentum": lambda t: square_momentum(ORBIT, t),
-    "classical_reduced_uncertainty": lambda t: classical_reduced_uncertainty(ORBIT, "position", 23, t),
-    "exp_x": lambda t: exp_x(NATURAL, SPEC, t),
-    "exp_x2": lambda t: exp_x2(NATURAL, SPEC, t),
-    "exp_p": lambda t: exp_p(NATURAL, SPEC, t),
-    "quasi_exp": lambda t: quasi_exp(NATURAL, SPEC, t, "momentum"),
-    "quasi_exp_position": lambda t: quasi_exp(NATURAL, SPEC, t, "position"),
-    "reduced_uncertainty": lambda t: reduced_uncertainty(NATURAL, SPEC, t, "momentum"),
-    "reduced_uncertainty_position": lambda t: reduced_uncertainty(NATURAL, SPEC, t, "position"),
-    "uncertainty_product": lambda t: uncertainty_product(NATURAL, SPEC, t),
-    # one fused pass: each of its values, and a subset asked for in another order
-    **{
-        f"packet_moments_{kind}": (lambda t, i=i: packet_moments(NATURAL, SPEC, t)[i])
-        for i, kind in enumerate(("position", "position_sq", "momentum"))
-    },
-    "packet_moments_momentum_first": lambda t: packet_moments(NATURAL, SPEC, t, ("momentum", "position"))[0],
-}
+
+def _functions_of_t(n, N):
+    """Every public function of t, at the packet (n, N) and its matched orbit."""
+    spec, orbit = PacketSpec(n=n, N=N), ClassicalOrbit(a=1.0, p_c=n * math.pi, mu=1.0)
+    return {
+        **{name: (lambda t, f=f: f(orbit, N, t)) for name, f in _SERIES_FUNCTIONS.items()},
+        "sawtooth_position": lambda t: sawtooth_position(orbit, t),
+        "square_momentum": lambda t: square_momentum(orbit, t),
+        "classical_reduced_uncertainty": lambda t: classical_reduced_uncertainty(orbit, "position", N, t),
+        "exp_x": lambda t: exp_x(NATURAL, spec, t),
+        "exp_x2": lambda t: exp_x2(NATURAL, spec, t),
+        "exp_p": lambda t: exp_p(NATURAL, spec, t),
+        "quasi_exp": lambda t: quasi_exp(NATURAL, spec, t, "momentum"),
+        "quasi_exp_position": lambda t: quasi_exp(NATURAL, spec, t, "position"),
+        "reduced_uncertainty": lambda t: reduced_uncertainty(NATURAL, spec, t, "momentum"),
+        "reduced_uncertainty_position": lambda t: reduced_uncertainty(NATURAL, spec, t, "position"),
+        "uncertainty_product": lambda t: uncertainty_product(NATURAL, spec, t),
+        # one fused pass: each of its values, and a subset asked for in another order
+        **{
+            f"packet_moments_{kind}": (lambda t, i=i: packet_moments(NATURAL, spec, t)[i])
+            for i, kind in enumerate(("position", "position_sq", "momentum"))
+        },
+        "packet_moments_momentum_first": lambda t: packet_moments(NATURAL, spec, t, ("momentum", "position"))[0],
+    }
+
+
+OF_T = _functions_of_t(500, 23)
 
 
 def _instants(count=200, seed=5):
@@ -116,6 +122,17 @@ def test_scalar_returns_float_and_arrays_keep_shape(name):
     assert np.shape(grid) == (3, 4)
     assert np.array_equal(grid.reshape(-1), fn(ts))
     assert math.isclose(value, fn(np.array([0.3 * T]))[0], rel_tol=1e-12, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 3)])
+@pytest.mark.parametrize("n,N", [(500, 23), (100_000, 316)])
+def test_empty_instants_give_empty_arrays(n, N, shape):
+    # an array of no instants gives an array of its shape, on the dense
+    # forms (500, 23) and the kernel (10^5, 316) alike
+    t = np.zeros(shape)
+    for name, fn in _functions_of_t(n, N).items():
+        value = fn(t)
+        assert isinstance(value, np.ndarray) and value.shape == shape, name
 
 
 MODULES = ("core", "quantum", "classical", "optimizer", "limits", "cli")

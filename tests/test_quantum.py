@@ -588,7 +588,7 @@ def test_dense_forms_serve_packets_up_to_the_block_limit(monkeypatch):
         packet_moments(NATURAL, PacketSpec(n=16384, N=N), np.linspace(0.0, 1e-3, 300))
         assert bool(blocks) == dense, N
         # the stacked [a; b] of a block, and each product with a matrix
-        assert all(2 * out.shape[1] * len(plan.m) <= _CHUNK for plan, _, out in blocks)
+        assert all(2 * out.shape[1] * len(plan.m) <= _CHUNK for plan, _, _, _, out in blocks)
 
 
 @pytest.mark.parametrize("n,N", list(_FORM_LAYOUTS))
@@ -650,14 +650,13 @@ def test_kernel_blocks_hold_at_most_a_chunk(monkeypatch, n, N):
     t = np.random.default_rng(N).uniform(0.0, 3.0 * classical_period(NATURAL, n), 100)
     hi, _ = _fraction(NATURAL._revival_rate, t)
     calls = [lambda f=f: f(NATURAL, spec, t) for f in (exp_x, exp_x2, exp_p, packet_moments)]
-    calls += [lambda kind=kind: quasi_exp(NATURAL, spec, t, kind) for kind in ("position", "momentum")]
     for call in calls:
         blocks.clear()
         call()
         ker = blocks[0][0]
         sizes = [out.shape[1] for _, _, _, _, out in blocks]
         assert len(sizes) > 1 and set(sizes[:-1]) == {ker.rows} and 0 < sizes[-1] <= ker.rows
-        assert all(ker.rows * len(arr) <= _CHUNK for arr in (ker.m, ker.psi_m, ker.level_m))
+        assert all(ker.rows * len(arr) <= _CHUNK for arr in (ker.d, ker.psi_m, ker.m))
         assert np.array_equal(np.concatenate([h for _, h, _, _, _ in blocks]), _split(hi, ker.bits)[0])
 
 
@@ -671,7 +670,6 @@ def test_kernel_blocks_take_eight_instants_at_316(monkeypatch):
     spec = PacketSpec(n=100_000, N=316)
     t = np.random.default_rng(8).uniform(0.0, 3.0 * classical_period(NATURAL, 100_000), 8)
     calls = [lambda f=f: f(NATURAL, spec, t) for f in (exp_x, exp_x2, exp_p, packet_moments)]
-    calls += [lambda kind=kind: quasi_exp(NATURAL, spec, t, kind) for kind in ("position", "momentum")]
     for call in calls:
         blocks.clear()
         call()
@@ -868,6 +866,50 @@ def test_closed_form_reference_equals_pair_sum(n, N):
             assert abs(closed[kind] - pairs[kind]) <= eps * scale, (kind, t)
 
 
+def _mp_quasi(n, N, t):
+    """quasi_exp's position and momentum at the float t: for N <= 60 the pair
+    sum of their definition in 40-digit arithmetic, past that the odd
+    d-groups of `_mp_closed_form` in 60 digits, R_{2N+1-d}(d tau) times
+    cos or sin of 2n d tau."""
+    with mpmath.workdps(40 if N <= 60 else 60):
+        tau = mpmath.pi**2 / 2 * mpmath.mpf(t)
+        x = p = mpmath.mpf(0)
+        if N <= 60:
+            for u in range(n - N, n + N + 1):
+                for v in range(n - N + 1 - (u - n + N) % 2, u, 2):  # odd d = u - v
+                    cos, sin = mpmath.cos_sin((u * u - v * v) * tau)
+                    x -= cos / (u - v) ** 2
+                    p += sin / (u - v)
+        else:
+            for d in range(1, 2 * N + 1, 2):
+                r = mpmath.sin((2 * N + 1 - d) * d * tau) / mpmath.sin(d * tau)
+                cos, sin = mpmath.cos_sin(2 * n * d * tau)
+                x -= r * cos / d**2
+                p += r * sin / d
+        size, c = 2 * N + 1, 4 / mpmath.pi**2  # 4a/pi^2 and 4 p_n / pi = 4n per pair
+        return {"position": float(mpmath.mpf(1) / 2 + c * x / size), "momentum": float(4 * n * p / size)}
+
+
+@pytest.mark.parametrize("n,N", [(50, 7), (500, 23), (122, 60), (262, 128), (16_384, 128), (100_000, 316)])
+def test_quasi_series_match_their_reference(monkeypatch, n, N):
+    # quasi_exp takes the dense forms at every packet, from N = 128 inside
+    # the series rule too, and both series are within 4 eps of a and p_n of
+    # `_mp_quasi` on the checked and Taylor-edge instants as one array: the
+    # dense forms read at most 1.1 and 2.0 eps, and the kernel's quasi
+    # columns put the momentum 5.84 eps of p_n off at (10^5, 316)
+    blocks = []
+    dense_block = quantum._dense_block
+    monkeypatch.setattr(quantum, "_dense_block", lambda *args: blocks.append(args) or dense_block(*args))
+    spec = PacketSpec(n=n, N=N)
+    t = np.array(_checked_instants(n) + _taylor_edge_instants(n))
+    ref = [_mp_quasi(n, N, s) for s in t.tolist()]
+    eps = np.finfo(float).eps
+    for kind, scale in (("position", 1.0), ("momentum", n * math.pi)):
+        err = np.abs(quasi_exp(NATURAL, spec, t, kind) - [r[kind] for r in ref])
+        assert np.max(err) <= 4 * eps * scale, (kind, t[np.argmax(err)], np.max(err) / (eps * scale))
+    assert blocks and all(isinstance(plan, quantum._Dense) for plan, *_ in blocks)
+
+
 @pytest.mark.parametrize("n,N", [(122, 60), (200, 150), (261, 128), (300, 200)])
 def test_past_rule_packets_take_the_dense_forms(monkeypatch, n, N):
     # where the level sums would pass _SERIES_CAP (n < 2.05 N) the dense
@@ -888,7 +930,7 @@ def test_past_rule_packets_take_the_dense_forms(monkeypatch, n, N):
         ref = _mp_moments(n, N, t) if N <= 60 else _mp_closed_form(n, N, t, dps=60)
         for kind in kinds:
             assert abs(got[kind] - ref[kind]) <= 4 * eps * scales[kind], (kind, t)
-    assert blocks and all(isinstance(plan, quantum._Dense) for plan, _, _ in blocks)
+    assert blocks and all(isinstance(plan, quantum._Dense) for plan, *_ in blocks)
 
 
 @pytest.mark.parametrize(
@@ -964,7 +1006,7 @@ def test_level_sums_equal_the_hankel_forms(n, N):
     for t in _checked_instants(n):
         hi, lo = _fraction(NATURAL._revival_rate, t)
         h, l = _split(hi, ker.bits)
-        ab = quantum._level_phases(ker.level_m, ker.bits, h, l + lo)
+        ab = quantum._level_phases(ker.m, ker.bits, h, l + lo)
         got = np.zeros((len(kinds), 1))
         quantum._kernel_block(levels_only, h, l + lo, ab, got)
         a, b = ab[0, 0], ab[1, 0]
@@ -1321,8 +1363,8 @@ def test_reused_instants_give_the_fresh_arrays(monkeypatch, n, N, dense):
     _fresh(exp_x, NATURAL, spec, t)
     for name, fn in _REUSED_CALLS.items():
         assert _same_bits(fn(NATURAL, spec, t), fresh[name]), name
-    plain = 2 if n == 100_000 else 0  # the kernel's quasi plans have no level sums
-    assert len(fractions) == 1 + plain
+    dense_quasi = 1 if n == 100_000 else 0  # the quasi series take the dense forms there, under their own key
+    assert len(fractions) == 1 + dense_quasi
 
 
 def test_instants_changed_in_place_are_evaluated_again(monkeypatch):
