@@ -205,7 +205,8 @@ class _LastInstants:
 
     The moments and the classical series spend part of each call on work
     that depends on the instants alone: the exact reduction of t, and in
-    the moments the level phases of every block. A layer keeps that work
+    the moments the level phases of every block and, on the Dirichlet
+    kernel, its column products. A layer keeps that work
     for its last array t in one entry, (key, tag, value), and a later call
     that finds its own t there reads the kept arrays instead of forming
     them again, the same arrays bit for bit. The tag is t's dtype, shape
@@ -219,7 +220,9 @@ class _LastInstants:
     rebinding and never changed, so a thread reads the old entry or the
     new one, never a mix; threads that alternate arrays only miss. An
     array whose widest kept array would pass _PANELS * _CHUNK elements is
-    not kept, so an entry holds at most about 1 MiB of phases.
+    not kept. The moments' widest array is a block's 2N + 1 level phases,
+    and a kernel instant keeps 8N + 2 floats in all (the level phases a
+    and b and 4N column products), so an entry holds at most about 2 MiB.
     DECISIONS.md, "One entry of instants per layer", has the reasons.
     """
 

@@ -189,14 +189,13 @@ and all three read the level phases. `packet_moments` therefore asks
 one kernel for the union of the columns of the moments it is given, and
 forms the revival fraction, the phase reduction, the Dirichlet values
 and the level phases once. Each moment is then a weighted sum over three
-feature blocks (R cos psi on the d-columns, R sin psi on the odd
-d-columns, and R' in place of R in the first) plus
-its level sum, and only the blocks that some requested moment weights
-are formed. The kernel lays out its columns in one order whatever it is
-asked for, [even d | odd d], so each moment reads one
-contiguous slice of each block, the same columns in the same order as
-its standalone kernel, and does its own level-sum products against its
-own basis. The values therefore equal those of exp_x, exp_x2 and exp_p
+column products (R cos psi on the d-columns, and R sin psi and R' cos psi
+on the odd d-columns alone) plus its level sum, and a call that keeps
+nothing forms only the products that some requested moment weights. The
+kernel lays out its columns in one order whatever it is asked for,
+[even d | odd d], so each moment reads one contiguous slice of each
+product, the same columns in the same order as its standalone kernel,
+and does its own level-sum products against its own basis. The values therefore equal those of exp_x, exp_x2 and exp_p
 bit for bit, and <p>(0) is exactly 0: every R', every
 sin psi and every b_j is 0 there. expectation_sample,
 uncertainty_product, reduced_uncertainty and the limit and CLI series
@@ -204,24 +203,31 @@ all take this path; on the kernel one pass costs about as much as one
 exp_x2 call, not the three calls it replaces. A dense pass forms a and b
 once and does one product per moment.
 
-Calls on one array of instants share more. The split revival fraction
-and each block's level phases a and b depend on t and the packet, not on
-the moment, so `_moments` keeps them for the last array t it saw
-(`core._LastInstants`), keyed by t's contents, under the packet (n, N),
-the engine, the plan's bits and block rows, and the revival rate: the
-values that fix the level multipliers and the blocks. A caller that
-makes several calls of exp_x, exp_x2, exp_p, packet_moments or
-quasi_exp on the same values, such as the benchmark's moment calls, then
-skips that work, and its arrays equal a fresh call's bit for bit, since
-the kept arrays are the ones that call would form. Inside the package no
-two such calls share an array: `limits.limit_sequence` and the CLI series
-make one fused packet_moments call per array, so only direct callers
-gain, and every other call on an array within the budget below pays for
-the lookup and for keeping its arrays. On the dense forms a and b are a
-block's whole input, so a later call does only its products; on the
-kernel the Dirichlet and psi columns are still formed per call. A scalar
-or 0-d t takes the scalar path and never looks (DECISIONS.md, "One entry
-of instants per layer").
+Calls on one array of instants share more. The split revival fraction,
+each block's level phases a and b and, on the kernel, its column
+products depend on t and the packet, not on the moment, so `_moments`
+keeps them for the last array t it saw (`core._LastInstants`), keyed by
+t's contents, under the packet (n, N), the engine, the plan's bits and
+block rows, and the revival rate: the values that fix the multipliers
+and the blocks. A caller that makes several calls of exp_x, exp_x2,
+exp_p, packet_moments or quasi_exp on the same values, such as the
+benchmark's moment calls, then skips that work, and its arrays equal a
+fresh call's bit for bit, since the kept arrays are the ones that call
+would form. On the dense forms a and b are a block's whole input, so a
+later call does only its products. On the kernel a call that keeps its
+instants forms the three products on the odd d-columns whatever its
+outputs read, and "cos" on the even ones only where <x^2> is asked; an
+<x^2> call that finds the odd columns alone forms the even ones and
+rebinds the entry whole, [even | odd] as its plan lays them out. So
+exp_x, exp_x2 and exp_p on one array form each column once, and the
+later calls do their column and level-sum products alone. Inside the
+package no two such calls share an array: `limits.limit_sequence` and
+the CLI series make one fused packet_moments call per array, so only
+direct callers gain, and every other call on an array within the budget
+below pays for the lookup, for keeping its arrays and, on the kernel,
+for the products its outputs do not read. A scalar or 0-d t takes the
+scalar path and never looks, and forms only what its outputs read
+(DECISIONS.md, "One entry of instants per layer").
 
 Block size. Every moment runs one loop over blocks, in `_moments`. The
 revival fraction and the split of its high part are formed once per
@@ -233,9 +239,9 @@ rule core._block_rows that the classical series share, and `_moments`
 reads plan.rows for either engine: an array is evaluated in blocks of
 rows instants, and a t that fits in one block, a scalar included, is
 that block, unsliced. A kernel block reads three phase arrays, each its
-own: the Dirichlet columns and the psi = 2n theta_d columns, which it
-forms, and the 2N + 1 level phases, which `_moments` forms by
-`_level_phases` or reads from the kept instants. Each holds at most
+own: the Dirichlet columns and the psi = 2n theta_d columns, from which
+it forms its column products, and the 2N + 1 level phases of
+`_level_phases`; a block that finds them kept reads them. Each holds at most
 core._CHUNK = 8192 elements, so the rows come from the widest of the
 three, not their sum. The levels (2N + 1) are the widest for every
 packet moment: exp_x, exp_x2, exp_p and a fused pass all take 12
@@ -276,9 +282,13 @@ dense plans of N <= 127 keep at most 16 x (130 + 390 + 130) KB, about
 level-sum bases are small (30, 15 and 122 KB for <x>, <x^2> and <p> at
 (10^5, 316)). The kept instants are one entry: the split fraction and
 the level phases a and b of an array t, each of a and b at most
-_PANELS * _CHUNK elements (512 KiB), so about 1 MiB in all; an array
-whose level phases would pass that is not kept. The entry holds no
-array of a plan, so an evicted plan still frees its matrices.
+_PANELS * _CHUNK elements (512 KiB), and on the kernel the column
+products: 2N of "cos" and N each of "sin" and "rate" per instant. An
+instant then holds at most 8N + 2 floats against the 2N + 1 level phases
+that the budget counts, so a kernel entry holds at most about 2 MiB and
+a dense one 1 MiB; an array whose level phases would pass the budget is
+not kept. The entry holds no array of a plan, so an evicted plan still
+frees its matrices.
 """
 
 from __future__ import annotations
@@ -453,15 +463,16 @@ class _Kernel:
     d-groups in one order whatever the outputs, [even d | odd d], the even
     ones only where <x^2> is asked. psi_m holds the multipliers 2n d of
     psi = 2n theta_d, in the same order, as an array of its own. Three
-    feature blocks are formed from them: "cos" is R times cos psi, "rate"
-    R' times cos psi, and "sin" the odd columns of R times sin psi.
-    Output j is sum over (block, cols, w) in terms[j] of block[:, cols] @ w,
-    plus the level sum forms[j] over a_l = cos(m_l tau) and
-    b_l = sin(m_l tau) at the level multipliers m_l = 2n l + l^2,
-    l = -N..N. cols is a slice: the odd columns (<x> and <p>) or every
-    column (<x^2>, and the whole "sin" block). Each output therefore reads
-    the same columns in the same order, and the same level sum, as the
-    kernel of that output alone.
+    column products are formed from them (`_products`): "cos" is R times
+    cos psi on the d-columns, "sin" R times sin psi and "rate" R' times
+    cos psi on the odd ones alone. Output j is sum over (name, cols, w)
+    in terms[j] of product[:, cols] @ w, plus the level sum forms[j] over
+    a_l = cos(m_l tau) and b_l = sin(m_l tau) at the level multipliers
+    m_l = 2n l + l^2, l = -N..N. cols is a slice: the last N columns of
+    any [even | odd] layout (<x>), or every column (<x^2>, and the
+    odd-only "sin" and "rate"). Each output therefore reads the same
+    columns in the same order, and the same level sum, as the kernel of
+    that output alone, whichever call formed the products.
     """
 
     d: np.ndarray  # the Dirichlet multipliers
@@ -470,9 +481,9 @@ class _Kernel:
     flip: np.ndarray  # -2 where K is even (R_K(phi + pi) = -R_K(phi)), else 0
     a2: np.ndarray  # R_K(x) = K + a2 x^2 + a4 x^4 + O(x^6)
     a4: np.ndarray
-    odd_d: slice  # the odd d-columns, the only ones that "sin" holds
+    odd_d: slice  # the plan's odd d-columns, after its even ones
     terms: tuple[tuple[tuple[str, slice, np.ndarray], ...], ...]
-    blocks: frozenset[str]
+    blocks: frozenset[str]  # the products that the outputs read
     m: np.ndarray  # the level multipliers
     forms: tuple[tuple, ...]  # `_level_form` per output
     const: np.ndarray  # zeros: the level sums hold <x^2>'s diagonal
@@ -494,13 +505,13 @@ def _kernel(n: int, N: int, outputs: tuple[str, ...]) -> _Kernel:
     odd_d = np.arange(1.0, 2 * N + 1, 2)
     even_d = np.arange(2.0, 2 * N + 1, 2) if "position_sq" in outputs else np.empty(0)
     d = np.concatenate([even_d, odd_d])
-    d_cols = slice(len(even_d), len(d))  # the odd d-columns
+    odd = slice(-N or None, None)  # the last N columns of any [even | odd] layout (all where N = 0: none)
     x_d = -1.0 / odd_d**2  # <x> weights
     j = np.arange(-N, N + 1.0)
     weights = {  # the Toeplitz part of each output: its d-columns
-        "position": (("cos", d_cols, x_d),),
+        "position": (("cos", odd, x_d),),
         "position_sq": (("cos", slice(None), (-1.0) ** d / d**2),),
-        "momentum": (("sin", slice(None), -2.0 * n * odd_d * x_d), ("rate", d_cols, x_d * odd_d)),
+        "momentum": (("sin", slice(None), -2.0 * n * odd_d * x_d), ("rate", slice(None), x_d * odd_d)),
     }
     K = 2 * N + 1 - d
     arrays = {
@@ -518,7 +529,7 @@ def _kernel(n: int, N: int, outputs: tuple[str, ...]) -> _Kernel:
         arr.setflags(write=False)
     return _Kernel(
         **arrays,
-        odd_d=d_cols,
+        odd_d=slice(len(even_d), None),
         terms=terms,
         blocks=frozenset(name for ts in terms for name, _, _ in ts),
         forms=tuple(_level_form(n, N, out, series) for out in outputs),
@@ -527,10 +538,12 @@ def _kernel(n: int, N: int, outputs: tuple[str, ...]) -> _Kernel:
     )
 
 
-def _dirichlet(ker: _Kernel, c: np.ndarray, rate: bool):
-    """R_K and (if rate) R_K' at phi = 2 pi c, for |c| < 3/4.
+def _dirichlet(ker: _Kernel, c: np.ndarray, rate: slice | None, cols: slice | None = None):
+    """R_K at phi = 2 pi c, for |c| < 3/4, and R_K' on the columns `rate` of c.
 
-    With j = rint(2c), x = phi - j pi = pi (2c - j) takes one rounding,
+    rate is a slice from some column of c to its last, or None for no R',
+    and c holds the d-columns `cols` of ker, all of them where None. With
+    j = rint(2c), x = phi - j pi = pi (2c - j) takes one rounding,
     |x| <= pi/2 and R_K(phi) = (-1)^(j (K - 1)) R_K(x). R_K(x) and R_K'(x)
     are rational in t_x = tan(x/2) and t_k = tan(K x/2):
 
@@ -538,28 +551,32 @@ def _dirichlet(ker: _Kernel, c: np.ndarray, rate: bool):
         R'  = (1 + t_x^2) (K (1 - t_k^2) t_x - (1 - t_x^2) t_k) / (2 t_x^2 (1 + t_k^2))
 
     and where |K x| < _TAYLOR they come from their Taylor series instead,
-    evaluated on those elements alone.
+    evaluated on those elements alone. Every step is elementwise, so a
+    column's values do not depend on the other columns of c.
     """
+    K, flip, a2, a4 = ker.K, ker.flip, ker.a2, ker.a4
+    if cols is not None:
+        K, flip, a2, a4 = K[cols], flip[cols], a2[cols], a4[cols]
     u = 2.0 * c  # a new array: c is left as it is
     j = np.rint(u)
     u -= j
     u *= 0.5 * math.pi  # x/2
     sign = j  # (-1)^(j (K - 1)) = 1 + flip j^2 for |j| <= 1, in place
     sign *= j
-    sign *= ker.flip
+    sign *= flip
     sign += 1.0
-    tk = u * ker.K  # K x/2
+    tk = u * K  # K x/2
     a = np.abs(tk)  # later 1 + t_x^2
     small = None
     if np.minimum.reduce(a, axis=None, initial=np.inf) < 0.5 * _TAYLOR:
         small = np.flatnonzero(a < 0.5 * _TAYLOR)
-        col = small % len(ker.K)
+        col = small % len(K)
         x = 2.0 * u.reshape(-1)[small]
         x2 = x * x
         sign_s = sign.reshape(-1)[small]
-        taylor = sign_s * (ker.K[col] + x2 * (ker.a2[col] + x2 * ker.a4[col]))
-        if rate:
-            taylor_rate = sign_s * (x * (2.0 * ker.a2[col] + 4.0 * x2 * ker.a4[col]))
+        taylor = sign_s * (K[col] + x2 * (a2[col] + x2 * a4[col]))
+        if rate is not None:
+            taylor_rate = sign_s * (x * (2.0 * a2[col] + 4.0 * x2 * a4[col]))
     tx = np.tan(u, out=u)
     np.tan(tk, out=tk)
     if small is not None:
@@ -568,12 +585,15 @@ def _dirichlet(ker: _Kernel, c: np.ndarray, rate: bool):
     a += 1.0
     b = tk * tk
     b += 1.0
-    if rate:
-        num = np.subtract(2.0, b)  # 1 - t_k^2
-        num *= ker.K
-        num *= tx
-        v = np.subtract(2.0, a)  # 1 - t_x^2
-        v *= tk
+    if rate is not None:
+        rb, ra, rx, rk, rK = b, a, tx, tk, K
+        if rate.start:  # views on the columns of R'
+            rb, ra, rx, rk, rK = b[:, rate], a[:, rate], tx[:, rate], tk[:, rate], K[rate]
+        num = np.subtract(2.0, rb)  # 1 - t_k^2
+        num *= rK
+        num *= rx
+        v = np.subtract(2.0, ra)  # 1 - t_x^2
+        v *= rk
         num -= v
     b *= tx
     a /= b
@@ -581,35 +601,69 @@ def _dirichlet(ker: _Kernel, c: np.ndarray, rate: bool):
     R = tk
     R *= a
     dR = None
-    if rate:
+    if rate is not None:
         dR = num
-        dR *= a
-        dR /= tx
+        dR *= ra
+        dR /= rx
         dR *= 0.5
     if small is not None:
         R.reshape(-1)[small] = taylor
-        if rate:
-            dR.reshape(-1)[small] = taylor_rate
+        if rate is not None:
+            at = col >= (rate.start or 0)
+            dR[small[at] // len(K), col[at] - (rate.start or 0)] = taylor_rate[at]
     return R, dR
 
 
-def _kernel_block(ker: _Kernel, h, l, ab, out: np.ndarray) -> None:
-    """The brackets of one block of instants from the split revival fraction h + l
-    and the block's level phases ab of `_level_phases`."""
-    rows = out.shape[1]
-    c = _phases(h, l, ker.d, ker.bits).reshape(rows, len(ker.d))
-    R, dR = _dirichlet(ker, c, "rate" in ker.blocks)
-    psi = _phases(h, l, ker.psi_m, ker.bits).reshape(rows, len(ker.psi_m))
+def _products(ker: _Kernel, h, l, rows: int, names, cols: slice | None = None) -> dict:
+    """The column products `names` of one block, by name.
+
+    "cos" is R cos psi on ker's d-columns cols (all where None), "sin"
+    R sin psi and "rate" R' cos psi on the odd ones, ker.odd_d; cols is
+    None, or the even columns with "cos" alone.
+    """
+    d, psi_m = (ker.d, ker.psi_m) if cols is None else (ker.d[cols], ker.psi_m[cols])
+    c = _phases(h, l, d, ker.bits).reshape(rows, len(d))
+    R, dR = _dirichlet(ker, c, ker.odd_d if "rate" in names else None, cols)
+    psi = _phases(h, l, psi_m, ker.bits).reshape(rows, len(d))
     psi *= math.pi  # psi / 2, for the one tangent of `core._half_angle`
-    cos, sin = np.empty(psi.shape), psi if "sin" in ker.blocks else None
+    cos, sin = np.empty(psi.shape), psi if "sin" in names else None
     _half_angle(psi, cos, sin)  # sin psi over psi
-    feats = {"cos": R, "rate": dR}
+    odd, formed = ker.odd_d, {}
     if sin is not None:
-        feats["sin"] = np.multiply(sin[:, ker.odd_d], R[:, ker.odd_d])
-    if "cos" in ker.blocks:
-        R *= cos
+        formed["sin"] = np.multiply(sin[:, odd], R[:, odd])
     if dR is not None:
-        dR *= cos
+        dR *= cos[:, odd] if odd.start else cos
+        formed["rate"] = dR
+    if "cos" in names:
+        R *= cos
+        formed["cos"] = R
+    return formed
+
+
+def _kernel_block(ker: _Kernel, h, l, kept, out: np.ndarray, keep: bool) -> tuple:
+    """The brackets of one block of instants from its split revival fraction h + l.
+
+    kept is what an earlier call on these instants kept for the block, or
+    None: its level phases ab of `_level_phases` and its column products
+    of `_products`, by name. Returns the two, with what this call formed.
+    Where keep, they are kept: a block that finds none forms all three
+    products on the odd d-columns, whatever its outputs read, so that a
+    later call on these instants reads them, and a "cos" without the even
+    d-columns that <x^2> reads gets them, laid out [even | odd] as the
+    plan's columns. Otherwise it forms only the products that its outputs
+    read.
+    """
+    rows = out.shape[1]
+    ab, feats = kept or (_level_phases(ker.m, ker.bits, h, l), None)
+    fresh = feats is None or feats["cos"].shape[1] < len(ker.d)
+    if feats is None:
+        feats = _products(ker, h, l, rows, ("cos", "sin", "rate") if keep else ker.blocks)
+    elif fresh:  # <x^2> on products kept for the odd columns alone
+        even = _products(ker, h, l, rows, ("cos",), slice(ker.odd_d.start))["cos"]
+        feats = {**feats, "cos": np.concatenate([even, feats["cos"]], axis=1)}
+    if keep and fresh:
+        for arr in (ab, *feats.values()):
+            arr.setflags(write=False)
     a, b = ab
     for acc, terms, (sine, left, right, v) in zip(out, ker.terms, ker.forms):
         for i, (name, cols, w) in enumerate(terms):
@@ -626,6 +680,7 @@ def _kernel_block(ker: _Kernel, h, l, ab, out: np.ndarray) -> None:
             z *= z
             y += z
         acc += y @ v
+    return (ab, feats) if fresh else kept
 
 
 # --- dense quadratic forms ---------------------------------------------------
@@ -762,15 +817,20 @@ def _dense(n: int, N: int, outputs: tuple[str, ...]) -> _Dense:
     )
 
 
-def _dense_block(plan: _Dense, h, l, ab: np.ndarray, out: np.ndarray) -> None:
+def _dense_block(plan: _Dense, h, l, ab, out: np.ndarray, keep: bool) -> np.ndarray:
     """The brackets of one block from its level phases ab of `_level_phases`,
     a = cos(m tau) and b = sin(m tau), read as the rows of a stacked over
     the rows of b: one matrix product per output and block of its form,
     times the columns it pairs with: the same columns for a symmetric form,
     summed over each instant's a and b rows, and the swapped odd columns
     [b_o; a_o] for an antisymmetric one, each instant's b row less its a
-    row. h and l, the block's split revival fraction, are not read: both
-    engines' blocks take the same arguments."""
+    row. ab is what an earlier call on these instants kept for the block,
+    or None: then the block forms it from its split revival fraction h + l,
+    read-only where keep. Returns ab, the whole of what a block keeps."""
+    if ab is None:
+        ab = _level_phases(plan.m, plan.bits, h, l)
+        if keep:
+            ab.setflags(write=False)
     size = out.shape[1]
     rows = ab.reshape(-1, ab.shape[2])
     for acc, (rule, parts) in zip(out, plan.forms):
@@ -783,6 +843,7 @@ def _dense_block(plan: _Dense, h, l, ab: np.ndarray, out: np.ndarray) -> None:
         else:  # "anti": sum_eo X_eo (b_e a_o - a_e b_o), np.vecdot within 2 eps of p_n (DECISIONS.md)
             y = np.vecdot((rows[:, left] @ X).reshape(2, size, X.shape[1]), ab[::-1, :, right])
             np.subtract(y[1], y[0], out=acc)  # (b_e @ X) a_o - (a_e @ X) b_o
+    return ab
 
 
 @functools.lru_cache(maxsize=64)
@@ -817,10 +878,11 @@ def _moments(cfg: WellConfig, spec: PacketSpec, t, outputs: tuple[str, ...]) -> 
     past _SERIES_CAP (n < 2.05 N); the Dirichlet kernel serves the packet
     moments of every other packet. The high part of frac(t / T_rev) keeps
     53 - bits bits for `_phases`. For an array t, the split fraction and
-    each block's level phases are kept (`core._LastInstants`) under the
-    packet, the engine, the plan's bits and block rows, and the revival
-    rate; a later call on the same contents reads them. A scalar or 0-d t
-    keeps nothing.
+    what each block keeps (its level phases, and on the kernel its column
+    products) are kept (`core._LastInstants`) under the packet, the
+    engine, the plan's bits and block rows, and the revival rate; a later
+    call on the same contents reads them, and the entry is rebound where a
+    block formed more. A scalar or 0-d t keeps nothing.
     """
     dense = spec.size**2 <= _PANELS * _CHUNK or outputs[0] not in _PACKET or _series_terms(spec.n, spec.N) is None
     build, block = (_dense, _dense_block) if dense else (_kernel, _kernel_block)
@@ -836,9 +898,9 @@ def _moments(cfg: WellConfig, spec: PacketSpec, t, outputs: tuple[str, ...]) -> 
         size, shape = t_arr.size, t_arr.shape
         h, l = _split(hi, max(plan.bits, 1))
         l = l + lo
-        phases = None
+        held = None
     else:
-        h, l, phases = kept
+        h, l, held = kept
         size, shape = h.size, h.shape
     brackets = np.empty((len(outputs), size))
     blocks = [(h, l, brackets)]  # a t that fits in one block, a scalar included
@@ -848,17 +910,14 @@ def _moments(cfg: WellConfig, spec: PacketSpec, t, outputs: tuple[str, ...]) -> 
             (hf[i : i + step], lf[i : i + step], brackets[:, i : i + step])
             for i in range(0, size, step)
         )
-    formed = []
+    keep, formed, fresh = tag is not None, [], False
     for i, (h_i, l_i, out) in enumerate(blocks):
-        if phases is not None:
-            ab = phases[i]
-        else:
-            ab = _level_phases(plan.m, plan.bits, h_i, l_i)
-            if tag is not None:
-                ab.setflags(write=False)
-                formed.append(ab)
-        block(plan, h_i, l_i, ab, out)
-    if tag is not None and phases is None:
+        was = held[i] if held is not None else None
+        now = block(plan, h_i, l_i, was, out, keep)
+        if keep:  # a block's arrays are freed after it where nothing is kept
+            formed.append(now)
+            fresh |= now is not was
+    if fresh:
         h.setflags(write=False)
         l.setflags(write=False)
         _instants.keep(key, tag, (h, l, tuple(formed)))

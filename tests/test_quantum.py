@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import gc
+import itertools
 import json
 import math
 import os
@@ -588,7 +589,7 @@ def test_dense_forms_serve_packets_up_to_the_block_limit(monkeypatch):
         packet_moments(NATURAL, PacketSpec(n=16384, N=N), np.linspace(0.0, 1e-3, 300))
         assert bool(blocks) == dense, N
         # the stacked [a; b] of a block, and each product with a matrix
-        assert all(2 * out.shape[1] * len(plan.m) <= _CHUNK for plan, _, _, _, out in blocks)
+        assert all(2 * out.shape[1] * len(plan.m) <= _CHUNK for plan, _, _, _, out, _ in blocks)
 
 
 @pytest.mark.parametrize("n,N", list(_FORM_LAYOUTS))
@@ -641,8 +642,9 @@ def test_dense_forms_keep_the_parity_structure(n, N):
 @pytest.mark.parametrize("n,N", [(16_384, 128), (100_000, 316)])
 def test_kernel_blocks_hold_at_most_a_chunk(monkeypatch, n, N):
     # every kernel block's Dirichlet phases, psi phases and level phases
-    # each hold at most core._CHUNK elements, and the blocks of a call tile
-    # its instants in order, standalone and fused
+    # each hold at most core._CHUNK elements, as does every column product
+    # that a block keeps, and the blocks of a call tile its instants in
+    # order, standalone and fused
     blocks = []
     kernel_block = quantum._kernel_block
     monkeypatch.setattr(quantum, "_kernel_block", lambda *args: blocks.append(args) or kernel_block(*args))
@@ -654,10 +656,12 @@ def test_kernel_blocks_hold_at_most_a_chunk(monkeypatch, n, N):
         blocks.clear()
         call()
         ker = blocks[0][0]
-        sizes = [out.shape[1] for _, _, _, _, out in blocks]
+        sizes = [out.shape[1] for _, _, _, _, out, _ in blocks]
         assert len(sizes) > 1 and set(sizes[:-1]) == {ker.rows} and 0 < sizes[-1] <= ker.rows
         assert all(ker.rows * len(arr) <= _CHUNK for arr in (ker.d, ker.psi_m, ker.m))
-        assert np.array_equal(np.concatenate([h for _, h, _, _, _ in blocks]), _split(hi, ker.bits)[0])
+        assert np.array_equal(np.concatenate([h for _, h, *_ in blocks]), _split(hi, ker.bits)[0])
+        kept = quantum._instants.entry[2][2]
+        assert len(kept) == len(blocks) and all(arr.size <= _CHUNK for _, feats in kept for arr in feats.values())
 
 
 def test_kernel_blocks_take_eight_instants_at_316(monkeypatch):
@@ -866,15 +870,16 @@ def test_closed_form_reference_equals_pair_sum(n, N):
             assert abs(closed[kind] - pairs[kind]) <= eps * scale, (kind, t)
 
 
-def _mp_quasi(n, N, t):
-    """quasi_exp's position and momentum at the float t: for N <= 60 the pair
-    sum of their definition in 40-digit arithmetic, past that the odd
-    d-groups of `_mp_closed_form` in 60 digits, R_{2N+1-d}(d tau) times
-    cos or sin of 2n d tau."""
-    with mpmath.workdps(40 if N <= 60 else 60):
+def _mp_quasi(n, N, t, pairs=None):
+    """quasi_exp's position and momentum at the float t: where pairs (by
+    default for N < 60) the pair sum of their definition in 40-digit
+    arithmetic, else the odd d-groups of `_mp_closed_form` in 60 digits,
+    R_{2N+1-d}(d tau) times cos or sin of 2n d tau."""
+    pairs = N < 60 if pairs is None else pairs
+    with mpmath.workdps(40 if pairs else 60):
         tau = mpmath.pi**2 / 2 * mpmath.mpf(t)
         x = p = mpmath.mpf(0)
-        if N <= 60:
+        if pairs:
             for u in range(n - N, n + N + 1):
                 for v in range(n - N + 1 - (u - n + N) % 2, u, 2):  # odd d = u - v
                     cos, sin = mpmath.cos_sin((u * u - v * v) * tau)
@@ -888,6 +893,19 @@ def _mp_quasi(n, N, t):
                 p += r * sin / d
         size, c = 2 * N + 1, 4 / mpmath.pi**2  # 4a/pi^2 and 4 p_n / pi = 4n per pair
         return {"position": float(mpmath.mpf(1) / 2 + c * x / size), "momentum": float(4 * n * p / size)}
+
+
+@pytest.mark.parametrize("n,N", [(122, 60)])
+def test_quasi_reference_equals_pair_sum(n, N):
+    # the odd d-groups that `_mp_quasi` sums from N = 60 on equal its pair
+    # sum to eps of a and p_n, at the instants where the moments' closed
+    # form is checked against theirs
+    T = classical_period(NATURAL, n)
+    eps = np.finfo(float).eps
+    for t in (0.3 * T, 1.7 * T, 0.3 * T + 1000 * (2 * n * T)):
+        groups, pairs = _mp_quasi(n, N, t, pairs=False), _mp_quasi(n, N, t, pairs=True)
+        for kind, scale in (("position", 1.0), ("momentum", n * math.pi)):
+            assert abs(groups[kind] - pairs[kind]) <= eps * scale, (kind, t)
 
 
 @pytest.mark.parametrize("n,N", [(50, 7), (500, 23), (122, 60), (262, 128), (16_384, 128), (100_000, 316)])
@@ -1008,7 +1026,7 @@ def test_level_sums_equal_the_hankel_forms(n, N):
         h, l = _split(hi, ker.bits)
         ab = quantum._level_phases(ker.m, ker.bits, h, l + lo)
         got = np.zeros((len(kinds), 1))
-        quantum._kernel_block(levels_only, h, l + lo, ab, got)
+        quantum._kernel_block(levels_only, h, l + lo, (ab, None), got, False)
         a, b = ab[0, 0], ab[1, 0]
         for kind, value in zip(kinds, got[:, 0]):
             H = hankel[kind]
@@ -1081,11 +1099,11 @@ def test_dirichlet_taylor_branch_on_flagged_elements_only(flagged):
         c = rng.choice([-0.5, 0.0, 0.5], c.shape) + rng.uniform(-1e-7, 1e-7, c.shape)
     taylor, rate, small = _whole_block_taylor(ker, c)
     assert np.count_nonzero(small) == {"none": 0, "one": 1, "all": c.size}[flagged]
-    R, dR = _dirichlet(ker, c, True)
+    R, dR = _dirichlet(ker, c, slice(None))
     assert np.array_equal(R[small], taylor[small]) and np.array_equal(dR[small], rate[small])
     off = c.copy()
     off[small] = 0.25  # no element flagged: the tangent formula everywhere
-    R_off, dR_off = _dirichlet(ker, off, True)
+    R_off, dR_off = _dirichlet(ker, off, slice(None))
     assert np.array_equal(R[~small], R_off[~small]) and np.array_equal(dR[~small], dR_off[~small])
 
 
@@ -1112,7 +1130,7 @@ def test_tangent_kernels_near_poles_match_mpmath(case):
     # or more; against sin(K phi)/sin(phi) and its derivative at phi = 2 pi c
     K, c = case
     col = int(np.flatnonzero(_KERNEL_COLUMNS.K == K)[0])
-    R, dR = _dirichlet(_KERNEL_COLUMNS, np.full((1, len(_KERNEL_COLUMNS.K)), c), True)
+    R, dR = _dirichlet(_KERNEL_COLUMNS, np.full((1, len(_KERNEL_COLUMNS.K)), c), slice(None))
     with mpmath.workdps(40):
         phi = 2 * mpmath.pi * mpmath.mpf(c)
         sin, cos = mpmath.sin(phi), mpmath.cos(phi)
@@ -1469,25 +1487,28 @@ def test_object_arrays_are_never_looked_up():
     assert quantum._instants.entry is entry
 
 
-def test_threads_alternating_arrays_get_their_own_values():
+@pytest.mark.parametrize("n,N", [(500, 23), (100_000, 316)])
+def test_threads_alternating_arrays_get_their_own_values(n, N):
     # two threads evaluate their own arrays, alternating two each, while
-    # the other rebinds the entry; every value is its array's
-    spec = PacketSpec(n=500, N=23)
-    arrays = [[_instants_over(500, 40, seed) for seed in pair] for pair in ((1, 2), (3, 4))]
-    ref = {id(t): (_fresh(exp_x, NATURAL, spec, t), _fresh(exp_p, NATURAL, spec, t)) for ts in arrays for t in ts}
+    # the other rebinds the entry; every value is its array's. On the
+    # kernel the second thread's exp_x2 extends an entry of odd columns
+    # with the even ones while the first thread rebinds it
+    spec = PacketSpec(n=n, N=N)
+    arrays = [[_instants_over(n, 40, seed) for seed in pair] for pair in ((1, 2), (3, 4))]
+    calls = [(exp_x, exp_p), (exp_x, exp_x2, exp_p)]
+    ref = {id(t): [_fresh(fn, NATURAL, spec, t) for fn in fns] for ts, fns in zip(arrays, calls) for t in ts}
     errors = []
 
-    def work(ts):
+    def work(ts, fns):
         for k in range(200):
             t = ts[k % 2]
-            x, p = exp_x(NATURAL, spec, t), exp_p(NATURAL, spec, t)
-            if not (_same_bits(x, ref[id(t)][0]) and _same_bits(p, ref[id(t)][1])):
+            if not all(_same_bits(fn(NATURAL, spec, t), r) for fn, r in zip(fns, ref[id(t)])):
                 errors.append(k)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=work, args=(ts,)) for ts in arrays]
+        threads = [threading.Thread(target=work, args=args) for args in zip(arrays, calls)]
         for th in threads:
             th.start()
         for th in threads:
@@ -1496,3 +1517,74 @@ def test_threads_alternating_arrays_get_their_own_values():
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert not errors
+
+
+def _dirichlet_calls(monkeypatch):
+    """The list that gets (the d of its columns, the d of its R' columns) per `_dirichlet` call."""
+    calls = []
+    dirichlet = quantum._dirichlet
+
+    def counted(ker, c, rate, cols=None):
+        d = ker.d if cols is None else ker.d[cols]
+        calls.append((d, d[rate] if rate is not None else d[:0]))
+        return dirichlet(ker, c, rate, cols)
+
+    monkeypatch.setattr(quantum, "_dirichlet", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n,N", [(16_384, 128), (100_000, 316)])
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_kernel_columns_form_once_per_array(monkeypatch, n, N, order):
+    # exp_x, exp_x2 and exp_p on one array, in any order, form each
+    # block's odd d-columns once, R' on them included, and its even ones
+    # once (with the odd ones where exp_x2 comes first), and equal the
+    # fresh calls bit for bit
+    spec = PacketSpec(n=n, N=N)
+    t = _instants_over(n, 30)
+    fns = [(exp_x, exp_x2, exp_p)[i] for i in order]
+    fresh = [_fresh(fn, NATURAL, spec, t) for fn in fns]
+    blocks = -(-t.size // _kernel(n, N, ("position",)).rows)
+    quantum._instants.entry = None
+    calls = _dirichlet_calls(monkeypatch)
+    for fn, ref in zip(fns, fresh):
+        assert _same_bits(fn(NATURAL, spec, t), ref), fn.__name__
+    odd = [d for d, _ in calls if np.any(d % 2 == 1)]
+    even = [d for d, _ in calls if np.any(d % 2 == 0)]
+    rated = [r for _, r in calls if len(r)]
+    assert len(odd) == len(even) == len(rated) == blocks, (len(odd), len(even), len(rated))
+    assert all(np.count_nonzero(d % 2) in (0, N) for d, _ in calls)
+    assert all(np.all(r % 2 == 1) and len(r) == N for r in rated)
+
+
+@pytest.mark.parametrize("n,N", [(16_384, 128), (100_000, 316)])
+def test_unkept_calls_form_only_the_columns_they_read(monkeypatch, n, N):
+    # a scalar, a 0-d t and an array past the budget keep nothing, so
+    # each block forms the d-columns and the products that its outputs
+    # read, and R' on the odd d-columns alone
+    spec = PacketSpec(n=n, N=N)
+    reads = {  # d-columns (odd, even), R' and the products that each output reads
+        "position": (True, False, False, {"cos"}),
+        "position_sq": (True, True, False, {"cos"}),
+        "momentum": (True, False, True, {"sin", "rate"}),
+    }
+    wide = _instants_over(n, quantum._PANELS * _CHUNK // spec.size + 1)
+    kernel_block = quantum._kernel_block
+    formed = []
+    monkeypatch.setattr(quantum, "_kernel_block", lambda *args: formed.append(kernel_block(*args)) or formed[-1])
+    calls = _dirichlet_calls(monkeypatch)
+    for t in (0.3, np.array(0.3), wide):
+        for kinds in [(k,) for k in reads] + [("position", "momentum"), ("position_sq", "momentum"), quantum._PACKET]:
+            calls.clear()
+            formed.clear()
+            quantum._instants.entry = None
+            packet_moments(NATURAL, spec, t, kinds)
+            assert quantum._instants.entry is None
+            odd, even, rate = (any(reads[k][i] for k in kinds) for i in range(3))
+            names = set().union(*(reads[k][3] for k in kinds))
+            assert len(calls) == len(formed) and formed
+            for d, r in calls:
+                assert np.count_nonzero(d % 2) == N * odd and np.count_nonzero(d % 2 == 0) == N * even, kinds
+                assert len(r) == N * rate and np.all(r % 2 == 1), kinds
+            for _, feats in formed:
+                assert set(feats) == names, kinds
