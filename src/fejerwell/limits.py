@@ -8,8 +8,11 @@ with N^2/n near 1, stays outside that limit. This module probes it
 numerically by shrinking hbar as 1/n so the packet frequency and momentum
 match the classical orbit exactly for every row, then measuring the sup
 deviation between the packet means and the matching averaged series over
-one period. The residual deviation comes entirely from the O(1/n)
-frequency detuning of the level pairs, which detuning_report exposes.
+one period. The position's deviation splits into an amplitude part
+A = <x> - quasi, with |A| <= (4a/pi^2) N(N+1)/((2N+1)(2n-2N+1)^2), about
+a N/(2 pi^2 n^2), and a detuning part D = quasi - F<x> from the O(1/n)
+Bohr-frequency detuning of the level pairs. At whole periods t = kT,
+`limits._detuning` gives D in closed form.
 """
 
 from __future__ import annotations
@@ -21,10 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import _matched_orbit, fejer_momentum, fejer_position, fejer_position_sq
-from .core import PacketSpec, WellConfig, spectral_data
+from .core import PacketSpec, WellConfig
 from .quantum import packet_moments
 
-__all__ = ["LimitRow", "DetuningReport", "limit_sequence", "detuning_report"]
+__all__ = ["LimitRow", "limit_sequence"]
 
 _LIMIT_POINTS = 2048  # grid points over one period per row; the last row takes twice as many
 
@@ -43,23 +46,6 @@ class LimitRow:
     sup_err_x: float
     sup_err_p: float
     sup_err_x2: float
-
-
-@dataclass(frozen=True)
-class DetuningReport:
-    """Leading quantum frequencies of one harmonic against the classical one.
-
-    The packet terms of harmonic r oscillate at r*(1 + s/(2n))*omega_n for
-    a family of offsets s; the two largest offsets are s = 2N - r and
-    2N - r - 2. The classical series has the single frequency r*omega.
-    The ratios expose the O(1/n) detuning responsible for the residual
-    quantum-classical deviation.
-    """
-
-    harmonic: int
-    quantum: tuple[float, float]
-    classical: float
-    ratios: tuple[float, float]
 
 
 def limit_sequence(
@@ -114,19 +100,29 @@ def limit_sequence(
     return rows
 
 
-def detuning_report(cfg: WellConfig, spec: PacketSpec, r: int) -> DetuningReport:
-    """Quantum frequency branches of harmonic r against the classical value."""
-    if not (1 <= r <= 2 * spec.N):
-        raise ValueError(f"harmonic must satisfy 1 <= r <= 2N={2 * spec.N}, got {r}")
-    omega_n = spectral_data(cfg, spec.n).omega_n
-    s_edge = 2 * spec.N - r
-    s1 = s_edge
-    s2 = max(s_edge - 2, -s_edge)
-    ratios = (1.0 + s1 / (2.0 * spec.n), 1.0 + s2 / (2.0 * spec.n))
-    classical = r * omega_n
-    return DetuningReport(
-        harmonic=r,
-        quantum=(classical * ratios[0], classical * ratios[1]),
-        classical=classical,
-        ratios=ratios,
-    )
+def _detuning(a: float, n: int, N: int, k: int) -> float:
+    """D(kT) = quasi_exp(position) - fejer_position at t = kT on the matched orbit.
+
+    At whole periods every classical phase is a multiple of 2 pi, so D is
+    one sum over the odd d-columns, in O(N):
+
+        D(kT) = -(4a/pi^2)/(2N+1) * sum_{d odd <= 2N} [R_K(dk pi/n) - K]/d^2,
+
+    with K = 2N + 1 - d and R_K(phi) = sin(K phi)/sin(phi). D is 2n-periodic
+    in k, and each phase is reduced exactly in integers modulo 2n before its
+    sine; where sin(phi) = 0, R_K is its limit, K or -K (K is even).
+    """
+    n2 = 2 * n
+    k %= n2
+
+    def sinpi(m):  # sin(pi m/n) on an argument folded into [0, pi/2]
+        sign = -1.0 if m % n2 >= n else 1.0
+        m %= n
+        return sign * math.sin(math.pi * min(m, n - m) / n)
+
+    terms = []
+    for d in range(1, 2 * N + 1, 2):
+        K, r = 2 * N + 1 - d, d * k % n2
+        R = K if r == 0 else -K if r == n else sinpi(K * r) / sinpi(r)
+        terms.append((R - K) / (d * d))
+    return -4.0 * a / math.pi**2 / (2 * N + 1) * math.fsum(terms)

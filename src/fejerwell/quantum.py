@@ -1094,14 +1094,18 @@ def quasi_exp(cfg: WellConfig, spec: PacketSpec, t, kind: str):
     Each level pair keeps its own Bohr frequency d (1 + s/(2n)) w_n, and its
     matrix element becomes the classical amplitude of harmonic d: for the
     position -4a/(pi^2 d^2) per cosine pair at odd d (a/2 at d = 0), for the
-    momentum 4 p_n/(pi d) per sine pair. The deviation from the true mean,
-    the amplitude effect, therefore stays of order 1/n^2 at all times, and
-    the deviation from the Fejer average is the effect of unequal level
-    spacing alone. `_moments` evaluates both series on the dense forms at
-    every packet, with the matrix -1/d^2 or 1/d at odd d, each as its
-    even-by-odd block alone: the symmetric position's like <x>'s, and the
-    antisymmetric momentum's like <p>'s. Past N = 127 that costs O(N^2)
-    per instant and a plan of a quarter of (2N+1)^2 float64 (DECISIONS.md,
+    momentum 4 p_n/(pi d) per sine pair. The deviation from the Fejer
+    average is thus the effect of unequal level spacing alone. The position's
+    deviation from <x>, the amplitude part, is at most
+    (4a/pi^2) N(N+1)/((2N+1)(2n-2N+1)^2), about a N/(2 pi^2 n^2), at all
+    times. The momentum's series lacks each pair's frequency factor
+    (2n+s)/(2n) that <p> = mu d<x>/dt carries, so it misses <p> by far more:
+    2.26e-2 p_n at (500, 23) (ROADMAP.md, item 2). `_moments` evaluates
+    both series on the dense forms at every packet, with the matrix -1/d^2
+    or 1/d at odd d, each as its even-by-odd block alone: the symmetric
+    position's like <x>'s, and the antisymmetric momentum's like <p>'s.
+    Past N = 127 that costs O(N^2) per instant and a plan of a quarter of
+    (2N+1)^2 float64 (DECISIONS.md,
     "The Dirichlet kernel serves the three packet moments only").
     """
     if kind not in ("position", "momentum"):

@@ -1,7 +1,12 @@
-"""Tests for the constrained classical limit and the frequency detuning report."""
+"""Tests for the constrained classical limit and the split of the position's
+deviation from the averaged series, e = A + D, into the amplitude part
+A = <x> - quasi and the detuning part D = quasi - F<x>, whose whole-period
+values `limits._detuning` sums in closed form.
+"""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -9,9 +14,9 @@ from fejerwell import (
     ClassicalOrbit,
     PacketSpec,
     WellConfig,
-    detuning_report,
     fejer_position,
     limit_sequence,
+    quasi_exp,
     spectral_data,
 )
 from fejerwell import limits
@@ -19,6 +24,24 @@ from fejerwell.classical import _matched_orbit
 from fejerwell.quantum import exp_p, exp_x
 
 P_C = 500.0 * math.pi
+EPS = np.finfo(float).eps
+
+
+def _amplitude_bound(n, N):
+    # the triangle bound on A at a = 1: N(N+1) odd-d pairs, each off its
+    # classical amplitude by 4/(pi^2 (2N+1) (2n+s)^2) <= 4/(pi^2 (2N+1) (2n-2N+1)^2)
+    return 4 / math.pi**2 * N * (N + 1) / ((2 * N + 1) * (2 * n - 2 * N + 1) ** 2)
+
+
+def _mp_detuning(n, N, k, dps):
+    # the sum of `limits._detuning` at a = 1, with phases dk pi/n taken
+    # directly at dps digits
+    with mpmath.workdps(dps):
+        total = mpmath.mpf(0)
+        for d in range(1, 2 * N + 1, 2):
+            K, phi = 2 * N + 1 - d, d * k * mpmath.pi / n
+            total += (mpmath.sin(K * phi) / mpmath.sin(phi) - K) / d**2
+        return float(-4 / mpmath.pi**2 / (2 * N + 1) * total)
 
 
 def test_fixed_width_sequence_converges():
@@ -85,42 +108,6 @@ def test_numpy_integer_levels():
     assert row == limit_sequence(1.0, 1.0, P_C, [100], N_rule=5)[0]
 
 
-def test_detuning_leading_branches():
-    cfg = WellConfig()
-    report = detuning_report(cfg, PacketSpec(n=500, N=23), 1)
-    assert report.ratios == (1 + 45 / 1000, 1 + 43 / 1000)
-    assert math.isclose(report.classical, 500 * math.pi**2, rel_tol=1e-15)
-    assert math.isclose(report.quantum[0] / report.classical, 1.045, rel_tol=1e-15)
-
-
-def test_detuning_vanishes_at_large_n():
-    cfg = WellConfig()
-    r_small = detuning_report(cfg, PacketSpec(n=500, N=23), 1)
-    r_large = detuning_report(cfg, PacketSpec(n=50000, N=23), 1)
-    assert abs(r_large.ratios[0] - 1) < abs(r_small.ratios[0] - 1)
-    assert math.isclose(r_large.ratios[0], 1 + 45 / 100000, rel_tol=1e-12)
-
-
-def test_detuning_phase_drift_over_two_periods():
-    # the leading branch of the first harmonic accumulates
-    # (45/1000) * omega_n * t of extra phase by t = 0.0025
-    cfg = WellConfig()
-    report = detuning_report(cfg, PacketSpec(n=500, N=23), 1)
-    drift = (report.quantum[0] - report.classical) * 0.0025
-    assert math.isclose(drift, 0.045 * 500 * math.pi**2 * 0.0025, rel_tol=1e-12)
-    assert drift / math.pi < 0.2
-
-
-def test_detuning_edge_harmonic():
-    cfg = WellConfig()
-    report = detuning_report(cfg, PacketSpec(n=50, N=7), 14)
-    assert report.ratios[0] == 1.0  # s = 2N - r = 0 at the edge
-    with pytest.raises(ValueError):
-        detuning_report(cfg, PacketSpec(n=50, N=7), 15)
-    with pytest.raises(ValueError):
-        detuning_report(cfg, PacketSpec(n=50, N=7), 0)
-
-
 def test_rows_use_the_matched_orbit(monkeypatch):
     # each row's classical series run on the orbit matched to its packet,
     # with the cycle rate 2n / T_rev of that row's hbar
@@ -128,3 +115,72 @@ def test_rows_use_the_matched_orbit(monkeypatch):
     monkeypatch.setattr(limits, "_matched_orbit", lambda cfg, n: made.append((cfg.hbar, n)) or _matched_orbit(cfg, n))
     rows = limit_sequence(1.0, 1.0, P_C, [100, 200], N_rule=3)
     assert made == [(r.hbar_eff, r.n) for r in rows]
+
+
+@pytest.mark.parametrize("n,N", [(500, 8), (500, 23), (4000, 16), (32_000, 178), (1_000_000, 1000)])
+def test_detuning_sum_at_whole_periods(n, N):
+    # at t = kT on the matched orbit the sum is quasi - F<x> (measured 1.6
+    # eps of a), its 60-digit evaluation (0.4 eps), and the rest of
+    # e = <x> - F<x> is the amplitude part, within its bound; k = n puts
+    # every phase at r = n, where R_K is its limit -K, and k = 2n - 1 takes
+    # the phases' reduction modulo 2n
+    cfg, spec = WellConfig(), PacketSpec(n=n, N=N)
+    orbit = _matched_orbit(cfg, n)
+    ks = [1, 2, 3, 4, n]
+    ts = np.array([k * orbit.period for k in ks])
+    fejer = fejer_position(orbit, N, ts)
+    quasi, x = quasi_exp(cfg, spec, ts, "position"), exp_x(cfg, spec, ts)
+    for k, q, e, f in zip(ks, quasi, x, fejer):
+        D = limits._detuning(1.0, n, N, k)
+        assert abs(D - (q - f)) <= 4 * EPS, k
+        assert abs(e - f - D) <= _amplitude_bound(n, N) + 4 * EPS, k
+    for k in [1, 2, 3, 4, 2 * n - 1]:
+        assert abs(limits._detuning(1.0, n, N, k) - _mp_detuning(n, N, k, 60)) <= 4 * EPS, k
+    assert limits._detuning(1.0, n, N, 0) == 0.0
+
+
+@pytest.mark.parametrize(
+    "n,N", [(500, 8), (500, 23), (4000, 16), (32_000, 32), (32_000, 178), (100_000, 316)]
+)
+def test_quasi_position_within_amplitude_bound(n, N):
+    # quasi_exp's docstring: |<x> - quasi| <= (4a/pi^2) N(N+1)/((2N+1)(2n-2N+1)^2)
+    # at all times; over one period the sup reads 0.91-0.998 of it
+    cfg, spec = WellConfig(), PacketSpec(n=n, N=N)
+    ts = np.linspace(0.0, _matched_orbit(cfg, n).period, 4097)
+    sup = np.max(np.abs(exp_x(cfg, spec, ts) - quasi_exp(cfg, spec, ts, "position")))
+    assert sup <= _amplitude_bound(n, N)
+
+
+def test_quasi_momentum_gap():
+    # quasi_exp's docstring: the momentum's series lacks each pair's factor
+    # (2n+s)/(2n), so it misses <p> by 2.26e-2 p_n over one period at (500, 23)
+    cfg, spec = WellConfig(), PacketSpec(n=500, N=23)
+    ts = np.linspace(0.0, _matched_orbit(cfg, 500).period, 4097)
+    gap = np.max(np.abs(exp_p(cfg, spec, ts) - quasi_exp(cfg, spec, ts, "momentum")))
+    assert f"{gap / spectral_data(cfg, 500).p_n:.2e}" == "2.26e-02"
+
+
+def test_detuning_leading_order():
+    # R_K - K ~ -K(K^2 - 1) phi^2/6 gives
+    # D2 = (2a k^2/(3n^2)) N(N+1)(2N(N+1) - 1)/(2N+1); with x = (N+1/2)^2 k pi/n
+    # the rest measured <= 0.019 D2 x^2 at every case with x <= 1/2
+    cases = 0
+    for n, N in [(500, 8), (4000, 16), (32_000, 32), (100_000, 46)]:
+        for k in range(1, 5):
+            x = (N + 0.5) ** 2 * k * math.pi / n
+            if x > 0.5:
+                continue
+            cases += 1
+            D2 = 2 * k**2 / (3 * n**2) * N * (N + 1) * (2 * N * (N + 1) - 1) / (2 * N + 1)
+            assert abs(limits._detuning(1.0, n, N, k) - D2) <= D2 * x**2 / 20, (n, N, k)
+    assert cases == 11
+
+
+def test_detuning_under_sqrt_rule_at_1e9():
+    # N = floor(sqrt(n)): sqrt(n) D(kT)/a saturates and grows by about 0.96
+    # per period; the k = 1 value is the 40-digit sum's to 0.19 eps
+    n = 10**9
+    N = math.isqrt(n)
+    scaled = [round(math.sqrt(n) * limits._detuning(1.0, n, N, k), 4) for k in range(1, 5)]
+    assert scaled == [0.5593, 1.5226, 2.4671, 3.4465]
+    assert abs(limits._detuning(1.0, n, N, 1) - _mp_detuning(n, N, 1, 40)) <= 4 * EPS
