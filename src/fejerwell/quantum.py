@@ -78,9 +78,11 @@ and b_j = sin(m_j tau), d = j - k and s = j + k:
     <p>   = -(2 hbar/a)/(2N+1) * sum_jk G_jk b_j a_k,
             G_jk = 2u_j (1/(u_j+u_k) - 1/(u_j-u_k)) = -4 u_j u_k / (d (2n+s)) for odd d
 
-and quasi_exp keeps the -1/d^2 part of X (position) or takes 1/d on
-b_j a_k (momentum). X is symmetric and vanishes at even d, where j and k
-have the same parity, so <x> sums the even-by-odd block alone:
+X and X2 are each a part in d alone (Toeplitz) plus one in 2n + s
+(Hankel), and G_jk = d (2n+s) X_jk. A quasi form of quasi_exp is its
+packet form less the Hankel part, X2's diagonal included, so the quasi
+momentum is mu d/dt of the quasi position. X is symmetric and vanishes
+at even d, j and k of one parity, so <x> sums the even-by-odd block alone:
 
     <x>   = a/2 + (4a/pi^2)/(2N+1) * sum_{j even, k odd} X_jk (a_j a_k + b_j b_k),
 
@@ -89,8 +91,8 @@ vanishes at even d too and is antisymmetric, G_oe = -G_eo^T, so
 
     <p>   = -(2 hbar/a)/(2N+1) * sum_{j even, k odd} G_jk (b_j a_k - a_j b_k),
 
-and X2 is symmetric, so <x^2> sums [X2_ee | 2 X2_eo] over the even rows
-and X2_oo over the odd ones. The levels come in the parity order
+and X2 is symmetric, so <x^2> (and its quasi form) sums [X2_ee | 2 X2_eo]
+over the even rows and X2_oo over the odd ones. The levels come in the parity order
 [even j | odd j] (`_levels`). Per block of instants `_moments` forms a
 and b from the tangents of their half phases, stacks the rows of a over those
 of b, and does one BLAS product per moment and block of its matrix,
@@ -278,7 +280,7 @@ temporary is made. A fused dense plan at N = 127 holds 650 KB, so 16
 dense plans of N <= 127 keep at most 16 x (130 + 390 + 130) KB, about
 10.4 MB. A fused plan past the series rule holds five quarters of
 (2N+1)^2 float64 (40 MB at (1500, 1000)), and a quasi plan one quarter
-(8.0 MB at N = 1000), and so may each of the 16; the kernel plans'
+(8.0 MB at N = 1000) or, for <x^2>, three, and so may each of the 16; the kernel plans'
 level-sum bases are small (30, 15 and 122 KB for <x>, <x^2> and <p> at
 (10^5, 316)). The kept instants are one entry: the split fraction and
 the level phases a and b of an array t, each of a and b at most
@@ -702,8 +704,8 @@ def _form(n: int, N: int, kinds: tuple[str, ...]) -> tuple:
     the order of `_levels`; with d = j - k and w = 2n + j + k, the bracket
     of `_moments` is sum_jk X_jk (a_j a_k + b_j b_k) for the position kinds
     and sum_jk X_jk b_j a_k for the momentum kinds. X is the docstring's
-    X/2, X2/2 or -G (and the quasi parts of X/2), so each packet bracket
-    equals the kernel's and both paths share one output scaling. -G_jk is
+    X/2, X2/2 or -G, or its quasi form, so each packet bracket equals the
+    kernel's and a quasi form takes its packet form's layout. -G_jk is
     4 (n+j)(n+k) / (d w), one division of exact integers. Each part
     (left, right, B) is the block of X on the levels left (rows) by right
     (columns), slices of the parity order, and the rule says how
@@ -712,7 +714,7 @@ def _form(n: int, N: int, kinds: tuple[str, ...]) -> tuple:
     - "sym", sum over the parts of B_jk (a_j a_k + b_j b_k): the symmetric
       kinds. The <x> and quasi-position X vanish at even d, so they keep
       the (N_even x N_odd) block 2 X_eo alone, a quarter of X. Past two
-      _CHUNKs, (2N+1)^2 > 16384 or N >= 64, <x^2> keeps its upper block
+      _CHUNKs, (2N+1)^2 > 16384 or N >= 64, either <x^2> keeps its upper block
       triangle [X_ee | 2 X_eo] on the even rows and X_oo on the odd ones,
       three quarters of X in two products; below, X whole, since there
       the second product costs more than the quarter it saves
@@ -737,7 +739,7 @@ def _form(n: int, N: int, kinds: tuple[str, ...]) -> tuple:
     for kind in kinds:
         if kind.endswith("momentum"):
             rule, blocks = "anti", ((e, o, None),)
-        elif kind != "position_sq":
+        elif not kind.endswith("position_sq"):
             rule, blocks = "sym", ((e, o, every),)
         elif len(j) ** 2 <= 2 * _CHUNK:
             rule, blocks = "sym", ((every, every, None),)
@@ -765,22 +767,23 @@ def _form(n: int, N: int, kinds: tuple[str, ...]) -> tuple:
 
 
 def _fill(X: np.ndarray, n: int, j: np.ndarray, k: np.ndarray, kind: str) -> None:
-    """Write the elements X_jk of one form's matrix, rows j by columns k, into the zeroed X."""
+    """Write one form's X_jk, rows j by columns k, into the zeroed X: per observable,
+    its Toeplitz part in d = j - k plus hankel (0 for a quasi_ kind) times its
+    Hankel part in w = 2n + j + k. The momentum is -2 d w times the position,
+    for the packet (2n + 2k)(2n + 2j) / (d w), a quotient of exact integers."""
     d = np.subtract.outer(j, k)
     w = np.add.outer(j, k)
     w += 2.0 * n
-    pair = d != 0 if kind == "position_sq" else d % 2 != 0
+    observable = kind.removeprefix("quasi_")
+    hankel = float(observable == kind)
+    pair = d != 0 if observable == "position_sq" else d % 2 != 0
     d, w = d[pair], w[pair]
-    if kind == "position":
-        X[pair] = 0.5 / w**2 - 0.5 / d**2
-    elif kind == "position_sq":
-        X[pair] = np.where(d % 2 == 0, 0.5, -0.5) * (1.0 / d**2 - 1.0 / w**2)
-    elif kind == "momentum":
-        X[pair] = 4.0 * np.multiply.outer(j + n, k + n)[pair] / (d * w)
-    elif kind == "quasi_position":
-        X[pair] = -0.5 / d**2
-    else:  # quasi_momentum
-        X[pair] = 1.0 / d
+    if observable == "position":
+        X[pair] = 0.5 * hankel / w**2 - 0.5 / d**2
+    elif observable == "position_sq":
+        X[pair] = np.where(d % 2 == 0, 0.5, -0.5) * (1.0 / d**2 - hankel / w**2)
+    else:  # momentum
+        X[pair] = (w - hankel * d) * (w + hankel * d) / (d * w)
 
 
 @dataclass(frozen=True)
@@ -847,23 +850,20 @@ def _dense_block(plan: _Dense, h, l, ab, out: np.ndarray, keep: bool) -> np.ndar
 
 
 @functools.lru_cache(maxsize=64)
-def _scales(a: float, hbar: float, n: int, N: int, outputs: tuple[str, ...]) -> tuple:
-    """(offset, factor / (2N+1)) per output: its value is offset + that * (const + bracket).
+def _scales(a: float, hbar: float, N: int, outputs: tuple[str, ...]) -> tuple:
+    """(offset, factor / (2N+1)) per output, by observable: its value is offset + that * (const + bracket).
 
     Cached apart from the plans, which both paths key on (n, N, outputs)
     alone, so that a call does not work them out again.
     """
-    x, x2 = (a / 2.0, 4.0 * a / math.pi**2), (a**2 / 3.0, 4.0 * a**2 / math.pi**2)
-    p_n = n * math.pi * hbar / a
     scale = {
-        "position": x,
-        "position_sq": x2,
+        "position": (a / 2.0, 4.0 * a / math.pi**2),
+        "position_sq": (a**2 / 3.0, 4.0 * a**2 / math.pi**2),
         # mu w_b (4a/pi^2) = 2 hbar / a scales the tau-derivative of the <x> bracket
         "momentum": (0.0, 2.0 * hbar / a),
-        "quasi_position": x,
-        "quasi_momentum": (0.0, 4.0 * p_n / math.pi),
     }
-    return tuple((scale[out][0], scale[out][1] / (2 * N + 1)) for out in outputs)
+    scales = (scale[out.removeprefix("quasi_")] for out in outputs)
+    return tuple((offset, factor / (2 * N + 1)) for offset, factor in scales)
 
 
 _instants = _LastInstants()  # the split fraction and level phases of the last array of instants
@@ -923,7 +923,7 @@ def _moments(cfg: WellConfig, spec: PacketSpec, t, outputs: tuple[str, ...]) -> 
         _instants.keep(key, tag, (h, l, tuple(formed)))
 
     brackets = brackets.reshape((len(outputs),) + shape)
-    scales = _scales(cfg.a, cfg.hbar, spec.n, spec.N, outputs)
+    scales = _scales(cfg.a, cfg.hbar, spec.N, outputs)
     return [offset + f * (c + b) for (offset, f), c, b in zip(scales, plan.const, brackets)]
 
 
@@ -1091,25 +1091,25 @@ def oracle_expectation(
 def quasi_exp(cfg: WellConfig, spec: PacketSpec, t, kind: str):
     """Packet series with classical Fourier amplitudes in place of matrix elements.
 
-    Each level pair keeps its own Bohr frequency d (1 + s/(2n)) w_n, and its
-    matrix element becomes the classical amplitude of harmonic d: for the
-    position -4a/(pi^2 d^2) per cosine pair at odd d (a/2 at d = 0), for the
-    momentum 4 p_n/(pi d) per sine pair. The deviation from the Fejer
-    average is thus the effect of unequal level spacing alone. The position's
-    deviation from <x>, the amplitude part, is at most
-    (4a/pi^2) N(N+1)/((2N+1)(2n-2N+1)^2), about a N/(2 pi^2 n^2), at all
-    times. The momentum's series lacks each pair's frequency factor
-    (2n+s)/(2n) that <p> = mu d<x>/dt carries, so it misses <p> by far more:
-    2.26e-2 p_n at (500, 23) (ROADMAP.md, item 2). `_moments` evaluates
-    both series on the dense forms at every packet, with the matrix -1/d^2
-    or 1/d at odd d, each as its even-by-odd block alone: the symmetric
-    position's like <x>'s, and the antisymmetric momentum's like <p>'s.
-    Past N = 127 that costs O(N^2) per instant and a plan of a quarter of
-    (2N+1)^2 float64 (DECISIONS.md,
-    "The Dirichlet kernel serves the three packet moments only").
+    kind is "position", "position_sq" or "momentum". Each level pair keeps
+    its Bohr frequency d (1 + s/(2n)) w_n, and its matrix element keeps only
+    its Toeplitz part, the classical amplitude of harmonic d (-4a/(pi^2 d^2)
+    at odd d about a/2 for <x>, (-1)^d 4a^2/(pi^2 d^2) about a^2/3 for
+    <x^2>); the momentum is mu d/dt of the position series. So the deviation
+    from the Fejer average is the effect of unequal level spacing alone, and
+    the one from the packet mean, the Hankel part, is at most, at all times,
+
+        B_A  = (4a/pi^2) N(N+1)/((2N+1)(2n-2N+1)^2), about a N/(2 pi^2 n^2), for <x>,
+        B_p  = (2 hbar/a) N(N+1)/(3(2n-2N+1)), about p_n N^2/(3 pi n^2), for <p>,
+        B_x2 = a^2/(2 pi^2 (n-N)^2) + (4a^2/pi^2) N/(2n-2N+1)^2 for <x^2>.
+
+    Every series takes the dense forms, on its packet form's layout: past
+    N = 127, O(N^2) per instant and a plan of a quarter of (2N+1)^2 float64,
+    three quarters for <x^2> (DECISIONS.md, "The Dirichlet kernel serves
+    the three packet moments only").
     """
-    if kind not in ("position", "momentum"):
-        raise ValueError(f"kind must be 'position' or 'momentum', got {kind!r}")
+    if kind not in _PACKET:
+        raise ValueError(f"kind must be one of {_PACKET}, got {kind!r}")
     return _moments(cfg, spec, t, ("quasi_" + kind,))[0]
 
 

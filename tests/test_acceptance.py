@@ -174,8 +174,22 @@ def test_criterion_07_quasi_quantum_closeness():
     dev = float(np.max(np.abs(
         quasi_exp(NATURAL, HEADLINE, ts, "position") - exp_x(NATURAL, HEADLINE, ts)
     )))
+    # the other two quasi series on the same instants, against the bounds
+    # B_p and B_x2 of quasi_exp's docstring (a = hbar = 1), for the record
+    n, N = HEADLINE.n, HEADLINE.N
+    p_n = n * math.pi
+    dev_p = float(np.max(np.abs(quasi_exp(NATURAL, HEADLINE, ts, "momentum") - exp_p(NATURAL, HEADLINE, ts))))
+    dev_x2 = float(np.max(np.abs(quasi_exp(NATURAL, HEADLINE, ts, "position_sq") - exp_x2(NATURAL, HEADLINE, ts))))
+    B_p = 2 * N * (N + 1) / (3 * (2 * n - 2 * N + 1))
+    B_x2 = 1 / (2 * math.pi**2 * (n - N) ** 2) + 4 / math.pi**2 * N / (2 * n - 2 * N + 1) ** 2
     ok = dev < 1e-2
-    report(7, ok, f"max|quasi-<x>| for t<=0.0025: {dev:.2e} (<1e-2)")
+    report(
+        7,
+        ok,
+        f"max|quasi-<x>| for t<=0.0025: {dev:.2e} (<1e-2); "
+        f"max|quasi p-<p>|/p_n={dev_p / p_n:.2e} (B_p/p_n={B_p / p_n:.2e}), "
+        f"max|quasi x2-<x2>|={dev_x2:.2e} (B_x2={B_x2:.2e})",
+    )
     assert dev < 1e-2
 
 

@@ -1,7 +1,8 @@
 """Tests for the constrained classical limit and the split of the position's
 deviation from the averaged series, e = A + D, into the amplitude part
 A = <x> - quasi and the detuning part D = quasi - F<x>, whose whole-period
-values `limits._detuning` sums in closed form.
+values `limits._detuning` sums in closed form, and the bounds on the
+amplitude parts <f> - quasi f of <x>, <p> and <x^2>.
 """
 
 import math
@@ -21,7 +22,7 @@ from fejerwell import (
 )
 from fejerwell import limits
 from fejerwell.classical import _matched_orbit
-from fejerwell.quantum import exp_p, exp_x
+from fejerwell.quantum import exp_p, exp_x, exp_x2
 
 P_C = 500.0 * math.pi
 EPS = np.finfo(float).eps
@@ -31,6 +32,21 @@ def _amplitude_bound(n, N):
     # the triangle bound on A at a = 1: N(N+1) odd-d pairs, each off its
     # classical amplitude by 4/(pi^2 (2N+1) (2n+s)^2) <= 4/(pi^2 (2N+1) (2n-2N+1)^2)
     return 4 / math.pi**2 * N * (N + 1) / ((2 * N + 1) * (2 * n - 2 * N + 1) ** 2)
+
+
+def _momentum_bound(n, N):
+    # B_p at a = hbar = 1: <p> - quasi p sums -d/(2n+s) sin over the pairs,
+    # sum_{d odd} d (2N+1-d) = N(N+1)(2N+1)/3 and 2n + s >= 2n - 2N + 1
+    return 2 * N * (N + 1) / (3 * (2 * n - 2 * N + 1))
+
+
+def _position_sq_bound(n, N):
+    # B_x2 at a = 1: the diagonal 1/u^2 term, then N(2N+1) pairs each off
+    # by 4/(pi^2 (2N+1) (2n+s)^2)
+    return 1 / (2 * math.pi**2 * (n - N) ** 2) + 4 / math.pi**2 * N / (2 * n - 2 * N + 1) ** 2
+
+
+_BOUND_PACKETS = [(500, 8), (500, 23), (4000, 16), (32_000, 32), (32_000, 178), (100_000, 316)]
 
 
 def _mp_detuning(n, N, k, dps):
@@ -139,9 +155,7 @@ def test_detuning_sum_at_whole_periods(n, N):
     assert limits._detuning(1.0, n, N, 0) == 0.0
 
 
-@pytest.mark.parametrize(
-    "n,N", [(500, 8), (500, 23), (4000, 16), (32_000, 32), (32_000, 178), (100_000, 316)]
-)
+@pytest.mark.parametrize("n,N", _BOUND_PACKETS)
 def test_quasi_position_within_amplitude_bound(n, N):
     # quasi_exp's docstring: |<x> - quasi| <= (4a/pi^2) N(N+1)/((2N+1)(2n-2N+1)^2)
     # at all times; over one period the sup reads 0.91-0.998 of it
@@ -151,13 +165,18 @@ def test_quasi_position_within_amplitude_bound(n, N):
     assert sup <= _amplitude_bound(n, N)
 
 
-def test_quasi_momentum_gap():
-    # quasi_exp's docstring: the momentum's series lacks each pair's factor
-    # (2n+s)/(2n), so it misses <p> by 2.26e-2 p_n over one period at (500, 23)
-    cfg, spec = WellConfig(), PacketSpec(n=500, N=23)
-    ts = np.linspace(0.0, _matched_orbit(cfg, 500).period, 4097)
-    gap = np.max(np.abs(exp_p(cfg, spec, ts) - quasi_exp(cfg, spec, ts, "momentum")))
-    assert f"{gap / spectral_data(cfg, 500).p_n:.2e}" == "2.26e-02"
+@pytest.mark.parametrize("n,N", _BOUND_PACKETS)
+@pytest.mark.parametrize("kind", ["momentum", "position_sq"])
+def test_quasi_series_within_their_bounds(kind, n, N):
+    # quasi_exp's docstring: the quasi momentum is mu d/dt of the quasi
+    # position, and |<p> - quasi p| <= B_p and |<x^2> - quasi x^2| <= B_x2
+    # at all times; over one period the sups read 0.77-0.81 of B_p and
+    # 0.69-0.998 of B_x2
+    moment, bound = {"momentum": (exp_p, _momentum_bound), "position_sq": (exp_x2, _position_sq_bound)}[kind]
+    cfg, spec = WellConfig(), PacketSpec(n=n, N=N)
+    ts = np.linspace(0.0, _matched_orbit(cfg, n).period, 4097)
+    sup = np.max(np.abs(moment(cfg, spec, ts) - quasi_exp(cfg, spec, ts, kind)))
+    assert sup <= bound(n, N)
 
 
 def test_detuning_leading_order():

@@ -61,6 +61,7 @@ def _functions_of_t(n, N):
         "exp_p": lambda t: exp_p(NATURAL, spec, t),
         "quasi_exp": lambda t: quasi_exp(NATURAL, spec, t, "momentum"),
         "quasi_exp_position": lambda t: quasi_exp(NATURAL, spec, t, "position"),
+        "quasi_exp_position_sq": lambda t: quasi_exp(NATURAL, spec, t, "position_sq"),
         "reduced_uncertainty": lambda t: reduced_uncertainty(NATURAL, spec, t, "momentum"),
         "reduced_uncertainty_position": lambda t: reduced_uncertainty(NATURAL, spec, t, "position"),
         "uncertainty_product": lambda t: uncertainty_product(NATURAL, spec, t),

@@ -227,7 +227,8 @@ def test_oracle_rejects_bad_input():
 
 def test_quasi_position_close_at_large_n():
     # classical amplitudes with the exact pair frequencies track the true
-    # mean to O(1/n^2) uniformly in time
+    # mean within the amplitude bound B_A ~ a N / (2 pi^2 n^2) at all times
+    # (`test_limits.test_quasi_position_within_amplitude_bound`)
     spec = PacketSpec(n=500, N=23)
     ts = np.linspace(0.0, 0.0025, 400)
     dev = np.max(np.abs(quasi_exp(NATURAL, spec, ts, "position") - exp_x(NATURAL, spec, ts)))
@@ -263,7 +264,7 @@ def test_quasi_splits_spacing_from_amplitudes(n, N):
 def test_quasi_rejects_bad_arguments():
     spec = PacketSpec(n=50, N=7)
     with pytest.raises(ValueError):
-        quasi_exp(NATURAL, spec, 0.0, "position_sq")
+        quasi_exp(NATURAL, spec, 0.0, "momentum_sq")
 
 
 def test_variance_guard():
@@ -557,7 +558,7 @@ def _natural_fill(n, N, kind):
     return whole
 
 
-_DENSE_KINDS = ("position", "position_sq", "momentum", "quasi_position", "quasi_momentum")
+_DENSE_KINDS = ("position", "position_sq", "momentum", "quasi_position", "quasi_position_sq", "quasi_momentum")
 
 
 # the blocks that `_form` keeps, by packet: (rule, shapes of its parts) per kind.
@@ -601,7 +602,7 @@ def test_dense_forms_keep_the_blocks_they_read(n, N):
     j = np.arange(-N, N + 1.0)
     assert -(-len(j) // _block_rows(len(j))) <= 8  # fills of at most _CHUNK elements
     layouts = _FORM_LAYOUTS[n, N]
-    layouts = {**layouts, "quasi_position": layouts["position"], "quasi_momentum": layouts["momentum"]}
+    layouts = {**layouts, **{"quasi_" + kind: layout for kind, layout in layouts.items()}}
     for kind in _DENSE_KINDS:
         (rule, parts), = quantum._form(n, N, (kind,))
         assert (rule, [X.shape for _, _, X in parts]) == layouts[kind], kind
@@ -631,8 +632,8 @@ def test_dense_forms_keep_the_parity_structure(n, N):
         natural = _natural_fill(n, N, kind)
         assert np.array_equal(_natural_form(n, N, kind), natural), kind
         X = natural[np.ix_(at, at)]  # parity order
-        if kind == "position_sq":
-            assert np.array_equal(X[o, e], X[e, o].T)
+        if kind.endswith("position_sq"):
+            assert np.array_equal(X[o, e], X[e, o].T), kind
         else:
             assert not X[e, e].any() and not X[o, o].any(), kind
         if kind in ("momentum", "quasi_momentum"):
@@ -870,51 +871,92 @@ def test_closed_form_reference_equals_pair_sum(n, N):
             assert abs(closed[kind] - pairs[kind]) <= eps * scale, (kind, t)
 
 
+_FIXED = 224  # fraction bits of `_mp_quasi`'s fixed-point sums, about 67 digits
+
+
+def _unit(phase):
+    """cos and sin of an mpf phase as integers scaled by 2^_FIXED."""
+    return tuple(int(mpmath.nint(mpmath.ldexp(v, _FIXED))) for v in mpmath.cos_sin(phase))
+
+
+def _turn(z, w):
+    """z times w, unit complex numbers as fixed-point (cos, sin) pairs."""
+    (c, s), (cw, sw) = z, w
+    return (c * cw - s * sw) >> _FIXED, (s * cw + c * sw) >> _FIXED
+
+
+@functools.cache
 def _mp_quasi(n, N, t, pairs=None):
-    """quasi_exp's position and momentum at the float t: where pairs (by
-    default for N < 60) the pair sum of their definition in 40-digit
-    arithmetic, else the odd d-groups of `_mp_closed_form` in 60 digits,
-    R_{2N+1-d}(d tau) times cos or sin of 2n d tau."""
+    """quasi_exp's position, squared position and momentum at the float t,
+    summed in fixed point on phases taken at 80 digits. Where pairs (by
+    default for N < 60), the pair sums of their definition over u > v,
+    a/2 - (4a/pi^2) sum_{d odd} cos/d^2, a^2/3 + (4a^2/pi^2) sum (-1)^d cos/d^2
+    and the momentum mu d/dt of the position, (2 hbar/a) sum_{d odd}
+    (u+v)/(u-v) sin, each sum divided by 2N + 1, the pair phase from the
+    level phases u^2 tau; else their d-groups, R_{2N+1-d}(d tau) times cos
+    or sin of 2n d tau, with the phases d tau, 2n d tau and K d tau turned
+    on from one d to the next, and the momentum the tau-derivative of the
+    position's groups, R_K' in closed form."""
     pairs = N < 60 if pairs is None else pairs
-    with mpmath.workdps(40 if pairs else 60):
+    with mpmath.workdps(80):
         tau = mpmath.pi**2 / 2 * mpmath.mpf(t)
-        x = p = mpmath.mpf(0)
+        x = x2 = p = 0
         if pairs:
-            for u in range(n - N, n + N + 1):
-                for v in range(n - N + 1 - (u - n + N) % 2, u, 2):  # odd d = u - v
-                    cos, sin = mpmath.cos_sin((u * u - v * v) * tau)
-                    x -= cos / (u - v) ** 2
-                    p += sin / (u - v)
+            level = {u: _unit(u * u * tau) for u in range(n - N, n + N + 1)}
+            for u, (cu, su) in level.items():
+                for v in range(n - N, u):
+                    (cv, sv), d = level[v], u - v
+                    cos = (cu * cv + su * sv) // d**2
+                    if d % 2:
+                        x -= cos
+                        x2 -= cos
+                        p += (u + v) * (su * cv - cu * sv) // d
+                    else:
+                        x2 += cos
+            x, x2, p = x >> _FIXED, x2 >> _FIXED, p >> _FIXED
         else:
-            for d in range(1, 2 * N + 1, 2):
-                r = mpmath.sin((2 * N + 1 - d) * d * tau) / mpmath.sin(d * tau)
-                cos, sin = mpmath.cos_sin(2 * n * d * tau)
-                x -= r * cos / d**2
-                p += r * sin / d
-        size, c = 2 * N + 1, 4 / mpmath.pi**2  # 4a/pi^2 and 4 p_n / pi = 4n per pair
-        return {"position": float(mpmath.mpf(1) / 2 + c * x / size), "momentum": float(4 * n * p / size)}
+            z1, y1, step, down = _unit(tau), _unit(2 * n * tau), _unit(2 * N * tau), _unit(-2 * tau)
+            z = y = k = (1 << _FIXED, 0)
+            for d in range(1, 2 * N + 1):
+                K = 2 * N + 1 - d
+                z, y, k = _turn(z, z1), _turn(y, y1), _turn(k, step)  # at d tau, 2n d tau and K d tau
+                step = _turn(step, down)  # (K - 1)(d + 1) - K d = K - d - 1
+                (cos_d, sin_d), (cos, sin), (cos_k, sin_k) = z, y, k
+                r = (sin_k << _FIXED) // sin_d  # R_K(d tau)
+                rc = (r * cos >> _FIXED) // d**2
+                x2 += -rc if d % 2 else rc
+                if d % 2:
+                    dr = (d * (K * cos_k - (r * cos_d >> _FIXED)) << _FIXED) // sin_d  # d/dtau of R_K(d tau)
+                    x -= rc
+                    p -= ((dr * cos - 2 * n * d * r * sin) >> _FIXED) // d**2
+        size, c = 2 * N + 1, 4 / mpmath.pi**2
+        x, x2, p = (mpmath.ldexp(v, -_FIXED) for v in (x, x2, p))
+        return {
+            "position": float(mpmath.mpf(1) / 2 + c * x / size),
+            "position_sq": float(mpmath.mpf(1) / 3 + c * x2 / size),
+            "momentum": float(2 * p / size),  # mu w_b (4a/pi^2) = 2 hbar / a
+        }
 
 
 @pytest.mark.parametrize("n,N", [(122, 60)])
 def test_quasi_reference_equals_pair_sum(n, N):
-    # the odd d-groups that `_mp_quasi` sums from N = 60 on equal its pair
-    # sum to eps of a and p_n, at the instants where the moments' closed
+    # the d-groups that `_mp_quasi` sums from N = 60 on equal its pair sums
+    # to eps of a, a^2 and p_n, at the instants where the moments' closed
     # form is checked against theirs
     T = classical_period(NATURAL, n)
     eps = np.finfo(float).eps
     for t in (0.3 * T, 1.7 * T, 0.3 * T + 1000 * (2 * n * T)):
         groups, pairs = _mp_quasi(n, N, t, pairs=False), _mp_quasi(n, N, t, pairs=True)
-        for kind, scale in (("position", 1.0), ("momentum", n * math.pi)):
+        for kind, scale in _scales(n).items():
             assert abs(groups[kind] - pairs[kind]) <= eps * scale, (kind, t)
 
 
 @pytest.mark.parametrize("n,N", [(50, 7), (500, 23), (122, 60), (262, 128), (16_384, 128), (100_000, 316)])
 def test_quasi_series_match_their_reference(monkeypatch, n, N):
     # quasi_exp takes the dense forms at every packet, from N = 128 inside
-    # the series rule too, and both series are within 4 eps of a and p_n of
-    # `_mp_quasi` on the checked and Taylor-edge instants as one array: the
-    # dense forms read at most 1.1 and 2.0 eps, and the kernel's quasi
-    # columns put the momentum 5.84 eps of p_n off at (10^5, 316)
+    # the series rule too, and its three series are within 4 eps of a, a^2
+    # and p_n of `_mp_quasi` on the checked and Taylor-edge instants as one
+    # array: they read at most 1.08 eps of a, 2.0 of a^2 and 1.67 of p_n
     blocks = []
     dense_block = quantum._dense_block
     monkeypatch.setattr(quantum, "_dense_block", lambda *args: blocks.append(args) or dense_block(*args))
@@ -922,7 +964,7 @@ def test_quasi_series_match_their_reference(monkeypatch, n, N):
     t = np.array(_checked_instants(n) + _taylor_edge_instants(n))
     ref = [_mp_quasi(n, N, s) for s in t.tolist()]
     eps = np.finfo(float).eps
-    for kind, scale in (("position", 1.0), ("momentum", n * math.pi)):
+    for kind, scale in _scales(n).items():
         err = np.abs(quasi_exp(NATURAL, spec, t, kind) - [r[kind] for r in ref])
         assert np.max(err) <= 4 * eps * scale, (kind, t[np.argmax(err)], np.max(err) / (eps * scale))
     assert blocks and all(isinstance(plan, quantum._Dense) for plan, *_ in blocks)
