@@ -145,9 +145,12 @@ def _check_position(cfg: WellConfig, x) -> np.ndarray:
 
 
 def _check_instant(t) -> None:
-    """Reject an array t, or a non-finite one, where a function evaluates one instant."""
+    """Reject an array t, a non-finite one or one that is no real number
+    (`_real`), where a function evaluates one instant."""
     if np.ndim(t) != 0:
         raise ValueError(f"t must be one instant, got an array of shape {np.shape(t)}")
+    if not isinstance(t, (float, int)):
+        _real(t)
     try:
         finite = math.isfinite(t)
     except OverflowError:  # a Python int past the float range
@@ -201,29 +204,29 @@ def _block_rows(width: int) -> int:
 
 
 class _LastInstants:
-    """One layer's work on its last array of instants that no observable enters.
+    """One layer's work on its last array of instants.
 
-    The moments and the classical series spend part of each call on work
-    that depends on the instants alone: the exact reduction of t, and in
-    the moments the level phases of every block and, on the Dirichlet
-    kernel, its column products. A layer keeps that work
-    for its last array t in one entry, (key, tag, value), and a later call
-    that finds its own t there reads the kept arrays instead of forming
-    them again, the same arrays bit for bit. The tag is t's dtype, shape
-    and bytes: an array is mutable, so its identity says nothing of its
-    contents, and an array changed in place, or another array with other
-    values, never matches while an equal copy does. Only arrays of a
-    numeric kind (bool, int, float) are looked up, since the bytes of any
-    other kind, an object array's element pointers among them, need not
-    say what its values are. The key, compared with ==, names everything
-    else the value depends on. The entry is replaced whole by one
-    rebinding and never changed, so a thread reads the old entry or the
-    new one, never a mix; threads that alternate arrays only miss. An
-    array whose widest kept array would pass _PANELS * _CHUNK elements is
-    not kept. The moments' widest array is a block's 2N + 1 level phases,
-    and a kernel instant keeps 8N + 2 floats in all (the level phases a
-    and b and 4N column products), so an entry holds at most about 2 MiB.
-    DECISIONS.md, "One entry of instants per layer", has the reasons.
+    A layer keeps, for its last array t, what a later call on the same
+    instants would compute again: the classical series keep the exact
+    reduction f of t, and the moments the three brackets of their fused
+    pass, into which no scale of the well enters. It keeps them in one
+    entry, (key, tag, value), and a later call that finds its own t there
+    reads the kept arrays instead of forming them again, the same arrays
+    bit for bit. The tag is t's dtype, shape and bytes: an array is
+    mutable, so its identity says nothing of its contents, and an array
+    changed in place, or another array with other values, never matches
+    while an equal copy does. Only arrays of a numeric kind (bool, int,
+    float) are looked up, since the bytes of any other kind, an object
+    array's element pointers among them, need not say what its values
+    are. The key, compared with ==, names everything else the value
+    depends on. The entry is replaced whole by one rebinding and never
+    changed, so a thread reads the old entry or the new one, never a mix;
+    threads that alternate arrays only miss. An array whose widest array
+    of a call would pass _PANELS * _CHUNK elements is not kept: for the
+    moments that is a pass's 2N + 1 level phases per instant, and the
+    entry then holds 3 floats per instant, at most 1.5 MiB / (2N + 1).
+    DECISIONS.md, "One entry of instants per layer" and "The entry keeps
+    the fused brackets", has the reasons.
     """
 
     __slots__ = ("entry",)
@@ -235,9 +238,9 @@ class _LastInstants:
         """(tag, value): t's tag and the value kept for it under key, or None.
 
         width is the number of elements per instant of the widest array
-        that the value holds. Where t.size * width passes the budget, or
-        t is not of a numeric kind, the tag is None, and then nothing is
-        kept for t.
+        that forming the value takes. Where t.size * width passes the
+        budget, or t is not of a numeric kind, the tag is None, and then
+        nothing is kept for t.
         """
         if t.size * width > _PANELS * _CHUNK or t.dtype.kind not in "biuf":
             return None, None
@@ -280,7 +283,8 @@ def _fraction(rate, t):
     so hi = p - rint(p) is exact; the low part adds one rounded product.
     The pair is exact to rounding while |t| * rate < 2^52 (about 4.5e15
     periods); a non-finite t or one past that raises ValueError, a Python
-    int too large for a float included. |t| is compared with the bound
+    int too large for a float included, and a t that is no real number
+    raises TypeError (`_real`). |t| is compared with the bound
     before any product, so the check cannot overflow. A scalar t (Python,
     numpy or 0-d) is reduced in Python floats and comes back as floats:
     the same IEEE operations as on an array element, at about half the
@@ -289,7 +293,7 @@ def _fraction(rate, t):
     c_hi, c_lo, ch, cl, limit = rate
     try:
         if not isinstance(t, (float, int)):
-            t = np.asarray(t, dtype=float)
+            t = _real(t).astype(float, copy=False)
         if isinstance(t, np.ndarray) and t.ndim:
             inside, rint = np.count_nonzero(abs(t) < limit) == t.size, np.rint
         else:
@@ -305,6 +309,20 @@ def _fraction(rate, t):
     th, tl = _split(t, 27)
     e = ((th * ch - p) + th * cl + tl * ch) + tl * cl
     return p - rint(p), e + t * c_lo
+
+
+def _real(t) -> np.ndarray:
+    """t as an array, or TypeError where its kind holds no real numbers.
+
+    Bool, integer, float and object arrays pass (an object element is cast
+    by float() later); complex, string, datetime and timedelta kinds raise,
+    where a cast to float would take the real part, parse the text or count
+    the time units.
+    """
+    t = np.asarray(t)
+    if t.dtype.kind not in "biufO":
+        raise TypeError(f"t must hold real numbers, got dtype {t.dtype}")
+    return t
 
 
 def _rint(x: float) -> float:

@@ -192,44 +192,38 @@ one kernel for the union of the columns of the moments it is given, and
 forms the revival fraction, the phase reduction, the Dirichlet values
 and the level phases once. Each moment is then a weighted sum over three
 column products (R cos psi on the d-columns, and R sin psi and R' cos psi
-on the odd d-columns alone) plus its level sum, and a call that keeps
-nothing forms only the products that some requested moment weights. The
-kernel lays out its columns in one order whatever it is asked for,
-[even d | odd d], so each moment reads one contiguous slice of each
-product, the same columns in the same order as its standalone kernel,
-and does its own level-sum products against its own basis. The values therefore equal those of exp_x, exp_x2 and exp_p
-bit for bit, and <p>(0) is exactly 0: every R', every
-sin psi and every b_j is 0 there. expectation_sample,
+on the odd d-columns alone) plus its level sum, and a pass forms only
+the products that some requested moment weights. The kernel lays out
+its columns in one order whatever it is asked for, [even d | odd d], so
+each moment reads one contiguous slice of each product, the same columns
+in the same order as its standalone kernel, and does its own level-sum
+products against its own basis. The values therefore equal those of
+exp_x, exp_x2 and exp_p bit for bit, and <p>(0) is exactly 0: every R',
+every sin psi and every b_j is 0 there. expectation_sample,
 uncertainty_product, reduced_uncertainty and the limit and CLI series
 all take this path; on the kernel one pass costs about as much as one
 exp_x2 call, not the three calls it replaces. A dense pass forms a and b
 once and does one product per moment.
 
-Calls on one array of instants share more. The split revival fraction,
-each block's level phases a and b and, on the kernel, its column
-products depend on t and the packet, not on the moment, so `_moments`
-keeps them for the last array t it saw (`core._LastInstants`), keyed by
-t's contents, under the packet (n, N), the engine, the plan's bits and
-block rows, and the revival rate: the values that fix the multipliers
-and the blocks. A caller that makes several calls of exp_x, exp_x2,
-exp_p, packet_moments or quasi_exp on the same values, such as the
-benchmark's moment calls, then skips that work, and its arrays equal a
-fresh call's bit for bit, since the kept arrays are the ones that call
-would form. On the dense forms a and b are a block's whole input, so a
-later call does only its products. On the kernel a call that keeps its
-instants forms the three products on the odd d-columns whatever its
-outputs read, and "cos" on the even ones only where <x^2> is asked; an
-<x^2> call that finds the odd columns alone forms the even ones and
-rebinds the entry whole, [even | odd] as its plan lays them out. So
-exp_x, exp_x2 and exp_p on one array form each column once, and the
-later calls do their column and level-sum products alone. Inside the
-package no two such calls share an array: `limits.limit_sequence` and
-the CLI series make one fused packet_moments call per array, so only
-direct callers gain, and every other call on an array within the budget
-below pays for the lookup, for keeping its arrays and, on the kernel,
-for the products its outputs do not read. A scalar or 0-d t takes the
-scalar path and never looks, and forms only what its outputs read
-(DECISIONS.md, "One entry of instants per layer").
+Calls on one array of instants share one pass. For an array t of packet
+moments within the budget below, `_moments` runs the fused pass of all
+three, whatever its call asks, and keeps the three brackets, read-only,
+with the plan's const, for the last array t it saw
+(`core._LastInstants`): keyed by t's contents, under the packet (n, N),
+the engine and the revival rate, the values that fix the brackets. A
+later exp_x, exp_x2, exp_p, packet_moments, uncertainty_product or
+reduced_uncertainty call on the same values, such as the benchmark's
+moment calls, only scales its rows, as offset + f (const + bracket),
+which returns a new array: a caller that changes it changes no later
+call. The values equal a fresh call's bit for bit, since a fused pass
+equals each standalone call. Inside the package no two such calls share
+an array: `limits.limit_sequence` and the CLI series make one fused
+packet_moments call per array, so only direct callers gain, and a lone
+call on a new array within the budget pays for the whole pass: a lone
+exp_x took about 1.2, 1.8 and 1.6 times its own pass at (500, 23),
+(10^4, 100) and (10^5, 316) (DECISIONS.md, "The entry keeps the fused
+brackets"). A scalar or 0-d t, an array past the budget and a quasi
+series keep nothing, and form only what their outputs read.
 
 Block size. Every moment runs one loop over blocks, in `_moments`. The
 revival fraction and the split of its high part are formed once per
@@ -243,7 +237,7 @@ rows instants, and a t that fits in one block, a scalar included, is
 that block, unsliced. A kernel block reads three phase arrays, each its
 own: the Dirichlet columns and the psi = 2n theta_d columns, from which
 it forms its column products, and the 2N + 1 level phases of
-`_level_phases`; a block that finds them kept reads them. Each holds at most
+`_level_phases`. Each holds at most
 core._CHUNK = 8192 elements, so the rows come from the widest of the
 three, not their sum. The levels (2N + 1) are the widest for every
 packet moment: exp_x, exp_x2, exp_p and a fused pass all take 12
@@ -282,15 +276,11 @@ dense plans of N <= 127 keep at most 16 x (130 + 390 + 130) KB, about
 (2N+1)^2 float64 (40 MB at (1500, 1000)), and a quasi plan one quarter
 (8.0 MB at N = 1000) or, for <x^2>, three, and so may each of the 16; the kernel plans'
 level-sum bases are small (30, 15 and 122 KB for <x>, <x^2> and <p> at
-(10^5, 316)). The kept instants are one entry: the split fraction and
-the level phases a and b of an array t, each of a and b at most
-_PANELS * _CHUNK elements (512 KiB), and on the kernel the column
-products: 2N of "cos" and N each of "sin" and "rate" per instant. An
-instant then holds at most 8N + 2 floats against the 2N + 1 level phases
-that the budget counts, so a kernel entry holds at most about 2 MiB and
-a dense one 1 MiB; an array whose level phases would pass the budget is
-not kept. The entry holds no array of a plan, so an evicted plan still
-frees its matrices.
+(10^5, 316)). The kept instants are one entry: the three brackets of an
+array t, 3 floats per instant. An array whose 2N + 1 level phases would
+pass _PANELS * _CHUNK elements (512 KiB) is not kept, so the entry holds
+at most 1.5 MiB / (2N + 1), 33 KB at (500, 23). It holds no array of a
+plan, so an evicted plan still frees its matrices.
 """
 
 from __future__ import annotations
@@ -474,7 +464,7 @@ class _Kernel:
     any [even | odd] layout (<x>), or every column (<x^2>, and the
     odd-only "sin" and "rate"). Each output therefore reads the same
     columns in the same order, and the same level sum, as the kernel of
-    that output alone, whichever call formed the products.
+    that output alone.
     """
 
     d: np.ndarray  # the Dirichlet multipliers
@@ -540,14 +530,14 @@ def _kernel(n: int, N: int, outputs: tuple[str, ...]) -> _Kernel:
     )
 
 
-def _dirichlet(ker: _Kernel, c: np.ndarray, rate: slice | None, cols: slice | None = None):
+def _dirichlet(ker: _Kernel, c: np.ndarray, rate: slice | None):
     """R_K at phi = 2 pi c, for |c| < 3/4, and R_K' on the columns `rate` of c.
 
-    rate is a slice from some column of c to its last, or None for no R',
-    and c holds the d-columns `cols` of ker, all of them where None. With
-    j = rint(2c), x = phi - j pi = pi (2c - j) takes one rounding,
-    |x| <= pi/2 and R_K(phi) = (-1)^(j (K - 1)) R_K(x). R_K(x) and R_K'(x)
-    are rational in t_x = tan(x/2) and t_k = tan(K x/2):
+    c holds every d-column of ker, and rate is a slice from some column of
+    c to its last, or None for no R'. With j = rint(2c), x = phi - j pi =
+    pi (2c - j) takes one rounding, |x| <= pi/2 and R_K(phi) =
+    (-1)^(j (K - 1)) R_K(x). R_K(x) and R_K'(x) are rational in
+    t_x = tan(x/2) and t_k = tan(K x/2):
 
         R   = t_k (1 + t_x^2) / (t_x (1 + t_k^2))
         R'  = (1 + t_x^2) (K (1 - t_k^2) t_x - (1 - t_x^2) t_k) / (2 t_x^2 (1 + t_k^2))
@@ -557,8 +547,6 @@ def _dirichlet(ker: _Kernel, c: np.ndarray, rate: slice | None, cols: slice | No
     column's values do not depend on the other columns of c.
     """
     K, flip, a2, a4 = ker.K, ker.flip, ker.a2, ker.a4
-    if cols is not None:
-        K, flip, a2, a4 = K[cols], flip[cols], a2[cols], a4[cols]
     u = 2.0 * c  # a new array: c is left as it is
     j = np.rint(u)
     u -= j
@@ -616,17 +604,16 @@ def _dirichlet(ker: _Kernel, c: np.ndarray, rate: slice | None, cols: slice | No
     return R, dR
 
 
-def _products(ker: _Kernel, h, l, rows: int, names, cols: slice | None = None) -> dict:
-    """The column products `names` of one block, by name.
+def _products(ker: _Kernel, h, l, rows: int) -> dict:
+    """The column products that ker's outputs read (ker.blocks) of one block, by name.
 
-    "cos" is R cos psi on ker's d-columns cols (all where None), "sin"
-    R sin psi and "rate" R' cos psi on the odd ones, ker.odd_d; cols is
-    None, or the even columns with "cos" alone.
+    "cos" is R cos psi on ker's d-columns, "sin" R sin psi and "rate"
+    R' cos psi on the odd ones, ker.odd_d.
     """
-    d, psi_m = (ker.d, ker.psi_m) if cols is None else (ker.d[cols], ker.psi_m[cols])
-    c = _phases(h, l, d, ker.bits).reshape(rows, len(d))
-    R, dR = _dirichlet(ker, c, ker.odd_d if "rate" in names else None, cols)
-    psi = _phases(h, l, psi_m, ker.bits).reshape(rows, len(d))
+    names = ker.blocks
+    c = _phases(h, l, ker.d, ker.bits).reshape(rows, len(ker.d))
+    R, dR = _dirichlet(ker, c, ker.odd_d if "rate" in names else None)
+    psi = _phases(h, l, ker.psi_m, ker.bits).reshape(rows, len(ker.d))
     psi *= math.pi  # psi / 2, for the one tangent of `core._half_angle`
     cos, sin = np.empty(psi.shape), psi if "sin" in names else None
     _half_angle(psi, cos, sin)  # sin psi over psi
@@ -642,31 +629,12 @@ def _products(ker: _Kernel, h, l, rows: int, names, cols: slice | None = None) -
     return formed
 
 
-def _kernel_block(ker: _Kernel, h, l, kept, out: np.ndarray, keep: bool) -> tuple:
-    """The brackets of one block of instants from its split revival fraction h + l.
-
-    kept is what an earlier call on these instants kept for the block, or
-    None: its level phases ab of `_level_phases` and its column products
-    of `_products`, by name. Returns the two, with what this call formed.
-    Where keep, they are kept: a block that finds none forms all three
-    products on the odd d-columns, whatever its outputs read, so that a
-    later call on these instants reads them, and a "cos" without the even
-    d-columns that <x^2> reads gets them, laid out [even | odd] as the
-    plan's columns. Otherwise it forms only the products that its outputs
-    read.
-    """
-    rows = out.shape[1]
-    ab, feats = kept or (_level_phases(ker.m, ker.bits, h, l), None)
-    fresh = feats is None or feats["cos"].shape[1] < len(ker.d)
-    if feats is None:
-        feats = _products(ker, h, l, rows, ("cos", "sin", "rate") if keep else ker.blocks)
-    elif fresh:  # <x^2> on products kept for the odd columns alone
-        even = _products(ker, h, l, rows, ("cos",), slice(ker.odd_d.start))["cos"]
-        feats = {**feats, "cos": np.concatenate([even, feats["cos"]], axis=1)}
-    if keep and fresh:
-        for arr in (ab, *feats.values()):
-            arr.setflags(write=False)
-    a, b = ab
+def _kernel_block(ker: _Kernel, h, l, out: np.ndarray) -> None:
+    """The brackets of one block of instants from its split revival fraction
+    h + l, into out: the column products that the outputs read, and the
+    level sums over the level phases of `_level_phases`."""
+    a, b = _level_phases(ker.m, ker.bits, h, l)
+    feats = _products(ker, h, l, out.shape[1])
     for acc, terms, (sine, left, right, v) in zip(out, ker.terms, ker.forms):
         for i, (name, cols, w) in enumerate(terms):
             if i:
@@ -682,7 +650,6 @@ def _kernel_block(ker: _Kernel, h, l, kept, out: np.ndarray, keep: bool) -> tupl
             z *= z
             y += z
         acc += y @ v
-    return (ab, feats) if fresh else kept
 
 
 # --- dense quadratic forms ---------------------------------------------------
@@ -820,20 +787,15 @@ def _dense(n: int, N: int, outputs: tuple[str, ...]) -> _Dense:
     )
 
 
-def _dense_block(plan: _Dense, h, l, ab, out: np.ndarray, keep: bool) -> np.ndarray:
-    """The brackets of one block from its level phases ab of `_level_phases`,
-    a = cos(m tau) and b = sin(m tau), read as the rows of a stacked over
-    the rows of b: one matrix product per output and block of its form,
-    times the columns it pairs with: the same columns for a symmetric form,
-    summed over each instant's a and b rows, and the swapped odd columns
-    [b_o; a_o] for an antisymmetric one, each instant's b row less its a
-    row. ab is what an earlier call on these instants kept for the block,
-    or None: then the block forms it from its split revival fraction h + l,
-    read-only where keep. Returns ab, the whole of what a block keeps."""
-    if ab is None:
-        ab = _level_phases(plan.m, plan.bits, h, l)
-        if keep:
-            ab.setflags(write=False)
+def _dense_block(plan: _Dense, h, l, out: np.ndarray) -> None:
+    """The brackets of one block from its split revival fraction h + l, into
+    out. The level phases ab of `_level_phases`, a = cos(m tau) and
+    b = sin(m tau), are read as the rows of a stacked over the rows of b:
+    one matrix product per output and block of its form, times the columns
+    it pairs with: the same columns for a symmetric form, summed over each
+    instant's a and b rows, and the swapped odd columns [b_o; a_o] for an
+    antisymmetric one, each instant's b row less its a row."""
+    ab = _level_phases(plan.m, plan.bits, h, l)
     size = out.shape[1]
     rows = ab.reshape(-1, ab.shape[2])
     for acc, (rule, parts) in zip(out, plan.forms):
@@ -846,7 +808,6 @@ def _dense_block(plan: _Dense, h, l, ab, out: np.ndarray, keep: bool) -> np.ndar
         else:  # "anti": sum_eo X_eo (b_e a_o - a_e b_o), np.vecdot within 2 eps of p_n (DECISIONS.md)
             y = np.vecdot((rows[:, left] @ X).reshape(2, size, X.shape[1]), ab[::-1, :, right])
             np.subtract(y[1], y[0], out=acc)  # (b_e @ X) a_o - (a_e @ X) b_o
-    return ab
 
 
 @functools.lru_cache(maxsize=64)
@@ -866,7 +827,7 @@ def _scales(a: float, hbar: float, N: int, outputs: tuple[str, ...]) -> tuple:
     return tuple((offset, factor / (2 * N + 1)) for offset, factor in scales)
 
 
-_instants = _LastInstants()  # the split fraction and level phases of the last array of instants
+_instants = _LastInstants()  # the three brackets of the last array of instants
 
 
 def _moments(cfg: WellConfig, spec: PacketSpec, t, outputs: tuple[str, ...]) -> list:
@@ -877,54 +838,51 @@ def _moments(cfg: WellConfig, spec: PacketSpec, t, outputs: tuple[str, ...]) -> 
     (N <= 127), and a packet whose level sums `_series_terms` would cut
     past _SERIES_CAP (n < 2.05 N); the Dirichlet kernel serves the packet
     moments of every other packet. The high part of frac(t / T_rev) keeps
-    53 - bits bits for `_phases`. For an array t, the split fraction and
-    what each block keeps (its level phases, and on the kernel its column
-    products) are kept (`core._LastInstants`) under the packet, the
-    engine, the plan's bits and block rows, and the revival rate; a later
-    call on the same contents reads them, and the entry is rebound where a
-    block formed more. A scalar or 0-d t keeps nothing.
+    53 - bits bits for `_phases`. For an array t of packet moments, the
+    pass takes all three outputs, and their brackets are kept, read-only,
+    with the plan's const (`core._LastInstants`) under the packet, the
+    engine and the revival rate; a later call on the same contents only
+    scales the rows it asks for. A scalar or 0-d t, and a quasi series,
+    keep nothing.
     """
     dense = spec.size**2 <= _PANELS * _CHUNK or outputs[0] not in _PACKET or _series_terms(spec.n, spec.N) is None
-    build, block = (_dense, _dense_block) if dense else (_kernel, _kernel_block)
-    plan = build(spec.n, spec.N, outputs)
-    step = plan.rows
     tag = kept = None
-    if isinstance(t, np.ndarray) and t.ndim:
-        key = (spec.n, spec.N, dense, plan.bits, step, cfg._revival_rate)
-        tag, kept = _instants.find(key, t, len(plan.m))
+    passed = outputs
+    if isinstance(t, np.ndarray) and t.ndim and outputs[0] in _PACKET:
+        key = (spec.n, spec.N, dense, cfg._revival_rate)
+        tag, kept = _instants.find(key, t, spec.size)
+        if tag is not None:
+            passed = _PACKET
     if kept is None:
+        plan = (_dense if dense else _kernel)(spec.n, spec.N, passed)
+        step = plan.rows
         hi, lo = _fraction(cfg._revival_rate, t)  # raises ValueError before t_arr can overflow
         t_arr = np.asarray(t, dtype=float)
         size, shape = t_arr.size, t_arr.shape
         h, l = _split(hi, max(plan.bits, 1))
         l = l + lo
-        held = None
-    else:
-        h, l, held = kept
-        size, shape = h.size, h.shape
-    brackets = np.empty((len(outputs), size))
-    blocks = [(h, l, brackets)]  # a t that fits in one block, a scalar included
-    if size > step:
-        hf, lf = h.reshape(-1), l.reshape(-1)
-        blocks = (
-            (hf[i : i + step], lf[i : i + step], brackets[:, i : i + step])
-            for i in range(0, size, step)
-        )
-    keep, formed, fresh = tag is not None, [], False
-    for i, (h_i, l_i, out) in enumerate(blocks):
-        was = held[i] if held is not None else None
-        now = block(plan, h_i, l_i, was, out, keep)
-        if keep:  # a block's arrays are freed after it where nothing is kept
-            formed.append(now)
-            fresh |= now is not was
-    if fresh:
-        h.setflags(write=False)
-        l.setflags(write=False)
-        _instants.keep(key, tag, (h, l, tuple(formed)))
+        brackets = np.empty((len(passed), size))
+        blocks = [(h, l, brackets)]  # a t that fits in one block, a scalar included
+        if size > step:
+            hf, lf = h.reshape(-1), l.reshape(-1)
+            blocks = (
+                (hf[i : i + step], lf[i : i + step], brackets[:, i : i + step])
+                for i in range(0, size, step)
+            )
+        block = _dense_block if dense else _kernel_block
+        for h_i, l_i, out in blocks:
+            block(plan, h_i, l_i, out)
+        kept = plan.const, brackets.reshape((len(passed),) + shape)
+        if tag is not None:
+            kept[1].setflags(write=False)
+            _instants.keep(key, tag, kept)
 
-    brackets = brackets.reshape((len(outputs),) + shape)
+    const, brackets = kept
+    if passed is not outputs:  # the rows of the kept pass that outputs read
+        at = [_PACKET.index(out) for out in outputs]
+        const, brackets = const[at], brackets[at]
     scales = _scales(cfg.a, cfg.hbar, spec.N, outputs)
-    return [offset + f * (c + b) for (offset, f), c, b in zip(scales, plan.const, brackets)]
+    return [offset + f * (c + b) for (offset, f), c, b in zip(scales, const, brackets)]
 
 
 def packet_moments(cfg: WellConfig, spec: PacketSpec, t, kinds=_PACKET) -> tuple:

@@ -17,8 +17,10 @@ from fejerwell import (
     expectation_sample,
     fejer_position,
     packet_wavefunction,
+    quasi_exp,
     sawtooth_position,
     spectral_data,
+    square_momentum,
     stationary_wavefunction,
 )
 from fejerwell.quantum import oracle_expectation
@@ -211,6 +213,49 @@ def test_int_instant_past_the_float_range_is_refused(t):
     for call in calls:
         with pytest.raises(ValueError, match="need finite t"):
             call()
+
+
+_NOT_REAL = {  # each was evaluated at its real part, parsed value or count of seconds
+    "complex": (np.complex128(0.1 + 1j), np.array([0.1 + 1j, 0.2])),
+    "string": ("0.1", np.array(["0.1", "0.2"])),
+    "datetime": (np.datetime64(1, "s"), np.array([1, 2], dtype="datetime64[s]")),
+    "timedelta": (np.timedelta64(1, "s"), np.array([1, 2], dtype="timedelta64[s]")),
+}
+_ORBIT = ClassicalOrbit()
+_SPEC = PacketSpec(n=10, N=3)
+_INSTANT_CALLS = {
+    "moments": lambda t: exp_x(NATURAL, _SPEC, t),
+    "quasi": lambda t: quasi_exp(NATURAL, _SPEC, t, "position"),
+    "series": lambda t: fejer_position(_ORBIT, 3, t),
+    "sawtooth": lambda t: sawtooth_position(_ORBIT, t),
+    "square wave": lambda t: square_momentum(_ORBIT, t),
+    "oracle": lambda t: oracle_expectation(NATURAL, _SPEC, t, "position"),
+}
+
+
+@pytest.mark.parametrize("call", list(_INSTANT_CALLS))
+@pytest.mark.parametrize("kind", list(_NOT_REAL))
+@pytest.mark.parametrize("shape", ["scalar", "array"])
+def test_instants_that_are_not_real_numbers_raise(call, kind, shape):
+    # such a t came back as the value at 0.1 or 1, at most with a
+    # ComplexWarning; the oracle takes one instant, so an array raises
+    # ValueError there first
+    t = _NOT_REAL[kind][shape == "array"]
+    error = ValueError if shape == "array" and call == "oracle" else TypeError
+    with pytest.raises(error):
+        _INSTANT_CALLS[call](t)
+
+
+@pytest.mark.parametrize("call", list(_INSTANT_CALLS))
+def test_real_kinds_of_instants_still_pass(call):
+    # bool, integer and float32 instants and object arrays of reals take
+    # the value of their float
+    fn = _INSTANT_CALLS[call]
+    for t, same in ((True, 1.0), (np.int64(2), 2.0), (np.float32(0.5), float(np.float32(0.5)))):
+        assert fn(t) == fn(same), t
+    if call != "oracle":
+        t = np.array([0.1, 0.25])
+        assert np.array_equal(fn(t.astype(object)), fn(t))
 
 
 def test_packet_real_at_time_zero():

@@ -415,30 +415,49 @@ def test_singular_phases_match_spectral_oracle(n):
             assert abs(fn(NATURAL, spec, t) - oracle) <= tol * scales[kind], (kind, t)
 
 
+_FIXED = 224  # fraction bits of the fixed-point reference sums, about 67 digits
+
+
+def _unit(phase):
+    """cos and sin of an mpf phase as integers scaled by 2^_FIXED."""
+    return tuple(int(mpmath.nint(mpmath.ldexp(v, _FIXED))) for v in mpmath.cos_sin(phase))
+
+
+def _turn(z, w):
+    """z times w, unit complex numbers as fixed-point (cos, sin) pairs."""
+    (c, s), (cw, sw) = z, w
+    return (c * cw - s * sw) >> _FIXED, (s * cw + c * sw) >> _FIXED
+
+
 @functools.cache
 def _mp_moments(n, N, t):
-    """<x>, <x^2>, <p> summed over level pairs in 40-digit arithmetic at the float t."""
-    with mpmath.workdps(40):
-        t = mpmath.mpf(t)
-        w_b = mpmath.pi**2 / 2
-        c = 4 / mpmath.pi**2
-        size = 2 * N + 1
-        x, p = mpmath.mpf(size) / 2, mpmath.mpf(0)
-        x2 = sum(mpmath.mpf(1) / 3 - 1 / (2 * mpmath.pi**2 * u**2) for u in range(n - N, n + N + 1))
-        # c / k^2 for every difference d and every sum u + v of two levels
-        inv = {k: c / k**2 for k in [*range(1, 2 * N + 1), *range(2 * (n - N) + 1, 2 * (n + N))]}
-        for u in range(n - N, n + N + 1):
+    """<x>, <x^2>, <p> summed over level pairs at the float t, in fixed point
+    (`_FIXED` fraction bits) on level phases u^2 tau taken at 80 digits:
+    each pair's cos and sin of (u^2 - v^2) tau come from its two levels'."""
+    with mpmath.workdps(80):
+        tau = mpmath.pi**2 / 2 * mpmath.mpf(t)
+        level = {u: _unit(u * u * tau) for u in range(n - N, n + N + 1)}
+        x = x2 = p = 0  # scaled by 2^(2 _FIXED)
+        for u, (cu, su) in level.items():
             for v in range(n - N, u):
-                d, sm = u - v, u + v
-                cos, sin = mpmath.cos_sin(w_b * (d * sm) * t)
+                (cv, sv), d, sm = level[v], u - v, u + v
+                cos = cu * cv + su * sv
                 if d % 2:
-                    amp = inv[sm] - inv[d]
-                    x += amp * cos
-                    x2 += amp * cos  # (-1)^d (c/d^2 - c/sm^2) with d odd
-                    p -= amp * (d * sm) * sin
+                    amp = cos // sm**2 - cos // d**2
+                    x += amp
+                    x2 += amp  # (-1)^d (1/d^2 - 1/sm^2) with d odd
+                    sin = su * cv - cu * sv
+                    p -= sin * d // sm - sin * sm // d  # d sm (1/sm^2 - 1/d^2) sin
                 else:
-                    x2 += (inv[d] - inv[sm]) * cos
-        return {"position": float(x / size), "position_sq": float(x2 / size), "momentum": float(p * w_b / size)}
+                    x2 += cos // d**2 - cos // sm**2
+        size, c = 2 * N + 1, 4 / mpmath.pi**2
+        x, x2, p = (mpmath.ldexp(v, -2 * _FIXED) for v in (x, x2, p))
+        diag = sum(mpmath.mpf(1) / 3 - 1 / (2 * mpmath.pi**2 * u**2) for u in range(n - N, n + N + 1))
+        return {
+            "position": float(mpmath.mpf(1) / 2 + c * x / size),
+            "position_sq": float((diag + c * x2) / size),
+            "momentum": float(2 * p / size),  # mu w_b (4a/pi^2) = 2 hbar / a
+        }
 
 
 @pytest.mark.parametrize("n", [500, 10_000])
@@ -590,7 +609,7 @@ def test_dense_forms_serve_packets_up_to_the_block_limit(monkeypatch):
         packet_moments(NATURAL, PacketSpec(n=16384, N=N), np.linspace(0.0, 1e-3, 300))
         assert bool(blocks) == dense, N
         # the stacked [a; b] of a block, and each product with a matrix
-        assert all(2 * out.shape[1] * len(plan.m) <= _CHUNK for plan, _, _, _, out, _ in blocks)
+        assert all(2 * out.shape[1] * len(plan.m) <= _CHUNK for plan, _, _, out in blocks)
 
 
 @pytest.mark.parametrize("n,N", list(_FORM_LAYOUTS))
@@ -643,32 +662,36 @@ def test_dense_forms_keep_the_parity_structure(n, N):
 @pytest.mark.parametrize("n,N", [(16_384, 128), (100_000, 316)])
 def test_kernel_blocks_hold_at_most_a_chunk(monkeypatch, n, N):
     # every kernel block's Dirichlet phases, psi phases and level phases
-    # each hold at most core._CHUNK elements, as does every column product
-    # that a block keeps, and the blocks of a call tile its instants in
-    # order, standalone and fused
+    # each hold at most core._CHUNK elements, and the blocks of a call tile
+    # its instants in order, standalone and fused: on an array past the
+    # budget, which is not kept, each call takes its own plan
     blocks = []
     kernel_block = quantum._kernel_block
     monkeypatch.setattr(quantum, "_kernel_block", lambda *args: blocks.append(args) or kernel_block(*args))
     spec = PacketSpec(n=n, N=N)
-    t = np.random.default_rng(N).uniform(0.0, 3.0 * classical_period(NATURAL, n), 100)
+    size = quantum._PANELS * _CHUNK // spec.size + 1
+    t = np.random.default_rng(N).uniform(0.0, 3.0 * classical_period(NATURAL, n), size)
     hi, _ = _fraction(NATURAL._revival_rate, t)
     calls = [lambda f=f: f(NATURAL, spec, t) for f in (exp_x, exp_x2, exp_p, packet_moments)]
     for call in calls:
         blocks.clear()
+        quantum._instants.entry = None
         call()
+        assert quantum._instants.entry is None
         ker = blocks[0][0]
-        sizes = [out.shape[1] for _, _, _, _, out, _ in blocks]
+        sizes = [out.shape[1] for _, _, _, out in blocks]
         assert len(sizes) > 1 and set(sizes[:-1]) == {ker.rows} and 0 < sizes[-1] <= ker.rows
         assert all(ker.rows * len(arr) <= _CHUNK for arr in (ker.d, ker.psi_m, ker.m))
         assert np.array_equal(np.concatenate([h for _, h, *_ in blocks]), _split(hi, ker.bits)[0])
-        kept = quantum._instants.entry[2][2]
-        assert len(kept) == len(blocks) and all(arr.size <= _CHUNK for _, feats in kept for arr in feats.values())
 
 
 def test_kernel_blocks_take_eight_instants_at_316(monkeypatch):
     # at (10^5, 316) the widest phase array of any kernel plan is the 633
     # level phases, not the 632 Dirichlet or the 632 psi phases of exp_x2
-    # and the fused pass, so 8 instants are one block for every moment
+    # and the fused pass, so every plan takes 12 instants per block and 8
+    # instants are one block for every moment
+    for outputs in [(kind,) for kind in quantum._PACKET] + [quantum._PACKET]:
+        assert _kernel(100_000, 316, outputs).rows == 12, outputs
     blocks = []
     kernel_block = quantum._kernel_block
     monkeypatch.setattr(quantum, "_kernel_block", lambda *args: blocks.append(args) or kernel_block(*args))
@@ -677,8 +700,9 @@ def test_kernel_blocks_take_eight_instants_at_316(monkeypatch):
     calls = [lambda f=f: f(NATURAL, spec, t) for f in (exp_x, exp_x2, exp_p, packet_moments)]
     for call in calls:
         blocks.clear()
+        quantum._instants.entry = None
         call()
-        assert len(blocks) == 1 and blocks[0][4].shape[1] == 8
+        assert len(blocks) == 1 and blocks[0][3].shape[1] == 8
 
 
 def test_dense_plans_own_their_matrices():
@@ -775,8 +799,8 @@ def test_warm_moments_fault_about_never(packet):
 def test_dense_and_kernel_paths_agree(monkeypatch, n, N):
     # each path forced in turn: <x> and <x^2> agree to 4 eps, and the dense
     # forms equal the reference to 4 eps of a, a^2 and p_n. Past N = 60 the
-    # reference is the 60-digit closed form: the 40-digit pair sum takes
-    # seconds there, and 30 digits are too few next to multiples of pi.
+    # reference is the 60-digit closed form: the pair sum takes seconds
+    # there, and 30 digits are too few next to multiples of pi.
     # (61, 60) is past the series rule, where no kernel serves: it checks
     # the dense forms alone, and (123, 60) the kernel at that N
     spec = PacketSpec(n=n, N=N)
@@ -869,20 +893,6 @@ def test_closed_form_reference_equals_pair_sum(n, N):
         closed, pairs = _mp_closed_form(n, N, t), _mp_moments(n, N, t)
         for kind, scale in scales.items():
             assert abs(closed[kind] - pairs[kind]) <= eps * scale, (kind, t)
-
-
-_FIXED = 224  # fraction bits of `_mp_quasi`'s fixed-point sums, about 67 digits
-
-
-def _unit(phase):
-    """cos and sin of an mpf phase as integers scaled by 2^_FIXED."""
-    return tuple(int(mpmath.nint(mpmath.ldexp(v, _FIXED))) for v in mpmath.cos_sin(phase))
-
-
-def _turn(z, w):
-    """z times w, unit complex numbers as fixed-point (cos, sin) pairs."""
-    (c, s), (cw, sw) = z, w
-    return (c * cw - s * sw) >> _FIXED, (s * cw + c * sw) >> _FIXED
 
 
 @functools.cache
@@ -1068,7 +1078,7 @@ def test_level_sums_equal_the_hankel_forms(n, N):
         h, l = _split(hi, ker.bits)
         ab = quantum._level_phases(ker.m, ker.bits, h, l + lo)
         got = np.zeros((len(kinds), 1))
-        quantum._kernel_block(levels_only, h, l + lo, (ab, None), got, False)
+        quantum._kernel_block(levels_only, h, l + lo, got)
         a, b = ab[0, 0], ab[1, 0]
         for kind, value in zip(kinds, got[:, 0]):
             H = hankel[kind]
@@ -1410,10 +1420,10 @@ def _instants_over(n, size, seed=26):
 
 @pytest.mark.parametrize("n,N,dense", _REUSE_PACKETS)
 def test_reused_instants_give_the_fresh_arrays(monkeypatch, n, N, dense):
-    # every call after the first on one array reads its split fraction and
-    # level phases from the entry, and returns the same floats as a call
-    # that forms them; (122, 60) is past the series rule, on the dense
-    # forms even with the kernel forced
+    # every packet call after the first on one array scales the brackets
+    # of the entry, and returns the same floats as a call that forms them;
+    # each quasi series keeps nothing and forms its own. (122, 60) is past
+    # the series rule, on the dense forms even with the kernel forced
     if dense is not None:
         _force_path(monkeypatch, dense)
     spec = PacketSpec(n=n, N=N)
@@ -1423,8 +1433,7 @@ def test_reused_instants_give_the_fresh_arrays(monkeypatch, n, N, dense):
     _fresh(exp_x, NATURAL, spec, t)
     for name, fn in _REUSED_CALLS.items():
         assert _same_bits(fn(NATURAL, spec, t), fresh[name]), name
-    dense_quasi = 1 if n == 100_000 else 0  # the quasi series take the dense forms there, under their own key
-    assert len(fractions) == 1 + dense_quasi
+    assert len(fractions) == 1 + 2  # the first call, and the two quasi series
 
 
 def test_instants_changed_in_place_are_evaluated_again(monkeypatch):
@@ -1470,11 +1479,11 @@ def _configure(monkeypatch, dense, doubled_cap):
 
 @pytest.mark.parametrize("n,N", [(500, 23), (16_384, 128)])
 def test_forced_paths_never_read_another_plans_entry(monkeypatch, n, N):
-    # the dense forms and the kernel form different level phases (parity
-    # and natural order, other bits), and a kernel plan built afresh under
-    # a doubled series cap reads the entry of the equal plan it replaces:
-    # after each path's call on t, each path's own call equals its fresh
-    # one and leaves the entry under its own key
+    # the dense forms and the kernel give brackets that differ at
+    # rounding, and a kernel plan built afresh under a doubled series cap
+    # reads the entry of the equal plan it replaces: after each path's call
+    # on t, each path's own call equals its fresh one and leaves the entry
+    # under its own key
     spec = PacketSpec(n=n, N=N)
     t = _instants_over(n, 60)
     paths = [(True, False), (False, False), (False, True)]
@@ -1489,9 +1498,8 @@ def test_forced_paths_never_read_another_plans_entry(monkeypatch, n, N):
             with monkeypatch.context() as mp:
                 _configure(mp, *target)
                 got = packet_moments(NATURAL, spec, t)
-                plan = (quantum._dense if target[0] else quantum._kernel)(n, N, quantum._PACKET)
             assert all(_same_bits(g, f) for g, f in zip(got, fresh)), (target, other)
-            assert quantum._instants.entry[0] == (n, N, target[0], plan.bits, plan.rows, NATURAL._revival_rate)
+            assert quantum._instants.entry[0] == (n, N, target[0], NATURAL._revival_rate)
 
 
 def test_scalars_and_arrays_past_the_budget_keep_nothing(monkeypatch):
@@ -1532,9 +1540,7 @@ def test_object_arrays_are_never_looked_up():
 @pytest.mark.parametrize("n,N", [(500, 23), (100_000, 316)])
 def test_threads_alternating_arrays_get_their_own_values(n, N):
     # two threads evaluate their own arrays, alternating two each, while
-    # the other rebinds the entry; every value is its array's. On the
-    # kernel the second thread's exp_x2 extends an entry of odd columns
-    # with the even ones while the first thread rebinds it
+    # the other rebinds the entry; every value is its array's
     spec = PacketSpec(n=n, N=N)
     arrays = [[_instants_over(n, 40, seed) for seed in pair] for pair in ((1, 2), (3, 4))]
     calls = [(exp_x, exp_p), (exp_x, exp_x2, exp_p)]
@@ -1566,37 +1572,76 @@ def _dirichlet_calls(monkeypatch):
     calls = []
     dirichlet = quantum._dirichlet
 
-    def counted(ker, c, rate, cols=None):
-        d = ker.d if cols is None else ker.d[cols]
-        calls.append((d, d[rate] if rate is not None else d[:0]))
-        return dirichlet(ker, c, rate, cols)
+    def counted(ker, c, rate):
+        calls.append((ker.d, ker.d[rate] if rate is not None else ker.d[:0]))
+        return dirichlet(ker, c, rate)
 
     monkeypatch.setattr(quantum, "_dirichlet", counted)
     return calls
 
 
-@pytest.mark.parametrize("n,N", [(16_384, 128), (100_000, 316)])
+_ONE_ARRAY_CALLS = {
+    "exp_x": exp_x,
+    "exp_x2": exp_x2,
+    "exp_p": exp_p,
+    "packet_moments": lambda cfg, spec, t: np.stack(packet_moments(cfg, spec, t)),
+}
+
+
+@pytest.mark.parametrize("n,N", [(500, 23), (16_384, 128), (100_000, 316)])
 @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
 def test_kernel_columns_form_once_per_array(monkeypatch, n, N, order):
-    # exp_x, exp_x2 and exp_p on one array, in any order, form each
-    # block's odd d-columns once, R' on them included, and its even ones
-    # once (with the odd ones where exp_x2 comes first), and equal the
-    # fresh calls bit for bit
+    # exp_x, exp_x2 and exp_p in the given order, with packet_moments put
+    # before, between or after them, on one array: every such order reduces
+    # t once and runs each block once, for all three brackets, on the dense
+    # forms as on the kernel; there each block's one `_dirichlet` call takes
+    # all 2N d-columns and R' on the odd N. Every value equals a fresh
+    # call's bit for bit
     spec = PacketSpec(n=n, N=N)
     t = _instants_over(n, 30)
-    fns = [(exp_x, exp_x2, exp_p)[i] for i in order]
-    fresh = [_fresh(fn, NATURAL, spec, t) for fn in fns]
-    blocks = -(-t.size // _kernel(n, N, ("position",)).rows)
+    fresh = {name: _fresh(fn, NATURAL, spec, t) for name, fn in _ONE_ARRAY_CALLS.items()}
+    dense = spec.size**2 <= quantum._PANELS * _CHUNK
+    name = "_dense_block" if dense else "_kernel_block"
+    block, plans = getattr(quantum, name), []
+    monkeypatch.setattr(quantum, name, lambda plan, *args: plans.append(plan) or block(plan, *args))
+    fractions = _count_fractions(monkeypatch, quantum)
+    columns = _dirichlet_calls(monkeypatch)
+    every, odd = np.arange(1.0, 2 * N + 1), np.arange(1.0, 2 * N + 1, 2)
+    singles = [("exp_x", "exp_x2", "exp_p")[i] for i in order]
+    for at in range(4):
+        calls = singles[:at] + ["packet_moments"] + singles[at:]
+        quantum._instants.entry = None
+        for log in (plans, fractions, columns):
+            log.clear()
+        for call in calls:
+            assert _same_bits(_ONE_ARRAY_CALLS[call](NATURAL, spec, t), fresh[call]), (calls, call)
+        assert len(fractions) == 1, calls
+        assert len(plans) == -(-t.size // plans[0].rows) and all(p is plans[0] for p in plans), calls
+        assert len(columns) == (0 if dense else len(plans)), calls
+        for d, r in columns:
+            assert np.array_equal(np.sort(d), every) and np.array_equal(r, odd), calls
+
+
+@pytest.mark.parametrize("n,N", [(500, 23), (100_000, 316)])
+def test_kept_calls_return_arrays_of_their_own(n, N):
+    # a caller that changes a returned array in place changes no later
+    # call on the same t, and the kept brackets are read-only
+    spec = PacketSpec(n=n, N=N)
+    t = _instants_over(n, 40)
+    fresh = {name: _fresh(fn, NATURAL, spec, t) for name, fn in _ONE_ARRAY_CALLS.items()}
     quantum._instants.entry = None
-    calls = _dirichlet_calls(monkeypatch)
-    for fn, ref in zip(fns, fresh):
-        assert _same_bits(fn(NATURAL, spec, t), ref), fn.__name__
-    odd = [d for d, _ in calls if np.any(d % 2 == 1)]
-    even = [d for d, _ in calls if np.any(d % 2 == 0)]
-    rated = [r for _, r in calls if len(r)]
-    assert len(odd) == len(even) == len(rated) == blocks, (len(odd), len(even), len(rated))
-    assert all(np.count_nonzero(d % 2) in (0, N) for d, _ in calls)
-    assert all(np.all(r % 2 == 1) and len(r) == N for r in rated)
+    x = exp_x(NATURAL, spec, t)
+    x += 1.0
+    x2 = exp_x2(NATURAL, spec, t)
+    x2[:] = 0.0
+    for moment in packet_moments(NATURAL, spec, t):
+        moment *= 2.0
+    for name, fn in _ONE_ARRAY_CALLS.items():
+        assert _same_bits(fn(NATURAL, spec, t), fresh[name]), name
+    _, brackets = quantum._instants.entry[2]
+    assert not brackets.flags.writeable
+    with pytest.raises(ValueError):
+        brackets[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("n,N", [(16_384, 128), (100_000, 316)])
@@ -1611,9 +1656,9 @@ def test_unkept_calls_form_only_the_columns_they_read(monkeypatch, n, N):
         "momentum": (True, False, True, {"sin", "rate"}),
     }
     wide = _instants_over(n, quantum._PANELS * _CHUNK // spec.size + 1)
-    kernel_block = quantum._kernel_block
+    products = quantum._products
     formed = []
-    monkeypatch.setattr(quantum, "_kernel_block", lambda *args: formed.append(kernel_block(*args)) or formed[-1])
+    monkeypatch.setattr(quantum, "_products", lambda *args: formed.append(products(*args)) or formed[-1])
     calls = _dirichlet_calls(monkeypatch)
     for t in (0.3, np.array(0.3), wide):
         for kinds in [(k,) for k in reads] + [("position", "momentum"), ("position_sq", "momentum"), quantum._PACKET]:
@@ -1628,5 +1673,5 @@ def test_unkept_calls_form_only_the_columns_they_read(monkeypatch, n, N):
             for d, r in calls:
                 assert np.count_nonzero(d % 2) == N * odd and np.count_nonzero(d % 2 == 0) == N * even, kinds
                 assert len(r) == N * rate and np.all(r % 2 == 1), kinds
-            for _, feats in formed:
+            for feats in formed:
                 assert set(feats) == names, kinds
