@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -312,15 +313,21 @@ def _fraction(rate, t):
 
 
 def _real(t) -> np.ndarray:
-    """t as an array, or TypeError where its kind holds no real numbers.
+    """t as an array, or TypeError where it holds anything but real numbers.
 
-    Bool, integer, float and object arrays pass (an object element is cast
-    by float() later); complex, string, datetime and timedelta kinds raise,
-    where a cast to float would take the real part, parse the text or count
-    the time units.
+    Bool, integer and float arrays pass, and object arrays whose every
+    element is a numbers.Real (cast by float() later); complex, string,
+    datetime and timedelta kinds raise, where a cast to float would take
+    the real part, parse the text or count the time units, and so does an
+    object array with any other element, such as a str, bytes, complex or
+    None. Only object arrays are looked into, element by element.
     """
     t = np.asarray(t)
-    if t.dtype.kind not in "biufO":
+    if t.dtype.kind == "O":
+        for v in t.flat:
+            if not isinstance(v, numbers.Real):
+                raise TypeError(f"t must hold real numbers, got an element of type {type(v).__name__}")
+    elif t.dtype.kind not in "biuf":
         raise TypeError(f"t must hold real numbers, got dtype {t.dtype}")
     return t
 

@@ -61,10 +61,10 @@ N = isqrt(n) that is K = 2 at n = 16384 and 10^5 and K = 1 at 10^6 and
 10^7: two or three terms. The rule depends on (n, N) alone; K would
 pass _SERIES_CAP = 16 where n < 2.05 N, which no packet of
 N = isqrt(n) >= 128 reaches, and such a packet has no kernel (the
-engine rule below). Per instant a kernel evaluates the d-columns alone
-(N Dirichlet columns for <x> and <p>, 2N for <x^2>), plus one tangent
-per level for the 2N + 1 level phases and two products of 2N + 1 levels
-by at most 4(K + 1) columns per output.
+engine rule below). Per instant the kernel evaluates the d-columns alone
+(2N Dirichlet columns, of which <x> and <p> read the N odd ones), plus
+one tangent per level for the 2N + 1 level phases and two products of
+2N + 1 levels by at most 4(K + 1) columns per output.
 
 Dense quadratic forms. The same means are quadratic forms in the 2N + 1
 level phases. With u_j = n + j and m_j = 2nj + j^2 = u_j^2 - n^2 for
@@ -187,43 +187,47 @@ agrees with the matching element of an array call to rounding.
 One pass for every moment at an instant. Delta-x and Delta-p need <x>,
 <x^2> and <p> at the same t, and the three share their phases: <x>
 and <p> read the odd d-columns, <x^2> reads those and the even ones,
-and all three read the level phases. `packet_moments` therefore asks
-one kernel for the union of the columns of the moments it is given, and
-forms the revival fraction, the phase reduction, the Dirichlet values
-and the level phases once. Each moment is then a weighted sum over three
-column products (R cos psi on the d-columns, and R sin psi and R' cos psi
-on the odd d-columns alone) plus its level sum, and a pass forms only
-the products that some requested moment weights. The kernel lays out
-its columns in one order whatever it is asked for, [even d | odd d], so
-each moment reads one contiguous slice of each product, the same columns
-in the same order as its standalone kernel, and does its own level-sum
-products against its own basis. The values therefore equal those of
-exp_x, exp_x2 and exp_p bit for bit, and <p>(0) is exactly 0: every R',
-every sin psi and every b_j is 0 there. expectation_sample,
-uncertainty_product, reduced_uncertainty and the limit and CLI series
-all take this path; on the kernel one pass costs about as much as one
-exp_x2 call, not the three calls it replaces. A dense pass forms a and b
-once and does one product per moment.
+and all three read the level phases. The kernel therefore has one plan
+per packet, `_kernel(n, N)`, and every call on it runs one pass of all
+three brackets, whatever it asks: the revival fraction, the phase
+reduction, the Dirichlet values and the level phases once, then three
+column products (R cos psi on the d-columns, [even d | odd d], and
+R sin psi and R' cos psi on the odd ones alone), four products with the
+plan's weights and each moment's level sum. `_moments` returns the rows
+that its call asks for. So exp_x, exp_x2, exp_p and packet_moments
+return the same floats for each moment, for a scalar or an array t,
+and <p>(0) is exactly 0: every R', every sin psi and every b_j is 0
+there. A lone exp_x pays for the whole pass: a scalar one took about
+1.65 times the kernel of <x> alone at (16384, 128) and (10^5, 316)
+(DECISIONS.md, "The kernel runs one pass").
+expectation_sample, uncertainty_product, reduced_uncertainty and the
+limit and CLI series all ask for moments at the same instants. The
+dense forms keep one plan per set of outputs, in the order asked: a
+dense pass forms a and b once and does one product per moment, and
+equals the standalone calls bit for bit. The per-output plans keep the
+scalar path lean: a scalar exp_x or exp_p at (500, 23), the
+benchmark's point_us.p50 path, takes about 16 us, where a fused dense
+pass took 26 us.
 
 Calls on one array of instants share one pass. For an array t of packet
-moments within the budget below, `_moments` runs the fused pass of all
-three, whatever its call asks, and keeps the three brackets, read-only,
-with the plan's const, for the last array t it saw
-(`core._LastInstants`): keyed by t's contents, under the packet (n, N),
-the engine and the revival rate, the values that fix the brackets. A
-later exp_x, exp_x2, exp_p, packet_moments, uncertainty_product or
-reduced_uncertainty call on the same values, such as the benchmark's
-moment calls, only scales its rows, as offset + f (const + bracket),
-which returns a new array: a caller that changes it changes no later
-call. The values equal a fresh call's bit for bit, since a fused pass
-equals each standalone call. Inside the package no two such calls share
-an array: `limits.limit_sequence` and the CLI series make one fused
-packet_moments call per array, so only direct callers gain, and a lone
-call on a new array within the budget pays for the whole pass: a lone
-exp_x took about 1.2, 1.8 and 1.6 times its own pass at (500, 23),
-(10^4, 100) and (10^5, 316) (DECISIONS.md, "The entry keeps the fused
-brackets"). A scalar or 0-d t, an array past the budget and a quasi
-series keep nothing, and form only what their outputs read.
+moments within the budget below, `_moments` runs the pass of all three
+brackets on either engine and keeps them, read-only, with the plan's
+const, for the last array t it saw (`core._LastInstants`): keyed by t's
+contents, under the packet (n, N), the engine and the revival rate, the
+values that fix the brackets. A later exp_x, exp_x2, exp_p,
+packet_moments, uncertainty_product or reduced_uncertainty call on the
+same values, such as the benchmark's moment calls, only scales its
+rows, as offset + f (const + bracket), which returns a new array: a
+caller that changes it changes no later call. The values equal a fresh
+call's bit for bit, since a fused pass equals each standalone call.
+Inside the package no two such calls share an array: `limits.limit_sequence`
+and the CLI series make one packet_moments call per array, so only
+direct callers gain, and on the dense forms a lone call on a new array
+within the budget pays for the whole pass: a lone exp_x took about 1.2
+and 1.8 times its own pass at (500, 23) and (10^4, 100) (DECISIONS.md,
+"The entry keeps the fused brackets"). A scalar or 0-d t, an array past
+the budget and a quasi series keep nothing; on the dense forms they
+form only what their outputs read.
 
 Block size. Every moment runs one loop over blocks, in `_moments`. The
 revival fraction and the split of its high part are formed once per
@@ -239,10 +243,9 @@ own: the Dirichlet columns and the psi = 2n theta_d columns, from which
 it forms its column products, and the 2N + 1 level phases of
 `_level_phases`. Each holds at most
 core._CHUNK = 8192 elements, so the rows come from the widest of the
-three, not their sum. The levels (2N + 1) are the widest for every
-packet moment: exp_x, exp_x2, exp_p and a fused pass all take 12
-instants per block at (10^5, 316). A block holds a few temporaries of
-one array's size at once (the phases, the sign, the two tangents,
+three, not their sum. The levels (2N + 1) are the widest: every kernel
+call takes 12 instants per block at (10^5, 316). A block holds a few
+temporaries of one array's size at once (the phases, the sign, the two tangents,
 1 + t^2 of each, one more for R', cos psi, and a and b of the levels).
 A dense block holds _block_rows(2(2N+1)) instants, so the stacked
 [a; b] and its product with a matrix are at most 64 KiB each. Each
@@ -250,12 +253,11 @@ float64 temporary is then at most 64 KiB, below glibc's default mmap
 threshold of 128 KiB: the temporaries come from the heap and are reused
 from block to block. Larger blocks are mapped and unmapped, or trimmed from
 the heap, on every call unless some earlier large free in the process
-has raised glibc's dynamic thresholds. A fused kernel pass reads the
-blocks of its standalone calls, so its arrays equal exp_x, exp_x2 and
-exp_p bit for bit, and no temporary ever spans instants x columns x
-moments. Every moment of a dense pass reads the same blocks, so there
-its arrays equal the standalone calls bit for bit too. Small arrays do
-not make the heap memory stay, though: where a block's temporaries sit at
+has raised glibc's dynamic thresholds. Every kernel call runs the same
+blocks of one plan, and no temporary ever spans instants x columns x
+moments. Every moment of a dense pass reads the same blocks as its
+standalone call, so there its arrays equal the standalone calls bit for
+bit too. Small arrays do not make the heap memory stay, though: where a block's temporaries sit at
 the top of the heap, glibc can trim them after the block and the next
 block faults them back in. With the level sums a warm fused call at
 (10^5, 316) on 8 instants, one block, peaks at 379 KiB of temporaries
@@ -274,7 +276,7 @@ temporary is made. A fused dense plan at N = 127 holds 650 KB, so 16
 dense plans of N <= 127 keep at most 16 x (130 + 390 + 130) KB, about
 10.4 MB. A fused plan past the series rule holds five quarters of
 (2N+1)^2 float64 (40 MB at (1500, 1000)), and a quasi plan one quarter
-(8.0 MB at N = 1000) or, for <x^2>, three, and so may each of the 16; the kernel plans'
+(8.0 MB at N = 1000) or, for <x^2>, three, and so may each of the 16; a kernel plan's
 level-sum bases are small (30, 15 and 122 KB for <x>, <x^2> and <p> at
 (10^5, 316)). The kept instants are one entry: the three brackets of an
 array t, 3 floats per instant. An array whose 2N + 1 level phases would
@@ -449,22 +451,18 @@ def _level_form(n: int, N: int, output: str, K: int) -> tuple:
 
 @dataclass(frozen=True)
 class _Kernel:
-    """Read-only columns, weights and level sums of one (n, N, outputs) kernel pass.
+    """Read-only columns, weights and level sums of the fused kernel pass of one packet (n, N).
 
-    Column i holds R_{K[i]} at the phase d[i] * tau. The columns are the
-    d-groups in one order whatever the outputs, [even d | odd d], the even
-    ones only where <x^2> is asked. psi_m holds the multipliers 2n d of
-    psi = 2n theta_d, in the same order, as an array of its own. Three
-    column products are formed from them (`_products`): "cos" is R times
-    cos psi on the d-columns, "sin" R times sin psi and "rate" R' times
-    cos psi on the odd ones alone. Output j is sum over (name, cols, w)
-    in terms[j] of product[:, cols] @ w, plus the level sum forms[j] over
-    a_l = cos(m_l tau) and b_l = sin(m_l tau) at the level multipliers
-    m_l = 2n l + l^2, l = -N..N. cols is a slice: the last N columns of
-    any [even | odd] layout (<x>), or every column (<x^2>, and the
-    odd-only "sin" and "rate"). Each output therefore reads the same
-    columns in the same order, and the same level sum, as the kernel of
-    that output alone.
+    Column i holds R_{K[i]} at the phase d[i] * tau, the d-groups in the
+    order [even d | odd d], and psi_m holds the multipliers 2n d of
+    psi = 2n theta_d in the same order, as an array of its own. A block
+    forms three column products from them: R cos psi on every column, and
+    R sin psi and R' cos psi on the odd ones, odd_d. Its brackets, in the
+    order of _PACKET, are (R cos psi)[:, odd_d] @ x_w for <x>,
+    (R cos psi) @ x2_w for <x^2> and (R sin psi) @ sin_w +
+    (R' cos psi) @ rate_w for the tau-derivative of <x>, each plus its
+    level sum forms[i] over a_l = cos(m_l tau) and b_l = sin(m_l tau) at
+    the level multipliers m_l = 2n l + l^2, l = -N..N (`_level_sums`).
     """
 
     d: np.ndarray  # the Dirichlet multipliers
@@ -473,39 +471,35 @@ class _Kernel:
     flip: np.ndarray  # -2 where K is even (R_K(phi + pi) = -R_K(phi)), else 0
     a2: np.ndarray  # R_K(x) = K + a2 x^2 + a4 x^4 + O(x^6)
     a4: np.ndarray
-    odd_d: slice  # the plan's odd d-columns, after its even ones
-    terms: tuple[tuple[tuple[str, slice, np.ndarray], ...], ...]
-    blocks: frozenset[str]  # the products that the outputs read
+    odd_d: slice  # the last N columns, the odd d
+    x_w: np.ndarray  # <x> on R cos psi, odd d
+    x2_w: np.ndarray  # <x^2> on R cos psi, every d
+    sin_w: np.ndarray  # <p> on R sin psi, odd d
+    rate_w: np.ndarray  # <p> on R' cos psi, odd d
     m: np.ndarray  # the level multipliers
-    forms: tuple[tuple, ...]  # `_level_form` per output
+    forms: tuple[tuple, ...]  # `_level_form` per bracket, in the order of _PACKET
     const: np.ndarray  # zeros: the level sums hold <x^2>'s diagonal
     bits: int  # every d and m is below 2**bits
     rows: int  # instants per block: the Dirichlet, psi and level phases each hold at most _CHUNK elements
 
 
 @functools.lru_cache(maxsize=16)
-def _kernel(n: int, N: int, outputs: tuple[str, ...]) -> _Kernel:
-    """The columns that `outputs` need, in the fixed order, and one weight set and level sum per output.
+def _kernel(n: int, N: int) -> _Kernel:
+    """The d-columns, weights and level sums of the packet (n, N), for all three brackets.
 
-    The outputs are the brackets of <x> ("position"), <x^2>
-    ("position_sq") and the tau-derivative of <x> ("momentum"). <x> and
-    <p> take the odd d-columns, <x^2> every d = 1..2N. Their Hankel parts
-    are level sums of the length that `_series_terms` gives, so the
-    packet is one inside the series rule.
+    The brackets are those of <x> ("position"), <x^2> ("position_sq") and
+    the tau-derivative of <x> ("momentum"). <x> and <p> take the odd
+    d-columns, <x^2> every d = 1..2N. Their Hankel parts are level sums
+    of the length that `_series_terms` gives, so the packet is one inside
+    the series rule. The 2N + 1 levels are the widest phase array, and set
+    the block's rows.
     """
     series = _series_terms(n, N)
     odd_d = np.arange(1.0, 2 * N + 1, 2)
-    even_d = np.arange(2.0, 2 * N + 1, 2) if "position_sq" in outputs else np.empty(0)
-    d = np.concatenate([even_d, odd_d])
-    odd = slice(-N or None, None)  # the last N columns of any [even | odd] layout (all where N = 0: none)
-    x_d = -1.0 / odd_d**2  # <x> weights
-    j = np.arange(-N, N + 1.0)
-    weights = {  # the Toeplitz part of each output: its d-columns
-        "position": (("cos", odd, x_d),),
-        "position_sq": (("cos", slice(None), (-1.0) ** d / d**2),),
-        "momentum": (("sin", slice(None), -2.0 * n * odd_d * x_d), ("rate", slice(None), x_d * odd_d)),
-    }
+    d = np.concatenate([np.arange(2.0, 2 * N + 1, 2), odd_d])
+    x_w = -1.0 / odd_d**2
     K = 2 * N + 1 - d
+    j = np.arange(-N, N + 1.0)
     arrays = {
         "d": d,
         "psi_m": 2 * n * d,
@@ -513,31 +507,31 @@ def _kernel(n: int, N: int, outputs: tuple[str, ...]) -> _Kernel:
         "flip": -2.0 * (K % 2 == 0),
         "a2": K * (1 - K**2) / 6,
         "a4": K * (K**2 - 1) * (3 * K**2 - 7) / 360,
+        "x_w": x_w,
+        "x2_w": (-1.0) ** d / d**2,
+        "sin_w": -2.0 * n * odd_d * x_w,
+        "rate_w": x_w * odd_d,
         "m": (j + 2 * n) * j,
-        "const": np.zeros(len(outputs)),
+        "const": np.zeros(len(_PACKET)),
     }
-    terms = tuple(weights[out] for out in outputs)
-    for arr in (*arrays.values(), *(w for ts in terms for _, _, w in ts)):
+    for arr in arrays.values():
         arr.setflags(write=False)
     return _Kernel(
         **arrays,
-        odd_d=slice(len(even_d), None),
-        terms=terms,
-        blocks=frozenset(name for ts in terms for name, _, _ in ts),
-        forms=tuple(_level_form(n, N, out, series) for out in outputs),
-        bits=(4 * n * N).bit_length(),  # one bound for every kernel of (n, N), levels included
-        rows=_block_rows(max(len(d), len(arrays["m"]))),
+        odd_d=slice(N, None),
+        forms=tuple(_level_form(n, N, out, series) for out in _PACKET),
+        bits=(4 * n * N).bit_length(),  # one bound for the d-columns and the levels
+        rows=_block_rows(len(j)),
     )
 
 
-def _dirichlet(ker: _Kernel, c: np.ndarray, rate: slice | None):
+def _dirichlet(ker: _Kernel, c: np.ndarray, rate: slice):
     """R_K at phi = 2 pi c, for |c| < 3/4, and R_K' on the columns `rate` of c.
 
     c holds every d-column of ker, and rate is a slice from some column of
-    c to its last, or None for no R'. With j = rint(2c), x = phi - j pi =
-    pi (2c - j) takes one rounding, |x| <= pi/2 and R_K(phi) =
-    (-1)^(j (K - 1)) R_K(x). R_K(x) and R_K'(x) are rational in
-    t_x = tan(x/2) and t_k = tan(K x/2):
+    c to its last. With j = rint(2c), x = phi - j pi = pi (2c - j) takes
+    one rounding, |x| <= pi/2 and R_K(phi) = (-1)^(j (K - 1)) R_K(x).
+    R_K(x) and R_K'(x) are rational in t_x = tan(x/2) and t_k = tan(K x/2):
 
         R   = t_k (1 + t_x^2) / (t_x (1 + t_k^2))
         R'  = (1 + t_x^2) (K (1 - t_k^2) t_x - (1 - t_x^2) t_k) / (2 t_x^2 (1 + t_k^2))
@@ -547,6 +541,7 @@ def _dirichlet(ker: _Kernel, c: np.ndarray, rate: slice | None):
     column's values do not depend on the other columns of c.
     """
     K, flip, a2, a4 = ker.K, ker.flip, ker.a2, ker.a4
+    first = rate.start or 0
     u = 2.0 * c  # a new array: c is left as it is
     j = np.rint(u)
     u -= j
@@ -565,8 +560,7 @@ def _dirichlet(ker: _Kernel, c: np.ndarray, rate: slice | None):
         x2 = x * x
         sign_s = sign.reshape(-1)[small]
         taylor = sign_s * (K[col] + x2 * (a2[col] + x2 * a4[col]))
-        if rate is not None:
-            taylor_rate = sign_s * (x * (2.0 * a2[col] + 4.0 * x2 * a4[col]))
+        taylor_rate = sign_s * (x * (2.0 * a2[col] + 4.0 * x2 * a4[col]))
     tx = np.tan(u, out=u)
     np.tan(tk, out=tk)
     if small is not None:
@@ -575,72 +569,61 @@ def _dirichlet(ker: _Kernel, c: np.ndarray, rate: slice | None):
     a += 1.0
     b = tk * tk
     b += 1.0
-    if rate is not None:
-        rb, ra, rx, rk, rK = b, a, tx, tk, K
-        if rate.start:  # views on the columns of R'
-            rb, ra, rx, rk, rK = b[:, rate], a[:, rate], tx[:, rate], tk[:, rate], K[rate]
-        num = np.subtract(2.0, rb)  # 1 - t_k^2
-        num *= rK
-        num *= rx
-        v = np.subtract(2.0, ra)  # 1 - t_x^2
-        v *= rk
-        num -= v
+    ra, rx = a[:, rate], tx[:, rate]  # views on the columns of R'
+    dR = np.subtract(2.0, b[:, rate])  # 1 - t_k^2
+    dR *= K[rate]
+    dR *= rx
+    v = np.subtract(2.0, ra)  # 1 - t_x^2
+    v *= tk[:, rate]
+    dR -= v
     b *= tx
     a /= b
     a *= sign  # sign (1 + t_x^2) / (t_x (1 + t_k^2)), common to R and R'
     R = tk
     R *= a
-    dR = None
-    if rate is not None:
-        dR = num
-        dR *= ra
-        dR /= rx
-        dR *= 0.5
+    dR *= ra
+    dR /= rx
+    dR *= 0.5
     if small is not None:
         R.reshape(-1)[small] = taylor
-        if rate is not None:
-            at = col >= (rate.start or 0)
-            dR[small[at] // len(K), col[at] - (rate.start or 0)] = taylor_rate[at]
+        at = col >= first
+        dR[small[at] // len(K), col[at] - first] = taylor_rate[at]
     return R, dR
 
 
-def _products(ker: _Kernel, h, l, rows: int) -> dict:
-    """The column products that ker's outputs read (ker.blocks) of one block, by name.
+def _kernel_block(ker: _Kernel, h, l, out: np.ndarray) -> None:
+    """The three brackets of one block of instants from its split revival
+    fraction h + l, into out, in the order of _PACKET: the weighted column
+    products, then the level sums over the level phases of `_level_phases`.
 
-    "cos" is R cos psi on ker's d-columns, "sin" R sin psi and "rate"
-    R' cos psi on the odd ones, ker.odd_d.
+    One tangent per psi column gives q = 2/(1 + t^2) into cos, so that
+    sin psi = t q is formed on the odd columns alone before cos psi = q - 1,
+    the IEEE operations of `core._half_angle`.
     """
-    names = ker.blocks
-    c = _phases(h, l, ker.d, ker.bits).reshape(rows, len(ker.d))
-    R, dR = _dirichlet(ker, c, ker.odd_d if "rate" in names else None)
+    a, b = _level_phases(ker.m, ker.bits, h, l)
+    rows, odd = out.shape[1], ker.odd_d
+    R, dR = _dirichlet(ker, _phases(h, l, ker.d, ker.bits).reshape(rows, len(ker.d)), odd)
     psi = _phases(h, l, ker.psi_m, ker.bits).reshape(rows, len(ker.d))
     psi *= math.pi  # psi / 2, for the one tangent of `core._half_angle`
-    cos, sin = np.empty(psi.shape), psi if "sin" in names else None
-    _half_angle(psi, cos, sin)  # sin psi over psi
-    odd, formed = ker.odd_d, {}
-    if sin is not None:
-        formed["sin"] = np.multiply(sin[:, odd], R[:, odd])
-    if dR is not None:
-        dR *= cos[:, odd] if odd.start else cos
-        formed["rate"] = dR
-    if "cos" in names:
-        R *= cos
-        formed["cos"] = R
-    return formed
+    cos = np.empty(psi.shape)
+    _half_angle(psi, cos, None, (2.0, 0.0))  # tan(psi/2) into psi, 2/(1 + t^2) into cos
+    sin = np.multiply(psi[:, odd], cos[:, odd])
+    sin *= R[:, odd]  # R sin psi
+    cos -= 1.0
+    dR *= cos[:, odd]  # R' cos psi
+    R *= cos  # R cos psi
+    x, x2, p = out
+    np.matmul(R[:, odd], ker.x_w, out=x)
+    np.matmul(R, ker.x2_w, out=x2)
+    np.matmul(sin, ker.sin_w, out=p)
+    np.add(p, dR @ ker.rate_w, out=p)
+    _level_sums(ker, a, b, out)
 
 
-def _kernel_block(ker: _Kernel, h, l, out: np.ndarray) -> None:
-    """The brackets of one block of instants from its split revival fraction
-    h + l, into out: the column products that the outputs read, and the
-    level sums over the level phases of `_level_phases`."""
-    a, b = _level_phases(ker.m, ker.bits, h, l)
-    feats = _products(ker, h, l, out.shape[1])
-    for acc, terms, (sine, left, right, v) in zip(out, ker.terms, ker.forms):
-        for i, (name, cols, w) in enumerate(terms):
-            if i:
-                np.add(acc, feats[name][:, cols] @ w, out=acc)
-            else:
-                np.matmul(feats[name][:, cols], w, out=acc)
+def _level_sums(ker: _Kernel, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """Add each bracket's Hankel part, its level sum over the level phases
+    a = cos(m tau) and b = sin(m tau) of a block, to its row of out."""
+    for acc, (sine, left, right, v) in zip(out, ker.forms):
         y = (b if sine else a) @ left
         if sine:
             y *= a @ right
@@ -838,23 +821,26 @@ def _moments(cfg: WellConfig, spec: PacketSpec, t, outputs: tuple[str, ...]) -> 
     (N <= 127), and a packet whose level sums `_series_terms` would cut
     past _SERIES_CAP (n < 2.05 N); the Dirichlet kernel serves the packet
     moments of every other packet. The high part of frac(t / T_rev) keeps
-    53 - bits bits for `_phases`. For an array t of packet moments, the
-    pass takes all three outputs, and their brackets are kept, read-only,
-    with the plan's const (`core._LastInstants`) under the packet, the
-    engine and the revival rate; a later call on the same contents only
-    scales the rows it asks for. A scalar or 0-d t, and a quasi series,
-    keep nothing.
+    53 - bits bits for `_phases`. The kernel always runs the pass of all
+    three brackets, in the order of _PACKET; the dense forms run the
+    outputs asked for, except on a kept array. For an array t of packet
+    moments within the budget the pass takes all three, and their
+    brackets are kept, read-only, with the plan's const
+    (`core._LastInstants`) under the packet, the engine and the revival
+    rate; a later call on the same contents only scales the rows it asks
+    for. A scalar or 0-d t, an array past the budget and a quasi series
+    keep nothing. Either way the call returns the rows of its outputs.
     """
     dense = spec.size**2 <= _PANELS * _CHUNK or outputs[0] not in _PACKET or _series_terms(spec.n, spec.N) is None
     tag = kept = None
-    passed = outputs
+    passed = outputs if dense else _PACKET
     if isinstance(t, np.ndarray) and t.ndim and outputs[0] in _PACKET:
         key = (spec.n, spec.N, dense, cfg._revival_rate)
         tag, kept = _instants.find(key, t, spec.size)
         if tag is not None:
             passed = _PACKET
     if kept is None:
-        plan = (_dense if dense else _kernel)(spec.n, spec.N, passed)
+        plan = _dense(spec.n, spec.N, passed) if dense else _kernel(spec.n, spec.N)
         step = plan.rows
         hi, lo = _fraction(cfg._revival_rate, t)  # raises ValueError before t_arr can overflow
         t_arr = np.asarray(t, dtype=float)
@@ -878,7 +864,7 @@ def _moments(cfg: WellConfig, spec: PacketSpec, t, outputs: tuple[str, ...]) -> 
             _instants.keep(key, tag, kept)
 
     const, brackets = kept
-    if passed is not outputs:  # the rows of the kept pass that outputs read
+    if passed is not outputs:  # the rows of a kernel or kept pass that outputs read
         at = [_PACKET.index(out) for out in outputs]
         const, brackets = const[at], brackets[at]
     scales = _scales(cfg.a, cfg.hbar, spec.N, outputs)
@@ -886,13 +872,14 @@ def _moments(cfg: WellConfig, spec: PacketSpec, t, outputs: tuple[str, ...]) -> 
 
 
 def packet_moments(cfg: WellConfig, spec: PacketSpec, t, kinds=_PACKET) -> tuple:
-    """<x>, <x^2> and <p> at t from one kernel pass, in the order of `kinds`.
+    """<x>, <x^2> and <p> at t from one pass, in the order of `kinds`.
 
-    kinds names any of "position", "position_sq" and "momentum". The pass
-    evaluates the union of their kernel columns once, so it costs about
-    as much as the widest of the matching exp_x, exp_x2 and exp_p calls.
-    Each value equals that call's, bit for bit, for a scalar or an array
-    t, and is shaped like t.
+    kinds names any of "position", "position_sq" and "momentum". On the
+    Dirichlet kernel every call runs the one pass of all three, so asking
+    for more moments costs nothing more; on the dense forms the pass
+    forms the level phases once and does one product per kind. Each value
+    equals the matching exp_x, exp_x2 or exp_p call's, bit for bit, for a
+    scalar or an array t, and is shaped like t.
     """
     kinds = tuple(kinds)
     if not kinds or not set(kinds) <= set(_PACKET):
@@ -1116,7 +1103,7 @@ def uncertainty_product(cfg: WellConfig, spec: PacketSpec, t):
 
 
 def expectation_sample(cfg: WellConfig, spec: PacketSpec, t: float) -> ExpectationSample:
-    """All moments of the packet at one instant t in one record, from one kernel pass.
+    """All moments of the packet at one instant t in one record, from one pass.
 
     An array t raises TypeError before any moment is evaluated.
     """

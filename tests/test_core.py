@@ -215,11 +215,24 @@ def test_int_instant_past_the_float_range_is_refused(t):
             call()
 
 
+def _objects(value):
+    """A 0-d object array holding value, and a 1-d one holding a real and value."""
+    scalar = np.empty((), dtype=object)
+    scalar[()] = value
+    return scalar, np.array([0.1, value], dtype=object)
+
+
 _NOT_REAL = {  # each was evaluated at its real part, parsed value or count of seconds
     "complex": (np.complex128(0.1 + 1j), np.array([0.1 + 1j, 0.2])),
     "string": ("0.1", np.array(["0.1", "0.2"])),
     "datetime": (np.datetime64(1, "s"), np.array([1, 2], dtype="datetime64[s]")),
     "timedelta": (np.timedelta64(1, "s"), np.array([1, 2], dtype="timedelta64[s]")),
+    # an object array passes the dtype check: float() parsed a str or bytes
+    # element, and the oracle failed late on a 0-d "0.1" ("can't multiply sequence")
+    "object-str": _objects("0.1"),
+    "object-bytes": _objects(b"0.1"),
+    "object-complex": _objects(0.1 + 1j),
+    "object-None": _objects(None),
 }
 _ORBIT = ClassicalOrbit()
 _SPEC = PacketSpec(n=10, N=3)

@@ -1,6 +1,5 @@
 """Tests for the closed-form packet expectation values against first principles."""
 
-import dataclasses
 import functools
 import gc
 import itertools
@@ -664,7 +663,7 @@ def test_kernel_blocks_hold_at_most_a_chunk(monkeypatch, n, N):
     # every kernel block's Dirichlet phases, psi phases and level phases
     # each hold at most core._CHUNK elements, and the blocks of a call tile
     # its instants in order, standalone and fused: on an array past the
-    # budget, which is not kept, each call takes its own plan
+    # budget, which is not kept, each call runs its own pass
     blocks = []
     kernel_block = quantum._kernel_block
     monkeypatch.setattr(quantum, "_kernel_block", lambda *args: blocks.append(args) or kernel_block(*args))
@@ -686,12 +685,11 @@ def test_kernel_blocks_hold_at_most_a_chunk(monkeypatch, n, N):
 
 
 def test_kernel_blocks_take_eight_instants_at_316(monkeypatch):
-    # at (10^5, 316) the widest phase array of any kernel plan is the 633
-    # level phases, not the 632 Dirichlet or the 632 psi phases of exp_x2
-    # and the fused pass, so every plan takes 12 instants per block and 8
-    # instants are one block for every moment
-    for outputs in [(kind,) for kind in quantum._PACKET] + [quantum._PACKET]:
-        assert _kernel(100_000, 316, outputs).rows == 12, outputs
+    # at (10^5, 316) the widest phase array of the kernel plan is the 633
+    # level phases, not the 632 Dirichlet or the 632 psi phases, so the
+    # plan takes 12 instants per block and 8 instants are one block for
+    # every moment
+    assert _kernel(100_000, 316).rows == 12
     blocks = []
     kernel_block = quantum._kernel_block
     monkeypatch.setattr(quantum, "_kernel_block", lambda *args: blocks.append(args) or kernel_block(*args))
@@ -1030,7 +1028,7 @@ def test_kernel_exact_to_rounding_at_large_n(n, N, fractions, p_eps):
             assert abs(fn(NATURAL, spec, t) - ref[kind]) <= bounds[kind], (kind, t)
 
 
-_KERNEL_COLUMNS = _kernel(100_000, 317, ("position_sq",))  # one d-column for each K = 1..634
+_KERNEL_COLUMNS = _kernel(100_000, 317)  # one d-column for each K = 1..634
 
 
 def _double_series_cap(monkeypatch):
@@ -1059,8 +1057,7 @@ def _hankel_matrices(n, N):
 
 @pytest.mark.parametrize("n,N", [(123, 60), (262, 128), (16_384, 128), (100_000, 316)])
 def test_level_sums_equal_the_hankel_forms(n, N):
-    # each output's level sum, from `_kernel_block` with its d-columns
-    # dropped, against the explicit (2N+1)^2 Hankel form over the same
+    # each output's level sum, from `_level_sums`, against the explicit (2N+1)^2 Hankel form over the same
     # level phases of `_level_phases`: sum_jk H_jk (a_j a_k + b_j b_k) for
     # <x> and <x^2>, sum_jk H_jk b_j a_k for <p>. The bound is 16 eps of
     # S = sum_jk |H_jk| per quadratic form, the largest the reference can
@@ -1069,8 +1066,7 @@ def test_level_sums_equal_the_hankel_forms(n, N):
     # first two packets are the first that the series rule gives level sums
     # at N = 60 and 128; there the last term lies below rounding
     kinds = tuple(CLOSED_FORMS)
-    ker = _kernel(n, N, kinds)
-    levels_only = dataclasses.replace(ker, terms=((),) * len(kinds), blocks=frozenset())
+    ker = _kernel(n, N)
     hankel = _hankel_matrices(n, N)
     eps = np.finfo(float).eps
     for t in _checked_instants(n):
@@ -1078,7 +1074,7 @@ def test_level_sums_equal_the_hankel_forms(n, N):
         h, l = _split(hi, ker.bits)
         ab = quantum._level_phases(ker.m, ker.bits, h, l + lo)
         got = np.zeros((len(kinds), 1))
-        quantum._kernel_block(levels_only, h, l + lo, got)
+        quantum._level_sums(ker, ab[0], ab[1], got)
         a, b = ab[0, 0], ab[1, 0]
         for kind, value in zip(kinds, got[:, 0]):
             H = hankel[kind]
@@ -1462,8 +1458,8 @@ def test_another_packet_never_reuses_the_entry(monkeypatch, first, second):
     # packets of one order whose plans have the same bits and block rows
     # form other level phases: the key holds n and N themselves
     t = _instants_over(first[0], 40)
-    plan = quantum._dense if (2 * first[1] + 1) ** 2 <= quantum._PANELS * _CHUNK else quantum._kernel
-    plans = [plan(n, N, ("position",)) for n, N in (first, second)]
+    dense = (2 * first[1] + 1) ** 2 <= quantum._PANELS * _CHUNK
+    plans = [quantum._dense(n, N, ("position",)) if dense else quantum._kernel(n, N) for n, N in (first, second)]
     assert (plans[0].bits, plans[0].rows) == (plans[1].bits, plans[1].rows)
     exp_x(NATURAL, PacketSpec(*first), t)
     spec = PacketSpec(*second)
@@ -1573,7 +1569,7 @@ def _dirichlet_calls(monkeypatch):
     dirichlet = quantum._dirichlet
 
     def counted(ker, c, rate):
-        calls.append((ker.d, ker.d[rate] if rate is not None else ker.d[:0]))
+        calls.append((ker.d, ker.d[rate]))
         return dirichlet(ker, c, rate)
 
     monkeypatch.setattr(quantum, "_dirichlet", counted)
@@ -1588,17 +1584,29 @@ _ONE_ARRAY_CALLS = {
 }
 
 
+_ORDERS = [pytest.param(order, None, id=f"order{i}") for i, order in enumerate(itertools.permutations(range(3)))]
+_UNKEPT = [pytest.param((0, 1, 2), kind, id=kind) for kind in ("scalar", "0-d", "past-budget")]
+
+
 @pytest.mark.parametrize("n,N", [(500, 23), (16_384, 128), (100_000, 316)])
-@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
-def test_kernel_columns_form_once_per_array(monkeypatch, n, N, order):
+@pytest.mark.parametrize("order,unkept", _ORDERS + _UNKEPT)
+def test_kernel_columns_form_once_per_array(monkeypatch, n, N, order, unkept):
     # exp_x, exp_x2 and exp_p in the given order, with packet_moments put
     # before, between or after them, on one array: every such order reduces
     # t once and runs each block once, for all three brackets, on the dense
-    # forms as on the kernel; there each block's one `_dirichlet` call takes
-    # all 2N d-columns and R' on the odd N. Every value equals a fresh
-    # call's bit for bit
+    # forms as on the kernel. A scalar, a 0-d t and an array past the
+    # budget keep nothing, so there each call reduces t and runs its blocks
+    # itself, on the kernel plan of the packet or on the dense plan of its
+    # outputs. On the kernel each block's one `_dirichlet` call takes all
+    # 2N d-columns and R' on the odd N, whatever the call asks. Every value
+    # equals a fresh call's bit for bit
     spec = PacketSpec(n=n, N=N)
-    t = _instants_over(n, 30)
+    t = {
+        None: _instants_over(n, 30),
+        "scalar": 0.3,
+        "0-d": np.array(0.3),
+        "past-budget": _instants_over(n, quantum._PANELS * _CHUNK // spec.size + 1),
+    }[unkept]
     fresh = {name: _fresh(fn, NATURAL, spec, t) for name, fn in _ONE_ARRAY_CALLS.items()}
     dense = spec.size**2 <= quantum._PANELS * _CHUNK
     name = "_dense_block" if dense else "_kernel_block"
@@ -1615,8 +1623,11 @@ def test_kernel_columns_form_once_per_array(monkeypatch, n, N, order):
             log.clear()
         for call in calls:
             assert _same_bits(_ONE_ARRAY_CALLS[call](NATURAL, spec, t), fresh[call]), (calls, call)
-        assert len(fractions) == 1, calls
-        assert len(plans) == -(-t.size // plans[0].rows) and all(p is plans[0] for p in plans), calls
+        passes = 1 if unkept is None else len(calls)
+        assert quantum._instants.entry is None or unkept is None, calls
+        assert len(fractions) == passes, calls
+        assert len(plans) == passes * -(-np.size(t) // plans[0].rows), calls
+        assert all(p is plans[0] for p in plans) or (dense and unkept), calls
         assert len(columns) == (0 if dense else len(plans)), calls
         for d, r in columns:
             assert np.array_equal(np.sort(d), every) and np.array_equal(r, odd), calls
@@ -1642,36 +1653,3 @@ def test_kept_calls_return_arrays_of_their_own(n, N):
     assert not brackets.flags.writeable
     with pytest.raises(ValueError):
         brackets[0, 0] = 0.0
-
-
-@pytest.mark.parametrize("n,N", [(16_384, 128), (100_000, 316)])
-def test_unkept_calls_form_only_the_columns_they_read(monkeypatch, n, N):
-    # a scalar, a 0-d t and an array past the budget keep nothing, so
-    # each block forms the d-columns and the products that its outputs
-    # read, and R' on the odd d-columns alone
-    spec = PacketSpec(n=n, N=N)
-    reads = {  # d-columns (odd, even), R' and the products that each output reads
-        "position": (True, False, False, {"cos"}),
-        "position_sq": (True, True, False, {"cos"}),
-        "momentum": (True, False, True, {"sin", "rate"}),
-    }
-    wide = _instants_over(n, quantum._PANELS * _CHUNK // spec.size + 1)
-    products = quantum._products
-    formed = []
-    monkeypatch.setattr(quantum, "_products", lambda *args: formed.append(products(*args)) or formed[-1])
-    calls = _dirichlet_calls(monkeypatch)
-    for t in (0.3, np.array(0.3), wide):
-        for kinds in [(k,) for k in reads] + [("position", "momentum"), ("position_sq", "momentum"), quantum._PACKET]:
-            calls.clear()
-            formed.clear()
-            quantum._instants.entry = None
-            packet_moments(NATURAL, spec, t, kinds)
-            assert quantum._instants.entry is None
-            odd, even, rate = (any(reads[k][i] for k in kinds) for i in range(3))
-            names = set().union(*(reads[k][3] for k in kinds))
-            assert len(calls) == len(formed) and formed
-            for d, r in calls:
-                assert np.count_nonzero(d % 2) == N * odd and np.count_nonzero(d % 2 == 0) == N * even, kinds
-                assert len(r) == N * rate and np.all(r % 2 == 1), kinds
-            for feats in formed:
-                assert set(feats) == names, kinds
