@@ -20,15 +20,29 @@ weighted terms, so no temporary exceeds 64 KiB, whatever the number of
 instants or the order. Each row is summed as a whole row in every block,
 so the values do not depend on where the blocks fall; a t that fits in
 one block, a scalar included, runs that block alone, with no loop,
-reshape or concatenation. The blocks read f = frac(t / T) (below), and
-`_cycle` keeps the f of the last array t, read-only and keyed by t's
-contents and the orbit's cycle rate (`core._LastInstants`), so the
-series of one orbit on one array reduce it once and give the values a
-reduction of their own gives, bit for bit: the two Fejer averages of the
-CLI trajectories series, and the three that its uncertainty series and
-`limits.limit_sequence` compare, each on one time grid. A scalar or 0-d t
-never looks, and an array of more than _PANELS * _CHUNK instants is not
-kept.
+reshape or concatenation.
+
+What is kept. The classical entry (`core._LastInstants`) holds, for the
+last array t and the orbit's cycle rate, f = frac(t / T) (below) and the
+three Fejer sums of one order N, all read-only and keyed by t's
+contents. An array of Fejer series within the budget t.size * 2N <=
+_PANELS * _CHUNK, the rule of the quantum entry's width, runs one fused
+pass (`_fejer_block`): one tangent per instant and harmonic h = 1..2N
+serves fejer_position_sq on every column and fejer_position and
+fejer_momentum on the odd ones, in blocks of core._block_rows(2N)
+instants, against weights tiled over a block (`_fused_table`). The next
+Fejer call of that order on the same contents only scales its row. Every
+other array reads f from the entry and runs its own series alone, so the
+series of one orbit on one array reduce it once: the Fejer columns of
+every order of the CLI gibbs series, which pass the budget past m = 2,
+and the two or three series of its trajectories and uncertainty series
+on 2000 instants. The kept sums serve limits.limit_sequence, which calls
+the three series on one grid per level (the CLI limit's 2048-instant
+grids of n = 100 and 200 are within the budget), and direct callers such
+as the benchmark's moments unit. Every value equals the series' own sum,
+and the scalar call, bit for bit. A scalar or 0-d t never looks, an
+object array is never kept, N = 0 keeps no sums, and an array of more
+than _PANELS * _CHUNK instants keeps nothing.
 
 Every function reduces t to f = frac(t / T) in [-1/2, 1/2] by the exact
 reduction of the packet moments (`core._fraction`), with 1/T = p_c/(2a mu)
@@ -73,7 +87,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import WellConfig, spectral_data
-from .core import _LastInstants, _block_rows, _fraction, _half_angle, _rate, _reduced_spread, _rint
+from .core import _CHUNK, _PANELS, _LastInstants, _block_rows, _fraction, _rate, _reduced_spread, _rint
+from .core import _tangent, _weigh
 
 __all__ = [
     "ClassicalOrbit",
@@ -135,27 +150,40 @@ def _matched_orbit(cfg: WellConfig, n: int) -> ClassicalOrbit:
     return orbit
 
 
-_instants = _LastInstants()  # f of the last array of instants, keyed by the cycle rate
+_instants = _LastInstants()  # f of the last array of instants and its Fejer sums, keyed by the cycle rate
+
+_FEJER = ("fejer_position", "fejer_position_sq", "fejer_momentum")  # the rows of a kept fused pass
+
+
+def _reduce(orbit: ClassicalOrbit, t):
+    """f = frac(t / T) in [-1/2, 1/2], exact to rounding; a Python float for a scalar t."""
+    hi, lo = _fraction(orbit._cycle_rate, t)
+    f = hi + lo
+    return f - (np.rint(f) if isinstance(f, np.ndarray) else _rint(f))  # hi + lo may round past 1/2
+
+
+def _kept(orbit: ClassicalOrbit, t: np.ndarray):
+    """(tag, (f, order, sums)): the classical entry of an array t, f formed and kept on a miss.
+
+    The entry keeps f, read-only, for the next call on the same rate and
+    contents (`core._LastInstants`), and with it the three Fejer sums of
+    one order (`_series`); order and sums are None until a fused pass runs.
+    The tag is None where t is not kept.
+    """
+    tag, kept = _instants.find(orbit._cycle_rate, t, 1)
+    if kept is None:
+        kept = (_reduce(orbit, t), None, None)
+        if tag is not None:
+            kept[0].setflags(write=False)
+            _instants.keep(orbit._cycle_rate, tag, kept)
+    return tag, kept
 
 
 def _cycle(orbit: ClassicalOrbit, t):
-    """f = frac(t / T) in [-1/2, 1/2], exact to rounding; a Python float for a scalar t.
-
-    The f of an array t is kept, read-only, for the next call on the same
-    rate and contents (`core._LastInstants`); a scalar or 0-d t skips that.
-    """
-    tag = None
+    """f = frac(t / T) of `_reduce`; an array t's comes from the classical entry (`_kept`)."""
     if isinstance(t, np.ndarray) and t.ndim:
-        tag, f = _instants.find(orbit._cycle_rate, t, 1)
-        if f is not None:
-            return f
-    hi, lo = _fraction(orbit._cycle_rate, t)
-    f = hi + lo
-    f = f - (np.rint(f) if isinstance(f, np.ndarray) else _rint(f))  # hi + lo may round past 1/2
-    if tag is not None:
-        f.setflags(write=False)
-        _instants.keep(orbit._cycle_rate, tag, f)
-    return f
+        return _kept(orbit, t)[1][0]
+    return _reduce(orbit, t)
 
 
 def sawtooth_position(orbit: ClassicalOrbit, t):
@@ -203,29 +231,82 @@ def _table(series: str, order: int):
 def _weighted_sums(f, pi_h, weights, sine):
     """sum_r w[r] trig(2 pi h[r] f) per instant, from one product overwritten in place.
 
-    The product is the half phase pi h f, and `core._half_angle` turns it
-    into w times the cosine or sine of each term, in place. A scalar f
-    takes a plain product, which is the same IEEE operation as the outer
-    one, at a third of its cost.
+    The product is the half phase pi h f, and the two steps of
+    `core._half_angle` turn it into w times the cosine or sine of each
+    term. A scalar f takes a plain product, which is the same IEEE
+    operation as the outer one, at a third of its cost.
     """
     x = (np.multiply.outer if isinstance(f, np.ndarray) else np.multiply)(f, pi_h)
-    if sine:
-        _half_angle(x, None, x, weights)
-    else:
-        _half_angle(x, x, None, weights)
-    return np.add.reduce(x, axis=-1)
+    t, q = _tangent(x)
+    _weigh(t, q, weights, None if sine else q, q if sine else None)
+    return np.add.reduce(q, axis=-1)
+
+
+@functools.lru_cache(maxsize=4)
+def _fused_table(order: int):
+    """pi h for h = 1..2N, and the weights that `_fejer_block` reads, read-only.
+
+    The weights are those of `_table`, tiled over the core._block_rows(2N)
+    instants of a block: 2w and w of fejer_position, of fejer_position_sq,
+    and 2w of fejer_momentum. A weight row broadcast against a block runs
+    numpy's loop once per instant; the tiles run it once per block, which
+    took about 12% off a block of 186 x 44 terms. They hold 7N floats per
+    instant of a block, at most 224 KiB per order, and four orders at most.
+    """
+    rows = _block_rows(2 * order)
+    (p2, p1), (s2, s1), (m2, _) = (_table(series, order)[1] for series in _FEJER)
+    tiles = tuple(np.tile(w, (rows, 1)) for w in (p2, p1, s2, s1, m2))
+    for w in tiles:
+        w.setflags(write=False)
+    return _table("fejer_position_sq", order)[0], tiles
+
+
+def _fejer_block(f, order: int, out) -> None:
+    """The three rows of out: the _FEJER sums at the instants f, from one tangent per term.
+
+    The tangents of pi h f for h = 1..2N serve all three: fejer_position_sq
+    weights every column, fejer_position and fejer_momentum the odd ones,
+    a strided view weighted into one contiguous buffer, so that each row is
+    summed as `_weighted_sums` sums it, and equals it bit for bit.
+    """
+    pi_h, tiles = _fused_table(order)
+    p2, p1, s2, s1, m2 = (w[: f.size] for w in tiles)
+    t, q = _tangent(np.multiply.outer(f, pi_h))
+    odd = np.empty((f.size, order))
+    _weigh(t[:, ::2], q[:, ::2], (p2, p1), cos=odd, work=odd)
+    np.add.reduce(odd, axis=-1, out=out[0])
+    _weigh(t[:, ::2], q[:, ::2], (m2, None), sin=odd, work=odd)
+    np.add.reduce(odd, axis=-1, out=out[2])
+    _weigh(t, q, (s2, s1), cos=q)
+    np.add.reduce(q, axis=-1, out=out[1])
 
 
 def _series(orbit: ClassicalOrbit, series: str, order: int, t):
     """sum_r w[r] trig(h[r] theta) at theta = 2 pi frac(t / T), over the table of `series`.
 
-    Instants go in blocks of `core._block_rows(harmonics)`; a t that fits in
-    one block, a scalar included, takes no call beyond that block's own.
+    A scalar or 0-d t runs one block of its own series, with no lookup and
+    no call beyond that block's. A Fejer series on an array within the
+    budget, t.size * 2N <= _PANELS * _CHUNK, reads its row of the three
+    sums that the classical entry keeps for t and N; on a miss it runs the
+    fused pass (`_fejer_block`) in blocks of `core._block_rows(2N)`
+    instants and keeps the sums. Any other array runs its own series on the
+    entry's f, in blocks of `core._block_rows(harmonics)` instants.
     """
     pi_h, weights, sine = _table(series, order)
-    f = _cycle(orbit, t)
-    step = _block_rows(pi_h.size)
-    if not isinstance(f, np.ndarray) or f.size <= step:
+    if isinstance(t, np.ndarray) and t.ndim:
+        tag, (f, kept_order, sums) = _kept(orbit, t)
+        if tag is not None and series in _FEJER and 0 < t.size * 2 * order <= _PANELS * _CHUNK:
+            if kept_order != order:
+                sums, flat, step = np.empty((3, f.size)), f.reshape(-1), _block_rows(2 * order)
+                for i in range(0, f.size, step):
+                    _fejer_block(flat[i : i + step], order, sums[:, i : i + step])
+                sums = sums.reshape((3,) + f.shape)
+                sums.setflags(write=False)
+                _instants.keep(orbit._cycle_rate, tag, (f, order, sums))
+            return sums[_FEJER.index(series)]
+    else:
+        f = _reduce(orbit, t)
+    if not isinstance(f, np.ndarray) or f.size <= (step := _block_rows(pi_h.size)):
         return _weighted_sums(f, pi_h, weights, sine)
     flat = f.reshape(-1)
     sums = [_weighted_sums(flat[i : i + step], pi_h, weights, sine) for i in range(0, flat.size, step)]

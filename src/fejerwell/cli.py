@@ -201,7 +201,10 @@ def _series_gibbs(config: RunConfig, cfg: WellConfig) -> TimeSeries:
     orbit = ClassicalOrbit()
     ts = np.arange(10000) * (orbit.period / 10000)
     # every Fejer column first, so that all orders share the one reduction of
-    # ts that classical keeps; each overshoot reduces its own lobe grid
+    # ts that the classical entry keeps; each overshoot reduces its own lobe
+    # grid. The 10^4 instants are within the budget of the kept Fejer sums
+    # (t.size * 2m <= 65536) at m = 1 and 2 alone, which run the fused pass of
+    # all three series; every higher order sums its momentum series alone
     fejer_max = [float(np.max(np.abs(fejer_momentum(orbit, m, ts)))) / orbit.p_c for m in orders]
     rows = [(float(m), gibbs_overshoot(orbit, m), f) for m, f in zip(orders, fejer_max)]
     return TimeSeries(columns=("m", "overshoot_ratio", "fejer_max_ratio"), rows=rows)

@@ -209,25 +209,28 @@ class _LastInstants:
 
     A layer keeps, for its last array t, what a later call on the same
     instants would compute again: the classical series keep the exact
-    reduction f of t, and the moments the three brackets of their fused
-    pass, into which no scale of the well enters. It keeps them in one
-    entry, (key, tag, value), and a later call that finds its own t there
-    reads the kept arrays instead of forming them again, the same arrays
-    bit for bit. The tag is t's dtype, shape and bytes: an array is
-    mutable, so its identity says nothing of its contents, and an array
-    changed in place, or another array with other values, never matches
-    while an equal copy does. Only arrays of a numeric kind (bool, int,
-    float) are looked up, since the bytes of any other kind, an object
-    array's element pointers among them, need not say what its values
-    are. The key, compared with ==, names everything else the value
-    depends on. The entry is replaced whole by one rebinding and never
+    reduction f of t with the three Fejer sums of one order, and the moments
+    the three brackets of their fused pass, into which no scale of the well
+    enters. It keeps them in one entry, (key, tag, value), and a later call
+    that finds its own t there reads the kept arrays instead of forming them
+    again, the same arrays bit for bit. The tag is t's dtype, shape and
+    bytes: an array is mutable, so its identity says nothing of its
+    contents, and an array changed in place, or another array with other
+    values, never matches while an equal copy does. Only arrays of a numeric
+    kind (bool, int, float) are looked up, since the bytes of any other
+    kind, an object array's element pointers among them, need not say what
+    its values are. The key, compared with ==, names everything else the
+    value depends on. The entry is replaced whole by one rebinding and never
     changed, so a thread reads the old entry or the new one, never a mix;
-    threads that alternate arrays only miss. An array whose widest array
-    of a call would pass _PANELS * _CHUNK elements is not kept: for the
-    moments that is a pass's 2N + 1 level phases per instant, and the
-    entry then holds 3 floats per instant, at most 1.5 MiB / (2N + 1).
-    DECISIONS.md, "One entry of instants per layer" and "The entry keeps
-    the fused brackets", has the reasons.
+    threads that alternate arrays only miss. An array whose widest array of
+    a call would pass _PANELS * _CHUNK elements is not kept: for the moments
+    that is a pass's 2N + 1 level phases per instant, and the entry then
+    holds 3 floats per instant, at most 1.5 MiB / (2N + 1). The classical f
+    counts one element per instant; its Fejer sums, 3 floats per instant,
+    are kept by the same rule on the fused pass's 2N tangents per instant,
+    checked by the caller. DECISIONS.md, "One entry of instants per layer",
+    "The entry keeps the fused brackets" and "The classical entry keeps the
+    three Fejer sums", has the reasons.
     """
 
     __slots__ = ("entry",)
@@ -355,20 +358,41 @@ def _half_angle(half, cos=None, sin=None, weights=(2.0, 1.0)) -> None:
     of exact residues |r| <= M/2; the moments' pi c with |c| <= 1/2, both
     the kernel's psi = 2n theta_d columns and the level phases m_j tau of
     either engine (quasi_exp's series take the dense forms' at every
-    packet), all in [-pi/2, pi/2]; and the classical pi h f. At a pole of tan the
+    packet), all in [-pi/2, pi/2]; and the classical pi h f, where the
+    three Fejer series of one array share one tangent by calling its two
+    steps, `_tangent` and `_weigh`, apart. At a pole of tan the
     rounded half is never exactly pi/2 + k pi, so t stays finite (about
     +-1.6e16 at +-pi/2): cos comes out -w and sin about +-1e-16 w, as
     np.sin(+-np.pi) gives, with no warning.
     """
-    twice, w = weights
+    t, q = _tangent(half, None if cos is None or cos is half else cos)
+    _weigh(t, q, weights, cos, sin)
+
+
+def _tangent(half, q=None):
+    """(t, q): t = tan(half), in place of half, and q = 1 + t^2, in q where given.
+
+    The first step of `_half_angle`. One tangent serves any number of
+    weightings (`_weigh`), as long as q is not overwritten before the last.
+    """
     t = np.tan(half, out=half)
-    q = np.multiply(t, t, out=None if cos is None or cos is half else cos)
+    q = np.multiply(t, t, out=q)
     q += 1.0
-    np.divide(twice, q, out=q)
+    return t, q
+
+
+def _weigh(t, q, weights, cos=None, sin=None, work=None) -> None:
+    """The second step of `_half_angle`: w cos(2 half) into cos, w sin(2 half) into sin.
+
+    t and q are `_tangent`'s, and may be strided views of it. 2w/q goes into
+    work, q itself where work is None; cos, sin and work may be one array.
+    """
+    twice, w = weights
+    work = np.divide(twice, q, out=q if work is None else work)
     if sin is not None:
-        np.multiply(q, t, out=sin)
+        np.multiply(work, t, out=sin)
     if cos is not None:
-        np.subtract(q, w, out=cos)
+        np.subtract(work, w, out=cos)
 
 
 def _reduced_spread(mean, second):

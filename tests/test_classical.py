@@ -1,5 +1,6 @@
 """Tests for the classical trajectory, its partial sums, and the weighted averages."""
 
+import itertools
 import math
 import sys
 import threading
@@ -28,7 +29,7 @@ from fejerwell import (
 )
 from fejerwell import classical
 from fejerwell.classical import _cycle, _matched_orbit
-from fejerwell.core import _CHUNK, _PANELS
+from fejerwell.core import _CHUNK, _PANELS, _LastInstants
 
 ORBIT = ClassicalOrbit()  # a = p_c = mu = 1, T = 2
 T = ORBIT.period
@@ -391,9 +392,10 @@ def test_matched_orbit_keeps_the_packet_phase_at_long_times(hbar):
     assert abs(_cycle(orbit, t) - ref) <= np.finfo(float).eps
 
 
-# --- the kept f of the last array (`core._LastInstants`) ----------------------------
+# --- the classical entry: f of the last array and its Fejer sums (`core._LastInstants`)
 
 _SERIES = (fejer_position, fejer_position_sq, fejer_momentum)
+_ORDERS = [(500, 23), (10_000, 100), (100_000, 316), (122, 60)]
 
 
 def _same_bits(a, b):
@@ -401,29 +403,95 @@ def _same_bits(a, b):
 
 
 def _fresh(fn, *args):
+    """fn(*args) from a call that reads and keeps nothing: each series sums its own harmonics."""
     classical._instants.entry = None
-    return fn(*args)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_LastInstants, "find", lambda self, key, t, width: (None, None))
+        return fn(*args)
 
 
-def _count_fractions(monkeypatch):
+def _count(monkeypatch, name):
+    """The first argument of each later call of classical.<name>."""
     calls = []
-    fraction = classical._fraction
-    monkeypatch.setattr(classical, "_fraction", lambda *args: calls.append(1) or fraction(*args))
+    fn = getattr(classical, name)
+    monkeypatch.setattr(classical, name, lambda *args, **kwargs: calls.append(args[0]) or fn(*args, **kwargs))
     return calls
 
 
-@pytest.mark.parametrize("n,N", [(500, 23), (10_000, 100), (100_000, 316), (122, 60)])
+@pytest.mark.parametrize("n,N", _ORDERS)
 def test_reused_cycle_gives_the_fresh_series(monkeypatch, n, N):
     # the three series of one orbit on one array reduce it once, and each
     # equals the series that reduces it itself, bit for bit
     orbit = _matched_orbit(WellConfig(), n)
     t = np.random.default_rng(n).uniform(0.0, 3.0 * orbit.period, 300)
     fresh = [_fresh(fn, orbit, N, t) for fn in _SERIES]
-    fractions = _count_fractions(monkeypatch)
+    fractions = _count(monkeypatch, "_fraction")
     classical._instants.entry = None
     assert all(_same_bits(fn(orbit, N, t), ref) for fn, ref in zip(_SERIES, fresh))
     assert _same_bits(sawtooth_position(orbit, t), _fresh(sawtooth_position, orbit, t))
     assert len(fractions) == 2
+
+
+@pytest.mark.parametrize("shape", [(96,), (8, 12)], ids=["1d", "2d"])
+@pytest.mark.parametrize("n,N", _ORDERS + [(500, 0), (500, 1)])
+def test_kept_sums_equal_each_series_own_sums(n, N, shape):
+    # 96 instants are within the budget at every order here (96 x 632 <=
+    # 65536): the first series runs the fused pass and keeps the three sums,
+    # the other two read theirs, and each value equals the series that sums
+    # its own harmonics, and the scalar call, bit for bit. N = 0 keeps none
+    orbit = _matched_orbit(WellConfig(), n)
+    t = np.random.default_rng(n + N).uniform(0.0, 3.0 * orbit.period, shape)
+    fresh = [_fresh(fn, orbit, N, t) for fn in _SERIES]
+    classical._instants.entry = None
+    values = [fn(orbit, N, t) for fn in _SERIES]
+    assert all(map(_same_bits, values, fresh))
+    for k in (0, 37, 95):
+        assert all(fn(orbit, N, t.flat[k]).tobytes() == v.flat[k].tobytes() for fn, v in zip(_SERIES, values))
+    _, _, (f, order, sums) = classical._instants.entry
+    assert order == (N or None) and (sums is None) == (N == 0)
+    if N:
+        assert sums.shape == (3,) + shape and not sums.flags.writeable
+    values[0][...] = 0.0  # a returned array is the caller's: the kept sums stay
+    assert _same_bits(fejer_position(orbit, N, t), fresh[0])
+
+
+@pytest.mark.parametrize("calls", list(itertools.permutations(range(3))))
+def test_fejer_sums_form_f_and_the_tangents_once_per_array(monkeypatch, calls):
+    # a moments-ladder n500 unit: 256 instants at N = 22 go in blocks of
+    # 186 x 44 harmonics. Whichever series comes first reduces t and forms
+    # each block's tangents once for all three; another order on the same
+    # array reuses f and forms its own tangents
+    orbit = ClassicalOrbit(p_c=500.0 * math.pi)
+    t = np.random.default_rng(8).uniform(0.0, 2.0 * orbit.period, 256)
+    classical._instants.entry = None
+    fractions, tangents = _count(monkeypatch, "_fraction"), _count(monkeypatch, "_tangent")
+    for k in calls + calls:
+        _SERIES[k](orbit, 22, t)
+    assert len(fractions) == 1
+    assert [x.shape for x in tangents] == [(186, 44), (70, 44)]
+    _SERIES[calls[0]](orbit, 5, t.copy())
+    assert len(fractions) == 1
+    assert [x.shape for x in tangents[2:]] == [(256, 10)]
+
+
+def test_lone_series_keep_no_sums_and_form_their_own_terms(monkeypatch):
+    # an array past the 2N budget, an object array, a scalar and a 0-d
+    # array run only the series asked for, over its own harmonics, and keep
+    # no sums; an array at the budget runs the fused pass
+    N = 23
+    wide = np.linspace(0.0, 3.0 * T, _PANELS * _CHUNK // (2 * N) + 1)
+    objects = np.random.default_rng(9).uniform(0.0, 3.0 * T, 50).astype(object)
+    tangents = _count(monkeypatch, "_tangent")
+    for t in (wide, objects, 0.3, np.array(0.3)):
+        classical._instants.entry = None
+        for fn, harmonics in zip(_SERIES, (N, 2 * N, N)):
+            tangents.clear()
+            fn(ORBIT, N, t)
+            assert {x.shape[-1] for x in tangents} == {harmonics}
+        entry = classical._instants.entry  # f is kept past the 2N budget, its sums are not
+        assert (entry is not None) == (t is wide) and (entry is None or entry[2][1:] == (None, None))
+    fejer_momentum(ORBIT, N, wide[1:])
+    assert classical._instants.entry[2][1] == N
 
 
 def test_cycle_of_changed_instants_and_other_orbits_is_formed_again(monkeypatch):
@@ -431,11 +499,14 @@ def test_cycle_of_changed_instants_and_other_orbits_is_formed_again(monkeypatch)
     # period, is reduced again; an equal copy is not
     t = np.random.default_rng(5).uniform(0.0, 3.0 * T, 50)
     other = ClassicalOrbit(p_c=1.25)
+    changed = t.copy()
+    changed[9] += 0.25
+    fresh = [_fresh(fejer_momentum, orbit, 23, changed) for orbit in (ORBIT, other)]
     fejer_position(ORBIT, 23, t)
     t[9] += 0.25
-    assert _same_bits(fejer_momentum(ORBIT, 23, t), _fresh(fejer_momentum, ORBIT, 23, t.copy()))
-    assert _same_bits(fejer_momentum(other, 23, t), _fresh(fejer_momentum, other, 23, t))
-    fractions = _count_fractions(monkeypatch)
+    assert _same_bits(fejer_momentum(ORBIT, 23, t), fresh[0])
+    assert _same_bits(fejer_momentum(other, 23, t), fresh[1])
+    fractions = _count(monkeypatch, "_fraction")
     fejer_position(other, 23, t.copy())
     assert not fractions
 
@@ -470,14 +541,17 @@ def test_cycle_of_an_object_array_is_formed_every_time():
 
 
 def test_threads_alternating_arrays_get_their_own_series():
+    # each thread alternates two arrays and two orders, all within the
+    # budget, so every call runs a fused pass or reads the kept sums
     arrays = [[np.random.default_rng(seed).uniform(0.0, 3.0 * T, 40) for seed in pair] for pair in ((1, 2), (3, 4))]
-    ref = {id(t): [_fresh(fn, ORBIT, 23, t) for fn in _SERIES] for ts in arrays for t in ts}
+    orders = (23, 5)
+    ref = {(id(t), N): [_fresh(fn, ORBIT, N, t) for fn in _SERIES] for ts in arrays for t in ts for N in orders}
     errors = []
 
     def work(ts):
         for k in range(200):
-            t = ts[k % 2]
-            if not all(_same_bits(fn(ORBIT, 23, t), r) for fn, r in zip(_SERIES, ref[id(t)])):
+            t, N = ts[k % 2], orders[k // 2 % 2]
+            if not all(_same_bits(fn(ORBIT, N, t), r) for fn, r in zip(_SERIES, ref[id(t), N])):
                 errors.append(k)
 
     interval = sys.getswitchinterval()
@@ -492,3 +566,4 @@ def test_threads_alternating_arrays_get_their_own_series():
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert not errors
+    assert classical._instants.entry[2][1] in orders
